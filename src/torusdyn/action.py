@@ -41,6 +41,19 @@ def _mod1(x):
     return np.where(y >= 1.0, 0.0, y)
 
 
+def _split(X):
+    """Torus knots and segment windings of cover knots X (..., n, d)."""
+    knots = _mod1(X)
+    return knots, np.rint(np.diff(X, axis=-2) - np.diff(knots, axis=-2))
+
+
+def _lift(knots, winds):
+    """Cover knots from torus knots (..., n, d) and segment windings (..., n-1, d)."""
+    steps = np.diff(knots, axis=-2) + winds
+    start = np.zeros_like(knots[..., :1, :])
+    return knots[..., :1, :] + np.concatenate([start, np.cumsum(steps, axis=-2)], axis=-2)
+
+
 @dataclass(frozen=True)
 class BrokenPath:
     """Piecewise-linear path: torus knots, per-segment winding offsets, total time."""
@@ -69,15 +82,12 @@ class BrokenPath:
 
     def cover_knots(self):
         """Lift to the universal cover starting at the first knot."""
-        steps = np.diff(self.knots, axis=0) + self.winds
-        return self.knots[0] + np.vstack([np.zeros(self.dim), np.cumsum(steps, axis=0)])
+        return _lift(self.knots, self.winds)
 
     @classmethod
     def from_cover(cls, X, T):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        knots = _mod1(X)
-        winds = np.rint(np.diff(X, axis=0) - np.diff(knots, axis=0)).astype(int)
-        return cls(knots, winds, T)
+        knots, winds = _split(np.atleast_2d(np.asarray(X, dtype=float)))
+        return cls(knots, winds.astype(int), T)
 
     @classmethod
     def constant(cls, x, T):
@@ -115,47 +125,51 @@ def _gl_nodes(n):
 
 
 def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True):
-    """Action of the cover path X plus its gradient in the knots."""
-    n = len(X)
-    dt = T / (n - 1)
+    """Actions of a batch of cover paths X (B, n, d) with durations T, plus
+    their gradients in the knots.
+
+    Every operation acts on each batch row alone, so a path's value and
+    gradient do not depend on the rest of its batch.
+    """
+    n = X.shape[1]
+    dt = np.broadcast_to(np.asarray(T, dtype=float), X.shape[:1]) / (n - 1)   # (B,)
     s, w = _gl_nodes(n_quad)
-    disp = np.diff(X, axis=0)                      # (n-1, d)
-    v = disp / dt
-    pts = X[:-1, None, :] + s[None, :, None] * disp[:, None, :]   # (n-1, q, d)
+    disp = np.diff(X, axis=1)                      # (B, n-1, d)
+    v = disp / dt[:, None, None]
+    pts = X[:, :-1, None, :] + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
     u_vals = L.potential(pts)
-    kin = 0.5 * (v * v).sum(axis=1)
+    kin = 0.5 * (v * v).sum(axis=2)
     per_seg = kin + k - u_vals @ w
-    grad_u = L.potential.grad(pts)
     magnetic = not L.oneform.is_zero()
     if magnetic:
         eta = L.oneform(pts)
-        per_seg = per_seg + np.einsum("iqd,q,id->i", eta, w, v)
-    value = float(dt * per_seg.sum())
+        per_seg = per_seg + np.einsum("biqd,q,bid->bi", eta, w, v)
+    value = dt * per_seg.sum(axis=1)
     if not need_grad:
         return value, None
     grad = np.zeros_like(X)
     # velocity part: +-sum_q w_q (v + eta)
     gvel = v.copy()
     if magnetic:
-        gvel = gvel + np.einsum("iqd,q->id", eta, w)
-    np.subtract.at(grad, np.arange(n - 1), gvel)
-    np.add.at(grad, np.arange(1, n), gvel)
+        gvel = gvel + np.einsum("biqd,q->bid", eta, w)
+    grad[:, :-1] -= gvel
+    grad[:, 1:] += gvel
     # position part: dt * sum_q w_q weight(s_q) (D eta^T v - grad U)
-    gpos = -grad_u
+    gpos = -L.potential.grad(pts)
     if magnetic:
         jac = L.oneform.jacobian(pts)
-        gpos = gpos + np.einsum("iqmd,im->iqd", jac, v)
-    left = dt * np.einsum("iqd,q->id", gpos, w * (1 - s))
-    right = dt * np.einsum("iqd,q->id", gpos, w * s)
-    np.add.at(grad, np.arange(n - 1), left)
-    np.add.at(grad, np.arange(1, n), right)
+        gpos = gpos + np.einsum("biqmd,bim->biqd", jac, v)
+    left = dt[:, None, None] * np.einsum("biqd,q->bid", gpos, w * (1 - s))
+    right = dt[:, None, None] * np.einsum("biqd,q->bid", gpos, w * s)
+    grad[:, :-1] += left
+    grad[:, 1:] += right
     return value, grad
 
 
 def action(L: MechanicalLagrangian, p: BrokenPath, k, n_quad=8):
     """Composite quadrature of k + L along the path; exact on free segments."""
-    value, _ = _action_value_grad(L, p.cover_knots(), p.T, k, n_quad, need_grad=False)
-    return value
+    value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, n_quad, need_grad=False)
+    return float(value[0])
 
 
 def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
@@ -164,8 +178,8 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
     if len(X) < 3:
         return 0.0
     dt = p.T / (len(X) - 1)
-    _, grad = _action_value_grad(L, X, p.T, k, n_quad)
-    return float(np.abs(grad[1:-1]).max() / dt)
+    _, grad = _action_value_grad(L, X[None], p.T, k, n_quad)
+    return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 
 def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
@@ -179,8 +193,8 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
 
     def fun(z):
         X = np.vstack([X0[:1], z.reshape(shape) + 0.0, X0[-1:]])
-        val, grad = _action_value_grad(L, X, T, k, n_quad)
-        return val, grad[1:-1].ravel()
+        val, grad = _action_value_grad(L, X[None], T, k, n_quad)
+        return float(val[0]), grad[0, 1:-1].ravel()
 
     z = X0[1:-1].ravel()
     val = res_grad = None
@@ -260,8 +274,14 @@ class NegativeLoopSearch:
     Candidates: constant loops at sampled potential maxima (decisive for
     purely mechanical Lagrangians), action-minimized winding loops (the
     magnetic route), and random-waypoint loops, within an evaluation
-    budget.  Loops are cached as (zero-level action, duration) pairs, so
-    retesting at a new k costs one fused multiply-add per loop.
+    budget.  The library holds each loop's zero-level action and duration
+    in two arrays, priced by one batched quadrature per knot count, so
+    retesting at a new k is one vectorized multiply-add; a BrokenPath is
+    built only for a loop that is returned or refined.
+
+    A search belongs to one Lagrangian and also carries the k-independent
+    Tonelli minimizers of `action_potential`, so potentials at several k
+    that share it minimize each (x, y, T) once.
     """
 
     def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2,
@@ -272,40 +292,56 @@ class NegativeLoopSearch:
         self.loop_t_grid = duration_grid(0.25, 32.0, 9) if loop_t_grid is None else loop_t_grid
         self.w_max = w_max
         self.n_knots = n_knots
-        self._library = []   # (action at k=0, T, BrokenPath)
+        self._a0 = np.zeros(0)   # action at k=0, per library loop
+        self._T = np.zeros(0)    # duration, per library loop
+        self._loops = []         # BrokenPath, or the raw cover knots of a random loop
+        self._tonelli = {}       # (x, y, T, w_max, n_quad) -> Tonelli minimizer
         self._seeded = False
         self._rng = np.random.default_rng(seed)
         self._purely_mechanical = L.oneform.is_zero()
 
-    def _add(self, path, minimize_at=None):
-        if minimize_at is not None:
-            X = path.cover_knots()
-            p2, _, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], path.T,
-                                       len(X), minimize_at, x_init=X, maxiter=200)
-            path = p2
-        self._library.append((action(self.L, path, 0.0), path.T, path))
+    def _zero_level(self, X, T):
+        """Actions at k=0 of the closed loops with cover knots X (B, n, d)."""
+        return _action_value_grad(self.L, X, T, 0.0, need_grad=False)[0]
 
     def _seed_library(self, k_hint):
         d = self.L.dim
-        used = 0
         # winding loops in every nonzero class, over the duration grid
+        line = np.linspace(0, 1, self.n_knots)[:, None]
+        loops = []
         for wind in _winding_classes(d, self.w_max):
             if not np.any(wind):
                 continue
             for T in self.loop_t_grid:
-                p = BrokenPath.from_cover(
-                    self.x_max + np.linspace(0, 1, self.n_knots)[:, None] * wind, T)
-                self._add(p, minimize_at=k_hint)
-                used += 1
-        # random-waypoint loops, evaluated cheaply at k=0
-        n_random = max(self.budget - used - 512, 0)
-        for _ in range(n_random):
+                X = BrokenPath.from_cover(self.x_max + line * wind, T).cover_knots()
+                p, _, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], T, len(X), k_hint,
+                                          x_init=X, maxiter=200)
+                loops.append(p)
+        # random-waypoint loops, drawn one at a time and priced per knot count
+        n_random = max(self.budget - len(loops) - 512, 0)
+        raw, T_random = [], np.empty(n_random)
+        for i in range(n_random):
             m = int(self._rng.integers(3, 6))
             X = self._rng.random((m, d))
-            X = np.vstack([X, X[:1]])
-            T = float(self._rng.choice(self.loop_t_grid))
-            self._add(BrokenPath.from_cover(X, T))
+            raw.append(np.vstack([X, X[:1]]))
+            T_random[i] = float(self._rng.choice(self.loop_t_grid))
+        a0_random = np.empty(n_random)
+        sizes = np.array([len(X) for X in raw], dtype=int)
+        for n in np.unique(sizes):
+            idx = np.flatnonzero(sizes == n)
+            cover = _lift(*_split(np.stack([raw[i] for i in idx])))   # as from_cover lifts
+            a0_random[idx] = self._zero_level(cover, T_random[idx])
+        a0_wind = self._zero_level(np.stack([p.cover_knots() for p in loops]),
+                                   np.array([p.T for p in loops])) if loops else np.zeros(0)
+        self._a0 = np.concatenate([a0_wind, a0_random])
+        self._T = np.concatenate([[p.T for p in loops], T_random])
+        self._loops = loops + raw
         self._seeded = True
+
+    def _loop(self, i):
+        """Library loop i as a BrokenPath."""
+        p = self._loops[i]
+        return p if isinstance(p, BrokenPath) else BrokenPath.from_cover(p, float(self._T[i]))
 
     def find(self, k, refine=True):
         """A closed loop with negative (L + k)-action, or None at budget."""
@@ -317,19 +353,20 @@ class NegativeLoopSearch:
             return None
         if not self._seeded:
             self._seed_library(k)
-        evals = np.array([a0 + k * t for a0, t, _ in self._library])
+        evals = self._a0 + k * self._T
         order = np.argsort(evals)
         if len(order) and evals[order[0]] < -1e-9:
-            return self._library[order[0]][2]
+            return self._loop(int(order[0]))
         if refine:
-            for idx in order[:4]:
-                a0, T, p = self._library[idx]
-                X = p.cover_knots()
-                p2, val, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], T,
-                                             len(X), k, x_init=X, maxiter=200)
+            for i in order[:4]:
+                i = int(i)
+                X = self._loop(i).cover_knots()
+                p, val, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], float(self._T[i]),
+                                            len(X), k, x_init=X, maxiter=200)
                 if val < -1e-9:
-                    self._library[idx] = (action(self.L, p2, 0.0), T, p2)
-                    return p2
+                    self._a0[i] = action(self.L, p, 0.0)
+                    self._loops[i] = p
+                    return p
         return None
 
 
@@ -338,7 +375,15 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
     """Mane potential estimate: minimize (L+k)-action over duration and winding.
 
     Returns the minus-infinity sentinel with a certificate loop whenever
-    the negative-loop search succeeds at this k.
+    the negative-loop search succeeds at this k.  Otherwise, when x = y
+    mod 1 (up to rounding, 1e-12), returns exactly 0.0 without minimizing:
+    with no negative loop Phi_k(x, x) >= 0, and constant curves of vanishing
+    duration reach 0.
+
+    The fixed-endpoint minimizers do not depend on k.  When `search`
+    belongs to L, they are cached on it by (x, y, T, w_max, n_quad), so
+    calls that share a search (as `potential_table` does across k) minimize
+    each duration once and re-evaluate only the (L+k)-action of the path.
     """
     search = search if search is not None else NegativeLoopSearch(L)
     loop = search.find(k)
@@ -348,14 +393,19 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
             return ActionValue(None, loop)
     x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
     y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
+    if np.abs((y - x + 0.5) % 1.0 - 0.5).max() <= 1e-12:
+        return ActionValue(0.0)
     grid = duration_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    cache = search._tonelli if search.L is L else {}
 
     def value_at(T):
-        try:
-            p = tonelli_minimizer(L, x, y, T, w_max=w_max, n_quad=n_quad)
-        except NoConvergence as nc:
-            p = nc.path
-        return action(L, p, k, n_quad)
+        key = (tuple(x), tuple(y), float(T), w_max, n_quad)
+        if key not in cache:
+            try:
+                cache[key] = tonelli_minimizer(L, x, y, T, w_max=w_max, n_quad=n_quad)
+            except NoConvergence as nc:
+                cache[key] = nc.path
+        return action(L, cache[key], k, n_quad)
 
     vals = [value_at(T) for T in grid]
     i = int(np.argmin(vals))

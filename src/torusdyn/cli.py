@@ -127,6 +127,8 @@ def cmd_suspend_integrate(args):
 
 
 def _cat_ensemble(args, backward=0):
+    if args.orbits < 1:
+        raise ValueError(f"--orbits must be at least 1, got {args.orbits}")
     tm = hyp_mod.cat_map()
     rng = np.random.default_rng(args.seed)
     return tm, hyp_mod.orbit_ensemble(tm, args.orbits, args.steps, rng=rng,
@@ -172,6 +174,8 @@ def cmd_shadow(args):
         pts = np.array([[float(r[-2]), float(r[-1])] for r in rows])
         orbits = [hyp_mod.PseudoOrbit(tm, pts)]
     else:
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         rng = np.random.default_rng(args.seed)
         orbits = [hyp_mod.random_pseudo_orbit(tm, args.length, args.delta, rng)
                   for _ in range(args.count)]
@@ -310,3 +314,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.signal import lfilter
 
 
 class OutOfLocalChart(ValueError):
@@ -281,6 +280,8 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
 
 def _stable_corrections(lam_s, es):
     """Solve a_{i+1} = lam_s a_i - es_i with a_0 = 0 (row-wise over batches)."""
+    from scipy.signal import lfilter
+
     es = np.atleast_2d(es)
     tail = lfilter([1.0], [1.0, -lam_s], -es, axis=1)
     return np.concatenate([np.zeros((es.shape[0], 1)), tail], axis=1)
@@ -288,6 +289,8 @@ def _stable_corrections(lam_s, es):
 
 def _unstable_corrections(lam_u, eu):
     """Bounded solution of b_{i+1} = lam_u b_i - eu_i, i.e. b_i = (b_{i+1}+eu_i)/lam_u."""
+    from scipy.signal import lfilter
+
     eu = np.atleast_2d(eu)
     rev = eu[:, ::-1] / lam_u
     tail = lfilter([1.0], [1.0, -1.0 / lam_u], rev, axis=1)[:, ::-1]

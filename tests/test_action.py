@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from torusdyn.action import (
     action,
     action_potential,
     critical_value,
+    duration_grid,
     el_residual,
     staticity_defect,
     tonelli_minimizer,
@@ -30,6 +33,18 @@ def double_well():
 
 def free(dim=1):
     return MechanicalLagrangian(dim)
+
+
+def magnetic_t1():
+    # pendulum with the constant one-form 2 dx: c(L) = 2.0638 lies above max U
+    return MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}),
+                                OneForm([FourierSeries(1, cos={0: 2.0})]))
+
+
+def magnetic_t2():
+    # U = cos 2pi x1 with eta = (0, 2): c(L) = 3
+    return MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 1.0}),
+                                OneForm([FourierSeries(2), FourierSeries(2, cos={(0, 0): 2.0})]))
 
 
 class TestBrokenPath:
@@ -270,3 +285,102 @@ def test_potential_table_rows():
     k, x, y, phi, status = rows[0]
     assert status == "neg_inf" and phi == ""
     assert rows[1][4] == "finite"
+
+
+class OneAtATimeSearch(NegativeLoopSearch):
+    """The loop library priced one action() call per loop."""
+
+    def _seed_library(self, k_hint):
+        super()._seed_library(k_hint)
+        self._a0 = np.array([action(self.L, self._loop(i), 0.0) for i in range(len(self._a0))])
+
+
+class TestBatchedLoopLibrary:
+    @pytest.mark.parametrize("make", [magnetic_t1, magnetic_t2])
+    def test_library_prices_match_action(self, make):
+        L = make()
+        batched = NegativeLoopSearch(L, budget=4000, seed=5)
+        reference = OneAtATimeSearch(L, budget=4000, seed=5)
+        k = L.potential.value_bounds()[1] + 0.25
+        batched.find(k, refine=False)
+        reference.find(k, refine=False)
+        assert len(batched._a0) == 4000 - 512
+        assert np.array_equal(batched._a0, reference._a0)
+        assert np.array_equal(batched._T, reference._T)
+
+    @pytest.mark.parametrize("make", [magnetic_t1, magnetic_t2])
+    def test_critical_value_matches_one_at_a_time(self, make):
+        L = make()
+        c = critical_value(L, search=NegativeLoopSearch(L, budget=4000, seed=5))
+        assert c == critical_value(L, search=OneAtATimeSearch(L, budget=4000, seed=5))
+
+    def test_returned_loop_is_certified(self):
+        L = magnetic_t1()
+        search = NegativeLoopSearch(L, budget=4000, seed=5)
+        loop = search.find(1.9)
+        assert loop is not None and action(L, loop, 1.9) < 0
+
+
+class TestSharedTonelliCache:
+    GRID = duration_grid(0.1, 10.0, 10)
+
+    @pytest.mark.parametrize("make,pair,ks", [
+        (pendulum, (0.05, 0.31), (1.05, 1.3)),
+        (double_well, (0.2, 0.7), (1.35, 1.6)),
+    ])
+    def test_second_k_matches_fresh_search(self, make, pair, ks):
+        L = make()
+        x, y = [pair[0]], [pair[1]]
+        shared = NegativeLoopSearch(L)
+        action_potential(L, ks[0], x, y, t_grid=self.GRID, search=shared)
+        reused = action_potential(L, ks[1], x, y, t_grid=self.GRID, search=shared)
+        fresh = action_potential(L, ks[1], x, y, t_grid=self.GRID, search=NegativeLoopSearch(L))
+        assert reused.value == fresh.value
+
+    def test_minimizes_each_duration_once(self, monkeypatch):
+        # the non-converged fallback path is cached as well
+        action_mod = sys.modules[NegativeLoopSearch.__module__]
+        calls = []
+
+        def never_converges(L, x, y, T, **kwargs):
+            calls.append(float(T))
+            path = tonelli_minimizer(L, x, y, T, **kwargs)
+            raise NoConvergence("forced", path, 1.0)
+
+        L = pendulum()
+        search = NegativeLoopSearch(L)
+        expected = action_potential(L, 1.3, [0.25], [0.625], t_grid=self.GRID,
+                                    search=NegativeLoopSearch(L)).value
+        monkeypatch.setattr(action_mod, "tonelli_minimizer", never_converges)
+        action_potential(L, 1.05, [0.25], [0.625], t_grid=self.GRID, search=search)
+        first = len(calls)
+        assert len(set(calls)) == first
+        # the same endpoints one period over share the cache
+        again = action_potential(L, 1.3, [1.25], [-0.375], t_grid=self.GRID, search=search)
+        assert again.value == expected
+        assert set(calls[first:]).isdisjoint(calls[:first])
+        assert len(calls) - first < first
+
+    def test_search_of_another_lagrangian_is_not_reused(self):
+        L, other = pendulum(), pendulum()
+        search = NegativeLoopSearch(other)
+        action_potential(L, 1.3, [0.05], [0.31], t_grid=self.GRID, search=search)
+        assert search._tonelli == {}
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize("make,c", [(pendulum, 1.0), (double_well, 1.3)])
+    @pytest.mark.parametrize("x,y", [(0.52, 0.52), (1.52, 0.52), (0.0, 0.9999999999999999)])
+    def test_exactly_zero_at_and_above_critical(self, make, c, x, y):
+        L = make()
+        search = NegativeLoopSearch(L)
+        for k in (c, c + 0.05, c + 0.3):
+            av = action_potential(L, k, [x], [y], search=search)
+            assert av.value == 0.0
+        assert search._tonelli == {}
+
+    def test_below_critical_is_certified_minus_infinity(self):
+        L = pendulum()
+        av = action_potential(L, 0.5, [0.52], [1.52])
+        assert av.is_minus_infinity
+        assert action(L, av.certificate, 0.5) < 0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +152,33 @@ class TestExitCodes:
 
     def test_missing_file_is_1(self, capsys):
         assert run(["sft-entropy", "--matrix", "/nonexistent/m.txt"]) == 1
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["entropy-estimate", "--orbits", "0"], "--orbits"),
+        (["hexpansivity", "--orbits", "0"], "--orbits"),
+        (["shadow", "--count", "0"], "--count"),
+    ])
+    def test_empty_batch_is_1(self, capsys, argv, flag):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
+    def test_python_dash_m_help(self, module):
+        import torusdyn
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(torusdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: torusdyn")
+        assert "critical-value" in proc.stdout
 
 
 class TestDeterminism:
