@@ -26,7 +26,7 @@ from torusdyn import (
 pendulum = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}))
 search = NegativeLoopSearch(pendulum)
 
-# --- the critical value, found by bisection on the negative-loop search
+# --- the critical value, the best loop threshold of the negative-loop search
 c = critical_value(pendulum, search=search)
 print(f"critical value c(L) = {c:.4f}   (analytic: max U = 1)")
 

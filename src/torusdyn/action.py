@@ -6,13 +6,13 @@ k + L along the linear interpolant in the universal cover.  Fixed-endpoint
 minimizers come from quasi-Newton descent on the knots across winding
 classes; the action potential takes the minimum over a log grid of
 durations, watching for closed loops of negative action, whose existence
-marks the sub-critical regime and is certified by the loop itself.
+marks the sub-critical regime and is certified by the loop itself.  The
+critical value is the best closed-form loop threshold over a battery.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fields import grid_extremum
 from .lagrangian import MechanicalLagrangian
@@ -25,10 +25,6 @@ class NoConvergence(RuntimeError):
         super().__init__(msg)
         self.path = path
         self.residual = residual
-
-
-class BudgetExceeded(RuntimeError):
-    """No negative-loop bracket found within the search budget."""
 
 
 class BelowCritical(ValueError):
@@ -124,46 +120,68 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True):
-    """Actions of a batch of cover paths X (B, n, d) with durations T, plus
-    their gradients in the knots.
+def _action_terms(L: MechanicalLagrangian, X, n_quad=8):
+    """Per-segment terms of uniformly timed cover paths X (B, n, d), and grad.
 
-    Every operation acts on each batch row alone, so a path's value and
-    gradient do not depend on the rest of its batch.
+    Segment i, of duration dt, has (L + k)-action kin_i/dt + dt (k - u_i) + m_i:
+    kin_i = |dX_i|^2 / 2, and u_i, m_i the quadratures of U and of eta.dX_i.
+    At T = (n-1) dt the action is K/T + T (k - Ubar) + M, K = (n-1) sum kin,
+    Ubar = mean u, M = sum m.  grad(a, b, c) is the knot gradient of
+    a K + b Ubar + c M for per-row weights.  Batch rows do not interact.
     """
     n = X.shape[1]
-    dt = np.broadcast_to(np.asarray(T, dtype=float), X.shape[:1]) / (n - 1)   # (B,)
     s, w = _gl_nodes(n_quad)
     disp = np.diff(X, axis=1)                      # (B, n-1, d)
-    v = disp / dt[:, None, None]
     pts = X[:, :-1, None, :] + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
-    u_vals = L.potential(pts)
-    kin = 0.5 * (v * v).sum(axis=2)
-    per_seg = kin + k - u_vals @ w
+    kin = 0.5 * (disp * disp).sum(axis=2)
+    u = L.potential(pts) @ w
     magnetic = not L.oneform.is_zero()
     if magnetic:
-        eta = L.oneform(pts)
-        per_seg = per_seg + np.einsum("biqd,q,bid->bi", eta, w, v)
-    value = dt * per_seg.sum(axis=1)
-    if not need_grad:
-        return value, None
-    grad = np.zeros_like(X)
-    # velocity part: +-sum_q w_q (v + eta)
-    gvel = v.copy()
-    if magnetic:
-        gvel = gvel + np.einsum("biqd,q->bid", eta, w)
-    grad[:, :-1] -= gvel
-    grad[:, 1:] += gvel
-    # position part: dt * sum_q w_q weight(s_q) (D eta^T v - grad U)
-    gpos = -L.potential.grad(pts)
-    if magnetic:
-        jac = L.oneform.jacobian(pts)
-        gpos = gpos + np.einsum("biqmd,bim->biqd", jac, v)
-    left = dt[:, None, None] * np.einsum("biqd,q->bid", gpos, w * (1 - s))
-    right = dt[:, None, None] * np.einsum("biqd,q->bid", gpos, w * s)
-    grad[:, :-1] += left
-    grad[:, 1:] += right
-    return value, grad
+        etaw = np.einsum("biqd,q->bid", L.oneform(pts), w)
+        m = (etaw * disp).sum(axis=2)
+    else:
+        m = np.zeros_like(kin)
+
+    def grad(a, b, c):
+        a, b, c = (np.asarray(v, dtype=float)[..., None, None] for v in (a, b, c))
+        # K part and the velocity part of M: +-(a (n-1) dX + c sum_q w_q eta)
+        gvel = ((n - 1) * a) * disp
+        # position part: sum_q w_q weight(s_q) (b grad U / (n-1) + c D eta^T dX)
+        gpos = (b[..., None] / (n - 1)) * L.potential.grad(pts)
+        if magnetic:
+            gvel = gvel + c * etaw
+            gpos = gpos + c[..., None] * np.einsum("biqmd,bim->biqd",
+                                                   L.oneform.jacobian(pts), disp)
+        g = np.zeros_like(X)
+        g[:, :-1] += np.einsum("biqd,q->bid", gpos, w * (1 - s)) - gvel
+        g[:, 1:] += np.einsum("biqd,q->bid", gpos, w * s) + gvel
+        return g
+
+    return kin, u, m, grad
+
+
+def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True):
+    """Actions of cover paths X (B, n, d) at durations T, and knot gradients."""
+    kin, u, m, grad = _action_terms(L, X, n_quad)
+    dt = np.asarray(T, dtype=float)[..., None] / (X.shape[1] - 1)
+    # summed segment by segment: totals K/T and T Ubar cancel more digits,
+    # and the descent's stopping tests act at that rounding level
+    value = (kin / dt + dt * (k - u) + m).sum(axis=1)
+    return value, (grad(1.0 / T, -T, 1.0) if need_grad else None)
+
+
+def _thresholds(L: MechanicalLagrangian, X, need_grad=False):
+    """theta, (K, Ubar, u) and grad theta of closed loops X (B, n, d), K > 0.
+
+    Minimizing K/T + T (k - Ubar) + M over T (AM-GM): a loop has negative
+    (L + k)-action at some duration exactly when k < theta = Ubar + K u^2,
+    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).  By the
+    envelope identity grad theta = -grad A_theta(X, 1/u) * u.
+    """
+    kin, useg, m, grad = _action_terms(L, X)
+    K, ubar = (X.shape[1] - 1) * kin.sum(axis=1), useg.mean(axis=1)
+    u = np.maximum(-m.sum(axis=1), 0.0) / (2.0 * K)
+    return ubar + K * u * u, (K, ubar, u), (grad(-u * u, 1.0, -u) if need_grad else None)
 
 
 def action(L: MechanicalLagrangian, p: BrokenPath, k, n_quad=8):
@@ -185,6 +203,8 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
 def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
                     x_init=None, residual_target=1e-6):
     """Descend the action over interior knots of the straight-line seed."""
+    from scipy.optimize import minimize
+
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
     X0 = x_init if x_init is not None else x_from + line * disp
@@ -268,106 +288,98 @@ def duration_grid(t_min=0.05, t_max=50.0, count=40):
     return np.geomspace(t_min, t_max, count)
 
 
+def _ascend(L: MechanicalLagrangian, X, n_knots):
+    """L-BFGS ascent of the threshold of the closed loop X (m, d), its
+    segments cut into equal pieces up to n_knots knots, winding fixed."""
+    from scipy.optimize import minimize
+
+    d = X.shape[1]
+    wind = X[-1] - X[0]
+    r = -(-(n_knots - 1) // (len(X) - 1))
+    z0 = X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :]
+
+    def close(z):
+        Y = z.reshape(-1, d)
+        return np.vstack([Y, Y[:1] + wind])
+
+    def fun(z):
+        theta, _, grad = _thresholds(L, close(z)[None], need_grad=True)
+        g = grad[0, :-1]
+        g[0] += grad[0, -1]
+        return -float(theta[0]), -g.ravel()
+
+    res = minimize(fun, z0.ravel(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10})
+    return close(res.x)
+
+
 class NegativeLoopSearch:
     """Closed-loop battery certifying the sub-critical regime.
 
-    Candidates: constant loops at sampled potential maxima (decisive for
-    purely mechanical Lagrangians), action-minimized winding loops (the
-    magnetic route), and random-waypoint loops, within an evaluation
-    budget.  The library holds each loop's zero-level action and duration
-    in two arrays, priced by one batched quadrature per knot count, so
-    retesting at a new k is one vectorized multiply-add; a BrokenPath is
-    built only for a loop that is returned or refined.
+    A loop certifies c(L) >= theta = Ubar + max(-M, 0)^2 / (4K): below
+    theta it has negative (L + k)-action at T* = sqrt(K / (k - Ubar)).  The
+    battery, priced once in one quadrature per knot count: the constant
+    loop at the maximum of U (theta = max U; all there is for purely
+    mechanical L), a straight `n_knots` loop in each nonzero winding class
+    up to `w_max`, and random-waypoint loops filling `budget`.  Loops with
+    M >= 0 have theta = Ubar <= max U; the four best with M < 0 get one
+    L-BFGS ascent of theta.  `find(k)` checks best theta > k.  Classes
+    beyond `w_max` are seen only through the random loops: U = 0 with
+    eta = (0.6, -0.8), where c = 0.5 needs winding (-3, 4), gives 0.49.
 
-    A search belongs to one Lagrangian and also carries the k-independent
-    Tonelli minimizers of `action_potential`, so potentials at several k
-    that share it minimize each (x, y, T) once.
+    A search belongs to one Lagrangian and also caches the k-independent
+    Tonelli minimizers of `action_potential` by (x, y, T).
     """
 
-    def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2,
-                 loop_t_grid=None, n_knots=33):
+    def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2, n_knots=33):
         self.L = L
         self.budget = budget
         _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
-        self.loop_t_grid = duration_grid(0.25, 32.0, 9) if loop_t_grid is None else loop_t_grid
         self.w_max = w_max
         self.n_knots = n_knots
-        self._a0 = np.zeros(0)   # action at k=0, per library loop
-        self._T = np.zeros(0)    # duration, per library loop
-        self._loops = []         # BrokenPath, or the raw cover knots of a random loop
         self._tonelli = {}       # (x, y, T, w_max, n_quad) -> Tonelli minimizer
-        self._seeded = False
+        self._best = None        # see _best_loop
         self._rng = np.random.default_rng(seed)
         self._purely_mechanical = L.oneform.is_zero()
 
-    def _zero_level(self, X, T):
-        """Actions at k=0 of the closed loops with cover knots X (B, n, d)."""
-        return _action_value_grad(self.L, X, T, 0.0, need_grad=False)[0]
+    def _candidates(self):
+        """The four battery loops with M < 0 of highest threshold."""
+        winds = np.array([w for w in _winding_classes(self.L.dim, self.w_max) if np.any(w)])
+        groups = [self.x_max + np.linspace(0, 1, self.n_knots)[None, :, None] * winds[:, None, :]]
+        sizes = self._rng.integers(3, 6, size=max(self.budget - len(winds) - 1, 0))
+        for m in np.unique(sizes):
+            X = self._rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
+            groups.append(np.concatenate([X, X[:, :1]], axis=1))
+        loops, thetas = [], []
+        for X in groups:
+            theta, (_, _, u), _ = _thresholds(self.L, X)
+            loops.extend(X[u > 0])
+            thetas.extend(theta[u > 0])
+        return [loops[i] for i in np.argsort(thetas)[::-1][:4]]
 
-    def _seed_library(self, k_hint):
-        d = self.L.dim
-        # winding loops in every nonzero class, over the duration grid
-        line = np.linspace(0, 1, self.n_knots)[:, None]
-        loops = []
-        for wind in _winding_classes(d, self.w_max):
-            if not np.any(wind):
-                continue
-            for T in self.loop_t_grid:
-                X = BrokenPath.from_cover(self.x_max + line * wind, T).cover_knots()
-                p, _, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], T, len(X), k_hint,
-                                          x_init=X, maxiter=200)
-                loops.append(p)
-        # random-waypoint loops, drawn one at a time and priced per knot count
-        n_random = max(self.budget - len(loops) - 512, 0)
-        raw, T_random = [], np.empty(n_random)
-        for i in range(n_random):
-            m = int(self._rng.integers(3, 6))
-            X = self._rng.random((m, d))
-            raw.append(np.vstack([X, X[:1]]))
-            T_random[i] = float(self._rng.choice(self.loop_t_grid))
-        a0_random = np.empty(n_random)
-        sizes = np.array([len(X) for X in raw], dtype=int)
-        for n in np.unique(sizes):
-            idx = np.flatnonzero(sizes == n)
-            cover = _lift(*_split(np.stack([raw[i] for i in idx])))   # as from_cover lifts
-            a0_random[idx] = self._zero_level(cover, T_random[idx])
-        a0_wind = self._zero_level(np.stack([p.cover_knots() for p in loops]),
-                                   np.array([p.T for p in loops])) if loops else np.zeros(0)
-        self._a0 = np.concatenate([a0_wind, a0_random])
-        self._T = np.concatenate([[p.T for p in loops], T_random])
-        self._loops = loops + raw
-        self._seeded = True
+    def _best_loop(self):
+        """(theta, cover knots) of the best loop; knots None: the constant loop."""
+        if self._best is None:
+            self._best = (self.u_max, None)
+            # a purely mechanical (L + k)-integrand is >= 0 once k >= max U
+            for X in [] if self._purely_mechanical else self._candidates():
+                for Y in (X, _ascend(self.L, X, self.n_knots)):
+                    theta = float(_thresholds(self.L, Y[None])[0][0])
+                    self._best = max(self._best, (theta, Y), key=lambda b: b[0])
+        return self._best
 
-    def _loop(self, i):
-        """Library loop i as a BrokenPath."""
-        p = self._loops[i]
-        return p if isinstance(p, BrokenPath) else BrokenPath.from_cover(p, float(self._T[i]))
-
-    def find(self, k, refine=True):
-        """A closed loop with negative (L + k)-action, or None at budget."""
+    def find(self, k):
+        """A closed loop of negative (L + k)-action, or None at k >= best theta."""
         # constant loops: action (k - U(x)) T, decisive at the potential max
         if k < self.u_max - 1e-12:
             return BrokenPath.constant(self.x_max, 1.0)
-        if self._purely_mechanical:
-            # (L + k)-integrand is pointwise >= (|v| ... ) >= 0 once k >= max U
+        theta, X = self._best_loop()
+        if X is None or k >= theta:
             return None
-        if not self._seeded:
-            self._seed_library(k)
-        evals = self._a0 + k * self._T
-        order = np.argsort(evals)
-        if len(order) and evals[order[0]] < -1e-9:
-            return self._loop(int(order[0]))
-        if refine:
-            for i in order[:4]:
-                i = int(i)
-                X = self._loop(i).cover_knots()
-                p, val, _ = _minimize_knots(self.L, X[0], X[-1] - X[0], float(self._T[i]),
-                                            len(X), k, x_init=X, maxiter=200)
-                if val < -1e-9:
-                    self._a0[i] = action(self.L, p, 0.0)
-                    self._loops[i] = p
-                    return p
-        return None
+        _, (K, ubar, u), _ = _thresholds(self.L, X[None])
+        # at k <= Ubar no duration minimizes; 1/u gives (k - theta)/u < 0
+        T = np.sqrt(K[0] / (k - ubar[0])) if k > ubar[0] else 1.0 / u[0]
+        return BrokenPath.from_cover(X, float(T))
 
 
 def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
@@ -430,33 +442,18 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
     return ActionValue(float(best_v))
 
 
-def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch = None,
-                   max_doublings=60):
-    """Bisection on k between a certified negative loop and the no-loop regime.
+def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch = None):
+    """Mane critical value c(L) (least k with no negative (L + k)-loop) as
+    the best threshold theta = Ubar + max(-M, 0)^2 / (4K) of `search`.
 
-    The upper end starts at the rigorous bound max U + |eta|^2/2 above
-    which the integrand of (L+k) is pointwise nonnegative.
+    A certified lower bound: at T* = sqrt(K / (k - Ubar)) the best loop has
+    negative action for every k below it.  Exact (max U) for purely
+    mechanical L; at most max U + sup|eta|^2 / 2; windings beyond `w_max`
+    are missed (see `NegativeLoopSearch`).  `tol` no longer changes the
+    result; it stays for the CLI `--tol` flag.
     """
     search = search if search is not None else NegativeLoopSearch(L)
-    u_lo, u_hi = L.potential.value_bounds()
-    k_hi = u_hi + 0.5 * L.oneform.sup_norm_bound() ** 2 + 1e-9
-    k_lo, step = None, 1.0
-    probe = k_hi
-    for _ in range(max_doublings):
-        probe -= step
-        step *= 2.0
-        if search.find(probe) is not None:
-            k_lo = probe
-            break
-    if k_lo is None:
-        raise BudgetExceeded("no negative loop found above k_hi - 2^60")
-    while k_hi - k_lo > tol:
-        mid = 0.5 * (k_lo + k_hi)
-        if search.find(mid) is not None:
-            k_lo = mid
-        else:
-            k_hi = mid
-    return 0.5 * (k_lo + k_hi)
+    return search._best_loop()[0]
 
 
 def staticity_defect(L: MechanicalLagrangian, c, x, y, **kwargs):

@@ -27,7 +27,7 @@ from .perturbation import experiment_localization
 def _load_matrix(args):
     if getattr(args, "golden_mean", False):
         return sft_mod.GOLDEN_MEAN
-    if getattr(args, "full_shift", None):
+    if getattr(args, "full_shift", None) is not None:
         return sft_mod.full_shift(args.full_shift)
     if getattr(args, "matrix", None):
         return sft_mod.load_matrix(args.matrix)
@@ -240,7 +240,8 @@ def build_parser():
 
     p = sub.add_parser("critical-value", help="Mane critical value of a Lagrangian config")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=float, default=1e-2,
+                   help="kept for compatibility; does not change the result")
     common(p, seed=False)
     p.set_defaults(func=cmd_critical_value)
 

@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .fields import FourierSeries, OneForm
-from .lagrangian import MechanicalLagrangian
+from .lagrangian import _INTEGRATORS, MechanicalLagrangian
 from .perturbation import CanalExperimentConfig, CanalPotential
 
 
@@ -32,14 +32,25 @@ def _mode_key(key, dim):
     return tuple(parts)
 
 
+def _finite(value, what):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _coeff_section(cp, name, dim):
     if not cp.has_section(name):
         return {}
-    return {_mode_key(k, dim): float(v) for k, v in cp.items(name)}
+    return {_mode_key(k, dim): _finite(v, f"[{name}] {k}") for k, v in cp.items(name)}
 
 
 def parse_lagrangian(text):
-    """(MechanicalLagrangian, meta) from config text; meta holds integrator/dt."""
+    """(MechanicalLagrangian, meta) from config text; meta holds integrator/dt.
+
+    Raises ValueError on a non-finite coefficient, a dt that is not a
+    positive finite number, or an integrator `el_flow` does not know.
+    """
     cp = _parse(text)
     if not cp.has_section("lagrangian"):
         raise ValueError("missing [lagrangian] section")
@@ -56,8 +67,13 @@ def parse_lagrangian(text):
     oneform = OneForm(components) if any_oneform else None
     meta = {
         "integrator": cp.get("lagrangian", "integrator", fallback=None),
-        "dt": cp.getfloat("lagrangian", "dt", fallback=1e-3),
+        "dt": _finite(cp.get("lagrangian", "dt", fallback=1e-3), "dt"),
     }
+    if meta["dt"] <= 0:
+        raise ValueError(f"dt must be positive, got {meta['dt']!r}")
+    if meta["integrator"] is not None and meta["integrator"] not in _INTEGRATORS:
+        raise ValueError(f"unknown integrator {meta['integrator']!r}; "
+                         f"expected one of {', '.join(sorted(_INTEGRATORS))}")
     return MechanicalLagrangian(dim, potential, oneform), meta
 
 

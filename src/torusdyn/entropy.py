@@ -126,14 +126,16 @@ def spanning_count(F: LabeledOrbitEnsemble, T, delta):
 
 
 def separated_count(F: LabeledOrbitEnsemble, T, delta):
-    """Greedy maximal (T, delta)-separated set size s^ (packing, s^ <= s)."""
+    """Greedy maximal (T, delta)-separated set size s^ (packing, s^ <= s).
+
+    The lowest-index greedy net's centers are pairwise more than delta
+    apart and leave no orbit uncovered, so they form a maximal separated
+    set, and s^ = r^ by construction.  The check r^ <= s^ is then an
+    identity; the half with content is r^ <= r(delta/2) (Walters, An
+    Introduction to Ergodic Theory, 7.2).
+    """
     d = _final_distances(F, F.steps_for(T))
-    n = d.shape[0]
-    kept = []
-    for i in range(n):
-        if all(d[i, j] > delta for j in kept):
-            kept.append(i)
-    return len(kept)
+    return len(_greedy_net(d, delta))
 
 
 def count_ladder(F: LabeledOrbitEnsemble, T, delta):

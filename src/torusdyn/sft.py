@@ -382,21 +382,28 @@ def parse_matrix(text):
     if not lines:
         raise ValueError("empty matrix text")
     if lines[0].startswith("rle"):
-        m = int(lines[0].split()[1])
+        head = lines[0].split()
+        if len(head) != 2:
+            raise ValueError(f"run-length header {lines[0]!r} must be `rle <size>`")
+        m = int(head[1])
         bits = []
         for tok in " ".join(lines[1:]).split():
             count, bit = tok.split("*")
             bits.extend([int(bit)] * int(count))
         if len(bits) != m * m:
             raise ValueError(f"run-length data has {len(bits)} bits, expected {m * m}")
-        return TransitionMatrix(np.array(bits).reshape(m, m))
-    rows = []
-    for ln in lines:
-        row = [int(c) for c in (ln.split() if " " in ln else ln)]
-        rows.append(row)
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix grid is not square")
-    return TransitionMatrix(np.array(rows))
+        bits = np.array(bits).reshape(m, m)
+    else:
+        rows = []
+        for ln in lines:
+            row = [int(c) for c in (ln.split() if " " in ln else ln)]
+            rows.append(row)
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix grid is not square")
+        bits = np.array(rows)
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("transition matrix entries must be 0 or 1")
+    return TransitionMatrix(bits)
 
 
 def load_matrix(path):
@@ -456,4 +463,6 @@ GOLDEN_MEAN = TransitionMatrix([[1, 1], [1, 0]])
 
 
 def full_shift(m):
+    if m < 1:
+        raise ValueError(f"a full shift needs at least one symbol, got {m}")
     return TransitionMatrix(np.ones((m, m), dtype=bool))

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from torusdyn.action import (
     potential_table,
@@ -20,6 +22,9 @@ from torusdyn.action import (
 )
 from torusdyn.fields import FourierSeries, OneForm, grid_extremum
 from torusdyn.lagrangian import MechanicalLagrangian
+
+# the package namespace binds `action` to the function, not the module
+action_mod = sys.modules[NegativeLoopSearch.__module__]
 
 
 def pendulum():
@@ -45,6 +50,24 @@ def magnetic_t2():
     # U = cos 2pi x1 with eta = (0, 2): c(L) = 3
     return MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 1.0}),
                                 OneForm([FourierSeries(2), FourierSeries(2, cos={(0, 0): 2.0})]))
+
+
+def magnetic_t1_exact_c(eta0=2.0):
+    # the energy-k loop winding once against eta has (L + k)-action
+    # int_0^1 sqrt(2(k - cos 2 pi x)) dx - eta0, which vanishes at c
+    def gap(k):
+        return quad(lambda x: np.sqrt(2 * (k - np.cos(2 * np.pi * x))), 0, 1)[0] - eta0
+    return brentq(gap, 1.0, 1.0 + 0.5 * eta0**2 + 1.0, xtol=1e-12)
+
+
+def eta_half_t2():
+    # U = 0 with the lattice-aligned constant one-form (0.5, 0.5): c = |eta|^2/2
+    return MechanicalLagrangian(2, FourierSeries(2), OneForm([FourierSeries(2, cos={(0, 0): 0.5}),
+                                                              FourierSeries(2, cos={(0, 0): 0.5})]))
+
+
+ORACLES = [(magnetic_t1, magnetic_t1_exact_c, 2e-3), (eta_half_t2, lambda: 0.25, 1e-6),
+           (magnetic_t2, lambda: 3.0, 1e-6)]
 
 
 class TestBrokenPath:
@@ -244,6 +267,27 @@ class TestCriticalValue:
         # L + 0.25 pointwise: critical value drops by the added constant
         assert critical_value(bumped) <= critical_value(L) + 0.25 + 2e-2
 
+    @pytest.mark.parametrize("make,exact,tol", ORACLES)
+    def test_critical_value_oracle(self, make, exact, tol):
+        assert abs(critical_value(make()) - exact()) <= tol
+
+    @pytest.mark.parametrize("make,exact,tol", ORACLES)
+    def test_certificate_brackets_threshold(self, make, exact, tol):
+        L = make()
+        search = NegativeLoopSearch(L)
+        c = critical_value(L, search=search)
+        assert action(L, search.find(c - 1e-3), c - 1e-3) < 0
+        assert search.find(c + 1e-9) is None
+
+    def test_winding_beyond_w_max_gives_lower_bound(self):
+        # c = |eta|^2/2 = 0.5 needs winding (-3, 4), outside w_max = 2; the
+        # best class inside, (1, -1), certifies only (0.6 + 0.8)^2 / 4 = 0.49
+        L = MechanicalLagrangian(2, FourierSeries(2), OneForm([FourierSeries(2, cos={(0, 0): 0.6}),
+                                                               FourierSeries(2, cos={(0, 0): -0.8})]))
+        c = critical_value(L)
+        assert c <= 0.5
+        assert abs(c - 0.49) <= 1e-6
+
 
 class TestStaticityDefect:
     def test_fixed_point_is_static(self):
@@ -287,38 +331,43 @@ def test_potential_table_rows():
     assert rows[1][4] == "finite"
 
 
-class OneAtATimeSearch(NegativeLoopSearch):
-    """The loop library priced one action() call per loop."""
-
-    def _seed_library(self, k_hint):
-        super()._seed_library(k_hint)
-        self._a0 = np.array([action(self.L, self._loop(i), 0.0) for i in range(len(self._a0))])
-
-
 class TestBatchedLoopLibrary:
-    @pytest.mark.parametrize("make", [magnetic_t1, magnetic_t2])
-    def test_library_prices_match_action(self, make):
-        L = make()
-        batched = NegativeLoopSearch(L, budget=4000, seed=5)
-        reference = OneAtATimeSearch(L, budget=4000, seed=5)
-        k = L.potential.value_bounds()[1] + 0.25
-        batched.find(k, refine=False)
-        reference.find(k, refine=False)
-        assert len(batched._a0) == 4000 - 512
-        assert np.array_equal(batched._a0, reference._a0)
-        assert np.array_equal(batched._T, reference._T)
-
-    @pytest.mark.parametrize("make", [magnetic_t1, magnetic_t2])
-    def test_critical_value_matches_one_at_a_time(self, make):
-        L = make()
-        c = critical_value(L, search=NegativeLoopSearch(L, budget=4000, seed=5))
-        assert c == critical_value(L, search=OneAtATimeSearch(L, budget=4000, seed=5))
-
     def test_returned_loop_is_certified(self):
         L = magnetic_t1()
         search = NegativeLoopSearch(L, budget=4000, seed=5)
         loop = search.find(1.9)
         assert loop is not None and action(L, loop, 1.9) < 0
+
+    def test_action_at_witness_duration(self):
+        # a seeded random-waypoint loop, as in the battery: the action at
+        # T* is 2 sqrt(K (k - Ubar)) + M
+        L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}),
+                                 OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
+                                          FourierSeries(2, cos={(0, 0): -0.3, (1, 0): 0.15})]))
+        X = np.random.default_rng(3).random((1, 5, 2))
+        X = np.concatenate([X, X[:, :1]], axis=1)
+        kin, u, m, _ = action_mod._action_terms(L, X)
+        K, ubar, M = 5 * kin.sum(), u.mean(), m.sum()
+        k = ubar + 0.7
+        T = np.sqrt(K / (k - ubar))
+        expected = 2 * np.sqrt(K * (k - ubar)) + M
+        assert abs(action(L, BrokenPath.from_cover(X[0], T), k) - expected) <= 1e-12
+
+    def test_threshold_gradient_matches_finite_differences(self):
+        # the ascent's gradient, from the action kernel by the envelope identity
+        L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}),
+                                 OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
+                                          FourierSeries(2, cos={(0, 0): -0.3, (1, 0): 0.15})]))
+        line = np.linspace(0, 1, 12)[:, None]
+        X = (0.3 + line * np.array([-1.0, 1.0]) + 0.05 * np.sin(6 * np.pi * line))[None]
+        theta, (_, _, u), grad = action_mod._thresholds(L, X, need_grad=True)
+        assert u[0] > 0
+        h = 1e-6
+        for i, j in [(0, 0), (4, 1), (11, 0)]:
+            E = np.zeros_like(X)
+            E[0, i, j] = h
+            fd = (action_mod._thresholds(L, X + E)[0] - action_mod._thresholds(L, X - E)[0]) / (2 * h)
+            assert abs(fd[0] - grad[0, i, j]) <= 1e-7
 
 
 class TestSharedTonelliCache:
@@ -339,7 +388,6 @@ class TestSharedTonelliCache:
 
     def test_minimizes_each_duration_once(self, monkeypatch):
         # the non-converged fallback path is cached as well
-        action_mod = sys.modules[NegativeLoopSearch.__module__]
         calls = []
 
         def never_converges(L, x, y, T, **kwargs):

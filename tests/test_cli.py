@@ -42,6 +42,23 @@ def run_capture(capsys, argv):
     return code, out
 
 
+def assert_one_error_line(capsys, argv, needle):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0]
+
+
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    import torusdyn
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torusdyn.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 class TestSubcommands:
     def test_sft_entropy_golden(self, capsys, golden_file):
         code, out = run_capture(capsys, ["sft-entropy", "--matrix", golden_file])
@@ -159,26 +176,50 @@ class TestExitCodes:
         (["shadow", "--count", "0"], "--count"),
     ])
     def test_empty_batch_is_1(self, capsys, argv, flag):
-        assert run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+        assert_one_error_line(capsys, argv, flag)
+
+    @pytest.mark.parametrize("old,new,needle", [
+        ("1 = 1.0", "1 = nan", "finite"),
+        ("1 = 1.0", "1 = inf", "finite"),
+        ("dt = 0.001", "dt = -1", "dt"),
+        ("dt = 0.001", "dt = 0", "dt"),
+        ("dt = 0.001", "dt = nan", "dt"),
+        ("dt = 0.001", "dt = 0.001\nintegrator = bogus", "integrator"),
+    ])
+    def test_bad_config_is_1(self, capsys, tmp_path, old, new, needle):
+        path = tmp_path / "bad.cfg"
+        path.write_text(PENDULUM_CFG.replace(old, new))
+        assert_one_error_line(capsys, ["critical-value", "--config", str(path)], needle)
+
+    @pytest.mark.parametrize("text,needle", [
+        ("12\n10\n", "0 or 1"),
+        ("rle 2\n1*1 1*2 2*0\n", "0 or 1"),
+        ("rle\n4*1\n", "rle"),
+    ])
+    def test_bad_matrix_is_1(self, capsys, tmp_path, text, needle):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert_one_error_line(capsys, ["sft-entropy", "--matrix", str(path)], needle)
+
+    def test_empty_full_shift_is_1(self, capsys):
+        assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")
 
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
     def test_python_dash_m_help(self, module):
-        import torusdyn
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(torusdyn.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: torusdyn")
         assert "critical-value" in proc.stdout
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # the minimizers import it where they run
+        code = "import sys, torusdyn; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 class TestDeterminism:
