@@ -59,12 +59,14 @@ from .sft import (
     GOLDEN_MEAN,
     BlockRecoding,
     PeriodicOrbit,
+    PerronPair,
     TransitionMatrix,
     block_recode,
     bq_bound,
     count_words,
     d_a_distance,
     full_shift,
+    perron_pair,
     project_cycle,
     shortest_cycle,
     top_entropy,

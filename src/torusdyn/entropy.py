@@ -380,12 +380,16 @@ def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
         rows.append((int(parts[0]), int(parts[1]), [float(v) for v in parts[2:]]))
     if not rows:
         raise ValueError("no data rows")
+    dims = sorted({len(r[2]) for r in rows})
+    if len(dims) > 1:
+        raise ValueError(f"ensemble rows carry different coordinate counts {dims}")
+    if dims == [0]:
+        raise ValueError("ensemble rows carry no coordinate columns")
     orbit_ids = sorted({r[0] for r in rows})
     steps = sorted({r[1] for r in rows})
     id_pos = {o: i for i, o in enumerate(orbit_ids)}
     step_pos = {s: i for i, s in enumerate(steps)}
-    dim = len(rows[0][2])
-    orbits = np.full((len(orbit_ids), len(steps), dim), np.nan)
+    orbits = np.full((len(orbit_ids), len(steps), dims[0]), np.nan)
     for o, s, coords in rows:
         orbits[id_pos[o], step_pos[s]] = coords
     if np.isnan(orbits).any():

@@ -6,10 +6,21 @@ This module provides word counting, topological entropy via the Perron
 root, shortest periodic orbits together with the 1 + M*e^(1-h) period
 bound, the n-block recoding Z^(n) whose symbols are legal n-words, and
 the a^(-n) cylinder metric on symbol windows.
+
+The Perron root comes from `perron_pair`, Noda's shifted inverse iteration
+(T. Noda, Numer. Math. 17 (1971) 382-386): each step solves
+(hi I - B) y = x with hi = max(Bx/x), the Collatz-Wielandt upper bound, so
+every iterate carries the certified bracket min(Bx/x) <= rho <= max(Bx/x).
+The bracket shrinks quadratically on any irreducible nonnegative block
+(L. Elsner, Linear Algebra Appl. 15 (1976) 235-242), and the iteration
+runs until it is within rtol and stops shrinking, so the vector is good to
+rounding level.  `top_entropy` takes the largest root over the strongly
+connected components of the essential part; `suspension.parry_measure`
+uses the right and left pairs of an irreducible matrix.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -144,47 +155,132 @@ class PeriodicOrbit:
         return A.is_legal_word(self.cycle + (self.cycle[0],))
 
 
-def _power_iteration_root(bits, rtol, max_iter):
-    """Perron root of an irreducible 0/1 block, via power iteration on A + I.
+def strong_components(bits):
+    """Strongly connected components of the graph of a 0/1 matrix.
 
-    The shift by I makes the block primitive without moving eigenvectors,
-    so the iteration converges geometrically to the (simple) Perron pair.
+    Iterative Tarjan: one depth-first pass, each component popped off the
+    stack when its root finishes.  Returns a list of index arrays.
     """
-    B = bits.astype(float) + np.eye(bits.shape[0])
-    v = np.ones(bits.shape[0])
-    for _ in range(max_iter):
-        w = B @ v
-        lam = float(v @ w) / float(v @ v)
-        resid = np.max(np.abs(w - lam * v))
-        v = w / np.max(w)
-        if resid <= rtol * lam:
-            return lam - 1.0
-    raise RuntimeError(f"power iteration did not reach rtol={rtol}")
+    succ = [np.flatnonzero(row).tolist() for row in bits]
+    m = len(succ)
+    index = [-1] * m
+    low = [0] * m
+    on_stack = [False] * m
+    stack, work, comps = [], [], []
+    counter = count()
+
+    def enter(v):
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in range(m):
+        if index[root] >= 0:
+            continue
+        enter(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    enter(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(np.array(sorted(comp)))
+    return comps
 
 
-def top_entropy(A: TransitionMatrix, rtol=1e-12, max_iter=200000):
-    """log of the Perron root of A, by power iteration.
+@dataclass
+class PerronPair:
+    """Perron root of a nonnegative block with its certified bracket.
 
-    The Perron root of a reducible matrix can be defective, where power
-    iteration stalls; it equals the largest root over strongly connected
-    components, each of which is irreducible, so the iteration runs per
-    component.
+    lower <= rho <= upper are the Collatz-Wielandt bounds min(Bx/x) and
+    max(Bx/x) of the positive vector x (scaled to max 1), `root` is their
+    midpoint, and `steps` counts the shifted solves that produced x.
     """
-    from scipy.sparse.csgraph import connected_components
 
+    root: float
+    lower: float
+    upper: float
+    vector: np.ndarray = field(repr=False)
+    steps: int
+
+
+def perron_pair(bits, rtol=1e-12, max_iter=100):
+    """Perron root and positive vector of an irreducible 0/1 block.
+
+    Noda's iteration: from x = 1, take the ratios r = Bx/x, whose extremes
+    bracket the root, lo = min r <= rho <= hi = max r, then solve
+    (hi I - B) y = x and set x = y/max y.  For irreducible B and hi > rho the
+    solution is positive and the bracket shrinks quadratically.  A pure
+    cycle or a bipartite block has lo = hi at x = 1 and needs no solve.
+
+    The iteration stops once hi - lo <= rtol*hi and the width either
+    stopped halving or is within 4 ulp of hi, so the vector is good to
+    rounding level and not only to rtol; it also stops when the shifted
+    system is singular or its solution is not finite and positive.  It
+    raises RuntimeError if the bracket is then still wider than rtol*hi.
+    `max_iter` bounds the number of solves.
+    """
+    B = np.array(bits, dtype=float)
+    m = B.shape[0]
+    shifted = np.empty_like(B)
+    x = np.ones(m)
+    width_prev = np.inf
+    steps = 0
+    while True:
+        r = (B @ x) / x
+        lo, hi = float(r.min()), float(r.max())
+        width = hi - lo
+        if steps == max_iter or (width <= rtol * hi and (
+                width > width_prev / 2 or width <= 4 * np.spacing(hi))):
+            break
+        np.negative(B, out=shifted)
+        shifted.flat[::m + 1] += hi
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(y).all() and (y > 0).all()):
+            break
+        x = y / y.max()
+        width_prev = width
+        steps += 1
+    if width > rtol * hi:
+        raise RuntimeError(f"Perron bracket [{lo!r}, {hi!r}] wider than rtol={rtol} "
+                           f"after {steps} shifted solves")
+    return PerronPair(0.5 * (lo + hi), lo, hi, x, steps)
+
+
+def top_entropy(A: TransitionMatrix, rtol=1e-12, max_iter=100):
+    """log of the Perron root of A.
+
+    The Perron root of a reducible matrix is the largest root over its
+    strongly connected components, each of them irreducible, so
+    `perron_pair` runs once per component of the essential part (Noda's
+    shifted inverse iteration, certified to rtol; `max_iter` bounds its
+    shifted solves per component).
+    """
     ess, _ = A.essential_part()
     if ess is None:
         raise ZeroShift("essential part of the shift is empty")
-    n_comp, labels = connected_components(ess.bits, directed=True, connection="strong")
     root = 0.0
-    for c in range(n_comp):
-        idx = np.flatnonzero(labels == c)
+    for idx in strong_components(ess.bits):
         block = ess.bits[np.ix_(idx, idx)]
         if len(idx) == 1 and not block[0, 0]:
             continue  # transient symbol, no cycle through it
-        root = max(root, _power_iteration_root(block, rtol, max_iter))
-    if root <= 0.0:
-        raise ZeroShift("no cycles in the essential part")
+        root = max(root, perron_pair(block, rtol, max_iter).root)
     return float(np.log(root))
 
 

@@ -7,11 +7,12 @@ on the base (Markov or weighted periodic orbits) lift to flow-invariant
 probabilities, represented in weak form through an integrator.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sft import TransitionMatrix
+from .sft import TransitionMatrix, perron_pair, strong_components
 
 
 class WindowExhausted(ValueError):
@@ -168,6 +169,8 @@ class MarkovMeasure:
         p = np.asarray(p, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or len(p) != P.shape[0]:
             raise ValueError("shape mismatch")
+        if not (np.isfinite(P).all() and np.isfinite(p).all()):
+            raise NonInvariant("P and p must be finite")
         if np.any(P < -tol) or np.any(p < -tol):
             raise NonInvariant("negative probabilities")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > tol:
@@ -201,13 +204,13 @@ class MarkovMeasure:
 
     def sample(self, rng, length):
         """One stationary sample path of the chain."""
-        out = np.empty(length, dtype=int)
-        out[0] = rng.choice(self.m, p=self.p)
-        cums = np.cumsum(self.P, axis=1)
-        draws = rng.random(length - 1)
-        for i in range(1, length):
-            out[i] = np.searchsorted(cums[out[i - 1]], draws[i - 1])
-        return out
+        s = int(rng.choice(self.m, p=self.p))
+        cums = np.cumsum(self.P, axis=1).tolist()
+        path = [s]
+        for u in rng.random(length - 1).tolist():
+            s = bisect_left(cums[s], u)
+            path.append(s)
+        return np.array(path)
 
     def entropy_rate(self):
         """-sum_i p_i P_ij log P_ij."""
@@ -240,16 +243,23 @@ class OrbitMeasure:
 
 
 def parry_measure(A: TransitionMatrix):
-    """Maximal-entropy Markov measure of an SFT, from the Perron eigendata."""
+    """Maximal-entropy Markov measure of an irreducible SFT.
+
+    P_ij = A_ij v_j / (rho v_i) and p_i = u_i v_i / (u . v), from the right
+    and left Perron vectors v and u (`perron_pair` of A and of its
+    transpose).  The Parry measure is the unique measure of maximal entropy
+    only when A is irreducible, so a matrix with more than one strongly
+    connected component is refused with ValueError.
+    """
+    n_comp = len(strong_components(A.bits))
+    if n_comp != 1:
+        raise ValueError(f"the Parry measure needs an irreducible transition matrix; "
+                         f"this one has {n_comp} strongly connected components")
     bits = A.bits.astype(float)
-    vals, vecs = np.linalg.eig(bits)
-    k = int(np.argmax(vals.real * (np.abs(vals.imag) < 1e-9)))
-    lam = vals[k].real
-    v = np.abs(vecs[:, k].real)
-    valsl, vecsl = np.linalg.eig(bits.T)
-    kl = int(np.argmax(valsl.real * (np.abs(valsl.imag) < 1e-9)))
-    u = np.abs(vecsl[:, kl].real)
-    P = bits * v[None, :] / (lam * v[:, None])
+    right = perron_pair(A.bits)
+    v = right.vector
+    u = perron_pair(A.bits.T).vector
+    P = bits * v[None, :] / (right.root * v[:, None])
     P /= P.sum(axis=1, keepdims=True)  # scrub rounding
     p = u * v
     p /= p.sum()

@@ -204,6 +204,21 @@ class TestExitCodes:
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")
 
+    def test_reducible_parry_is_1(self, capsys, tmp_path):
+        path = tmp_path / "reducible.txt"
+        path.write_text("110\n010\n011\n")
+        assert_one_error_line(capsys, ["suspend-integrate", "--matrix", str(path)],
+                              "3 strongly connected components")
+
+    @pytest.mark.parametrize("text,needle", [
+        ("orbit,step\n0,0\n0,1\n1,0\n1,1\n", "no coordinate"),
+        ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.3\n", "different coordinate counts"),
+    ])
+    def test_bad_ensemble_is_1(self, capsys, tmp_path, text, needle):
+        path = tmp_path / "ensemble.csv"
+        path.write_text(text)
+        assert_one_error_line(capsys, ["entropy-estimate", "--ensemble", str(path)], needle)
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
@@ -220,6 +235,15 @@ class TestModuleEntryPoints:
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_sft_entropy_leaves_out_scipy(self):
+        # the Perron root and its strongly connected components are numpy only
+        code = ("import sys; from torusdyn.cli import run; "
+                "code = run(['sft-entropy', '--golden-mean']); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestDeterminism:

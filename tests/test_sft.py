@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +19,12 @@ from torusdyn.sft import (
     count_words,
     d_a_distance,
     full_shift,
+    perron_pair,
     project_cycle,
     shortest_cycle,
     top_entropy,
 )
+from torusdyn.suspension import parry_measure
 
 LOG_PHI = np.log((1 + np.sqrt(5)) / 2)
 
@@ -39,6 +45,107 @@ class TestTopEntropy:
         A = TransitionMatrix([[0, 1], [0, 0]])
         with pytest.raises(sft.ZeroShift):
             top_entropy(A)
+
+
+def cycle_chord(m):
+    """The m-cycle with the one chord 0 -> m/2; irreducible, slow for power iteration."""
+    bits = np.zeros((m, m), dtype=bool)
+    bits[np.arange(m), (np.arange(m) + 1) % m] = True
+    bits[0, m // 2] = True
+    return bits
+
+
+TIMED_CYCLE_CHORD_800 = """
+import sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from torusdyn.sft import TransitionMatrix, top_entropy
+bits = np.zeros((800, 800), dtype=bool)
+bits[np.arange(800), (np.arange(800) + 1) % 800] = True
+bits[0, 400] = True
+t0 = time.perf_counter()
+h = top_entropy(TransitionMatrix(bits))
+print(repr(h), time.perf_counter() - t0)
+"""
+
+
+def eig_root(bits):
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(bits, dtype=float)))))
+
+
+class TestPerronPair:
+    def test_cycle_chord_800_fast_and_exact(self):
+        # timed in a fresh process on one BLAS thread, as the benchmark runs it:
+        # on a shared 2-core host, 1 process in 30 ran every two-thread
+        # 800 x 800 LU factorization 15x slower than the other 29 did
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sft.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", TIMED_CYCLE_CHORD_800, src], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        h, elapsed = map(float, proc.stdout.split())
+        assert abs(h - np.log(eig_root(cycle_chord(800)))) <= 1e-12
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("m", [2, 200, 800])
+    def test_bracket_contains_eigvals_root(self, m):
+        bits = cycle_chord(m) if m > 2 else GOLDEN_MEAN.bits
+        pair = perron_pair(bits)
+        assert pair.lower <= pair.root <= pair.upper
+        assert pair.upper - pair.lower <= 1e-12 * pair.root
+        rho = eig_root(bits)
+        slack = 4 * np.spacing(rho)
+        assert pair.lower - slack <= rho <= pair.upper + slack
+
+    @pytest.mark.parametrize("bits,root", [
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1.0),
+        ([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]], 2.0),
+    ])
+    def test_imprimitive_blocks_need_no_solve(self, bits, root):
+        pair = perron_pair(bits)
+        assert pair.steps == 0
+        assert pair.root == pair.lower == pair.upper == root
+        assert np.array_equal(pair.vector, np.ones(len(bits)))
+
+    def test_reducible_takes_larger_component_root(self):
+        # golden-mean block {0, 1} feeds a full 3-shift block {2, 3, 4}
+        bits = np.zeros((5, 5), dtype=bool)
+        bits[:2, :2] = GOLDEN_MEAN.bits
+        bits[2:, 2:] = True
+        bits[1, 2] = True
+        assert abs(top_entropy(TransitionMatrix(bits)) - np.log(3.0)) <= 1e-12
+        assert abs(top_entropy(TransitionMatrix(bits.T)) - np.log(3.0)) <= 1e-12
+
+    def test_strong_components_match_csgraph(self):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            m = int(rng.integers(1, 30))
+            bits = rng.random((m, m)) < rng.uniform(0.0, 0.3)
+            n, labels = connected_components(bits, directed=True, connection="strong")
+            expected = sorted(np.flatnonzero(labels == c).tolist() for c in range(n))
+            assert sorted(c.tolist() for c in sft.strong_components(bits)) == expected
+
+    def test_max_iter_bounds_the_solves(self):
+        with pytest.raises(RuntimeError, match="after 2 shifted solves"):
+            perron_pair(cycle_chord(200), max_iter=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_random_irreducible(self, m, density, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((m, m)) < density
+        perm = rng.permutation(m)
+        bits[perm, np.roll(perm, -1)] = True  # a Hamiltonian cycle makes it irreducible
+        pair = perron_pair(bits)
+        assert (pair.vector > 0).all()
+        assert pair.upper - pair.lower <= 1e-12 * pair.root
+        assert abs(pair.root - eig_root(bits)) <= 1e-12 * pair.root
+
+    def test_parry_measure_stationary_at_rounding_level(self):
+        nu = parry_measure(TransitionMatrix(cycle_chord(200)))
+        assert np.max(np.abs(nu.p @ nu.P - nu.p)) <= 1e-15
 
 
 class TestCountWords:

@@ -3,7 +3,7 @@ import pytest
 
 from torusdyn import suspension as sus
 from torusdyn.entropy import FinitePartition, WeightedMeasure, refine_entropy
-from torusdyn.sft import GOLDEN_MEAN, closed_walks
+from torusdyn.sft import GOLDEN_MEAN, TransitionMatrix, closed_walks, full_shift
 from torusdyn.suspension import (
     CeilingFunction,
     MarkovMeasure,
@@ -102,6 +102,37 @@ class TestMarkovMeasure:
         path = nu.sample(rng, 200000)
         assert abs(np.mean(path == 1) - nu.p[1]) < 5e-3
         assert not any(path[i] == 1 and path[i + 1] == 1 for i in range(len(path) - 1))
+
+
+    @pytest.mark.parametrize("P,p", [
+        ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5]),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 0.5]),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.inf, 0.5]),
+    ])
+    def test_non_finite_rejected(self, P, p):
+        with pytest.raises(sus.NonInvariant, match="finite"):
+            MarkovMeasure(P, p)
+
+    def test_parry_refuses_reducible(self):
+        A = TransitionMatrix([[1, 1, 0], [0, 1, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="3 strongly connected components"):
+            parry_measure(A)
+
+    @pytest.mark.parametrize("seed", [3, 88])
+    @pytest.mark.parametrize("A", [GOLDEN_MEAN, full_shift(5)], ids=["golden", "full5"])
+    def test_sample_matches_searchsorted_loop(self, A, seed):
+        nu = parry_measure(A)
+        length = 20000
+        # the per-symbol loop the sampler replaced, kept as the reference
+        rng = np.random.default_rng(seed)
+        ref = np.empty(length, dtype=int)
+        ref[0] = rng.choice(nu.m, p=nu.p)
+        cums = np.cumsum(nu.P, axis=1)
+        draws = rng.random(length - 1)
+        for i in range(1, length):
+            ref[i] = np.searchsorted(cums[ref[i - 1]], draws[i - 1])
+        path = nu.sample(np.random.default_rng(seed), length)
+        assert path.dtype == ref.dtype and np.array_equal(path, ref)
 
 
 class TestLiftMeasure:
