@@ -15,15 +15,14 @@ from torusdyn import (
     WeightedMeasure,
     cat_map,
     entropy_estimate,
-    gamma_set,
-    h_expansivity_probe,
+    gamma_sets,
     jensen_bound,
     parry_measure,
     refine_entropy,
     separated_count,
     spanning_count,
 )
-from torusdyn.entropy import count_ladder, pair_survival_ladder
+from torusdyn.entropy import class_probe, count_ladder, pair_survival_ladder
 from torusdyn.hyperbolic import orbit_ensemble
 
 tm = cat_map()
@@ -41,9 +40,9 @@ print(f"pair-decay estimate h = {h:.4f}   (log lambda_u = {target:.4f})")
 
 # --- expansivity probe: two-sided closeness classes carry no entropy
 F2 = orbit_ensemble(tm, 400, 40, backward=30, rng=np.random.default_rng(1))
-sizes = [len(gamma_set(i, F2, 0.01, 30)) for i in range(F2.n_orbits)]
-print(f"Gamma_0.01 classes over horizon 30: max size {max(sizes)}; "
-      f"probe = {h_expansivity_probe(F2, 0.01, 30, 0.05):.3f}")
+classes = gamma_sets(F2, 0.01, 30)    # every orbit's class from one pass
+print(f"Gamma_0.01 classes over horizon 30: max size {max(len(c) for c in classes)}; "
+      f"probe = {class_probe(F2, classes, 0.05):.3f}")
 
 # --- symbolic side: Parry-weighted block entropy at depth 14
 nu = parry_measure(GOLDEN_MEAN)

@@ -26,6 +26,7 @@ from .entropy import (
     conditional_entropy,
     entropy_estimate,
     gamma_set,
+    gamma_sets,
     h_expansivity_probe,
     jensen_bound,
     partition_entropy,

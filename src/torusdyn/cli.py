@@ -142,13 +142,12 @@ def cmd_entropy_estimate(args):
     else:
         _, F = _cat_ensemble(args)
     T = args.T if args.T is not None else (F.n_steps - 1 - F.origin) * F.dt
-    r = entropy_mod.spanning_count(F, T, args.delta)
-    s = entropy_mod.separated_count(F, T, args.delta)
-    h = entropy_mod.entropy_estimate(F, T, args.delta)
-    payload = {"T": T, "delta": args.delta, "r": r, "s": s, "h_estimate": h}
+    # one ladder pass; the greedy net is both the cover and the separated set
+    r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, pairs=True,
+                                                 covers=args.series)
+    h = entropy_mod.decay_rate(pairs, F.dt)
+    payload = {"T": T, "delta": args.delta, "r": r, "s": r, "h_estimate": h}
     if args.series:
-        pairs = entropy_mod.pair_survival_ladder(F, T, args.delta)
-        covers = entropy_mod.count_ladder(F, T, args.delta)
         rows = [(t, covers[t], pairs[t]) for t in range(len(pairs))]
         _emit(args, payload, rows=rows, header=("t", "cover", "close_pairs"))
     else:
@@ -157,11 +156,10 @@ def cmd_entropy_estimate(args):
 
 def cmd_hexpansivity(args):
     _, F = _cat_ensemble(args, backward=args.horizon)
-    probe = entropy_mod.h_expansivity_probe(F, args.eps, args.horizon, args.delta)
-    sizes = [len(entropy_mod.gamma_set(i, F, args.eps, args.horizon))
-             for i in range(F.n_orbits)]
+    classes = entropy_mod.gamma_sets(F, args.eps, args.horizon)
+    probe = entropy_mod.class_probe(F, classes, args.delta)
     _emit(args, {"eps": args.eps, "horizon": args.horizon, "probe": probe,
-                 "max_class_size": int(max(sizes))})
+                 "max_class_size": max(len(c) for c in classes)})
 
 
 def cmd_shadow(args):

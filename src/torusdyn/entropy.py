@@ -8,6 +8,7 @@ entropy estimate; partition, conditional and refinement entropies act on
 weighted sample measures; Gamma-sets probe entropy expansivity.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,9 @@ class LabeledOrbitEnsemble:
 
     def steps_for(self, T):
         """Number of forward samples covering [0, T]."""
+        T = float(T)
+        if not (math.isfinite(T) and T >= 0.0):
+            raise ValueError(f"T must be finite and nonnegative, got {T}")
         steps = int(round(T / self.dt)) + 1
         if self.origin + steps > self.n_steps:
             raise ValueError(f"T={T} exceeds the sampled horizon")
@@ -86,33 +90,122 @@ class LabeledOrbitEnsemble:
             self.origin)
 
 
-def _greedy_net(dists, delta):
-    """Lowest-index greedy delta-net: centers pairwise > delta, all covered."""
+def _greedy_net(dists, limit):
+    """Lowest-index greedy net: centers pairwise > limit apart, all covered."""
     n = dists.shape[0]
     covered = np.zeros(n, dtype=bool)
     kept = []
     for i in range(n):
         if not covered[i]:
             kept.append(i)
-            covered |= dists[i] <= delta
+            covered |= dists[i] <= limit
     return kept
 
 
-def _dynamic_distance_ladder(F: LabeledOrbitEnsemble, steps):
-    """Yields (step_index, d_T matrix) with d_T the running max over steps."""
+def _radius(value, name):
+    """A scale delta or eps: finite and nonnegative, else ValueError."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
+def _squared(F):
+    """Whether the ladder of F holds squared distances (built-in metric, 1-7 coordinates).
+
+    numpy sums fewer than 8 terms left to right, as the kernel does; longer
+    sums are pairwise, so those ensembles go through the metric call.
+    """
+    builtin = F.metric is torus_metric or F.metric is euclidean_metric
+    return builtin and 0 < F.orbits.shape[2] < 8
+
+
+def _sqrt_limit(radius):
+    """Largest double t with sqrt(t) <= radius.
+
+    sqrt is correctly rounded and monotone, so for d2 >= 0 the test
+    d2 <= t is exactly the test sqrt(d2) <= radius.
+    """
+    t = radius * radius
+    while math.sqrt(t) > radius:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(math.nextafter(t, math.inf)) <= radius:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _limit(F, radius):
+    """Threshold on the ladder matrix of F equivalent to d <= radius."""
+    return _sqrt_limit(radius) if _squared(F) else radius
+
+
+def _dynamic_distance_ladder(F: LabeledOrbitEnsemble, columns, rows=None):
+    """Yields the running max over `columns` of the step distances, one per column.
+
+    Entry (i, j) compares orbit rows[i] (all orbits by default) with orbit j.
+    For the built-in metrics (see `_squared`) the matrix holds squared
+    distances, accumulated one coordinate at a time on reused (len(rows), n)
+    buffers in the metric's own order of operations; sqrt is correctly
+    rounded and monotone, so sqrt of the running max is the running max of
+    the metric bit for bit.  Any other metric is called once per column and
+    the matrix holds the distances themselves.  The same buffer is yielded
+    every time.
+    """
     n = F.n_orbits
-    d = np.zeros((n, n))
-    for s in range(steps):
-        pts = F.orbits[:, F.origin + s, :]
-        step_d = F.metric(pts[:, None, :], pts[None, :, :])
-        np.maximum(d, step_d, out=d)
-        yield s, d
+    rows = np.arange(n) if rows is None else np.asarray(list(rows))
+    if rows.size == 0:
+        rows = rows.astype(np.intp)
+    d = np.zeros((len(rows), n))
+    if not _squared(F):
+        for c in columns:
+            pts = F.orbits[:, c, :]
+            np.maximum(d, F.metric(pts[rows][:, None, :], pts[None, :, :]), out=d)
+            yield d
+        return
+    torus = F.metric is torus_metric
+    diff, acc, tmp = (np.empty_like(d) for _ in range(3))
+    for c in columns:
+        for k in range(F.orbits.shape[2]):
+            x = F.orbits[:, c, k]
+            np.subtract(x[rows][:, None], x[None, :], out=diff)
+            if torus:
+                np.abs(diff, out=diff)
+                np.subtract(1.0, diff, out=tmp)
+                np.minimum(diff, tmp, out=diff)
+            np.multiply(diff, diff, out=diff)
+            if k == 0:
+                acc, diff = diff, acc
+            else:
+                np.add(acc, diff, out=acc)
+        np.maximum(d, acc, out=d)
+        yield d
 
 
-def _final_distances(F, steps):
-    for _, d in _dynamic_distance_ladder(F, steps):
-        pass
-    return d
+def _close_pairs(d, limit):
+    """Orbit pairs i < j with entry <= limit.
+
+    A metric's d_T matrix is symmetric (for the built-in kernel exactly,
+    since a - b = -(b - a) in floating point), so the pairs are half the
+    off-diagonal entries.
+    """
+    close = d <= limit
+    return int(np.count_nonzero(close) - np.count_nonzero(close.diagonal())) // 2
+
+
+def ladder_counts(F: LabeledOrbitEnsemble, T, delta, pairs=False, covers=False):
+    """One pass over the d_T ladder up to horizon T at scale delta.
+
+    Returns (greedy cover size at T, close-pair counts per step, greedy
+    cover sizes per step); each list stays empty unless requested.
+    """
+    limit = _limit(F, _radius(delta, "delta"))
+    pair_counts, cover_sizes = [], []
+    for d in _dynamic_distance_ladder(F, range(F.origin, F.origin + F.steps_for(T))):
+        if pairs:
+            pair_counts.append(_close_pairs(d, limit))
+        if covers:
+            cover_sizes.append(len(_greedy_net(d, limit)))
+    return len(_greedy_net(d, limit)), pair_counts, cover_sizes
 
 
 def spanning_count(F: LabeledOrbitEnsemble, T, delta):
@@ -121,8 +214,7 @@ def spanning_count(F: LabeledOrbitEnsemble, T, delta):
     Greedy centers are pairwise more than delta apart, so
     r(F,T,delta) <= r^ <= r(F,T,delta/2).
     """
-    d = _final_distances(F, F.steps_for(T))
-    return len(_greedy_net(d, delta))
+    return ladder_counts(F, T, delta)[0]
 
 
 def separated_count(F: LabeledOrbitEnsemble, T, delta):
@@ -134,25 +226,29 @@ def separated_count(F: LabeledOrbitEnsemble, T, delta):
     identity; the half with content is r^ <= r(delta/2) (Walters, An
     Introduction to Ergodic Theory, 7.2).
     """
-    d = _final_distances(F, F.steps_for(T))
-    return len(_greedy_net(d, delta))
+    return ladder_counts(F, T, delta)[0]
 
 
 def count_ladder(F: LabeledOrbitEnsemble, T, delta):
     """Greedy cover sizes r^(t) for every sampled horizon t = 0..T."""
-    sizes = []
-    for _, d in _dynamic_distance_ladder(F, F.steps_for(T)):
-        sizes.append(len(_greedy_net(d, delta)))
-    return sizes
+    return ladder_counts(F, T, delta, covers=True)[2]
 
 
 def pair_survival_ladder(F: LabeledOrbitEnsemble, T, delta):
     """Number of orbit pairs that are still not (t, delta)-separated, t = 0..T."""
-    iu = np.triu_indices(F.n_orbits, k=1)
-    counts = []
-    for _, d in _dynamic_distance_ladder(F, F.steps_for(T)):
-        counts.append(int(np.count_nonzero(d[iu] <= delta)))
-    return counts
+    return ladder_counts(F, T, delta, pairs=True)[1]
+
+
+def decay_rate(counts, dt, floor=16):
+    """Least-squares decay rate of log counts over the steps holding >= floor pairs."""
+    counts = np.array(counts, dtype=float)
+    usable = np.flatnonzero(counts >= floor)
+    t_max = int(usable[-1]) if len(usable) else 0
+    if t_max == 0:
+        return 0.0
+    steps = np.arange(t_max + 1, dtype=float) * dt
+    slope = np.polyfit(steps, np.log(counts[:t_max + 1]), 1)[0]
+    return float(max(-slope, 0.0))
 
 
 def entropy_estimate(F: LabeledOrbitEnsemble, T, delta, floor=16):
@@ -164,41 +260,53 @@ def entropy_estimate(F: LabeledOrbitEnsemble, T, delta, floor=16):
     floor.  The estimate is the least-squares slope of its logarithm over
     the horizons still holding at least `floor` pairs.
     """
-    counts = np.array(pair_survival_ladder(F, T, delta), dtype=float)
-    usable = np.flatnonzero(counts >= floor)
-    t_max = int(usable[-1]) if len(usable) else 0
-    if t_max == 0:
-        return 0.0
-    steps = np.arange(t_max + 1, dtype=float) * F.dt
-    slope = np.polyfit(steps, np.log(counts[:t_max + 1]), 1)[0]
-    return float(max(-slope, 0.0))
+    return decay_rate(pair_survival_ladder(F, T, delta), F.dt, floor)
+
+
+def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
+    """Gamma_eps(x) for each x in `rows` (default every orbit), from one pass.
+
+    Gamma_eps(x) holds the orbit indices that stay eps-close to orbit x for
+    all |n| <= horizon; the pass walks the two-sided window once for all
+    requested rows.
+    """
+    limit = _limit(F, _radius(eps, "eps"))
+    horizon = float(horizon)
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    steps = int(round(horizon / F.dt))
+    if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
+        raise ValueError("two-sided data shorter than the requested horizon")
+    for d in _dynamic_distance_ladder(F, range(F.origin - steps, F.origin + steps + 1), rows):
+        pass
+    return [np.flatnonzero(row <= limit) for row in d]
 
 
 def gamma_set(x, F: LabeledOrbitEnsemble, eps, horizon):
     """Orbit indices that stay eps-close to orbit x for all |n| <= horizon."""
-    steps = int(round(horizon / F.dt))
-    if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
-        raise ValueError("two-sided data shorter than the requested horizon")
-    window = F.orbits[:, F.origin - steps:F.origin + steps + 1, :]
-    d = F.metric(window[x][None, :, :], window).max(axis=1)
-    return np.flatnonzero(d <= eps)
+    return gamma_sets(F, eps, horizon, [x])[0]
+
+
+def class_probe(F: LabeledOrbitEnsemble, classes, delta):
+    """Max forward entropy estimate over orbit classes with at least two members."""
+    _radius(delta, "delta")
+    forward_T = (F.n_steps - 1 - F.origin) * F.dt
+    worst = 0.0
+    for members in classes:
+        if len(members) >= 2:
+            worst = max(worst, entropy_estimate(F.restrict(members), forward_T, delta))
+    return worst
 
 
 def h_expansivity_probe(F: LabeledOrbitEnsemble, eps, horizon, delta, sample=None):
     """Max entropy estimate over the Gamma_eps indistinguishability classes.
 
     Near zero when eps is below an expansivity constant; with eps at the
-    diameter it degenerates to the plain ensemble estimate.
+    diameter it degenerates to the plain ensemble estimate.  The classes
+    of the `sample` rows (default every orbit) come from one `gamma_sets`
+    pass.
     """
-    forward_T = (F.n_steps - 1 - F.origin) * F.dt
-    idx = range(F.n_orbits) if sample is None else sample
-    worst = 0.0
-    for x in idx:
-        members = gamma_set(x, F, eps, horizon)
-        if len(members) < 2:
-            continue
-        worst = max(worst, entropy_estimate(F.restrict(members), forward_T, delta))
-    return worst
+    return class_probe(F, gamma_sets(F, eps, horizon, sample), delta)
 
 
 @dataclass
@@ -276,24 +384,34 @@ def conditional_entropy(mu: WeightedMeasure, P: FinitePartition, Q: FinitePartit
 
 
 def refine_entropy(mu: WeightedMeasure, P: FinitePartition, f, N):
-    """(1/N) H_mu( join of f^{-n} P for n < N ), by label-sequence histograms.
+    """(1/N) H_mu( join of f^{-n} P for n < N ), by label-itinerary histograms.
 
     `f` maps atom indices to atom indices (-1 marks missing images).  The
-    histogram key of an atom is its label itinerary of length N.
+    histogram key of an atom is its label itinerary of length N, read as a
+    base-k int64 number one digit per step.  Before a digit would overflow
+    2^63, the keys are replaced by their dense ranks; ranks keep the
+    lexicographic order, so the masses are summed in itinerary order for
+    every k and N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     f = np.asarray(f, dtype=int)
     n = len(mu.weights)
-    seq = np.empty((n, N), dtype=int)
+    k = P.k
+    keys = np.zeros(n, dtype=np.int64)
+    bound = 1                      # keys lie in [0, bound)
     idx = np.arange(n)
     for step in range(N):
         if np.any(idx < 0):
             raise HorizonExceeded(f"orbit data ends before horizon {N}")
-        seq[:, step] = P.labels[idx]
+        if bound * k > 2 ** 63:
+            _, keys = np.unique(keys, return_inverse=True)
+            bound = int(keys.max()) + 1
+        keys = keys * k + P.labels[idx]
+        bound *= k
         if step + 1 < N:
             idx = np.where(idx >= 0, f[idx], -1)
-    _, inverse = np.unique(seq, axis=0, return_inverse=True)
+    _, inverse = np.unique(keys, return_inverse=True)
     masses = np.bincount(inverse.ravel(), weights=mu.weights)
     return float(_plogp(masses).sum()) / N
 

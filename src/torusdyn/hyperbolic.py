@@ -11,7 +11,6 @@ equations in high precision.
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 
@@ -31,15 +30,25 @@ class HypothesisViolated(ValueError):
         self.step = step
 
 
+def _frac(x):
+    """x - floor(x): equal to x % 1.0 bit for bit on finite input, and cheaper."""
+    return x - np.floor(x)
+
+
 def wrap(x):
-    """Reduce torus coordinates to [0, 1) (x % 1.0 alone can return 1.0)."""
-    y = np.asarray(x, dtype=float) % 1.0
+    """Reduce torus coordinates to [0, 1) (the fractional part can round to 1.0)."""
+    y = _frac(np.asarray(x, dtype=float))
     return np.where(y >= 1.0, 0.0, y)
 
 
 def minimal_lift(x):
     """Representative of a torus displacement with entries in [-1/2, 1/2)."""
-    return (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
+    return _frac(np.asarray(x, dtype=float) + 0.5) - 0.5
+
+
+def _norms(v):
+    """Euclidean norms of 2-vectors along the last axis, sqrt(x0*x0 + x1*x1)."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
 def torus_distance(a, b):
@@ -170,6 +179,9 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
     """
     from .entropy import LabeledOrbitEnsemble
 
+    if n_steps < 0 or backward < 0:
+        raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}, "
+                         f"backward={backward}")
     q = int(modulus)
     if grid:
         side = int(round(np.sqrt(n_orbits)))
@@ -239,7 +251,7 @@ class PseudoOrbit:
         self.points = points
         mapped = wrap(points[:-1] @ tm.matrix.T.astype(float))
         self.jumps = minimal_lift(points[1:] - mapped)
-        actual = float(np.max(np.linalg.norm(self.jumps, axis=1))) if len(self.jumps) else 0.0
+        actual = float(np.max(_norms(self.jumps))) if len(self.jumps) else 0.0
         if delta is None:
             delta = actual
         elif actual > delta + 1e-12:
@@ -278,23 +290,27 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
     return [PseudoOrbit(tm, pts[j], delta) for j in range(count)]
 
 
-def _stable_corrections(lam_s, es):
-    """Solve a_{i+1} = lam_s a_i - es_i with a_0 = 0 (row-wise over batches)."""
-    from scipy.signal import lfilter
+def _corrections(tm: ToralAutomorphism, es, eu):
+    """Bounded corrections (a, b) for rows of stable/unstable jump components.
 
-    es = np.atleast_2d(es)
-    tail = lfilter([1.0], [1.0, -lam_s], -es, axis=1)
-    return np.concatenate([np.zeros((es.shape[0], 1)), tail], axis=1)
-
-
-def _unstable_corrections(lam_u, eu):
-    """Bounded solution of b_{i+1} = lam_u b_i - eu_i, i.e. b_i = (b_{i+1}+eu_i)/lam_u."""
-    from scipy.signal import lfilter
-
-    eu = np.atleast_2d(eu)
-    rev = eu[:, ::-1] / lam_u
-    tail = lfilter([1.0], [1.0, -1.0 / lam_u], rev, axis=1)[:, ::-1]
-    return np.concatenate([tail, np.zeros((eu.shape[0], 1))], axis=1)
+    a_{i+1} = lam_s a_i - es_i from a_0 = 0 is summed forward, and
+    b_i = (b_{i+1} + eu_i)/lam_u from b_n = 0 backward.  Both are the
+    first-order recursion y_i = x_i + lam y_{i-1} over the time axis, run in
+    one loop with lam per row, in the order of operations of a direct-form
+    IIR filter (scipy.signal.lfilter([1], [1, -lam])).
+    """
+    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
+    rows, n = es.shape
+    x = np.concatenate([-es, eu[:, ::-1] / tm.lam_u]).T.copy()
+    lam = np.repeat([tm.lam_s, 1.0 / tm.lam_u], rows)
+    y = np.empty_like(x)
+    scaled = np.zeros(2 * rows)     # lam * y_{i-1}
+    for i in range(n):
+        np.add(x[i], scaled, out=y[i])
+        np.multiply(lam, y[i], out=scaled)
+    a = np.concatenate([np.zeros((rows, 1)), y[:, :rows].T], axis=1)
+    b = np.concatenate([y[::-1, rows:].T, np.zeros((rows, 1))], axis=1)
+    return a, b
 
 
 def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
@@ -308,26 +324,31 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     if p.delta >= 0.25:
         raise ThresholdExceeded(f"delta={p.delta} >= 0.25 risks ambiguous lifts")
     es, eu = tm.components(p.jumps)
-    a = _stable_corrections(tm.lam_s, es[None, :])[0]
-    b = _unstable_corrections(tm.lam_u, eu[None, :])[0]
-    corrections = tm.recompose(a, b)
+    a, b = _corrections(tm, es, eu)
+    corrections = tm.recompose(a[0], b[0])
     x0 = wrap(p.points[0] + corrections[0])
-    eps = float(np.max(np.linalg.norm(corrections, axis=1)))
+    eps = float(np.max(_norms(corrections)))
     return x0, eps
 
 
 def shadow_batch(tm: ToralAutomorphism, orbits):
-    """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array)."""
+    """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
+
+    One correction recursion runs over the time axis for all orbits and both
+    eigencomponents; the correction norms are formed coordinate by
+    coordinate.  Each row equals `shadow` of that orbit bit for bit.
+    """
     deltas = np.array([p.delta for p in orbits])
     if np.any(deltas >= 0.25):
         raise ThresholdExceeded("delta >= 0.25 in batch")
     jumps = np.stack([p.jumps for p in orbits])
     es, eu = tm.components(jumps)
-    a = _stable_corrections(tm.lam_s, es)
-    b = _unstable_corrections(tm.lam_u, eu)
-    corr = a[..., None] * tm.e_s + b[..., None] * tm.e_u
-    starts = wrap(np.stack([p.points[0] for p in orbits]) + corr[:, 0])
-    eps = np.max(np.linalg.norm(corr, axis=2), axis=1)
+    a, b = _corrections(tm, es, eu)
+    cx = a * tm.e_s[0] + b * tm.e_u[0]
+    cy = a * tm.e_s[1] + b * tm.e_u[1]
+    heads = np.stack([p.points[0] for p in orbits])
+    starts = wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1))
+    eps = np.max(np.sqrt(cx * cx + cy * cy), axis=1)
     return starts, eps
 
 
@@ -347,6 +368,8 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit, dps=None):
     against the exact integer matrix power; its distance to the nearest
     lattice vector is returned as cover_residual.
     """
+    import mpmath as mp
+
     pts = p.points
     n = len(pts)
     closing = minimal_lift(pts[0] - wrap(pts[-1] @ tm.matrix.T.astype(float)))

@@ -210,6 +210,16 @@ class TestExitCodes:
         assert_one_error_line(capsys, ["suspend-integrate", "--matrix", str(path)],
                               "3 strongly connected components")
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["entropy-estimate", "--T", "-1"], "T must be"),
+        (["entropy-estimate", "--delta", "-0.1"], "delta"),
+        (["entropy-estimate", "--delta", "nan"], "delta"),
+        (["entropy-estimate", "--steps", "-1"], "steps"),
+        (["hexpansivity", "--eps", "-1"], "eps"),
+    ])
+    def test_bad_entropy_scale_is_1(self, capsys, argv, needle):
+        assert_one_error_line(capsys, argv + ["--orbits", "20"], needle)
+
     @pytest.mark.parametrize("text,needle", [
         ("orbit,step\n0,0\n0,1\n1,0\n1,1\n", "no coordinate"),
         ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.3\n", "different coordinate counts"),
@@ -235,6 +245,14 @@ class TestModuleEntryPoints:
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_hyperbolic_leaves_out_mpmath_and_scipy_signal(self):
+        # mpmath is imported by periodic_shadow only; shadowing is numpy only
+        code = ("import sys, torusdyn.hyperbolic; "
+                "print('mpmath' in sys.modules, 'scipy.signal' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False False"
 
     def test_sft_entropy_leaves_out_scipy(self):
         # the Perron root and its strongly connected components are numpy only
@@ -263,6 +281,38 @@ class TestDeterminism:
         b = run_capture(capsys, ["entropy-estimate", "--orbits", "200", "--steps", "8",
                                  "--seed", "11"])[1]
         assert a == b
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+class TestGoldenStdout:
+    """Byte-identical stdout against outputs recorded before the one-pass ladder."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("entropy_estimate.json", ["entropy-estimate"]),
+        ("entropy_estimate_series.csv", ["entropy-estimate", "--series", "--format", "csv"]),
+        ("entropy_estimate_ensemble.json", ["entropy-estimate", "--ensemble", "ENSEMBLE"]),
+        ("entropy_estimate_ensemble_series.csv",
+         ["entropy-estimate", "--ensemble", "ENSEMBLE", "--series", "--format", "csv",
+          "--delta", "0.1"]),
+        ("hexpansivity_seed11.json", ["hexpansivity", "--seed", "11"]),
+        ("hexpansivity_wide.json", ["hexpansivity", "--seed", "3", "--orbits", "200",
+                                    "--steps", "12", "--eps", "0.4", "--horizon", "1",
+                                    "--delta", "0.1"]),
+        ("shadow_count10_seed2.json", ["shadow", "--count", "10", "--seed", "2"]),
+    ])
+    def test_stdout_matches_golden(self, capsys, tmp_path, name, argv):
+        from torusdyn.entropy import ensemble_to_csv
+        from torusdyn.hyperbolic import cat_map, orbit_ensemble
+
+        ensemble = tmp_path / "ensemble.csv"
+        ensemble.write_text(ensemble_to_csv(orbit_ensemble(
+            cat_map(), 150, 9, backward=2, rng=np.random.default_rng(4))))
+        argv = [str(ensemble) if a == "ENSEMBLE" else a for a in argv]
+        code, out = run_capture(capsys, argv)
+        with open(os.path.join(GOLDEN_DIR, name)) as fh:
+            assert code == 0 and out == fh.read()
 
 
 class TestConfigRoundTrip:

@@ -364,3 +364,188 @@ def test_ensemble_csv_round_trip():
     G = ent.ensemble_from_csv(text)
     assert np.allclose(F.orbits, G.orbits)
     assert G.origin == F.origin
+
+
+# ---------------------------------------------------------------------------
+# The one-pass ladder against the per-step metric calls it replaced
+
+def reference_ladder(F, steps):
+    """The d_T ladder as computed before the squared-distance kernel."""
+    n = F.n_orbits
+    d = np.zeros((n, n))
+    for s in range(steps):
+        pts = F.orbits[:, F.origin + s, :]
+        step_d = F.metric(pts[:, None, :], pts[None, :, :])
+        np.maximum(d, step_d, out=d)
+        yield s, d
+
+
+def reference_counts(F, steps, delta):
+    """(final d_T, close pairs per step, greedy covers per step) from the reference."""
+    iu = np.triu_indices(F.n_orbits, k=1)
+    pairs, covers = [], []
+    for _, d in reference_ladder(F, steps):
+        pairs.append(int(np.count_nonzero(d[iu] <= delta)))
+        covers.append(len(ent._greedy_net(d, delta)))
+    return d.copy(), pairs, covers
+
+
+def reference_gamma_set(x, F, eps, horizon):
+    steps = int(round(horizon / F.dt))
+    window = F.orbits[:, F.origin - steps:F.origin + steps + 1, :]
+    d = F.metric(window[x][None, :, :], window).max(axis=1)
+    return np.flatnonzero(d <= eps)
+
+
+def reference_probe(F, eps, horizon, delta, sample=None):
+    forward_T = (F.n_steps - 1 - F.origin) * F.dt
+    worst = 0.0
+    for x in range(F.n_orbits) if sample is None else sample:
+        members = reference_gamma_set(x, F, eps, horizon)
+        if len(members) < 2:
+            continue
+        G = F.restrict(members)
+        counts = np.array(reference_counts(G, G.steps_for(forward_T), delta)[1], dtype=float)
+        usable = np.flatnonzero(counts >= 16)
+        t_max = int(usable[-1]) if len(usable) else 0
+        if t_max == 0:
+            continue
+        steps = np.arange(t_max + 1, dtype=float) * G.dt
+        slope = np.polyfit(steps, np.log(counts[:t_max + 1]), 1)[0]
+        worst = max(worst, float(max(-slope, 0.0)))
+    return worst
+
+
+def ladder_ensembles():
+    tm = cat_map()
+    rng = np.random.default_rng(17)
+    out = {f"cat_n{n}": orbit_ensemble(tm, n, 10, rng=np.random.default_rng(n))
+           for n in (1, 2, 400)}
+    out["t3_euclidean"] = LabeledOrbitEnsemble(rng.random((150, 9, 3)) * 3.0,
+                                               metric=ent.euclidean_metric)
+    out["t3_torus"] = LabeledOrbitEnsemble(rng.random((150, 9, 3)))
+    out["t1_torus"] = LabeledOrbitEnsemble(rng.random((150, 9, 1)))
+    out["r8_euclidean"] = LabeledOrbitEnsemble(rng.random((60, 9, 8)),
+                                               metric=ent.euclidean_metric)
+    return out
+
+
+class TestOnePassLadder:
+    @pytest.mark.parametrize("name", list(ladder_ensembles()))
+    def test_matches_per_step_metric_calls(self, name):
+        F = ladder_ensembles()[name]
+        steps = F.n_steps - F.origin
+        T = (steps - 1) * F.dt
+        for d in ent._dynamic_distance_ladder(F, range(F.origin, F.origin + steps)):
+            pass
+        final = np.sqrt(d) if ent._squared(F) else d
+        for delta in (0.02, 0.05, 0.1, 0.3, 0.6):
+            ref_d, ref_pairs, ref_covers = reference_counts(F, steps, delta)
+            assert np.array_equal(final, ref_d)
+            pairs = ent.pair_survival_ladder(F, T, delta)
+            assert pairs == ref_pairs and all(type(c) is int for c in pairs)
+            assert ent.count_ladder(F, T, delta) == ref_covers
+            assert spanning_count(F, T, delta) == separated_count(F, T, delta) == ref_covers[-1]
+
+    def test_builtin_paths_are_squared(self):
+        F = ladder_ensembles()
+        assert all(ent._squared(F[k]) for k in ("cat_n400", "t3_euclidean", "t1_torus"))
+        assert not ent._squared(F["r8_euclidean"])
+
+    def test_user_metric_gives_builtin_counts(self):
+        F = orbit_ensemble(cat_map(), 300, 10, rng=np.random.default_rng(21))
+        G = LabeledOrbitEnsemble(F.orbits, metric=lambda a, b: torus_metric(a, b))
+        assert not ent._squared(G)
+        for delta in (0.02, 0.05, 0.1):
+            assert ent.ladder_counts(F, 10, delta, pairs=True, covers=True) == \
+                ent.ladder_counts(G, 10, delta, pairs=True, covers=True)
+        assert entropy_estimate(F, 10, 0.05) == entropy_estimate(G, 10, 0.05)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0, 1e300), st.floats(0, 1e300))
+    def test_squared_threshold_is_exact(self, d2, delta):
+        assert (d2 <= ent._sqrt_limit(delta)) == (np.sqrt(d2) <= delta)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.integers(-4, 4))
+    def test_squared_threshold_at_the_boundary(self, delta, ulps):
+        d2 = delta * delta
+        for _ in range(abs(ulps)):
+            d2 = np.nextafter(d2, np.inf if ulps > 0 else 0.0)
+        assert (d2 <= ent._sqrt_limit(delta)) == (np.sqrt(d2) <= delta)
+
+    def test_gamma_sets_and_probe_match_reference(self):
+        F = orbit_ensemble(cat_map(), 120, 12, backward=2, rng=np.random.default_rng(6))
+        G = LabeledOrbitEnsemble(F.orbits, metric=lambda a, b: torus_metric(a, b), origin=2)
+        for E in (F, G):
+            sets = ent.gamma_sets(E, 0.4, 1)
+            assert all(np.array_equal(s, reference_gamma_set(x, E, 0.4, 1))
+                       for x, s in enumerate(sets))
+            assert max(len(s) for s in sets) >= 16
+            for sample in (None, [0], [5, 3]):
+                assert h_expansivity_probe(E, 0.4, 1, 0.1, sample=sample) == \
+                    reference_probe(E, 0.4, 1, 0.1, sample=sample)
+
+    def test_probe_sample_zero_unchanged(self):
+        F = orbit_ensemble(cat_map(), 300, 15, backward=2, rng=np.random.default_rng(6))
+        assert h_expansivity_probe(F, 2.0, 2, 0.05, sample=[0]) == \
+            reference_probe(F, 2.0, 2, 0.05, sample=[0])
+
+
+class TestBadScales:
+    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+    def test_counts_reject_bad_delta(self, delta):
+        F = single_orbit_ensemble()
+        for fn in (spanning_count, separated_count, ent.count_ladder,
+                   ent.pair_survival_ladder, entropy_estimate):
+            with pytest.raises(ValueError, match="delta"):
+                fn(F, 4, delta)
+
+    @pytest.mark.parametrize("T", [-1, float("nan"), float("inf")])
+    def test_counts_reject_bad_horizon(self, T):
+        with pytest.raises(ValueError, match="T must be"):
+            spanning_count(single_orbit_ensemble(), T, 0.1)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_gamma_rejects_bad_eps(self, eps):
+        F, _ = crafted_two_sided_ensemble()
+        with pytest.raises(ValueError, match="eps"):
+            gamma_set(0, F, eps, 10)
+        with pytest.raises(ValueError, match="eps"):
+            h_expansivity_probe(F, eps, 10, 0.05)
+
+
+def reference_refine(mu, P, f, N):
+    """refine_entropy as computed before the integer itinerary keys."""
+    f = np.asarray(f, dtype=int)
+    n = len(mu.weights)
+    seq = np.empty((n, N), dtype=int)
+    idx = np.arange(n)
+    for step in range(N):
+        seq[:, step] = P.labels[idx]
+        if step + 1 < N:
+            idx = np.where(idx >= 0, f[idx], -1)
+    _, inverse = np.unique(seq, axis=0, return_inverse=True)
+    masses = np.bincount(inverse.ravel(), weights=mu.weights)
+    return float(ent._plogp(masses).sum()) / N
+
+
+class TestItineraryKeys:
+    @pytest.mark.parametrize("k, N", [(2, 14), (2, 70), (3, 9), (3, 45), (7, 5), (7, 24)])
+    def test_matches_row_unique(self, k, N):
+        rng = np.random.default_rng(k * 100 + N)
+        n = 3000
+        w = rng.random(n) ** 3
+        mu = WeightedMeasure(np.zeros((n, 1)), w / w.sum())
+        # few orbits of a random map: itineraries repeat, so atoms merge
+        f = rng.integers(0, 40, n)
+        P = FinitePartition(rng.integers(0, k, n), k)
+        assert refine_entropy(mu, P, f, N) == reference_refine(mu, P, f, N)
+
+    def test_parry_sample_matches_row_unique(self):
+        nu = parry_measure(GOLDEN_MEAN)
+        path = nu.sample(np.random.default_rng(88), 50_000 + 14)
+        mu = WeightedMeasure.uniform(np.zeros((50_000, 1)))
+        f = np.concatenate([np.arange(1, len(path)), [-1]])
+        P = FinitePartition(path, 2)
+        assert refine_entropy(mu, P, f, 14) == reference_refine(mu, P, f, 14)

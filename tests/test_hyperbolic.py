@@ -182,6 +182,41 @@ class TestShadow:
             assert abs(eps[i] - e) < 1e-12
 
 
+class TestNumpyKernels:
+    """The numpy-only shadowing kernels against the scipy and % 1.0 forms they replaced."""
+
+    def test_corrections_match_lfilter(self):
+        from scipy.signal import lfilter
+
+        for tm in (cat_map(), ToralAutomorphism([[1, 1], [1, 0]])):
+            rng = np.random.default_rng(4)
+            es, eu = tm.components(rng.uniform(-1e-4, 1e-4, (7, 500, 2)))
+            a, b = hyp._corrections(tm, es, eu)
+            tail_a = lfilter([1.0], [1.0, -tm.lam_s], -es, axis=1)
+            tail_b = lfilter([1.0], [1.0, -1.0 / tm.lam_u], eu[:, ::-1] / tm.lam_u,
+                             axis=1)[:, ::-1]
+            assert np.array_equal(a, np.concatenate([np.zeros((7, 1)), tail_a], axis=1))
+            assert np.array_equal(b, np.concatenate([tail_b, np.zeros((7, 1))], axis=1))
+
+    def test_wrap_and_lift_match_mod(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(-3, 3, 100_000), rng.uniform(-1e-12, 1e-12, 1000),
+                            [-1e-17, 1e-17, -0.0, 0.0, -1.0, 1.0, 0.5, -0.5, 2.5, -2.5,
+                             np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)]])
+        y = x % 1.0
+        assert np.array_equal(hyp.wrap(x), np.where(y >= 1.0, 0.0, y))
+        assert np.array_equal(hyp.minimal_lift(x), (x + 0.5) % 1.0 - 0.5)
+
+    def test_batch_rows_equal_single_bit_for_bit(self):
+        tm = cat_map()
+        rng = np.random.default_rng(12)
+        orbits = hyp.random_pseudo_orbit_batch(tm, 5, 400, 1e-4, rng)
+        starts, eps = shadow_batch(tm, orbits)
+        for i, p in enumerate(orbits):
+            x0, e = shadow(tm, p)
+            assert np.array_equal(starts[i], x0) and eps[i] == e
+
+
 class TestPeriodicShadow:
     def test_fixed_point(self):
         tm = cat_map()
