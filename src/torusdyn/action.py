@@ -184,6 +184,31 @@ def _thresholds(L: MechanicalLagrangian, X, need_grad=False):
     return ubar + K * u * u, (K, ubar, u), (grad(-u * u, 1.0, -u) if need_grad else None)
 
 
+def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
+    """Rigorous lower bound on the (L + k)-action of every broken path of
+    duration T whose cover displacement is `disp`.
+
+    Split eta into the midpoint eta_bar of its component bounds (the
+    constant Fourier term) and a rest of sup norm at most s.  Then
+
+      B = l^2/(2T) - s l + eta_bar . disp + (k - u_hi) T,  l = max(|disp|, s T),
+
+    for u_hi the coefficient bound on U.  The segments' total length
+    l0 >= |disp| gives kinetic sum >= l0^2/(2T) (Cauchy-Schwarz); the
+    Gauss-Legendre weights are positive with sum 1, so every u_i <= u_hi,
+    the eta_bar parts of the m_i sum to eta_bar . disp exactly and the rest
+    to at least -s l0; and l0^2/(2T) - s l0 over l0 >= |disp| is least at
+    l0 = l.  For eta = 0 this is |disp|^2/(2T) + (k - u_hi) T.
+    """
+    u_hi = L.potential.value_bounds()[1]
+    shift, s = 0.0, 0.0
+    if not L.oneform.is_zero():
+        lo, hi = np.array([c.value_bounds() for c in L.oneform.components]).T
+        shift, s = float((lo + hi) / 2 @ disp), float(np.linalg.norm((hi - lo) / 2))
+    ell = np.maximum(np.sqrt(disp @ disp), s * T)
+    return ell * ell / (2 * T) - s * ell + shift + (k - u_hi) * T
+
+
 def action(L: MechanicalLagrangian, p: BrokenPath, k, n_quad=8):
     """Composite quadrature of k + L along the path; exact on free segments."""
     value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, n_quad, need_grad=False)
@@ -256,6 +281,12 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
                       residual_tol=1e-6, maxiter=400, n_quad=8):
     """Fixed-endpoint, fixed-time local action minimizer across winding classes.
 
+    Classes are tried by increasing |winding|; a class is skipped when
+    `_action_lower_bound` at its displacement exceeds the best action so
+    far by more than 1e-9.  The bound charges the mean of eta exactly and
+    only its oscillating rest per unit length, so a class that eta rewards
+    stays in play.
+
     Raises NoConvergence (carrying the best iterate and its residual) when
     the discrete Euler-Lagrange residual stays above `residual_tol`.
     """
@@ -268,12 +299,10 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
     base = (y - x + 0.5) % 1.0 - 0.5
-    u_lo, u_hi = L.potential.value_bounds()
     best = None
     for wind in _winding_classes(L.dim, w_max):
         disp = base + wind
-        lower = (disp @ disp) / (2 * T) - u_hi * T
-        if best is not None and lower > best[1] + 1e-9:
+        if best is not None and _action_lower_bound(L, disp, T, 0.0) > best[1] + 1e-9:
             continue
         path, val, res = _minimize_knots(L, x, disp, T, n_knots, 0.0, n_quad, maxiter)
         if best is None or val < best[1]:
@@ -392,10 +421,24 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
     with no negative loop Phi_k(x, x) >= 0, and constant curves of vanishing
     duration reach 0.
 
+    The grid durations are visited by increasing B(T), the least
+    `_action_lower_bound` over the winding classes `tonelli_minimizer`
+    tries (every path it returns lies in one), and a duration is skipped
+    once B(T) exceeds the best action so far by more than 1e-9.  A skipped
+    value lies strictly above the minimum, so the argmin, its bracket and
+    the golden-section refinement, hence Phi, are those of minimizing
+    every duration.  The default grid (0.05 to 50) gets a near-diagonal
+    floor: the minimizers have energy k, so speed at most
+    A0 = sqrt(2 (k - u_lo)) (u_lo the coefficient bound on U) and duration
+    at least d / A0, d = |minimal lift of y - x|; when
+    d / A0 < 0.05, the durations 0.05 r^-j (r the grid ratio) are prepended
+    until one lies below d / A0.
+
     The fixed-endpoint minimizers do not depend on k.  When `search`
     belongs to L, they are cached on it by (x, y, T, w_max, n_quad), so
     calls that share a search (as `potential_table` does across k) minimize
-    each duration once and re-evaluate only the (L+k)-action of the path.
+    each duration once and re-evaluate only the (L+k)-action of the path;
+    a later k minimizes the durations an earlier one skipped.
     """
     search = search if search is not None else NegativeLoopSearch(L)
     loop = search.find(k)
@@ -405,9 +448,19 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
             return ActionValue(None, loop)
     x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
     y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
-    if np.abs((y - x + 0.5) % 1.0 - 0.5).max() <= 1e-12:
+    base = (y - x + 0.5) % 1.0 - 0.5
+    if np.abs(base).max() <= 1e-12:
         return ActionValue(0.0)
-    grid = duration_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    dist = float(np.sqrt(base @ base))
+    if t_grid is None:
+        # energy-k arcs have speed sqrt(2 (k - U)) <= a0, hence duration >= d / a0
+        grid = duration_grid()
+        a0 = np.sqrt(max(2.0 * (k - L.potential.value_bounds()[0]), 0.0))
+        ratio = grid[1] / grid[0]
+        n_low = int(np.log(grid[0] * a0 / dist) // np.log(ratio)) + 1 if dist < grid[0] * a0 else 0
+        grid = np.concatenate([grid[0] * ratio ** -np.arange(n_low, 0, -1), grid])
+    else:
+        grid = np.asarray(t_grid, dtype=float)
     cache = search._tonelli if search.L is L else {}
 
     def value_at(T):
@@ -419,7 +472,13 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
                 cache[key] = nc.path
         return action(L, cache[key], k, n_quad)
 
-    vals = [value_at(T) for T in grid]
+    bounds = np.min([_action_lower_bound(L, base + w, grid, k)
+                     for w in _winding_classes(L.dim, w_max)], axis=0)
+    vals = np.full(len(grid), np.inf)
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] > vals.min() + 1e-9:
+            break
+        vals[j] = value_at(grid[j])
     i = int(np.argmin(vals))
     best_v = vals[i]
     lo = grid[max(i - 1, 0)]

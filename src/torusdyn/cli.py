@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -174,25 +173,18 @@ def cmd_shadow(args):
     else:
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
+        if args.length < 2:
+            raise ValueError(f"--length must be at least 2, got {args.length}")
         rng = np.random.default_rng(args.seed)
-        orbits = [hyp_mod.random_pseudo_orbit(tm, args.length, args.delta, rng)
-                  for _ in range(args.count)]
-
-    def solve(p):
-        return hyp_mod.shadow(tm, p)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(solve, orbits))
-    else:
-        results = [solve(p) for p in orbits]
-    eps = [float(e) for _, e in results]
+        orbits = hyp_mod.random_pseudo_orbit_batch(tm, args.count, args.length, args.delta, rng)
+    _, eps = hyp_mod.shadow_batch(tm, orbits)
+    eps = [float(e) for e in eps]
     delta = max(p.delta for p in orbits)
     _emit(args, {"Q": tm.shadowing_q, "delta": delta,
                  "eps_achieved": max(eps), "mean_eps": sum(eps) / len(eps),
                  "length": max(len(p) for p in orbits), "count": len(orbits),
                  "all_within_Q_delta": bool(max(e / p.delta if p.delta else 0.0
-                                                for (_, e), p in zip(results, orbits))
+                                                for e, p in zip(eps, orbits))
                                             <= tm.shadowing_q)})
 
 
@@ -207,7 +199,8 @@ def cmd_canal_experiment(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="torusdyn", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="accepted for compatibility; unused (shadow runs one batch)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True):

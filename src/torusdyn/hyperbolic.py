@@ -262,32 +262,44 @@ class PseudoOrbit:
         return len(self.points)
 
 
-def random_pseudo_orbit(tm, n, delta, rng, x0=None):
-    """Pseudo-orbit with i.i.d. jumps of norm <= delta."""
-    pts = np.empty((n, 2))
-    pts[0] = rng.random(2) if x0 is None else wrap(x0)
+def _lockstep(tm: ToralAutomorphism, starts, jumps):
+    """Rows x_{i+1} = wrap(A x_i + jump_i) from starts (m, 2) and jumps (m, n-1, 2).
+
+    All rows step at once, by one matrix-vector product per row, so each
+    row equals its orbit stepped alone bit for bit.
+    """
     mf = tm.matrix.astype(float)
+    pts = np.empty((len(starts), jumps.shape[1] + 1, 2))
+    pts[:, 0] = starts
+    for i in range(jumps.shape[1]):
+        pts[:, i + 1] = wrap(np.matmul(mf, pts[:, i, :, None])[..., 0] + jumps[:, i])
+    return pts
+
+
+def _draw(n, delta, rng, x0=None):
+    """A start and n-1 jumps of norm <= delta, drawn in that order."""
+    start = rng.random(2) if x0 is None else wrap(x0)
     angles = rng.uniform(0, 2 * np.pi, n - 1)
     radii = delta * np.sqrt(rng.random(n - 1))
-    jumps = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    for i in range(n - 1):
-        pts[i + 1] = wrap(mf @ pts[i] + jumps[i])
-    return PseudoOrbit(tm, pts, delta)
+    return start, np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def random_pseudo_orbit(tm, n, delta, rng, x0=None):
+    """Pseudo-orbit with i.i.d. jumps of norm <= delta."""
+    start, jumps = _draw(n, delta, rng, x0)
+    return PseudoOrbit(tm, _lockstep(tm, start[None], jumps[None])[0], delta)
 
 
 def random_pseudo_orbit_batch(tm, count, n, delta, rng):
-    """`count` independent pseudo-orbits generated in lockstep (vectorized)."""
-    mf = tm.matrix.astype(float)
-    pts = np.empty((count, n, 2))
-    pts[:, 0] = rng.random((count, 2))
-    angles = rng.uniform(0, 2 * np.pi, (count, n - 1))
-    radii = delta * np.sqrt(rng.random((count, n - 1)))
-    jumps = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
-    cur = pts[:, 0]
-    for i in range(n - 1):
-        cur = wrap(cur @ mf.T + jumps[:, i])
-        pts[:, i + 1] = cur
-    return [PseudoOrbit(tm, pts[j], delta) for j in range(count)]
+    """`count` independent pseudo-orbits generated in lockstep (vectorized).
+
+    Each orbit draws its start and jumps in turn, so the batch equals
+    `count` successive `random_pseudo_orbit` calls bit for bit.
+    """
+    if count == 0:
+        return []
+    starts, jumps = zip(*(_draw(n, delta, rng) for _ in range(count)))
+    return [PseudoOrbit(tm, p, delta) for p in _lockstep(tm, np.array(starts), np.array(jumps))]
 
 
 def _corrections(tm: ToralAutomorphism, es, eu):
@@ -340,7 +352,7 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
     """
     deltas = np.array([p.delta for p in orbits])
     if np.any(deltas >= 0.25):
-        raise ThresholdExceeded("delta >= 0.25 in batch")
+        raise ThresholdExceeded(f"delta={float(deltas.max())} >= 0.25 risks ambiguous lifts")
     jumps = np.stack([p.jumps for p in orbits])
     es, eu = tm.components(jumps)
     a, b = _corrections(tm, es, eu)

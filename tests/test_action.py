@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -52,12 +54,12 @@ def magnetic_t2():
                                 OneForm([FourierSeries(2), FourierSeries(2, cos={(0, 0): 2.0})]))
 
 
-def magnetic_t1_exact_c(eta0=2.0):
+def magnetic_t1_exact_c(eta0=2.0, amp=1.0):
     # the energy-k loop winding once against eta has (L + k)-action
-    # int_0^1 sqrt(2(k - cos 2 pi x)) dx - eta0, which vanishes at c
+    # int_0^1 sqrt(2(k - amp cos 2 pi x)) dx - eta0, which vanishes at c
     def gap(k):
-        return quad(lambda x: np.sqrt(2 * (k - np.cos(2 * np.pi * x))), 0, 1)[0] - eta0
-    return brentq(gap, 1.0, 1.0 + 0.5 * eta0**2 + 1.0, xtol=1e-12)
+        return quad(lambda x: np.sqrt(2 * (k - amp * np.cos(2 * np.pi * x))), 0, 1)[0] - eta0
+    return brentq(gap, amp, amp + 0.5 * eta0**2 + 1.0, xtol=1e-12)
 
 
 def eta_half_t2():
@@ -432,3 +434,186 @@ class TestDiagonal:
         av = action_potential(L, 0.5, [0.52], [1.52])
         assert av.is_minus_infinity
         assert action(L, av.certificate, 0.5) < 0
+
+
+def weak_magnetic_t1():
+    # U = 0.2 cos 2 pi x with eta = 2 dx: at fixed T, extra windings against
+    # eta pay more than their kinetic cost
+    return MechanicalLagrangian(1, FourierSeries(1, cos={1: 0.2}),
+                                OneForm([FourierSeries(1, cos={0: 2.0})]))
+
+
+def maupertuis_t1(cos, eta0, k, x, y, w_max=4):
+    """Phi_k(x, y) on T^1 for k > max U: the least Jacobi length
+    int sqrt(2(k - U)) |dx| plus eta0 times the displacement, over lifts."""
+    def speed(t):
+        return np.sqrt(2 * (k - sum(a * np.cos(2 * np.pi * m * t) for m, a in cos.items())))
+
+    base = (y - x) % 1.0
+    return min(abs(quad(speed, x, x + base + w, limit=200)[0]) + eta0 * (base + w)
+               for w in range(-w_max, w_max + 1))
+
+
+def _every_duration_potential(L, k, x, y, t_grid=None, w_max=3, search=None, n_quad=8,
+                              refine_steps=10):
+    """The duration search before bound pruning, verbatim: every grid duration."""
+    search = search if search is not None else NegativeLoopSearch(L)
+    loop = search.find(k)
+    if loop is not None:
+        val = action(L, loop, k)
+        if val < 0:
+            return ActionValue(None, loop)
+    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+    y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
+    if np.abs((y - x + 0.5) % 1.0 - 0.5).max() <= 1e-12:
+        return ActionValue(0.0)
+    grid = duration_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    cache = search._tonelli if search.L is L else {}
+
+    def value_at(T):
+        key = (tuple(x), tuple(y), float(T), w_max, n_quad)
+        if key not in cache:
+            try:
+                cache[key] = tonelli_minimizer(L, x, y, T, w_max=w_max, n_quad=n_quad)
+            except NoConvergence as nc:
+                cache[key] = nc.path
+        return action(L, cache[key], k, n_quad)
+
+    vals = [value_at(T) for T in grid]
+    i = int(np.argmin(vals))
+    best_v = vals[i]
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    # golden-section refinement on log duration
+    a, b = np.log(lo), np.log(hi)
+    gr = (np.sqrt(5) - 1) / 2
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = value_at(np.exp(c)), value_at(np.exp(d))
+    for _ in range(refine_steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = value_at(np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = value_at(np.exp(d))
+    best_v = min(best_v, fc, fd)
+    return ActionValue(float(best_v))
+
+
+def general_magnetic_t2():
+    return MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}),
+                                OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
+                                         FourierSeries(2, cos={(0, 0): -0.3, (1, 0): 0.15})]))
+
+
+def torus2_mechanical():
+    return MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.1}))
+
+
+class TestBoundPrunedSearch:
+    """Skipping the durations `_action_lower_bound` rules out leaves Phi unchanged."""
+
+    @pytest.mark.parametrize("make", [pendulum, double_well])
+    def test_criterion_5_tables_equal_every_duration(self, make):
+        # the two searches share the Tonelli cache, so each duration is minimized once
+        L = make()
+        search = NegativeLoopSearch(L)
+        c = critical_value(L, search=search)
+        points = (0.05, 0.31, 0.52, 0.68, 0.9)
+        for k in (c + 0.05, c + 0.3):
+            for x in points:
+                for y in points:
+                    pruned = action_potential(L, k, [x], [y], search=search)
+                    full = _every_duration_potential(L, k, [x], [y], search=search)
+                    assert pruned.value == full.value
+
+    def test_torus2_mechanical_equals_every_duration(self):
+        # nine winding classes keep the every-duration side affordable
+        L = torus2_mechanical()
+        search = NegativeLoopSearch(L)
+        k = critical_value(L, search=search) + 0.1
+        x, y = [0.1, 0.2], [0.45, 0.7]
+        assert action_potential(L, k, x, y, w_max=1, search=search).value == \
+            _every_duration_potential(L, k, x, y, w_max=1, search=search).value
+
+    @pytest.mark.parametrize("make", [magnetic_t1, weak_magnetic_t1])
+    def test_magnetic_t1_equals_every_duration(self, make):
+        # the duration bound charges eta's mean per winding class exactly
+        L = make()
+        search = NegativeLoopSearch(L)
+        c = critical_value(L, search=search)
+        for k in (c + 0.05, c + 0.3):
+            assert action_potential(L, k, [0.05], [0.31], search=search).value == \
+                _every_duration_potential(L, k, [0.05], [0.31], search=search).value
+
+    @pytest.mark.parametrize("grid", [[0.3, 1.0, 2.5, 6.0, 12.0], [12.0, 4.0, 0.7, 0.2]])
+    def test_custom_grid_equals_every_duration(self, grid):
+        L = pendulum()
+        search = NegativeLoopSearch(L)
+        for k in (1.05, 1.3):
+            assert action_potential(L, k, [0.2], [0.6], t_grid=grid, search=search).value == \
+                _every_duration_potential(L, k, [0.2], [0.6], t_grid=grid, search=search).value
+
+    @settings(max_examples=300, deadline=None)
+    @given(make=st.sampled_from([pendulum, magnetic_t1, magnetic_t2, general_magnetic_t2,
+                                 weak_magnetic_t1]),
+           n_knots=st.integers(2, 12), log_t=st.floats(np.log(1e-3), np.log(50.0)),
+           k=st.floats(-2.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_bound_holds_on_random_paths(self, make, n_knots, log_t, k, seed):
+        L, T = make(), float(np.exp(log_t))
+        rng = np.random.default_rng(seed)
+        p = BrokenPath(rng.random((n_knots, L.dim)),
+                       rng.integers(-3, 4, (n_knots - 1, L.dim)), T)
+        X = p.cover_knots()
+        bound = action_mod._action_lower_bound(L, X[-1] - X[0], T, k)
+        value = action(L, p, k)
+        kinetic = (n_knots - 1) * float(((X[1:] - X[:-1]) ** 2).sum()) / (2 * T)
+        assert value >= bound - 1e-12 * (1.0 + abs(bound) + abs(value) + kinetic)
+
+    def test_skips_grid_durations(self, monkeypatch):
+        calls = []
+
+        def counted(L, x, y, T, **kwargs):
+            calls.append(float(T))
+            return tonelli_minimizer(L, x, y, T, **kwargs)
+
+        monkeypatch.setattr(action_mod, "tonelli_minimizer", counted)
+        action_potential(pendulum(), 1.05, [0.05], [0.31])
+        grid = set(duration_grid().tolist())
+        assert len(grid & set(calls)) < len(grid)
+        assert len(calls) < len(grid)
+
+
+class TestMagneticWindingClasses:
+    def test_class_against_eta_is_minimized(self):
+        # at T = 1 winding -2 has action -1.958, below winding -1 (-1.201)
+        L = weak_magnetic_t1()
+        p = tonelli_minimizer(L, [0.05], [0.31], 1.0)
+        assert p.total_winding()[0] == -2
+        assert action(L, p, 0.0) < -1.95
+
+    def test_potential_matches_maupertuis(self):
+        L = weak_magnetic_t1()
+        search = NegativeLoopSearch(L)
+        c = magnetic_t1_exact_c(2.0, 0.2)
+        for k in (c + 0.05, c + 0.3):
+            phi = action_potential(L, k, [0.05], [0.31], search=search).value
+            assert abs(phi - maupertuis_t1({1: 0.2}, 2.0, k, 0.05, 0.31)) <= 3e-3
+
+
+class TestNearDiagonal:
+    """Close pairs need durations below 0.05: the default grid reaches down."""
+
+    @pytest.mark.parametrize("make,cos,c", [(pendulum, {1: 1.0}, 1.0),
+                                            (double_well, {1: 0.3, 2: 1.0}, 1.3)])
+    @pytest.mark.parametrize("x", [0.0, 0.5])     # max and min of U
+    def test_matches_maupertuis(self, make, cos, c, x):
+        L = make()
+        search = NegativeLoopSearch(L)
+        for k in (c + 0.05, c + 0.3):
+            for d in (5e-4, -5e-4, 5e-3, -0.01, 0.02, 0.05):
+                y = (x + d) % 1.0
+                phi = action_potential(L, k, [x], [y], search=search).value
+                assert abs(phi - maupertuis_t1(cos, 0.0, k, x, y)) <= 3e-3

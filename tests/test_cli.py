@@ -174,6 +174,8 @@ class TestExitCodes:
         (["entropy-estimate", "--orbits", "0"], "--orbits"),
         (["hexpansivity", "--orbits", "0"], "--orbits"),
         (["shadow", "--count", "0"], "--count"),
+        (["shadow", "--length", "0"], "--length"),    # was an IndexError traceback
+        (["shadow", "--length", "1"], "--length"),
     ])
     def test_empty_batch_is_1(self, capsys, argv, flag):
         assert_one_error_line(capsys, argv, flag)
@@ -284,10 +286,13 @@ class TestDeterminism:
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+AP_ARGV = ["action-potential", "--config", "PENDULUM", "--k", "1.05,1.3",
+           "--x", "0.05,0.31,0.68", "--y", "0.31,0.52,0.9"]
 
 
 class TestGoldenStdout:
-    """Byte-identical stdout against outputs recorded before the one-pass ladder."""
+    """Byte-identical stdout against outputs recorded before the one-pass ladder
+    (the action-potential tables: before the bound-pruned duration search)."""
 
     @pytest.mark.parametrize("name,argv", [
         ("entropy_estimate.json", ["entropy-estimate"]),
@@ -301,6 +306,8 @@ class TestGoldenStdout:
                                     "--steps", "12", "--eps", "0.4", "--horizon", "1",
                                     "--delta", "0.1"]),
         ("shadow_count10_seed2.json", ["shadow", "--count", "10", "--seed", "2"]),
+        ("action_potential_pendulum.json", AP_ARGV),
+        ("action_potential_pendulum.csv", AP_ARGV + ["--format", "csv"]),
     ])
     def test_stdout_matches_golden(self, capsys, tmp_path, name, argv):
         from torusdyn.entropy import ensemble_to_csv
@@ -309,7 +316,10 @@ class TestGoldenStdout:
         ensemble = tmp_path / "ensemble.csv"
         ensemble.write_text(ensemble_to_csv(orbit_ensemble(
             cat_map(), 150, 9, backward=2, rng=np.random.default_rng(4))))
-        argv = [str(ensemble) if a == "ENSEMBLE" else a for a in argv]
+        pendulum = tmp_path / "pendulum.cfg"
+        pendulum.write_text(PENDULUM_CFG)
+        files = {"ENSEMBLE": str(ensemble), "PENDULUM": str(pendulum)}
+        argv = [files.get(a, a) for a in argv]
         code, out = run_capture(capsys, argv)
         with open(os.path.join(GOLDEN_DIR, name)) as fh:
             assert code == 0 and out == fh.read()

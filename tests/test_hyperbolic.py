@@ -217,6 +217,41 @@ class TestNumpyKernels:
             assert np.array_equal(starts[i], x0) and eps[i] == e
 
 
+def _per_orbit_loop(tm, n, delta, rng):
+    """The one-orbit generator before lockstep stepping, verbatim."""
+    pts = np.empty((n, 2))
+    pts[0] = rng.random(2)
+    mf = tm.matrix.astype(float)
+    angles = rng.uniform(0, 2 * np.pi, n - 1)
+    radii = delta * np.sqrt(rng.random(n - 1))
+    jumps = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    for i in range(n - 1):
+        pts[i + 1] = hyp.wrap(mf @ pts[i] + jumps[i])
+    return PseudoOrbit(tm, pts, delta)
+
+
+class TestLockstepGenerator:
+    """All orbits step together; each draws its numbers as one call would."""
+
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 2, 1, 1), (5, 3, 3, 2)])
+    def test_batch_equals_per_orbit_loop(self, entries):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        expected = [_per_orbit_loop(tm, 3000, 1e-4, ref_rng) for _ in range(7)]
+        got = hyp.random_pseudo_orbit_batch(tm, 7, 3000, 1e-4, rng)
+        assert len(got) == 7
+        for p, q in zip(got, expected):
+            assert np.array_equal(p.points, q.points) and p.delta == q.delta
+        assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (5, 3, 3, 2)])
+    def test_single_orbit_equals_per_orbit_loop(self, entries):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        p = random_pseudo_orbit(tm, 500, 1e-3, np.random.default_rng(4))
+        assert np.array_equal(p.points, _per_orbit_loop(tm, 500, 1e-3,
+                                                        np.random.default_rng(4)).points)
+
+
 class TestPeriodicShadow:
     def test_fixed_point(self):
         tm = cat_map()
