@@ -16,6 +16,7 @@ import numpy as np
 
 from .fields import grid_extremum
 from .lagrangian import MechanicalLagrangian
+from .torus import wrap
 
 
 class NoConvergence(RuntimeError):
@@ -31,15 +32,9 @@ class BelowCritical(ValueError):
     """Action potential diverged to -infinity where a finite value was needed."""
 
 
-def _mod1(x):
-    """x mod 1 landing strictly in [0, 1) (N % 1.0 can return exactly 1.0)."""
-    y = np.asarray(x, dtype=float) % 1.0
-    return np.where(y >= 1.0, 0.0, y)
-
-
 def _split(X):
     """Torus knots and segment windings of cover knots X (..., n, d)."""
-    knots = _mod1(X)
+    knots = wrap(X)
     return knots, np.rint(np.diff(X, axis=-2) - np.diff(knots, axis=-2))
 
 
@@ -59,7 +54,7 @@ class BrokenPath:
     T: float
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", _mod1(np.atleast_2d(np.asarray(self.knots, dtype=float))))
+        object.__setattr__(self, "knots", wrap(np.atleast_2d(np.asarray(self.knots, dtype=float))))
         object.__setattr__(self, "winds", np.atleast_2d(np.asarray(self.winds, dtype=int)))
         if len(self.knots) < 2:
             raise ValueError("a path needs at least two knots")

@@ -5,13 +5,16 @@ on the 2-torus with exact stable/unstable eigen-splittings.  Pseudo-orbits
 are corrected into true orbits by pushing stable error components forward
 and pulling unstable ones backward through geometric series, which makes
 the shadowing constant Q computable from the eigenvalues alone.  Periodic
-pseudo-orbits are closed up exactly by solving the cyclic correction
-equations in high precision.
+pseudo-orbits are closed up exactly: their periodic points are rational, and
+the cyclic closing equations are solved in exact integer arithmetic.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+from .torus import minimal_lift, wrap
 
 
 class OutOfLocalChart(ValueError):
@@ -28,22 +31,6 @@ class HypothesisViolated(ValueError):
     def __init__(self, msg, step=None):
         super().__init__(msg)
         self.step = step
-
-
-def _frac(x):
-    """x - floor(x): equal to x % 1.0 bit for bit on finite input, and cheaper."""
-    return x - np.floor(x)
-
-
-def wrap(x):
-    """Reduce torus coordinates to [0, 1) (the fractional part can round to 1.0)."""
-    y = _frac(np.asarray(x, dtype=float))
-    return np.where(y >= 1.0, 0.0, y)
-
-
-def minimal_lift(x):
-    """Representative of a torus displacement with entries in [-1/2, 1/2)."""
-    return _frac(np.asarray(x, dtype=float) + 0.5) - 0.5
 
 
 def _norms(v):
@@ -126,10 +113,6 @@ class ToralAutomorphism:
         """Coordinates (stable, unstable) of displacement vectors."""
         out = np.asarray(vec, dtype=float) @ self._basis_inv.T
         return out[..., 0], out[..., 1]
-
-    def recompose(self, s, u):
-        return np.outer(np.asarray(s).ravel(), self.e_s).reshape(np.shape(s) + (2,)) \
-            + np.outer(np.asarray(u).ravel(), self.e_u).reshape(np.shape(u) + (2,))
 
     def __repr__(self):
         return f"ToralAutomorphism({self.matrix.tolist()})"
@@ -244,11 +227,13 @@ class PseudoOrbit:
     """Finite sequence on T^2 with jump errors d(T x_i, x_{i+1}) <= delta."""
 
     def __init__(self, tm: ToralAutomorphism, points, delta=None):
-        points = wrap(points)
+        points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
             raise ValueError("expected an (n, 2) array with n >= 2")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("pseudo-orbit points must be finite")
         self.tm = tm
-        self.points = points
+        self.points = points = wrap(points)
         mapped = wrap(points[:-1] @ tm.matrix.T.astype(float))
         self.jumps = minimal_lift(points[1:] - mapped)
         actual = float(np.max(_norms(self.jumps))) if len(self.jumps) else 0.0
@@ -328,19 +313,14 @@ def _corrections(tm: ToralAutomorphism, es, eu):
 def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     """True orbit start x0 with d(T^i x0, p_i) <= Q delta, and the achieved sup.
 
-    The jump errors are decomposed in the eigenbasis; stable components are
-    summed forward, unstable ones backward, each a geometric series, which
-    is exact for the linear model.  Distances to the pseudo-orbit are the
-    correction norms themselves, so no unstable float iteration is needed.
+    The one-orbit case of `shadow_batch`: the jump errors are decomposed in
+    the eigenbasis; stable components are summed forward, unstable ones
+    backward, each a geometric series, which is exact for the linear model.
+    Distances to the pseudo-orbit are the correction norms themselves, so no
+    unstable float iteration is needed.
     """
-    if p.delta >= 0.25:
-        raise ThresholdExceeded(f"delta={p.delta} >= 0.25 risks ambiguous lifts")
-    es, eu = tm.components(p.jumps)
-    a, b = _corrections(tm, es, eu)
-    corrections = tm.recompose(a[0], b[0])
-    x0 = wrap(p.points[0] + corrections[0])
-    eps = float(np.max(_norms(corrections)))
-    return x0, eps
+    starts, eps = shadow_batch(tm, [p])
+    return starts[0], float(eps[0])
 
 
 def shadow_batch(tm: ToralAutomorphism, orbits):
@@ -366,78 +346,57 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
 
 @dataclass
 class PeriodicShadowResult:
-    point: np.ndarray
+    point: np.ndarray          # the exact point rounded to doubles
     eps_achieved: float
     cover_residual: float
+    exact: tuple               # the periodic point as two Fractions in [0, 1)
 
 
-def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit, dps=None):
+def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     """Exact periodic point shadowing a periodic pseudo-orbit.
 
     The pseudo-orbit is read cyclically (the closing jump from T p_{N-1}
-    back to p_0 included).  The cyclic correction equations are solved per
-    eigencomponent in mpmath, and T^N x - x is re-verified independently
-    against the exact integer matrix power; its distance to the nearest
-    lattice vector is returned as cover_residual.
+    back to p_0 included).  Its points are exact rationals, and jumps below
+    1/4 fix the integer offsets n_i = rint(A p_i - p_{i+1}) unambiguously.
+    The shadowing orbit x_{i+1} = A x_i - n_i closes when
+    (A^N - I) x_0 = sum_i A^(N-1-i) n_i, solved over the integers by the
+    adjugate; the periodic points of a hyperbolic toral automorphism are
+    exactly its rational points.  eps_achieved is the sup of |x_i - p_i| over
+    the exact orbit, and cover_residual the distance of A^N x_0 - x_0 to the
+    nearest lattice vector, re-checked with the integer power A^N.
     """
-    import mpmath as mp
-
     pts = p.points
     n = len(pts)
     closing = minimal_lift(pts[0] - wrap(pts[-1] @ tm.matrix.T.astype(float)))
     delta = max(p.delta, float(np.linalg.norm(closing)))
     if delta >= 0.25:
         raise ThresholdExceeded(f"delta={delta} >= 0.25 risks ambiguous lifts")
-    jumps = np.vstack([p.jumps, closing])
 
-    if dps is None:
-        dps = max(40, int(n * np.log10(abs(tm.lam_u))) + 30)
-    with mp.workdps(dps):
-        a_, b_, c_, d_ = (int(v) for v in tm.matrix.ravel())
-        tr, det = a_ + d_, a_ * d_ - b_ * c_
-        disc = mp.sqrt(tr * tr - 4 * det)
-        l1, l2 = (tr + disc) / 2, (tr - disc) / 2
-        lam_u, lam_s = (l1, l2) if abs(l1) > abs(l2) else (l2, l1)
+    (a, b), (c, d) = tm.matrix.tolist()
+    exact_pts = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
+    offsets = [(round(a * x + b * y - u), round(c * x + d * y - v))
+               for (x, y), (u, v) in zip(exact_pts, exact_pts[1:] + exact_pts[:1])]
+    m0 = m1 = 0                       # Horner: m = sum_i A^(N-1-i) n_i
+    for k0, k1 in offsets:
+        m0, m1 = a * m0 + b * m1 + k0, c * m0 + d * m1 + k1
+    (p00, p01), (p10, p11) = power = _int_matpow(tm.matrix.tolist(), n)
+    den = (p00 - 1) * (p11 - 1) - p01 * p10          # det(A^N - I), never 0
+    sign = 1 if den > 0 else -1
+    den *= sign
+    z0 = sign * ((p11 - 1) * m0 - p01 * m1), sign * ((p00 - 1) * m1 - p10 * m0)
 
-        def eigvec(lam):
-            v = (mp.mpf(b_), lam - a_) if b_ != 0 else (lam - d_, mp.mpf(c_))
-            norm = mp.sqrt(v[0] ** 2 + v[1] ** 2)
-            return (v[0] / norm, v[1] / norm)
+    # the orbit x_i = z_i / den, exactly; int / int rounds correctly
+    z, eps = z0, 0.0
+    for pt, (k0, k1) in zip(exact_pts, offsets):
+        gaps = [(zi * v.denominator - v.numerator * den) / (den * v.denominator)
+                for zi, v in zip(z, pt)]
+        eps = max(eps, float(np.hypot(*gaps)))
+        z = a * z[0] + b * z[1] - k0 * den, c * z[0] + d * z[1] - k1 * den
 
-        es_v, eu_v = eigvec(lam_s), eigvec(lam_u)
-        det_b = es_v[0] * eu_v[1] - es_v[1] * eu_v[0]
-        es = [(mp.mpf(e[0]) * eu_v[1] - mp.mpf(e[1]) * eu_v[0]) / det_b for e in jumps]
-        eu = [(es_v[0] * mp.mpf(e[1]) - es_v[1] * mp.mpf(e[0])) / det_b for e in jumps]
-
-        # periodic solutions of c_{i+1} = lam c_i - e_i for both components
-        a0 = -sum(lam_s ** k * es[(-1 - k) % n] for k in range(n)) / (1 - lam_s ** n)
-        b0 = sum(lam_u ** (-k) * eu[(k - 1) % n] for k in range(1, n + 1)) / (1 - lam_u ** (-n))
-        a_seq = [a0]
-        for i in range(n - 1):
-            a_seq.append(lam_s * a_seq[-1] - es[i])  # forward: contracts
-        b_seq = [mp.mpf(0)] * n
-        b_seq[0] = b0
-        nxt = b0  # backward recursion b_i = (b_{i+1} + eu_i)/lam_u: contracts
-        for i in range(n - 1, 0, -1):
-            nxt = (nxt + eu[i]) / lam_u
-            b_seq[i] = nxt
-
-        x0 = (mp.mpf(pts[0][0]) + a0 * es_v[0] + b0 * eu_v[0],
-              mp.mpf(pts[0][1]) + a0 * es_v[1] + b0 * eu_v[1])
-        power = _int_matpow(tm.matrix.tolist(), n)
-        y = (power[0][0] * x0[0] + power[0][1] * x0[1],
-             power[1][0] * x0[0] + power[1][1] * x0[1])
-        res = [y[k] - x0[k] for k in range(2)]
-        res = [r - mp.nint(r) for r in res]
-        cover_residual = float(mp.sqrt(res[0] ** 2 + res[1] ** 2))
-
-        eps = 0.0
-        for i in range(n):
-            cx = a_seq[i] * es_v[0] + b_seq[i] * eu_v[0]
-            cy = a_seq[i] * es_v[1] + b_seq[i] * eu_v[1]
-            eps = max(eps, float(mp.sqrt(cx * cx + cy * cy)))
-        point = wrap(np.array([float(x0[0]), float(x0[1])]))
-    return PeriodicShadowResult(point, eps, cover_residual)
+    res = [(pi[0] * z0[0] + pi[1] * z0[1] - zi) % den for pi, zi in zip(power, z0)]
+    cover_residual = float(np.hypot(*(min(r, den - r) / den for r in res)))
+    exact = tuple(Fraction(zi % den, den) for zi in z0)
+    return PeriodicShadowResult(wrap([float(v) for v in exact]), eps, cover_residual, exact)
 
 
 def bracket(tm: ToralAutomorphism, x, y, gamma=0.05):

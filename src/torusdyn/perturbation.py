@@ -15,6 +15,7 @@ import numpy as np
 from .action import NegativeLoopSearch, action, critical_value, duration_grid, BrokenPath
 from .fields import SumField
 from .lagrangian import MechanicalLagrangian
+from .torus import wrap
 
 
 class DimMismatch(ValueError):
@@ -72,8 +73,7 @@ class CanalPotential:
 
     def _distance_and_direction(self, x):
         """Torus distance to the core and the unit direction away from it."""
-        x = np.atleast_2d(np.asarray(x, dtype=float)) % 1.0
-        x = np.where(x >= 1.0, 0.0, x)   # the % 1.0 edge case for tiny negatives
+        x = wrap(np.atleast_2d(x))
         n = len(x)
         y = x[:, None, :] + self._lifts[None, :, :]      # (n, 3^d, d)
         if len(self._seg_a) == 0:

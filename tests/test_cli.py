@@ -231,6 +231,13 @@ class TestExitCodes:
         path.write_text(text)
         assert_one_error_line(capsys, ["entropy-estimate", "--ensemble", str(path)], needle)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_orbit_is_1(self, capsys, tmp_path, bad):
+        # was exit 0 with "eps_achieved": NaN, which is not JSON
+        path = tmp_path / "orbit.csv"
+        path.write_text(f"index,x1,x2\n0,0.1,0.2\n1,{bad},0.3\n2,0.5,0.6\n")
+        assert_one_error_line(capsys, ["shadow", "--orbit", str(path)], "finite")
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
@@ -249,12 +256,14 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_hyperbolic_leaves_out_mpmath_and_scipy_signal(self):
-        # mpmath is imported by periodic_shadow only; shadowing is numpy only
-        code = ("import sys, torusdyn.hyperbolic; "
-                "print('mpmath' in sys.modules, 'scipy.signal' in sys.modules)")
+        # shadowing is numpy only; periodic points close in exact integer arithmetic
+        code = ("import sys; from torusdyn import hyperbolic as h; "
+                "tm = h.cat_map(); pts = h.orbit(tm, [1 / 11, 0], 4, modulus=11); "
+                "r = h.periodic_shadow(tm, h.PseudoOrbit(tm, pts)); "
+                "print(r.cover_residual, 'mpmath' in sys.modules, 'scipy.signal' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False False"
+        assert proc.returncode == 0 and proc.stdout.strip() == "0.0 False False"
 
     def test_sft_entropy_leaves_out_scipy(self):
         # the Perron root and its strongly connected components are numpy only

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from torusdyn import hyperbolic as hyp
 from torusdyn.hyperbolic import (
@@ -213,8 +217,31 @@ class TestNumpyKernels:
         orbits = hyp.random_pseudo_orbit_batch(tm, 5, 400, 1e-4, rng)
         starts, eps = shadow_batch(tm, orbits)
         for i, p in enumerate(orbits):
-            x0, e = shadow(tm, p)
+            x0, e = _shadow_one_orbit(tm, p)
             assert np.array_equal(starts[i], x0) and eps[i] == e
+
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 2, 1, 1), (5, 3, 3, 2), (3, 1, 1, 0)])
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 10_000])
+    def test_shadow_equals_one_orbit_body(self, entries, n):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        p = random_pseudo_orbit(tm, n, 1e-4, np.random.default_rng(n))
+        x0, e = shadow(tm, p)
+        ref_x0, ref_e = _shadow_one_orbit(tm, p)
+        assert np.array_equal(x0, ref_x0) and e == ref_e and type(e) is float
+
+
+def _shadow_one_orbit(tm, p):
+    """The one-orbit `shadow` before it became a row of `shadow_batch`, verbatim."""
+    if p.delta >= 0.25:
+        raise hyp.ThresholdExceeded(f"delta={p.delta} >= 0.25 risks ambiguous lifts")
+    es, eu = tm.components(p.jumps)
+    a, b = hyp._corrections(tm, es, eu)
+    s, u = a[0], b[0]       # ToralAutomorphism.recompose(s, u), inlined
+    corrections = np.outer(np.asarray(s).ravel(), tm.e_s).reshape(np.shape(s) + (2,)) \
+        + np.outer(np.asarray(u).ravel(), tm.e_u).reshape(np.shape(u) + (2,))
+    x0 = hyp.wrap(p.points[0] + corrections[0])
+    eps = float(np.max(hyp._norms(corrections)))
+    return x0, eps
 
 
 def _per_orbit_loop(tm, n, delta, rng):
@@ -286,6 +313,116 @@ class TestPeriodicShadow:
         for _ in range(period):
             x = apply(tm, x, 1)
         assert torus_distance(x, res.point) < 1e-6
+
+    @pytest.mark.parametrize("modulus,period", [(64, 48), (128, 96)])
+    def test_long_dyadic_cycle_closes_exactly(self, modulus, period):
+        tm = cat_map()
+        cyc, k = _noisy_lattice_cycle(tm, modulus, (1, 0), seed=modulus)
+        assert len(cyc) == period
+        res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
+        assert res.exact == (Fraction(1, modulus), Fraction(0))
+        assert res.cover_residual == 0.0
+        assert res.eps_achieved <= tm.shadowing_q * _cyclic_delta(tm, cyc)
+        noise = torus_distance(np.array(k, dtype=float) / modulus, cyc).max()
+        assert abs(res.eps_achieved - noise) <= 1e-15
+        # the double point is k/q itself, so its rational orbit closes
+        x = [Fraction(v) for v in res.point]
+        assert x == list(res.exact)
+        assert _fraction_orbit(tm, x, period)[-1] == x
+
+    def test_long_cycle_mod_81(self):
+        # not dyadic: the exact point is periodic and the double only rounds it
+        tm = cat_map()
+        cyc, _ = _noisy_lattice_cycle(tm, 81, (1, 0), seed=81)
+        assert len(cyc) == 108
+        res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
+        x = list(res.exact)
+        assert x == [Fraction(1, 81), Fraction(0)]
+        orbit_x = _fraction_orbit(tm, x, 108)
+        assert orbit_x[-1] == x and all(o != x for o in orbit_x[1:-1])
+        assert res.cover_residual == 0.0
+        assert np.array_equal(res.point, [float(v) for v in x])
+
+    @pytest.mark.parametrize("modulus,start,seed,eps_parent", [
+        (11, (3, 7), 5, 0.00013458029536002819),
+        (29, (2, 5), 7, 0.00011797459313663646),
+        (11, (1, 0), 3, 9.81744003551374e-05),
+        (29, (4, 1), 9, 0.00011894807881613857),
+    ])
+    def test_short_cycle_eps_matches_high_precision_solve(self, modulus, start, seed,
+                                                           eps_parent):
+        # eps_parent: the earlier 40-digit eigenbasis solve of the same cycles
+        tm = cat_map()
+        pts = hyp.orbit(tm, np.array(start) / modulus, 60, modulus=modulus)
+        period = next(i for i in range(1, 60) if np.array_equal(pts[i], pts[0]))
+        assert period == {11: 5, 29: 7}[modulus]
+        cyc = hyp.wrap(pts[:period] + np.random.default_rng(seed).uniform(
+            -1, 1, (period, 2)) * 1e-4)
+        res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
+        assert abs(res.eps_achieved - eps_parent) <= 1e-15
+        assert res.exact == tuple(Fraction(v, modulus) for v in start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gens=st.lists(st.sampled_from([((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                                          ((0, 1), (1, 0))]), min_size=2, max_size=6),
+           modulus=st.integers(2, 40), start=st.tuples(st.integers(0, 39), st.integers(0, 39)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(gens=[((3, 1), (1, 0))], modulus=27, start=(5, 2), seed=0)
+    def test_unimodular_lattice_cycles_close_exactly(self, gens, modulus, start, seed):
+        # products of the generators of GL(2, Z), det +1 and -1 alike
+        m = np.eye(2, dtype=np.int64)
+        for g in gens:
+            m = m @ np.array(g, dtype=np.int64)
+        det = int(round(np.linalg.det(m)))
+        tr = int(np.trace(m))
+        assume(abs(tr) > (2 if det == 1 else 0) and np.abs(m).max() <= 20)   # hyperbolic
+        tm = ToralAutomorphism(m)
+        cyc, k = _noisy_lattice_cycle(tm, modulus, start, seed=seed, cap=2000)
+        if len(cyc) < 2:
+            cyc, k = np.vstack([cyc, cyc]), k + k       # a fixed point, read twice
+        res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
+        x = [Fraction(v, modulus) for v in k[0]]
+        assert list(res.exact) == x
+        assert res.cover_residual == 0.0
+        assert _fraction_orbit(tm, x, len(cyc))[-1] == x
+        # the shadowing orbit is the lattice cycle, so eps is the noise itself
+        noise = torus_distance(np.array(k, dtype=float) / modulus, cyc).max()
+        assert abs(res.eps_achieved - noise) <= 1e-15
+
+    def test_rejects_non_finite_points(self):
+        tm = cat_map()
+        for bad in (np.nan, np.inf, -np.inf):
+            pts = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+            with pytest.raises(ValueError, match="finite"):
+                PseudoOrbit(tm, pts)
+
+
+def _noisy_lattice_cycle(tm, modulus, start, seed, cap=400):
+    """One period of the lattice cycle of k/modulus plus 1e-4 noise, and its lattice ks."""
+    k = [np.array(start, dtype=np.int64) % modulus]
+    while len(k) <= cap:
+        nxt = (tm.matrix @ k[-1]) % modulus
+        if np.array_equal(nxt, k[0]):
+            break
+        k.append(nxt)
+    assert len(k) <= cap, "cycle longer than the cap"
+    pts = np.array(k, dtype=float) / modulus
+    noise = np.random.default_rng(seed).uniform(-1, 1, pts.shape) * 1e-4
+    return hyp.wrap(pts + noise), [tuple(int(v) for v in ki) for ki in k]
+
+
+def _cyclic_delta(tm, cyc):
+    return PseudoOrbit(tm, np.vstack([cyc, cyc[0]])).delta
+
+
+def _fraction_orbit(tm, x, steps):
+    """x, T x, ..., T^steps x in exact rational arithmetic mod 1."""
+    (a, b), (c, d) = tm.matrix.tolist()
+    out = [list(x)]
+    for _ in range(steps):
+        u, v = out[-1]
+        out.append([(a * u + b * v) % 1, (c * u + d * v) % 1])
+    return out
 
 
 class TestExpansivityGap:
