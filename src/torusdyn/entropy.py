@@ -490,12 +490,15 @@ def ensemble_to_csv(F: LabeledOrbitEnsemble):
 
 def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
     rows = []
-    for ln in text.strip().splitlines():
+    for lineno, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln[0].isalpha():
             continue
         parts = ln.split(",")
-        rows.append((int(parts[0]), int(parts[1]), [float(v) for v in parts[2:]]))
+        coords = [float(v) for v in parts[2:]]
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")
+        rows.append((int(parts[0]), int(parts[1]), coords))
     if not rows:
         raise ValueError("no data rows")
     dims = sorted({len(r[2]) for r in rows})

@@ -7,6 +7,8 @@ canal potentials) plug into the same protocol: callable on point batches,
 with a `grad` method and conservative `value_bounds`.
 """
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -51,6 +53,45 @@ class FourierSeries:
         phase = TWO_PI * (x @ self._modes.T)
         coeff = (-np.sin(phase) * self._a + np.cos(phase) * self._b) * TWO_PI
         return coeff @ self._modes
+
+    def point_grad(self):
+        """The gradient at one point as a closure on Python floats.
+
+        g(x0) -> (g0,) on T^1, g(x0, x1) -> (g0, g1) on T^2: `grad`'s
+        arithmetic mode by mode with math.sin/math.cos, for callers that
+        step one point at a time, where numpy's per-call cost dominates.
+        Equal to `grad` bit for bit up to the order numpy's `@` sums in
+        (exact for one or two modes with indices in {-1, 0, 1}).  A phase
+        that overflows gives nan, as in `grad`.
+        """
+        terms = [(*k, a, b) for k, a, b in
+                 zip(self._modes.tolist(), self._a.tolist(), self._b.tolist())]
+        if self.dim == 1:
+            def grad1(x0):
+                g0 = 0.0
+                try:
+                    for k0, a, b in terms:
+                        phase = TWO_PI * (x0 * k0)
+                        coeff = (-math.sin(phase) * a + math.cos(phase) * b) * TWO_PI
+                        g0 += coeff * k0
+                except ValueError:      # math.sin of an infinite phase
+                    return (math.nan,)
+                return (g0,)
+            return grad1
+        if self.dim == 2:
+            def grad2(x0, x1):
+                g0 = g1 = 0.0
+                try:
+                    for k0, k1, a, b in terms:
+                        phase = TWO_PI * (x0 * k0 + x1 * k1)
+                        coeff = (-math.sin(phase) * a + math.cos(phase) * b) * TWO_PI
+                        g0 += coeff * k0
+                        g1 += coeff * k1
+                except ValueError:
+                    return math.nan, math.nan
+                return g0, g1
+            return grad2
+        raise ValueError("point_grad supports dim 1 and 2")
 
     def value_bounds(self):
         """Rigorous (lo, hi): constant term +- the l1 norm of the other modes."""

@@ -5,13 +5,22 @@ E = |v|^2/2 + U(x) is conserved by the Euler-Lagrange flow, and the
 magnetic one-form eta only bends trajectories through its exterior
 derivative.  Integrators: Stormer-Verlet and its 4th-order composition
 for the purely mechanical case, a classical one-step RK4 otherwise.
+
+`el_flow` steps one point, so it runs on Python floats: it builds one
+acceleration closure per call and each integrator is one scalar loop.
+When U and the active components of eta have `point_grad` (Fourier
+series, or wrappers forwarding to them) the closure sums their modes with
+math.sin/math.cos; any other field (sums, canal potentials, user fields)
+is called through `MechanicalLagrangian.acceleration` on a numpy array.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .fields import FourierSeries, OneForm
+from .torus import wrap
 
 # 4th-order triple-jump composition coefficients for Verlet substeps
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -32,7 +41,7 @@ class PhaseState:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float) % 1.0)
+        object.__setattr__(self, "x", wrap(self.x))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape:
             raise ValueError("position/velocity shape mismatch")
@@ -116,50 +125,99 @@ def energy(L: MechanicalLagrangian, s: PhaseState):
     return float(0.5 * (s.v * s.v).sum() + L.potential(s.x))
 
 
-def _verlet_steps(L, x, v, dt, n):
-    xs = np.empty((n + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    xs[0], vs[0] = x % 1.0, v
-    acc = L.force(x)
-    for i in range(n):
-        vh = v + 0.5 * dt * acc
-        x = x + dt * vh
-        acc = L.force(x)
-        v = vh + 0.5 * dt * acc
-        xs[i + 1], vs[i + 1] = x % 1.0, v
-    return xs, vs
+def _point_acceleration(L):
+    """acc(x0, x1, v0, v1) -> (a0, a1) on Python floats; x1 = v1 = 0 on T^1.
+
+    Fields with a `point_grad` (Fourier series, and wrappers forwarding to
+    one) give a closure over their coefficients; any other field goes
+    through `L.acceleration` on a numpy array, one call per evaluation.
+    """
+    magnetic = not L.is_mechanical()
+    fields = [L.potential] + (L.oneform.components if magnetic else [])
+    if not all(hasattr(f, "point_grad") for f in fields):
+        dim = L.dim
+
+        def acc(x0, x1, v0, v1):
+            a = L.acceleration(np.array([x0, x1][:dim]), np.array([v0, v1][:dim]))
+            return float(a[0]), (float(a[1]) if dim == 2 else 0.0)
+        return acc
+    grad_u = L.potential.point_grad()
+    if L.dim == 1:
+        def acc(x0, x1, v0, v1):
+            return -grad_u(x0)[0], 0.0
+    elif not magnetic:
+        def acc(x0, x1, v0, v1):
+            g0, g1 = grad_u(x0, x1)
+            return -g0, -g1
+    else:
+        grad_e1, grad_e2 = (c.point_grad() for c in L.oneform.components)
+
+        def acc(x0, x1, v0, v1):
+            g0, g1 = grad_u(x0, x1)
+            b = grad_e2(x0, x1)[0] - grad_e1(x0, x1)[1]
+            return -g0 + b * v1, -g1 + b * -v0
+    return acc
 
 
-def _yoshida4_steps(L, x, v, dt, n):
-    xs = np.empty((n + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    xs[0], vs[0] = x % 1.0, v
-    for i in range(n):
-        for w in _YOSHIDA:
-            h = w * dt
-            vh = v + 0.5 * h * L.force(x)
-            x = x + h * vh
-            v = vh + 0.5 * h * L.force(x)
-        xs[i + 1], vs[i + 1] = x % 1.0, v
-    return xs, vs
+# The loops below step a 2-D state (a zero second coordinate on T^1) in a
+# fixed order of operations, v + (h/2) F then x + h vh, and RK4's
+# ((k1 + 2 k2) + 2 k3) + k4, which tests/golden/el_flow_digests.json pins
+# bit for bit.  Each returns the (n + 1, 4) rows x0, x1, v0, v1 with
+# positions unwrapped, and stops before the first non-finite state.
+
+def _verlet(acc, x0, x1, v0, v1, dt, n):
+    rows = [(x0, x1, v0, v1)]
+    half = 0.5 * dt
+    a0, a1 = acc(x0, x1, v0, v1)
+    for _ in range(n):
+        vh0, vh1 = v0 + half * a0, v1 + half * a1
+        x0, x1 = x0 + dt * vh0, x1 + dt * vh1
+        a0, a1 = acc(x0, x1, vh0, vh1)
+        v0, v1 = vh0 + half * a0, vh1 + half * a1
+        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
+            break
+        rows.append((x0, x1, v0, v1))
+    return rows
 
 
-def _rk4_steps(L, x, v, dt, n):
-    xs = np.empty((n + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    xs[0], vs[0] = x % 1.0, v
-    for i in range(n):
-        k1x, k1v = v, L.acceleration(x, v)
-        k2x, k2v = v + 0.5 * dt * k1v, L.acceleration(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = v + 0.5 * dt * k2v, L.acceleration(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = v + dt * k3v, L.acceleration(x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        xs[i + 1], vs[i + 1] = x % 1.0, v
-    return xs, vs
+def _yoshida4(acc, x0, x1, v0, v1, dt, n):
+    rows = [(x0, x1, v0, v1)]
+    subs = [(w * dt, 0.5 * (w * dt)) for w in _YOSHIDA]
+    a0, a1 = acc(x0, x1, v0, v1)
+    for _ in range(n):
+        for h, half in subs:
+            vh0, vh1 = v0 + half * a0, v1 + half * a1
+            x0, x1 = x0 + h * vh0, x1 + h * vh1
+            a0, a1 = acc(x0, x1, vh0, vh1)
+            v0, v1 = vh0 + half * a0, vh1 + half * a1
+        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
+            break
+        rows.append((x0, x1, v0, v1))
+    return rows
 
 
-_INTEGRATORS = {"verlet": _verlet_steps, "yoshida4": _yoshida4_steps, "rk4": _rk4_steps}
+def _rk4(acc, x0, x1, v0, v1, dt, n):
+    rows = [(x0, x1, v0, v1)]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(n):
+        k1v0, k1v1 = acc(x0, x1, v0, v1)
+        k2x0, k2x1 = v0 + half * k1v0, v1 + half * k1v1
+        k2v0, k2v1 = acc(x0 + half * v0, x1 + half * v1, k2x0, k2x1)
+        k3x0, k3x1 = v0 + half * k2v0, v1 + half * k2v1
+        k3v0, k3v1 = acc(x0 + half * k2x0, x1 + half * k2x1, k3x0, k3x1)
+        k4x0, k4x1 = v0 + dt * k3v0, v1 + dt * k3v1
+        k4v0, k4v1 = acc(x0 + dt * k3x0, x1 + dt * k3x1, k4x0, k4x1)
+        x0 = x0 + sixth * (v0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
+        x1 = x1 + sixth * (v1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
+        v0 = v0 + sixth * (k1v0 + 2.0 * k2v0 + 2.0 * k3v0 + k4v0)
+        v1 = v1 + sixth * (k1v1 + 2.0 * k2v1 + 2.0 * k3v1 + k4v1)
+        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
+            break
+        rows.append((x0, x1, v0, v1))
+    return rows
+
+
+_INTEGRATORS = {"verlet": _verlet, "yoshida4": _yoshida4, "rk4": _rk4}
 
 
 def el_flow(L: MechanicalLagrangian, s0: PhaseState, T, dt, integrator=None):
@@ -167,19 +225,32 @@ def el_flow(L: MechanicalLagrangian, s0: PhaseState, T, dt, integrator=None):
 
     Defaults to the symplectic 4th-order Verlet composition when the
     magnetic term is inert, otherwise RK4 (the velocity-dependent force
-    breaks the kick-drift splitting).
+    breaks the kick-drift splitting).  Steps run on Python floats through
+    one acceleration closure (see `_point_acceleration`).
     """
+    if not (isfinite(T) and isfinite(dt)):
+        raise ValueError(f"T and dt must be finite, got T={T!r}, dt={dt!r}")
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     if integrator is None:
         integrator = "yoshida4" if L.is_mechanical() else "rk4"
+    if integrator not in _INTEGRATORS:
+        raise ValueError(f"unknown integrator {integrator!r}, "
+                         f"expected one of {', '.join(sorted(_INTEGRATORS))}")
     if integrator in ("verlet", "yoshida4") and not L.is_mechanical():
         raise ValueError("Verlet splitting needs an inert magnetic term")
+    if s0.x.shape != (L.dim,):
+        raise ValueError(f"state of shape {s0.x.shape} on T^{L.dim}")
+    if not (np.isfinite(s0.x).all() and np.isfinite(s0.v).all()):
+        raise NonFiniteState("non-finite initial state")
+    x0, x1 = (*s0.x.tolist(), 0.0)[:2]
+    v0, v1 = (*s0.v.tolist(), 0.0)[:2]
     n = int(round(T / dt))
-    xs, vs = _INTEGRATORS[integrator](L, s0.x.copy(), s0.v.copy(), dt, n)
-    if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
-        raise NonFiniteState("integration produced non-finite coordinates")
-    return Trajectory(dt=dt, xs=xs, vs=vs)
+    rows = _INTEGRATORS[integrator](_point_acceleration(L), x0, x1, v0, v1, dt, n)
+    if len(rows) <= n:
+        raise NonFiniteState(f"the state left the finite floats at step {len(rows)} of {n}")
+    out = np.array(rows)
+    return Trajectory(dt=dt, xs=wrap(out[:, :L.dim]), vs=out[:, 2:2 + L.dim].copy())
 
 
 def apriori_speed_bound(L: MechanicalLagrangian, C):

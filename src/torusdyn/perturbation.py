@@ -31,7 +31,7 @@ class CanalPotential:
     """
 
     def __init__(self, core, eps, k=2, plateau=None, winds=None, closed=True):
-        core = np.atleast_2d(np.asarray(core, dtype=float)) % 1.0
+        core = wrap(np.atleast_2d(core))
         self.core = core
         self.dim = core.shape[1]
         self.eps = float(eps)
@@ -131,7 +131,7 @@ class CanalPotential:
             return self.core.copy()
         t = np.linspace(0.0, 1.0, per_segment, endpoint=False)
         pts = self._seg_a[:, None, :] + t[None, :, None] * self._seg_v[:, None, :]
-        return pts.reshape(-1, self.dim) % 1.0
+        return wrap(pts.reshape(-1, self.dim))
 
 
 def canal(cp: CanalPotential, x):
@@ -205,7 +205,7 @@ def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential,
     best_overall = None
     for loop in loops:
         a = action(L_pert, loop, c_pert) / loop.T   # normalized closed-measure action
-        dist = float(np.max(cp.distance(loop.cover_knots() % 1.0)))
+        dist = float(np.max(cp.distance(wrap(loop.cover_knots()))))
         side = "on" if dist <= near_r else "off"
         if best[side] is None or a < best[side][0]:
             best[side] = (a, dist)

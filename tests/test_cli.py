@@ -225,6 +225,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,needle", [
         ("orbit,step\n0,0\n0,1\n1,0\n1,1\n", "no coordinate"),
         ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.3\n", "different coordinate counts"),
+        # inf exited 0 with "h_estimate": 0.0; nan read as a missing row
+        ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,inf,0.3\n1,0,0.4,0.5\n1,1,0.6,0.7\n",
+         "line 3: non-finite"),
+        ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.2,0.3\n1,0,0.4,nan\n1,1,0.6,0.7\n",
+         "line 4: non-finite"),
     ])
     def test_bad_ensemble_is_1(self, capsys, tmp_path, text, needle):
         path = tmp_path / "ensemble.csv"

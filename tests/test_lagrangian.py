@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -5,12 +9,16 @@ from torusdyn.fields import FourierSeries, OneForm, SumField, grid_extremum
 from torusdyn.lagrangian import (
     InvalidBound,
     MechanicalLagrangian,
+    NonFiniteState,
     PhaseState,
     Trajectory,
     apriori_speed_bound,
     el_flow,
     energy,
 )
+from torusdyn.perturbation import CanalPotential, perturb
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def pendulum():
@@ -142,10 +150,46 @@ class TestElFlow:
         assert np.allclose(a.xs, b.xs, atol=1e-9)
 
     def test_non_finite_state(self):
-        from torusdyn.lagrangian import NonFiniteState
-
-        with pytest.raises(NonFiniteState):
+        # x = 6.7e307 is finite, but 2 pi x overflows: math.sin(inf) is
+        # mapped to a nan force, and the flow stops at that step
+        with pytest.raises(NonFiniteState, match="at step 1 of 2"):
             el_flow(pendulum(), PhaseState([0.0], [1e308]), T=1.0, dt=0.5)
+        with pytest.raises(NonFiniteState, match="initial"):
+            el_flow(pendulum(), PhaseState([0.0], [np.nan]), T=1.0, dt=0.5)
+
+    def test_non_finite_field_stops_at_first_step(self):
+        class Cliff:
+            """A user field whose gradient turns nan beyond x = 0.3."""
+            dim = 1
+
+            def __call__(self, x):
+                return np.zeros(np.shape(x)[:-1])
+
+            def grad(self, x):
+                return np.where(np.asarray(x) > 0.3, np.nan, 0.0)
+
+        with pytest.raises(NonFiniteState, match="at step 3 of 1000"):
+            el_flow(MechanicalLagrangian(1, Cliff()), PhaseState([0.0], [0.125]),
+                    T=1000.0, dt=1.0, integrator="verlet")
+
+    @pytest.mark.parametrize("T,dt", [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan),
+                                      (1.0, np.inf), (-np.inf, 1e-3)])
+    def test_non_finite_time_is_value_error(self, T, dt):
+        with pytest.raises(ValueError, match="finite"):
+            el_flow(pendulum(), separatrix_state(), T=T, dt=dt)
+
+    def test_bad_integrator_and_shape(self):
+        with pytest.raises(ValueError, match="unknown integrator"):
+            el_flow(pendulum(), separatrix_state(), T=1.0, dt=0.1, integrator="euler")
+        with pytest.raises(ValueError, match="shape"):
+            el_flow(magnetic_2d(), separatrix_state(), T=1.0, dt=0.1)
+
+    def test_positions_wrap_into_unit_interval(self):
+        # -1e-17 % 1.0 rounds to 1.0, outside [0, 1)
+        assert PhaseState([-1e-17], [0.0]).x[0] == 0.0
+        traj = el_flow(free(), PhaseState([0.0], [-1e-17]), T=1.0, dt=0.5)
+        assert (traj.xs >= 0.0).all() and (traj.xs < 1.0).all()
+        assert PhaseState([0.75, -0.25], [0.0, 0.0]).x.tolist() == [0.75, 0.75]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,3 +234,185 @@ class TestAprioriSpeedBound:
     def test_below_infimum_raises(self):
         with pytest.raises(InvalidBound):
             apriori_speed_bound(pendulum(), -1.5)  # inf L = -max U = -1
+
+
+# ---------------------------------------------------------------------------
+# The float kernel against the numpy steppers it replaced
+
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_YOSHIDA = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
+
+
+def _verlet_steps(L, x, v, dt, n):
+    xs = np.empty((n + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x % 1.0, v
+    acc = L.force(x)
+    for i in range(n):
+        vh = v + 0.5 * dt * acc
+        x = x + dt * vh
+        acc = L.force(x)
+        v = vh + 0.5 * dt * acc
+        xs[i + 1], vs[i + 1] = x % 1.0, v
+    return xs, vs
+
+
+def _yoshida4_steps(L, x, v, dt, n):
+    xs = np.empty((n + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x % 1.0, v
+    for i in range(n):
+        for w in _YOSHIDA:
+            h = w * dt
+            vh = v + 0.5 * h * L.force(x)
+            x = x + h * vh
+            v = vh + 0.5 * h * L.force(x)
+        xs[i + 1], vs[i + 1] = x % 1.0, v
+    return xs, vs
+
+
+def _rk4_steps(L, x, v, dt, n):
+    xs = np.empty((n + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x % 1.0, v
+    for i in range(n):
+        k1x, k1v = v, L.acceleration(x, v)
+        k2x, k2v = v + 0.5 * dt * k1v, L.acceleration(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+        k3x, k3v = v + 0.5 * dt * k2v, L.acceleration(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+        k4x, k4v = v + dt * k3v, L.acceleration(x + dt * k3x, v + dt * k3v)
+        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        xs[i + 1], vs[i + 1] = x % 1.0, v
+    return xs, vs
+
+
+REFERENCE = {"verlet": _verlet_steps, "yoshida4": _yoshida4_steps, "rk4": _rk4_steps}
+
+
+class Forwarding:
+    """A plug-in wrapper that counts `grad` calls and forwards everything else."""
+
+    def __init__(self, field):
+        self._field = field
+        self.grad_calls = 0
+
+    def __call__(self, x):
+        return self._field(x)
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return self._field.grad(x)
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+
+def bench_magnetic_t2():
+    """The T^2 magnetic field of the benchmark's RK4 flow job (seed 1) and its state."""
+    U = FourierSeries(2, cos={(1, 0): 0.49308819875443377, (1, 1): 0.29199991293921923})
+    eta = OneForm([FourierSeries(2, cos={(0, 0): 0.3777023376693132, (0, 1): 0.21931475649790033}),
+                   FourierSeries(2, cos={(0, 0): -0.3450250116408176, (1, 0): 0.12557843646223885})])
+    s0 = PhaseState([0.33267410976172407, 0.1848711541587046],
+                    [-0.6769713613571505, 0.8537665979640556])
+    return MechanicalLagrangian(2, U, eta), s0
+
+
+def perturbed_pendulum():
+    return perturb(MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0})),
+                   CanalPotential([0.0], eps=0.1, k=2))
+
+
+def perturbed_magnetic_2d():
+    return perturb(magnetic_2d(), CanalPotential([[0.2, 0.3], [0.7, 0.4]], eps=0.2, k=3))
+
+
+def run_both(L, s0, T, dt, integrator):
+    new = el_flow(L, s0, T=T, dt=dt, integrator=integrator)
+    old = REFERENCE[integrator](L, s0.x.copy(), s0.v.copy(), dt, int(round(T / dt)))
+    return new, old
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("make,s0,T,integrator", [
+        (pendulum, separatrix_state(), 10.0, "yoshida4"),
+        (lambda: bench_magnetic_t2()[0], bench_magnetic_t2()[1], 5.0, "rk4"),
+        (magnetic_2d, PhaseState([0.2, 0.6], [0.7, -0.3]), 5.0, "rk4"),
+        (pendulum, PhaseState([0.21], [1.7]), 5.0, "verlet"),
+        (lambda: MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}, sin={1: 0.3})),
+         PhaseState([0.4], [-1.1]), 5.0, "rk4"),
+        (lambda: MechanicalLagrangian(2, magnetic_2d().potential),
+         PhaseState([0.1, 0.9], [0.5, 0.8]), 5.0, "yoshida4"),
+        (perturbed_pendulum, PhaseState([0.3], [1.2]), 2.0, "yoshida4"),
+        (perturbed_pendulum, PhaseState([0.3], [1.2]), 2.0, "rk4"),
+        (perturbed_magnetic_2d, PhaseState([0.2, 0.6], [0.7, -0.3]), 1.0, "rk4"),
+    ], ids=["separatrix", "bench_magnetic_t2", "magnetic_2d", "verlet", "rk4_mechanical_t1",
+            "mechanical_t2", "canal_yoshida4", "canal_rk4", "canal_magnetic_t2"])
+    def test_bit_equal_to_numpy_steppers(self, make, s0, T, integrator):
+        new, (xs, vs) = run_both(make(), s0, T, 1e-3, integrator)
+        assert new.xs.shape == xs.shape and new.vs.shape == vs.shape
+        assert new.xs.tobytes() == xs.tobytes()
+        assert new.vs.tobytes() == vs.tobytes()
+
+    def test_forwarding_wrapper_takes_the_float_path(self):
+        wrapped = Forwarding(FourierSeries(1, cos={1: 1.0}))
+        L = MechanicalLagrangian(1, wrapped)
+        new = el_flow(L, separatrix_state(), T=2.0, dt=1e-3)
+        assert wrapped.grad_calls == 0
+        xs, vs = _yoshida4_steps(pendulum(), separatrix_state().x, separatrix_state().v, 1e-3, 2000)
+        assert new.xs.tobytes() == xs.tobytes() and new.vs.tobytes() == vs.tobytes()
+
+    @pytest.mark.parametrize("L,s0", [
+        (MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0, 2: 0.4, 3: -0.2, 5: 0.1},
+                                               sin={1: 0.3, 3: 0.25, 4: -0.15})),
+         PhaseState([0.13], [1.9])),
+        (MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (2, 1): 0.3},
+                                               sin={(1, -3): 0.2}),
+                              OneForm([FourierSeries(2, cos={(0, 1): 0.4, (3, 2): 0.1}),
+                                       FourierSeries(2, sin={(1, 0): 0.3, (1, 1): -0.2})])),
+         PhaseState([0.62, 0.08], [-0.4, 1.3])),
+    ], ids=["five_modes_t1", "three_modes_magnetic_t2"])
+    def test_many_modes_within_summation_order(self, L, s0):
+        # numpy's @ sums these modes in another order; with numpy 2.4 and
+        # OpenBLAS the two fields differ by at most 2.2e-12 over T = 5
+        new, (xs, vs) = run_both(L, s0, 5.0, 1e-3, "yoshida4" if L.dim == 1 else "rk4")
+        dx = np.abs(new.xs - xs)
+        assert np.minimum(dx, 1.0 - dx).max() <= 1e-10
+        assert np.abs(new.vs - vs).max() <= 1e-10
+
+    def test_point_grad_matches_grad(self):
+        rng = np.random.default_rng(5)
+        pts2 = rng.uniform(-3.0, 3.0, (200, 2))
+        U2 = FourierSeries(2, cos={(1, 0): 0.7}, sin={(1, 1): -0.3})
+        g = U2.point_grad()
+        assert np.array_equal([g(*p) for p in pts2.tolist()], U2.grad(pts2))
+        W2 = FourierSeries(2, cos={(0, 0): 2.0, (3, 1): 0.7, (1, -2): -0.3}, sin={(0, 5): 0.4})
+        g = W2.point_grad()
+        assert np.allclose([g(*p) for p in pts2.tolist()], W2.grad(pts2), rtol=0, atol=1e-12)
+        U1 = FourierSeries(1, cos={1: 1.0}, sin={1: -0.5})
+        g = U1.point_grad()
+        pts1 = rng.uniform(-3.0, 3.0, (200, 1))
+        assert np.array_equal([g(*p) for p in pts1.tolist()], U1.grad(pts1))
+        assert FourierSeries.zero(2).point_grad()(0.3, 0.4) == (0.0, 0.0)
+        assert np.isnan(U1.point_grad()(1e308)[0])
+        with pytest.raises(ValueError):
+            FourierSeries(3, cos={(1, 0, 0): 1.0}).point_grad()
+
+    def test_golden_digests(self):
+        """xs/vs digests recorded from the numpy steppers; they pin the bits
+        of this platform's libm sin/cos, which numpy and math share here."""
+        with open(os.path.join(GOLDEN_DIR, "el_flow_digests.json")) as fh:
+            golden = json.load(fh)
+        L, s0 = bench_magnetic_t2()
+        flows = {
+            "criterion_06_separatrix": el_flow(pendulum(), PhaseState([0.5], [2.0]),
+                                               T=10.0, dt=1e-3),
+            "magnetic_rk4_t2": el_flow(L, s0, T=5.0, dt=1e-3, integrator="rk4"),
+        }
+        for name, traj in flows.items():
+            assert list(traj.xs.shape) == golden[name]["shape"]
+            assert digest(traj.xs) == golden[name]["xs_sha256"], name
+            assert digest(traj.vs) == golden[name]["vs_sha256"], name
