@@ -3,12 +3,14 @@
 Curves are broken paths: uniformly-timed knots on the torus with integer
 winding offsets per segment, evaluated by Gauss-Legendre quadrature of
 k + L along the linear interpolant in the universal cover.  Fixed-endpoint
-minimizers come from quasi-Newton descent on the knots across winding
-classes; the action potential takes the minimum over a log grid of
-durations, watching for closed loops of negative action, whose existence
-marks the sub-critical regime and is certified by the loop itself.  The
-critical value is the best closed-form loop threshold over a battery.
-"""
+minimizers come from damped Newton descent on the knots across winding
+classes, with the block-tridiagonal Hessian of the discrete action taken
+from coloured differences of its gradient.  The action potential takes
+the minimum over a log grid of durations, watching for closed loops of
+negative action, whose existence marks the sub-critical regime and is
+certified by the loop itself.  The critical value is the best closed-form
+loop threshold over a battery, each of its four best loops lifted by an
+L-BFGS ascent."""
 
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .fields import grid_extremum
 from .lagrangian import MechanicalLagrangian
-from .torus import wrap
+from .torus import minimal_lift, wrap
 
 
 class NoConvergence(RuntimeError):
@@ -115,7 +117,7 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _action_terms(L: MechanicalLagrangian, X, n_quad=8):
+def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None):
     """Per-segment terms of uniformly timed cover paths X (B, n, d), and grad.
 
     Segment i, of duration dt, has (L + k)-action kin_i/dt + dt (k - u_i) + m_i:
@@ -123,13 +125,14 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8):
     At T = (n-1) dt the action is K/T + T (k - Ubar) + M, K = (n-1) sum kin,
     Ubar = mean u, M = sum m.  grad(a, b, c) is the knot gradient of
     a K + b Ubar + c M for per-row weights.  Batch rows do not interact.
+    u covers the first `n_values` rows only (all when None).
     """
     n = X.shape[1]
     s, w = _gl_nodes(n_quad)
     disp = np.diff(X, axis=1)                      # (B, n-1, d)
     pts = X[:, :-1, None, :] + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
     kin = 0.5 * (disp * disp).sum(axis=2)
-    u = L.potential(pts) @ w
+    u = L.potential(pts[:n_values]) @ w
     magnetic = not L.oneform.is_zero()
     if magnetic:
         etaw = np.einsum("biqd,q->bid", L.oneform(pts), w)
@@ -145,8 +148,10 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8):
         gpos = (b[..., None] / (n - 1)) * L.potential.grad(pts)
         if magnetic:
             gvel = gvel + c * etaw
-            gpos = gpos + c[..., None] * np.einsum("biqmd,bim->biqd",
-                                                   L.oneform.jacobian(pts), disp)
+            # D eta^T dX as d elementwise products; einsum is 3.6x slower here
+            jac = L.oneform.jacobian(pts)
+            gpos = gpos + c[..., None] * sum(jac[..., i, :] * disp[:, :, None, i, None]
+                                             for i in range(X.shape[2]))
         g = np.zeros_like(X)
         g[:, :-1] += np.einsum("biqd,q->bid", gpos, w * (1 - s)) - gvel
         g[:, 1:] += np.einsum("biqd,q->bid", gpos, w * s) + gvel
@@ -155,13 +160,15 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8):
     return kin, u, m, grad
 
 
-def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True):
-    """Actions of cover paths X (B, n, d) at durations T, and knot gradients."""
-    kin, u, m, grad = _action_terms(L, X, n_quad)
+def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True,
+                       n_values=None):
+    """Actions of the first `n_values` (default all) cover paths X (B, n, d)
+    at durations T, and the knot gradients of all B."""
+    kin, u, m, grad = _action_terms(L, X, n_quad, n_values)
     dt = np.asarray(T, dtype=float)[..., None] / (X.shape[1] - 1)
     # summed segment by segment: totals K/T and T Ubar cancel more digits,
     # and the descent's stopping tests act at that rounding level
-    value = (kin / dt + dt * (k - u) + m).sum(axis=1)
+    value = (kin[:n_values] / dt + dt * (k - u) + m[:n_values]).sum(axis=1)
     return value, (grad(1.0 / T, -T, 1.0) if need_grad else None)
 
 
@@ -220,43 +227,147 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
     return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 
+_FD_STEP = 2.0 ** -23     # X + h is exact for cover coordinates below 2^29
+
+
+def _hessian_blocks(grads, m, d):
+    """Block-tridiagonal Hessian of the interior knots from coloured differences.
+
+    grads (1 + 3d, n, d): the gradient at X, then at X with coordinate j of
+    every interior knot i = c (mod 3) moved by h, row 1 + c d + j.  Knot i
+    couples only to i - 1 and i + 1, so each row of the Hessian sees exactly
+    one moved knot of each colour (Curtis, Powell and Reid 1974).  Returns
+    the diagonal blocks A (m, d, d) and the couplings B (m - 1, d, d),
+    B[i] = d^2 f / dx_i dx_{i+1}, each averaged with its transpose.
+    """
+    g = grads[0, 1:-1]
+    dG = ((grads[1:, 1:-1] - g) / _FD_STEP).reshape(-1, d, m, d)   # (colour, j, knot, i)
+    r = np.arange(m)
+    A = dG[r % 3, :, r, :]
+    up = dG[(r[:-1] + 1) % 3, :, r[:-1], :]          # d g_{r,i} / d x_{r+1,j} at [r, j, i]
+    down = dG[r[:-1] % 3, :, r[:-1] + 1, :]          # d g_{r+1,j} / d x_{r,i} at [r, i, j]
+    return (A + A.transpose(0, 2, 1)) / 2, (up.transpose(0, 2, 1) + down) / 2
+
+
+def _ldl_solve_1(a, b, mu, r):
+    """x with (H + mu I) x = r, H tridiagonal (diagonal a, off-diagonal b),
+    by an LDL^T sweep in Python floats; None when a pivot is not positive."""
+    piv = a[0] + mu
+    if not piv > 0.0:
+        return None
+    pivs, ls, ys = [piv], [], [r[0]]
+    for i in range(1, len(a)):
+        l = b[i - 1] / piv
+        piv = a[i] + mu - l * b[i - 1]
+        if not piv > 0.0:
+            return None
+        pivs.append(piv)
+        ls.append(l)
+        ys.append(r[i] - l * ys[-1])
+    x = [ys[-1] / piv]
+    for i in range(len(a) - 2, -1, -1):
+        x.append(ys[i] / pivs[i] - ls[i] * x[-1])
+    return x[::-1]
+
+
+def _ldl_solve_2(A, B, mu, r):
+    """x with (H + mu I) x = r, H block tridiagonal with symmetric 2x2
+    diagonal blocks A and couplings B (H[i, i+1] = B[i], H[i+1, i] = B[i]^T),
+    by a block LDL^T sweep in Python floats; None when a pivot block is not
+    positive definite.  Forward: D_i = A_i + mu I - B^T D^-1 B of the knot
+    before, z_i = D_i^-1 (r_i - B^T z_(i-1)); back: x_i = z_i - D_i^-1 B_i x_(i+1).
+    """
+    zs, ws = [], []
+    w = z = None
+    for i, ((p, q), (_, s)) in enumerate(A):
+        p, s, r0, r1 = p + mu, s + mu, r[i][0], r[i][1]
+        if i:
+            (e, f), (g, h) = B[i - 1]
+            w00, w01, w10, w11 = w
+            p -= e * w00 + g * w10
+            q -= e * w01 + g * w11
+            s -= f * w01 + h * w11
+            r0 -= e * z[0] + g * z[1]
+            r1 -= f * z[0] + h * z[1]
+        det = p * s - q * q
+        if not (p > 0.0 and det > 0.0):
+            return None
+        ip, iq, js = s / det, -q / det, p / det          # D_i^-1
+        z = (ip * r0 + iq * r1, iq * r0 + js * r1)
+        zs.append(z)
+        if i < len(A) - 1:
+            (e, f), (g, h) = B[i]
+            w = (ip * e + iq * g, ip * f + iq * h, iq * e + js * g, iq * f + js * h)
+            ws.append(w)
+    x = [zs[-1]]
+    for i in range(len(A) - 2, -1, -1):
+        (z0, z1), (w00, w01, w10, w11), (x0, x1) = zs[i], ws[i], x[-1]
+        x.append((z0 - w00 * x0 - w01 * x1, z1 - w10 * x0 - w11 * x1))
+    return x[::-1]
+
+
 def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
                     x_init=None, residual_target=1e-6):
-    """Descend the action over interior knots of the straight-line seed."""
-    from scipy.optimize import minimize
+    """Damped Newton descent of the action over the interior knots of the
+    straight-line seed (or `x_init`); (path, action, residual).
 
+    One batched `_action_value_grad` call per iteration gives the value and
+    gradient at the trial knots and the forward differences for the
+    block-tridiagonal Hessian (`_hessian_blocks`); the step solves
+    (H + mu I) s = -g by a block LDL^T sweep.  mu follows Levenberg-Marquardt
+    with Nielsen's gain-ratio update (Madsen, Nielsen and Tingleff, Methods
+    for Non-Linear Least Squares Problems, 2004), and a pivot that is not
+    positive raises mu.  Where the two actions agree to rounding, the gain is
+    the trapezoid -(g + g_new).s / 2, exact on quadratics.  Stops once
+    max|g| / dt <= 0.2 residual_target, after `maxiter` Newton steps (steps
+    the gain ratio accepts; a rejected trial raises mu and tries again), or
+    when the step no longer moves the knots.
+    """
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
-    X0 = x_init if x_init is not None else x_from + line * disp
-    shape = (n_knots - 2, d)
+    X = np.array(x_init if x_init is not None else x_from + line * disp, dtype=float)
+    m = n_knots - 2
     dt = T / (n_knots - 1)
+    probe = np.zeros((3, d, n_knots, d))
+    for c in range(3):
+        for j in range(d):
+            probe[c, j, 1 + c:-1:3, j] = _FD_STEP
+    probe = np.concatenate([np.zeros((1, n_knots, d)), probe.reshape(-1, n_knots, d)])
+    solve = _ldl_solve_1 if d == 1 else _ldl_solve_2
 
-    def fun(z):
-        X = np.vstack([X0[:1], z.reshape(shape) + 0.0, X0[-1:]])
-        val, grad = _action_value_grad(L, X[None], T, k, n_quad)
-        return float(val[0]), grad[0, 1:-1].ravel()
+    def evaluate(X):
+        vals, grads = _action_value_grad(L, X + probe, T, k, n_quad, n_values=1)
+        return float(vals[0]), grads[0, 1:-1], _hessian_blocks(grads, m, d)
 
-    z = X0[1:-1].ravel()
-    val = res_grad = None
-    for _ in range(3):   # restarts reset the quasi-Newton memory near stalls
-        res = minimize(fun, z, jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter, "ftol": 1e-16, "gtol": 1e-12})
-        z, val, res_grad = res.x, float(res.fun), np.abs(res.jac).max()
-        if res_grad / dt <= 0.2 * residual_target:
+    f, g, (A, B) = evaluate(X)
+    mu, nu = 1e-3 * float(np.abs(A).max()), 2.0
+    steps = 0
+    while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dt:
+        if d == 1:
+            a, b, r = A[:, 0, 0].tolist(), B[:, 0, 0].tolist(), (-g[:, 0]).tolist()
+        else:
+            a, b, r = A.tolist(), B.tolist(), (-g).tolist()
+        while (step := solve(a, b, mu, r)) is None and mu < np.inf:
+            mu, nu = mu * nu, 2.0 * nu
+        if step is None:
             break
-    if res_grad / dt > 0.2 * residual_target:
-        # Newton polish of the stationarity system; hessp by differencing
-        # the analytic gradient
-        def hessp(p, v):
-            eps = 1e-6 / max(np.abs(v).max(), 1e-12)
-            return (fun(p + eps * v)[1] - fun(p - eps * v)[1]) / (2 * eps)
-
-        res = minimize(fun, z, jac=True, hessp=hessp, method="Newton-CG",
-                       options={"maxiter": 50, "xtol": 1e-14})
-        if np.abs(res.jac).max() <= res_grad:
-            z, val, res_grad = res.x, float(res.fun), np.abs(res.jac).max()
-    X = np.vstack([X0[:1], z.reshape(shape), X0[-1:]])
-    return BrokenPath.from_cover(X, T), val, float(res_grad / dt)
+        step = np.array(step).reshape(m, d)
+        if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(X).max()):
+            break
+        trial = X.copy()
+        trial[1:-1] += step
+        f_new, g_new, blocks = evaluate(trial)
+        gain = f - f_new
+        if abs(gain) <= 1e-12 * (1.0 + abs(f)):     # below what the summed action resolves
+            gain = -0.5 * float(((g + g_new) * step).sum())
+        rho = gain / (0.5 * float((step * (mu * step - g)).sum()))
+        if rho > 0.0:
+            steps += 1
+            X, f, g, (A, B) = trial, f_new, g_new, blocks
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return BrokenPath.from_cover(X, T), f, float(np.abs(g).max() / dt)
 
 
 def _winding_classes(dim, w_max):
@@ -287,13 +398,13 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
+    x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+    y = wrap(np.atleast_1d(np.asarray(y, dtype=float)))
     if n_knots is None:
         n_knots = default_knot_count(T)
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
-    base = (y - x + 0.5) % 1.0 - 0.5
+    base = minimal_lift(y - x)
     best = None
     for wind in _winding_classes(L.dim, w_max):
         disp = base + wind
@@ -313,14 +424,19 @@ def duration_grid(t_min=0.05, t_max=50.0, count=40):
 
 
 def _ascend(L: MechanicalLagrangian, X, n_knots):
-    """L-BFGS ascent of the threshold of the closed loop X (m, d), its
-    segments cut into equal pieces up to n_knots knots, winding fixed."""
-    from scipy.optimize import minimize
+    """Ascent of the threshold of the closed loop X (m, d), its segments cut
+    into equal pieces up to n_knots knots, winding fixed.
 
+    L-BFGS on -theta (two-loop recursion over the last 10 pairs, Nocedal and
+    Wright, Numerical Optimization, 2006, Alg. 7.4) with a backtracking Armijo
+    search; the first step has unit length.  Stops after 200 steps, on
+    max|grad| <= 1e-10, on a relative gain <= 1e-15 or when the search finds
+    no decrease.
+    """
     d = X.shape[1]
     wind = X[-1] - X[0]
     r = -(-(n_knots - 1) // (len(X) - 1))
-    z0 = X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :]
+    z = (X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :]).ravel()
 
     def close(z):
         Y = z.reshape(-1, d)
@@ -332,9 +448,39 @@ def _ascend(L: MechanicalLagrangian, X, n_knots):
         g[0] += grad[0, -1]
         return -float(theta[0]), -g.ravel()
 
-    res = minimize(fun, z0.ravel(), jac=True, method="L-BFGS-B",
-                   options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10})
-    return close(res.x)
+    f, g = fun(z)
+    pairs = []                      # (s, y, 1 / y.s), oldest first
+    for _ in range(200):
+        if np.abs(g).max() <= 1e-10:
+            break
+        p = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ p))
+            p = p - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            p = p * ((s @ y) / (y @ y))
+        else:
+            p = p / np.sqrt(p @ p)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            p = p + (a - rho * (y @ p)) * s
+        slope, t = float(g @ p), 1.0
+        for _ in range(40):
+            f_new, g_new = fun(z + t * p)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t /= 2.0
+        else:
+            break
+        s, y = t * p, g_new - g
+        if y @ s > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / (y @ s))])[-10:]
+        done = f - f_new <= 1e-15 * max(abs(f), abs(f_new), 1.0)
+        z, f, g = z + s, f_new, g_new
+        if done:
+            break
+    return close(z)
 
 
 class NegativeLoopSearch:
@@ -441,9 +587,9 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
         val = action(L, loop, k)
         if val < 0:
             return ActionValue(None, loop)
-    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
-    base = (y - x + 0.5) % 1.0 - 0.5
+    x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+    y = wrap(np.atleast_1d(np.asarray(y, dtype=float)))
+    base = minimal_lift(y - x)
     if np.abs(base).max() <= 1e-12:
         return ActionValue(0.0)
     dist = float(np.sqrt(base @ base))

@@ -19,9 +19,12 @@ from .perturbation import CanalExperimentConfig, CanalPotential
 
 
 def _parse(text):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str   # keep key case and commas untouched
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
     return cp
 
 
@@ -54,7 +57,11 @@ def parse_lagrangian(text):
     cp = _parse(text)
     if not cp.has_section("lagrangian"):
         raise ValueError("missing [lagrangian] section")
+    if not cp.has_option("lagrangian", "dim"):
+        raise ValueError("missing `dim` in [lagrangian]")
     dim = cp.getint("lagrangian", "dim")
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     potential = FourierSeries(dim, _coeff_section(cp, "potential.cos", dim),
                               _coeff_section(cp, "potential.sin", dim))
     components = []

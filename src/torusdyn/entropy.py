@@ -495,6 +495,8 @@ def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
         if not ln or ln[0].isalpha():
             continue
         parts = ln.split(",")
+        if len(parts) < 2:
+            raise ValueError(f"line {lineno}: expected orbit,step,coordinate columns in {ln!r}")
         coords = [float(v) for v in parts[2:]]
         if not all(map(math.isfinite, coords)):
             raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")

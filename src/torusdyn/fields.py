@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .torus import wrap
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -173,14 +175,33 @@ class OneForm:
         return cls([FourierSeries.zero(dim) for _ in range(dim)])
 
 
+def _newton_polish(field, x, sign):
+    """Up to 20 Newton steps toward the extremum of `field` near x: sign +1
+    for a minimum, -1 for a maximum.  The Hessian is a central difference of
+    the gradient (step 1e-5), taken in the same batched call as the gradient;
+    the polish stops once the Hessian of sign * field is not positive
+    definite or a step is below 1e-15."""
+    dim = len(x)
+    offsets = np.vstack([np.zeros(dim), 1e-5 * np.eye(dim), -1e-5 * np.eye(dim)])
+    for _ in range(20):
+        grads = sign * field.grad(x + offsets)
+        hess = (grads[1:dim + 1] - grads[dim + 1:]).T / 2e-5
+        hess = (hess + hess.T) / 2
+        if np.any(np.linalg.eigvalsh(hess) <= 0.0):
+            break
+        step = np.linalg.solve(hess, grads[0])
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    return x
+
+
 def grid_extremum(field, dim, n=512, refine=True):
     """Numeric (min, argmin, max, argmax) of a periodic scalar field.
 
-    Dense grid scan followed by local gradient-descent polish; an oracle
-    helper, not a rigorous bound.
+    Dense grid scan followed by a Newton polish of each extremum, kept when
+    it improves on the grid value; an oracle helper, not a rigorous bound.
     """
-    from scipy.optimize import minimize
-
     axes = [np.arange(n) / n for _ in range(dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     vals = field(mesh)
@@ -188,10 +209,8 @@ def grid_extremum(field, dim, n=512, refine=True):
     best = {"min": (float(vals[lo_i]), mesh[lo_i]), "max": (float(vals[hi_i]), mesh[hi_i])}
     if refine:
         for kind, sign in (("min", 1.0), ("max", -1.0)):
-            x0 = best[kind][1]
-            res = minimize(lambda x: sign * field(x), x0, jac=lambda x: sign * field.grad(x),
-                           method="BFGS", options={"gtol": 1e-12, "maxiter": 200})
-            val = sign * res.fun
-            if (kind == "min" and val < best[kind][0]) or (kind == "max" and val > best[kind][0]):
-                best[kind] = (float(val), res.x % 1.0)
+            x = _newton_polish(field, best[kind][1], sign)
+            val = float(field(x))
+            if sign * val < sign * best[kind][0]:
+                best[kind] = (val, wrap(x))
     return best["min"][0], best["min"][1], best["max"][0], best["max"][1]

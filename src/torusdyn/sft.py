@@ -482,13 +482,20 @@ def parse_matrix(text):
         if len(head) != 2:
             raise ValueError(f"run-length header {lines[0]!r} must be `rle <size>`")
         m = int(head[1])
-        bits = []
+        if m < 1:
+            raise ValueError(f"run-length size {m} must be at least 1")
+        counts, values = [], []
         for tok in " ".join(lines[1:]).split():
-            count, bit = tok.split("*")
-            bits.extend([int(bit)] * int(count))
-        if len(bits) != m * m:
-            raise ValueError(f"run-length data has {len(bits)} bits, expected {m * m}")
-        bits = np.array(bits).reshape(m, m)
+            count, bit = (int(v) for v in tok.split("*"))
+            if count < 0:
+                raise ValueError(f"run length {count} in {tok!r} is negative")
+            if bit not in (0, 1):
+                raise ValueError("transition matrix entries must be 0 or 1")
+            counts.append(count)
+            values.append(bit)
+        if sum(counts) != m * m:
+            raise ValueError(f"run-length data has {sum(counts)} bits, expected {m * m}")
+        bits = np.repeat(np.array(values, dtype=np.int8), counts).reshape(m, m)
     else:
         rows = []
         for ln in lines:
@@ -531,9 +538,12 @@ def parse_words(text):
         if not ln:
             continue
         if "," in ln:
-            words.append(tuple(int(t) for t in ln.split(",")))
+            word = tuple(int(t) for t in ln.split(","))
         else:
-            words.append(tuple(int(c) for c in ln))
+            word = tuple(int(c) for c in ln)
+        if any(s < 0 for s in word):
+            raise ValueError(f"negative symbol in word {ln!r}")
+        words.append(word)
     return words
 
 

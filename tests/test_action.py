@@ -528,6 +528,9 @@ class TestBoundPrunedSearch:
                     pruned = action_potential(L, k, [x], [y], search=search)
                     full = _every_duration_potential(L, k, [x], [y], search=search)
                     assert pruned.value == full.value
+        # every Tonelli solve behind the tables converged, the 800 solves at
+        # the 40 grid durations among them
+        assert max(el_residual(L, path) for path in search._tonelli.values()) <= 1e-6
 
     def test_torus2_mechanical_equals_every_duration(self):
         # nine winding classes keep the every-duration side affordable
@@ -617,3 +620,136 @@ class TestNearDiagonal:
                 y = (x + d) % 1.0
                 phi = action_potential(L, k, [x], [y], search=search).value
                 assert abs(phi - maupertuis_t1(cos, 0.0, k, x, y)) <= 3e-3
+
+
+def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
+                              x_init=None, residual_target=1e-6):
+    """The L-BFGS-B solver with restarts and a Newton-CG polish that the damped
+    Newton `_minimize_knots` replaced, verbatim."""
+    from scipy.optimize import minimize
+
+    _action_value_grad = action_mod._action_value_grad
+    d = len(x_from)
+    line = np.linspace(0.0, 1.0, n_knots)[:, None]
+    X0 = x_init if x_init is not None else x_from + line * disp
+    shape = (n_knots - 2, d)
+    dt = T / (n_knots - 1)
+
+    def fun(z):
+        X = np.vstack([X0[:1], z.reshape(shape) + 0.0, X0[-1:]])
+        val, grad = _action_value_grad(L, X[None], T, k, n_quad)
+        return float(val[0]), grad[0, 1:-1].ravel()
+
+    z = X0[1:-1].ravel()
+    val = res_grad = None
+    for _ in range(3):   # restarts reset the quasi-Newton memory near stalls
+        res = minimize(fun, z, jac=True, method="L-BFGS-B",
+                       options={"maxiter": maxiter, "ftol": 1e-16, "gtol": 1e-12})
+        z, val, res_grad = res.x, float(res.fun), np.abs(res.jac).max()
+        if res_grad / dt <= 0.2 * residual_target:
+            break
+    if res_grad / dt > 0.2 * residual_target:
+        # Newton polish of the stationarity system; hessp by differencing
+        # the analytic gradient
+        def hessp(p, v):
+            eps = 1e-6 / max(np.abs(v).max(), 1e-12)
+            return (fun(p + eps * v)[1] - fun(p - eps * v)[1]) / (2 * eps)
+
+        res = minimize(fun, z, jac=True, hessp=hessp, method="Newton-CG",
+                       options={"maxiter": 50, "xtol": 1e-14})
+        if np.abs(res.jac).max() <= res_grad:
+            z, val, res_grad = res.x, float(res.fun), np.abs(res.jac).max()
+    X = np.vstack([X0[:1], z.reshape(shape), X0[-1:]])
+    return BrokenPath.from_cover(X, T), val, float(res_grad / dt)
+
+
+CRITERION_5_PAIRS = [(x, y) for x in (0.05, 0.31, 0.52, 0.68, 0.9)
+                     for y in (0.05, 0.31, 0.52, 0.68, 0.9) if x != y]
+
+
+class TestNewtonAgainstReference:
+    """The damped Newton solver reaches the reference solver's minimizers.
+
+    Below the listed durations the straight-line seed has one basin per
+    winding class.  Above them the discrete action has several local minima
+    per class, and the two solvers may settle in different ones, lower or
+    higher; measured over the 20 criterion-5 pairs: double well from
+    T = 17.3, pendulum at T = 41.9, magnetic_t1 from T = 5.0 (there first
+    by 1.3e-5, two near-equal placements of the knots about the maximum).
+    """
+
+    @staticmethod
+    def _both(L, x, y, T, monkeypatch, **kwargs):
+        out = []
+        for solver in (_reference_minimize_knots, action_mod._minimize_knots):
+            monkeypatch.setattr(action_mod, "_minimize_knots", solver)
+            try:
+                out.append((action(L, tonelli_minimizer(L, x, y, T, **kwargs), 0.0), True))
+            except NoConvergence as nc:
+                out.append((action(L, nc.path, 0.0), False))
+        return out
+
+    @pytest.mark.parametrize("make,t_max,pairs", [
+        (pendulum, 15.0, CRITERION_5_PAIRS[::5]),
+        (double_well, 15.0, CRITERION_5_PAIRS[1::5]),
+        (magnetic_t1, 4.5, CRITERION_5_PAIRS[2::5]),
+    ])
+    def test_same_action_at_default_grid_durations(self, monkeypatch, make, t_max, pairs):
+        L = make()
+        grid = duration_grid()
+        for x, y in pairs:
+            for T in grid[grid < t_max]:
+                (ref, ref_ok), (new, new_ok) = self._both(L, [x], [y], T, monkeypatch)
+                assert new_ok
+                if ref_ok:
+                    assert abs(new - ref) <= 1e-10, (x, y, T)
+
+    def test_general_magnetic_t2(self, monkeypatch):
+        L = general_magnetic_t2()
+        for T in (0.2, 1.0, 3.0, 8.0):
+            (ref, ref_ok), (new, new_ok) = self._both(L, [0.1, 0.2], [0.45, 0.7], T,
+                                                      monkeypatch, w_max=1)
+            assert ref_ok and new_ok
+            assert abs(new - ref) <= 1e-10, T
+
+    def test_short_double_well_durations_converge(self):
+        # the reference left 9 of these 80 solves above the residual target
+        # (1.6e-6 to 5.6e-6 against 1e-6), all at T <= 0.0851
+        L = double_well()
+        grid = duration_grid()
+        for x, y in CRITERION_5_PAIRS:
+            for T in grid[grid <= 0.086]:
+                path = tonelli_minimizer(L, [x], [y], T)
+                assert el_residual(L, path) <= 1e-6
+
+
+class TestGridExtremumPolish:
+    """The Newton polish against the values of the BFGS polish it replaced."""
+
+    @pytest.mark.parametrize("field,lo,hi", [
+        (FourierSeries(1, cos={1: 1.0, 2: 0.4}, sin={1: 0.2}),
+         -0.8750682443249482, 1.4076879281132706),
+        (FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}, sin={(0, 1): 0.2, (1, -1): 0.15}),
+         -1.0254062680672127, 0.8139567152117809),
+    ])
+    def test_improves_on_grid_and_matches_bfgs(self, field, lo, hi):
+        grid_lo, _, grid_hi, _ = grid_extremum(field, field.dim, refine=False)
+        u_lo, x_lo, u_hi, x_hi = grid_extremum(field, field.dim)
+        assert u_lo < grid_lo and u_hi > grid_hi
+        assert abs(u_lo - lo) <= 1e-12 and abs(u_hi - hi) <= 1e-12
+        assert float(field(x_lo)) == u_lo and float(field(x_hi)) == u_hi
+        assert np.all((0.0 <= x_lo) & (x_lo < 1.0)) and np.all((0.0 <= x_hi) & (x_hi < 1.0))
+        assert np.abs(field.grad(x_lo)).max() <= 1e-12 and np.abs(field.grad(x_hi)).max() <= 1e-12
+
+
+def test_tiny_negative_endpoint_shares_cache_keys():
+    # -1e-17 % 1.0 is 1.0, a key apart from 0.0; the torus wrap maps it to 0.0
+    L = pendulum()
+    search = NegativeLoopSearch(L)
+    grid = duration_grid(0.1, 10.0, 10)
+    first = action_potential(L, 1.3, [-1e-17], [0.31], t_grid=grid, search=search)
+    keys = set(search._tonelli)
+    second = action_potential(L, 1.3, [0.0], [0.31], t_grid=grid, search=search)
+    assert set(search._tonelli) == keys and first.value == second.value
+    assert {key[0] for key in keys} == {(0.0,)}
+    assert tonelli_minimizer(L, [-1e-17], [0.31], 1.0).knots[0, 0] == 0.0

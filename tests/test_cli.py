@@ -20,6 +20,11 @@ dt = 0.001
 1 = 1.0
 """
 
+MAGNETIC_CFG = PENDULUM_CFG + """
+[oneform.1.cos]
+0 = 2.0
+"""
+
 CANAL_CFG = PENDULUM_CFG + """
 [canal]
 eps = 0.1
@@ -254,7 +259,7 @@ class TestModuleEntryPoints:
         assert "critical-value" in proc.stdout
 
     def test_import_leaves_out_scipy_optimize(self):
-        # the minimizers import it where they run
+        # the minimizers are numpy only
         code = "import sys, torusdyn; print('scipy.optimize' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
@@ -270,13 +275,24 @@ class TestModuleEntryPoints:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stdout.strip() == "0.0 False False"
 
-    def test_sft_entropy_leaves_out_scipy(self):
-        # the Perron root and its strongly connected components are numpy only
+    @pytest.mark.parametrize("argv", [
+        ["sft-entropy", "--golden-mean"],
+        ["action-potential", "--config", "PENDULUM", "--k", "1.3", "--x", "0.05", "--y", "0.31"],
+        ["critical-value", "--config", "MAGNETIC"],       # the threshold ascent runs
+        ["canal-experiment", "--config", "CANAL"],
+    ], ids=lambda argv: argv[0])
+    def test_command_leaves_out_scipy(self, tmp_path, argv):
+        # the Perron root, the Tonelli minimizers, the threshold ascent and the
+        # grid polish are numpy only
+        configs = {"PENDULUM": PENDULUM_CFG, "MAGNETIC": MAGNETIC_CFG, "CANAL": CANAL_CFG}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in configs else a for a in argv]
         code = ("import sys; from torusdyn.cli import run; "
-                "code = run(['sft-entropy', '--golden-mean']); "
+                f"code = run({argv!r}); "
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 []"
 
 
@@ -306,7 +322,8 @@ AP_ARGV = ["action-potential", "--config", "PENDULUM", "--k", "1.05,1.3",
 
 class TestGoldenStdout:
     """Byte-identical stdout against outputs recorded before the one-pass ladder
-    (the action-potential tables: before the bound-pruned duration search)."""
+    (the action-potential tables: with the damped Newton Tonelli solver; see
+    LBFGS_AP_TABLE for the values before it)."""
 
     @pytest.mark.parametrize("name,argv", [
         ("entropy_estimate.json", ["entropy-estimate"]),
@@ -337,6 +354,41 @@ class TestGoldenStdout:
         code, out = run_capture(capsys, argv)
         with open(os.path.join(GOLDEN_DIR, name)) as fh:
             assert code == 0 and out == fh.read()
+
+
+# The table as the L-BFGS-B solver gave it before the damped Newton solver;
+# the golden files above were re-recorded with the Newton solver.
+LBFGS_AP_TABLE = [
+    ("1.05", "0.05", "0.31", 0.2855767200027507),
+    ("1.05", "0.05", "0.52", 0.6449929775556169),
+    ("1.05", "0.05", "0.9", 0.06459953176417471),
+    ("1.05", "0.31", "0.31", 0.0),
+    ("1.05", "0.31", "0.52", 0.4033401649899773),
+    ("1.05", "0.31", "0.9", 0.3507952932648862),
+    ("1.05", "0.68", "0.31", 0.6263030481179832),
+    ("1.05", "0.68", "0.52", 0.3053807342702883),
+    ("1.05", "0.68", "0.9", 0.2741345782960524),
+    ("1.3", "0.05", "0.31", 0.34400826138022167),
+    ("1.3", "0.05", "0.52", 0.7681001257553142),
+    ("1.3", "0.05", "0.9", 0.12490357858400705),
+    ("1.3", "0.31", "0.31", 0.0),
+    ("1.3", "0.31", "0.52", 0.42987187845345737),
+    ("1.3", "0.31", "0.9", 0.46919890350527677),
+    ("1.3", "0.68", "0.31", 0.7556147948933793),
+    ("1.3", "0.68", "0.52", 0.32570283651251986),
+    ("1.3", "0.68", "0.9", 0.31699934911498107),
+]
+
+
+def test_action_potential_table_within_1e_12_of_lbfgs_record(capsys, tmp_path):
+    pendulum = tmp_path / "pendulum.cfg"
+    pendulum.write_text(PENDULUM_CFG)
+    code, out = run_capture(capsys, [a if a != "PENDULUM" else str(pendulum) for a in AP_ARGV])
+    table = json.loads(out)["table"]
+    assert code == 0 and len(table) == len(LBFGS_AP_TABLE)
+    for row, (k, x, y, phi) in zip(table, LBFGS_AP_TABLE):
+        assert (row["k"], row["x"], row["y"], row["status"]) == (k, x, y, "finite")
+        assert abs(float(row["phi"]) - phi) <= 1e-12
 
 
 class TestConfigRoundTrip:
