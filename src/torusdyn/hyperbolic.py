@@ -9,12 +9,14 @@ pseudo-orbits are closed up exactly: their periodic points are rational, and
 the cyclic closing equations are solved in exact integer arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .torus import minimal_lift, wrap
+from .torus import _lift_inplace, _wrap_into, minimal_lift, wrap
 
 
 class OutOfLocalChart(ValueError):
@@ -31,11 +33,6 @@ class HypothesisViolated(ValueError):
     def __init__(self, msg, step=None):
         super().__init__(msg)
         self.step = step
-
-
-def _norms(v):
-    """Euclidean norms of 2-vectors along the last axis, sqrt(x0*x0 + x1*x1)."""
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
 def torus_distance(a, b):
@@ -123,10 +120,34 @@ def cat_map():
     return ToralAutomorphism()
 
 
+def _exact_images(m, x, steps):
+    """Rows M^j x mod 1 for j = 0..steps, M a 2x2 integer matrix, x one point.
+
+    A double is an exact binary fraction, so over a common power-of-two
+    denominator M acts on the numerators in Python ints; each row is the
+    exact value rounded once.  A non-finite x gives rows of NaN.
+    """
+    u, v = (float(c) for c in x)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return np.full((steps + 1, 2), np.nan)
+    (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
+    den = max(du, dv)
+    nu, nv = nu * (den // du), nv * (den // dv)
+    (a, b), (c, d) = m
+    rows = []
+    for _ in range(steps + 1):
+        nu, nv = nu % den, nv % den
+        rows.append((nu / den, nv / den))     # int / int rounds correctly
+        nu, nv = a * nu + b * nv, c * nu + d * nv
+    return wrap(rows)                         # x/den can round up to 1.0
+
+
 def apply(tm: ToralAutomorphism, x, n=1):
-    """T^n x mod 1, via the exact integer power of the matrix."""
-    power = np.array(_int_matpow(tm.matrix.tolist(), n), dtype=float)
-    return wrap(np.asarray(x, dtype=float) @ power.T)
+    """T^n x mod 1, exactly for the double points x and rounded once."""
+    power = _int_matpow(tm.matrix.tolist(), n)
+    pts = np.asarray(x, dtype=float)
+    images = [_exact_images(power, p, 1)[1] for p in pts.reshape(-1, 2)]
+    return np.array(images).reshape(pts.shape)
 
 
 def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
@@ -230,13 +251,17 @@ class PseudoOrbit:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
             raise ValueError("expected an (n, 2) array with n >= 2")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("pseudo-orbit points must be finite")
         self.tm = tm
-        self.points = points = wrap(points)
-        mapped = wrap(points[:-1] @ tm.matrix.T.astype(float))
-        self.jumps = minimal_lift(points[1:] - mapped)
-        actual = float(np.max(_norms(self.jumps))) if len(self.jumps) else 0.0
+        with np.errstate(invalid="ignore"):   # a non-finite point makes its jumps NaN
+            self.points = points = wrap(points)
+            mapped = points[:-1] @ tm.matrix.T.astype(float)
+            _wrap_into(mapped, mapped)
+            self.jumps = jumps = _lift_inplace(np.subtract(points[1:], mapped, out=mapped))
+        sq = jumps[:, 0] * jumps[:, 0]
+        sq += jumps[:, 1] * jumps[:, 1]
+        actual = float(np.sqrt(sq.max()))     # max of the norms: sqrt is monotone
+        if not math.isfinite(actual):
+            raise ValueError("pseudo-orbit points must be finite")
         if delta is None:
             delta = actual
         elif actual > delta + 1e-12:
@@ -287,27 +312,91 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
     return [PseudoOrbit(tm, p, delta) for p in _lockstep(tm, np.array(starts), np.array(jumps))]
 
 
+_SEGMENT = 256          # steps each segment of the correction scan owns
+
+
+def _warmup(tm: ToralAutomorphism):
+    """Steps W after which a start's influence on a correction is below 2^-88.
+
+    Both recursions contract by rho = max(|lam_s|, 1/|lam_u|) per step, so
+    rho^W <= 2^-88, far below the rounding of the corrections: W = 64 for
+    the cat map, 127 for [[1, 1], [1, 0]].
+    """
+    rho = max(abs(tm.lam_s), 1.0 / abs(tm.lam_u))
+    return math.ceil(88 * math.log(2) / -math.log(rho))
+
+
+def _scan(x, lam, scaled, out):
+    """out[t] = x[t] + lam*out[t-1] along the first axis, lam*out[-1] given.
+
+    `scaled` holds lam*out[t-1] and is updated in place, so a second call
+    continues the recursion where the first one stopped.
+    """
+    for xt, yt in zip(x, out):
+        np.add(xt, scaled, out=yt)
+        np.multiply(lam, yt, out=scaled)
+
+
 def _corrections(tm: ToralAutomorphism, es, eu):
     """Bounded corrections (a, b) for rows of stable/unstable jump components.
 
     a_{i+1} = lam_s a_i - es_i from a_0 = 0 is summed forward, and
     b_i = (b_{i+1} + eu_i)/lam_u from b_n = 0 backward.  Both are the
-    first-order recursion y_i = x_i + lam y_{i-1} over the time axis, run in
-    one loop with lam per row, in the order of operations of a direct-form
-    IIR filter (scipy.signal.lfilter([1], [1, -lam])).
+    first-order recursion y_i = x_i + lam y_{i-1}, in the order of operations
+    of a direct-form IIR filter (scipy.signal.lfilter([1], [1, -lam])), and
+    run together: step t of one time-major scan takes -es_t and, in reversed
+    time, eu_{n-1-t}/lam_u, and gives a_{t+1} and b_{n-1-t}.
+
+    The time axis is cut into segments of _SEGMENT steps, and all segments of
+    all rows step together: W + _SEGMENT numpy steps instead of n.  Every
+    segment but the first starts W = _warmup(tm) steps early from 0 and is
+    kept when its warm-up value at the seam has the bits of the previous
+    segment's value there; the recursion is deterministic, so from then on
+    the two agree.  A segment whose seam differs, because a start's influence
+    outlives W (on long runs of zero jumps the exact value decays while the
+    warm-up stays 0), is run again from the exact seam value, in seam order.
+    The result equals the sequential recursion bit for bit; a and b are
+    (rows, n + 1) views of the time-major scan output.
     """
     es, eu = np.atleast_2d(es), np.atleast_2d(eu)
     rows, n = es.shape
-    x = np.concatenate([-es, eu[:, ::-1] / tm.lam_u]).T.copy()
-    lam = np.repeat([tm.lam_s, 1.0 / tm.lam_u], rows)
-    y = np.empty_like(x)
-    scaled = np.zeros(2 * rows)     # lam * y_{i-1}
-    for i in range(n):
-        np.add(x[i], scaled, out=y[i])
-        np.multiply(lam, y[i], out=scaled)
-    a = np.concatenate([np.zeros((rows, 1)), y[:, :rows].T], axis=1)
-    b = np.concatenate([y[::-1, rows:].T, np.zeros((rows, 1))], axis=1)
-    return a, b
+    seg, warm = _SEGMENT, _warmup(tm)
+    count = 1 if n <= warm + seg else -(-(n - warm) // seg)
+    span = n if count == 1 else warm + seg
+    length = (count - 1) * seg + span          # padded scan length, >= n
+    x = np.empty((length, 2, rows))
+    np.negative(es.T, out=x[:n, 0])
+    np.divide(eu[:, ::-1].T, tm.lam_u, out=x[:n, 1])
+    x[n:] = 0.0
+    y = np.empty((length + 1, 2, rows))
+    y[0] = 0.0                                 # a_0 and b_n
+    ys = y[1:]
+    lam = np.array([[tm.lam_s], [1.0 / tm.lam_u]])
+
+    def segments(v):     # (span, count, 2, rows) view: segment k starts at step k*seg
+        st = v.strides[0]
+        return as_strided(v, (span, count) + v.shape[1:], (st, seg * st) + v.strides[1:])
+
+    # segments overlap by `warm` steps, and a segment's warm-up values are
+    # overwritten by its predecessor's exact ones, so keep those at the seams
+    xw, yw = segments(x), segments(ys)
+    scaled = np.zeros((count, 2, rows))
+    _scan(xw[:warm], lam, scaled, yw[:warm])
+    seam_warm = yw[warm - 1, 1:].copy() if count > 1 else None
+    _scan(xw[warm:], lam, scaled, yw[warm:])
+    if count > 1:
+        seams = warm - 1 + seg * np.arange(1, count)
+        stale = np.any(seam_warm.view(np.int64) != ys[seams].view(np.int64), axis=(1, 2))
+        rerun = False
+        for k in range(1, count):
+            t = k * seg + warm
+            if rerun:       # the seam value was just recomputed
+                stale[k - 1] = not np.array_equal(seam_warm[k - 1].view(np.int64),
+                                                  ys[t - 1].view(np.int64))
+            rerun = stale[k - 1]
+            if rerun:
+                _scan(x[t:t + seg], lam, lam * ys[t - 1], ys[t:t + seg])
+    return y[:n + 1, 0].T, y[n::-1, 1].T
 
 
 def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
@@ -323,25 +412,43 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     return starts[0], float(eps[0])
 
 
+_BLOCK = 1 << 15          # doubles per block of slots the corrections are recomposed in
+
+
 def shadow_batch(tm: ToralAutomorphism, orbits):
     """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
 
-    One correction recursion runs over the time axis for all orbits and both
-    eigencomponents; the correction norms are formed coordinate by
-    coordinate.  Each row equals `shadow` of that orbit bit for bit.
+    One segmented correction scan (`_corrections`) runs over the time axis
+    for all orbits and both eigencomponents.  The corrections are then
+    recomposed coordinate by coordinate on its time-major output, a block of
+    slots at a time so that the temporaries stay in cache, and eps is the
+    square root of the largest squared norm (sqrt is monotone, so that is
+    the largest norm).  Each row equals `shadow` of that orbit bit for bit.
     """
     deltas = np.array([p.delta for p in orbits])
     if np.any(deltas >= 0.25):
         raise ThresholdExceeded(f"delta={float(deltas.max())} >= 0.25 risks ambiguous lifts")
-    jumps = np.stack([p.jumps for p in orbits])
-    es, eu = tm.components(jumps)
-    a, b = _corrections(tm, es, eu)
-    cx = a * tm.e_s[0] + b * tm.e_u[0]
-    cy = a * tm.e_s[1] + b * tm.e_u[1]
-    heads = np.stack([p.points[0] for p in orbits])
-    starts = wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1))
-    eps = np.max(np.sqrt(cx * cx + cy * cy), axis=1)
-    return starts, eps
+    a, b = _corrections(tm, *tm.components(np.stack([p.jumps for p in orbits])))
+    a, b = a.T, b.T                      # (n + 1, rows) views of the scan output
+    slots, rows = a.shape
+    (es0, es1), (eu0, eu1) = tm.e_s, tm.e_u
+    block = max(1, _BLOCK // rows)
+    cx, cy = np.empty((2, min(block, slots), rows))
+    sq_max = np.zeros(rows)
+    for i in range(0, slots, block):
+        ai, bi = a[i:i + block], b[i:i + block]
+        bx, by = cx[:len(ai)], cy[:len(ai)]
+        np.multiply(ai, es0, out=bx)
+        np.add(bx, np.multiply(bi, eu0, out=by), out=bx)
+        np.multiply(bi, eu1, out=by)
+        np.add(np.multiply(ai, es1, out=ai), by, out=by)    # ai is not read again
+        if i == 0:
+            starts = wrap(np.stack([p.points[0] for p in orbits])
+                          + np.stack([bx[0], by[0]], axis=1))
+        np.multiply(bx, bx, out=bx)
+        np.add(bx, np.multiply(by, by, out=by), out=bx)
+        np.maximum(sq_max, np.max(bx, axis=0), out=sq_max)
+    return starts, np.sqrt(sq_max)
 
 
 @dataclass
@@ -456,11 +563,15 @@ class Specification:
         self.delta = float(max(errs))
 
     def fill(self):
-        """Expand into the pseudo-orbit whose only jumps sit at the t_i."""
+        """Expand into the pseudo-orbit whose only jumps sit at the t_i.
+
+        Each gap is filled with exact iterates of its point, rounded once, so
+        the jumps inside a gap are rounding-sized however long it is.
+        """
         segs = []
         for i in range(len(self.times) - 1):
             gap = self.times[i + 1] - self.times[i]
-            segs.append(orbit(self.tm, self.points[i], gap - 1))
+            segs.append(_exact_images(self.tm.matrix.tolist(), self.points[i], gap - 1))
         segs.append(self.points[-1][None, :])
         return PseudoOrbit(self.tm, np.vstack(segs))
 

@@ -3,17 +3,28 @@
 import numpy as np
 
 
-def _frac(x):
-    """x - floor(x): equal to x % 1.0 bit for bit on finite input, and cheaper."""
-    return x - np.floor(x)
+def _wrap_into(x, out):
+    """out <- x % 1.0 in [0, 1), bit for bit on finite input: x - floor(x), and
+    1.0 (a tiny negative x rounds up to it) replaced by 0.0.  out may be x."""
+    np.subtract(x, np.floor(x), out=out)
+    np.copyto(out, 0.0, where=out >= 1.0)
+    return out
+
+
+def _lift_inplace(y):
+    """y <- (y + 0.5) % 1.0 - 0.5, bit for bit on finite input."""
+    np.add(y, 0.5, out=y)
+    np.subtract(y, np.floor(y), out=y)
+    np.subtract(y, 0.5, out=y)
+    return y
 
 
 def wrap(x):
     """Reduce torus coordinates to [0, 1) (the fractional part can round to 1.0)."""
-    y = _frac(np.asarray(x, dtype=float))
-    return np.where(y >= 1.0, 0.0, y)
+    x = np.asarray(x, dtype=float)
+    return _wrap_into(x, np.empty(x.shape))
 
 
 def minimal_lift(x):
     """Representative of a torus displacement with entries in [-1/2, 1/2)."""
-    return _frac(np.asarray(x, dtype=float) + 0.5) - 0.5
+    return _lift_inplace(np.array(x, dtype=float))[()]   # a scalar for 0-d input

@@ -63,6 +63,28 @@ class TestApply:
         y = apply(tm, apply(tm, x, 7), -7)
         assert torus_distance(x, y) < 1e-9
 
+    @pytest.mark.parametrize("n", [40, 100, 800, -800])
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 1, 1, 0)])
+    def test_long_powers_match_fraction_oracle(self, entries, n):
+        # the float power of A overflows the mantissa past n ~ 30; the exact
+        # image of the double point, rounded once, does not
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        pts = np.array([[0.3, 0.7], [0.123, 0.456], [1e-300, 0.5 - 2**-60]])
+        got = apply(tm, pts, n)
+        for x, y in zip(pts, got):
+            exact = _fraction_power(tm, [Fraction(v) for v in x], n)
+            want = [0.0 if float(v) == 1.0 else float(v) for v in exact]
+            assert np.array_equal(y, want), (x, n)
+        assert np.array_equal(apply(tm, pts[0], n), got[0])
+
+    def test_long_power_is_not_the_float_matrix_power(self):
+        # n = 40 used to return (0, 0): the float entries of A^40 lose all of x
+        got = apply(cat_map(), [0.3, 0.7], 40)
+        assert torus_distance(got, [0.0, 0.0]) > 0.01
+
+    def test_non_finite_point_gives_nan(self):
+        assert np.isnan(apply(cat_map(), [np.nan, 0.5], 3)).all()
+
     def test_exact_orbit_modulus(self):
         tm = cat_map()
         pts = hyp.orbit(tm, [5 / 64, 3 / 64], 200, modulus=2**31)
@@ -240,8 +262,132 @@ def _shadow_one_orbit(tm, p):
     corrections = np.outer(np.asarray(s).ravel(), tm.e_s).reshape(np.shape(s) + (2,)) \
         + np.outer(np.asarray(u).ravel(), tm.e_u).reshape(np.shape(u) + (2,))
     x0 = hyp.wrap(p.points[0] + corrections[0])
-    eps = float(np.max(hyp._norms(corrections)))
+    eps = float(np.max(np.sqrt(corrections[..., 0] * corrections[..., 0]
+                               + corrections[..., 1] * corrections[..., 1])))   # _norms
     return x0, eps
+
+
+def _reference_corrections(tm, es, eu):
+    """The sequential `_corrections` before the segmented scan, verbatim."""
+    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
+    rows, n = es.shape
+    x = np.concatenate([-es, eu[:, ::-1] / tm.lam_u]).T.copy()
+    lam = np.repeat([tm.lam_s, 1.0 / tm.lam_u], rows)
+    y = np.empty_like(x)
+    scaled = np.zeros(2 * rows)     # lam * y_{i-1}
+    for i in range(n):
+        np.add(x[i], scaled, out=y[i])
+        np.multiply(lam, y[i], out=scaled)
+    a = np.concatenate([np.zeros((rows, 1)), y[:, :rows].T], axis=1)
+    b = np.concatenate([y[::-1, rows:].T, np.zeros((rows, 1))], axis=1)
+    return a, b
+
+
+def _same_bits(u, v):
+    u, v = np.asarray(u), np.asarray(v)
+    return u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+MATRICES = [(2, 1, 1, 1), (3, 2, 1, 1), (5, 3, 3, 2), (3, 1, 1, 0)]
+
+
+class TestSegmentedCorrections:
+    """The segmented, seam-checked scan against the one sequential recursion."""
+
+    @staticmethod
+    def _check(tm, es, eu):
+        a, b = hyp._corrections(tm, es, eu)
+        ref_a, ref_b = _reference_corrections(tm, es, eu)
+        assert _same_bits(a, ref_a) and _same_bits(b, ref_b)
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        scan = hyp._scan
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            scan(*args)
+        monkeypatch.setattr(hyp, "_scan", counted)
+        return calls
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    @pytest.mark.parametrize("rows", [1, 2, 7, 100])
+    def test_lengths_around_the_segment(self, entries, rows):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        seg, warm = hyp._SEGMENT, hyp._warmup(tm)
+        rng = np.random.default_rng(rows)
+        for n in (1, 2, seg - 1, seg, seg + 1, warm + seg, warm + seg + 1,
+                  3 * seg + warm + 1):
+            es, eu = tm.components(rng.uniform(-1e-4, 1e-4, (rows, n, 2)))
+            self._check(tm, es, eu)
+
+    def test_warmup(self):
+        assert hyp._warmup(cat_map()) == 64
+        for entries in MATRICES + [(1, 1, 1, 0)]:
+            tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+            rho = max(abs(tm.lam_s), 1 / abs(tm.lam_u))
+            w = hyp._warmup(tm)
+            assert rho ** w <= 2.0 ** -88 < rho ** (w - 1)
+
+    @pytest.mark.parametrize("entries", MATRICES + [(1, 1, 1, 0)])
+    def test_all_zero_jumps(self, entries):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        es, eu = tm.components(np.zeros((3, 2000, 2)))
+        self._check(tm, es, eu)
+        self._check(tm, -es, -eu)
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    @pytest.mark.parametrize("every", [200, 1827])
+    def test_zero_stretches_force_reruns(self, entries, every, monkeypatch):
+        # jumps only every 200 steps, as a filled specification has: each seam
+        # lies in a zero stretch longer than W, where the exact value decays
+        # while the warm-up stays 0, so the segment is run again.  With jumps
+        # at the ends only, a segment and the warm-up of the next one are
+        # both 0 until the first is run again, so the next seam is rechecked
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        n = 1828
+        assert hyp._warmup(tm) < 199 and n > 3 * hyp._SEGMENT
+        jumps = np.zeros((4, n, 2))
+        jumps[:, ::every] = np.random.default_rng(3).uniform(
+            -1e-4, 1e-4, (4, len(range(0, n, every)), 2))
+        es, eu = tm.components(jumps)
+        calls = self._count_scans(monkeypatch)
+        self._check(tm, es, eu)
+        assert len(calls) > 2                         # the main pass is two calls
+        assert all(c == hyp._SEGMENT for c in calls[2:])
+
+    def test_random_jumps_need_no_rerun(self, monkeypatch):
+        tm = cat_map()
+        es, eu = tm.components(np.random.default_rng(5).uniform(-1e-4, 1e-4, (3, 5000, 2)))
+        calls = self._count_scans(monkeypatch)
+        self._check(tm, es, eu)
+        assert len(calls) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.sampled_from(MATRICES), n=st.integers(1, 1200), rows=st.integers(1, 4),
+           scale=st.sampled_from([1e-300, 1e-200, 1e-20, 1e-4, 0.1]),
+           zero_frac=st.sampled_from([0.0, 0.5, 0.99, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_recursion(self, entries, n, rows, scale, zero_frac, seed):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        rng = np.random.default_rng(seed)
+        es, eu = rng.uniform(-scale, scale, (2, rows, n))
+        es[rng.random(es.shape) < zero_frac] = 0.0
+        eu[rng.random(eu.shape) < zero_frac] = -0.0
+        self._check(tm, es, eu)
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    def test_shadow_of_a_bench_sized_batch(self, entries):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        orbits = hyp.random_pseudo_orbit_batch(tm, 100, 2000, 1e-4, np.random.default_rng(7))
+        starts, eps = shadow_batch(tm, orbits)
+        es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+        a, b = _reference_corrections(tm, es, eu)
+        cx = a * tm.e_s[0] + b * tm.e_u[0]
+        cy = a * tm.e_s[1] + b * tm.e_u[1]
+        heads = np.stack([p.points[0] for p in orbits])
+        assert _same_bits(starts, hyp.wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)))
+        assert _same_bits(eps, np.max(np.sqrt(cx * cx + cy * cy), axis=1))
 
 
 def _per_orbit_loop(tm, n, delta, rng):
@@ -415,6 +561,18 @@ def _cyclic_delta(tm, cyc):
     return PseudoOrbit(tm, np.vstack([cyc, cyc[0]])).delta
 
 
+def _fraction_power(tm, x, n):
+    """T^n x in exact rational arithmetic mod 1, stepping by A or by its inverse."""
+    (a, b), (c, d) = tm.matrix.tolist()
+    if n < 0:
+        det = a * d - b * c
+        (a, b), (c, d), n = (d * det, -b * det), (-c * det, a * det), -n
+    u, v = x
+    for _ in range(n):
+        u, v = (a * u + b * v) % 1, (c * u + d * v) % 1
+    return u % 1, v % 1
+
+
 def _fraction_orbit(tm, x, steps):
     """x, T x, ..., T^steps x in exact rational arithmetic mod 1."""
     (a, b), (c, d) = tm.matrix.tolist()
@@ -468,6 +626,25 @@ class TestSpecification:
         tm = cat_map()
         with pytest.raises(ValueError):
             Specification(tm, [0, 1, 2], np.zeros((3, 2)), gap_lower_bound=2)
+
+    @pytest.mark.parametrize("gap", [60, 200])
+    def test_long_gaps_shadow_within_q_delta(self, gap):
+        # float-stepped gaps drifted by lam_u^i 1e-16 and read as jumps of ~0.5
+        tm = cat_map()
+        rng = np.random.default_rng(gap)
+        x = rng.random(2)
+        times, points = [0], [x]
+        for _ in range(4):
+            x = hyp.wrap(apply(tm, x, gap) + rng.uniform(-5e-5, 5e-5, 2))
+            times.append(times[-1] + gap)
+            points.append(x)
+        spec = Specification(tm, times, np.array(points))
+        assert spec.delta <= 5e-5 * np.sqrt(2)
+        p = spec.fill()
+        assert len(p) == 4 * gap + 1 and p.delta <= spec.delta + 1e-15
+        x0, eps = shadow_specification(tm, spec)
+        assert eps <= tm.shadowing_q * spec.delta
+        assert torus_distance(x0, points[0]) <= eps
 
     def test_shadowing_a_specification(self):
         tm = cat_map()
