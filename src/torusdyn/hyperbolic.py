@@ -153,23 +153,19 @@ def apply(tm: ToralAutomorphism, x, n=1):
 def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     """Forward orbit x, Tx, ..., T^(n_steps) x as an (n_steps+1, 2) array.
 
-    With `modulus` q the orbit is computed exactly on the rational lattice
-    (k/q) in int64 arithmetic, so long orbits carry no rounding error.
+    Each point is the exact iterate of the double x0, rounded once, so long
+    orbits carry no accumulated rounding error.  With `modulus` q the orbit
+    is instead computed on the rational lattice (k/q) in int64 arithmetic.
     """
     m = tm.matrix
-    if modulus is not None:
-        q = int(modulus)
-        k = np.asarray(np.round(np.asarray(x0, dtype=float) * q), dtype=np.int64) % q
-        pts = np.empty((n_steps + 1, 2))
-        for i in range(n_steps + 1):
-            pts[i] = k / q
-            k = (m @ k) % q
-        return pts
+    if modulus is None:
+        return _exact_images(m.tolist(), x0, n_steps)
+    q = int(modulus)
+    k = np.asarray(np.round(np.asarray(x0, dtype=float) * q), dtype=np.int64) % q
     pts = np.empty((n_steps + 1, 2))
-    x = wrap(x0)
     for i in range(n_steps + 1):
-        pts[i] = x
-        x = wrap(m.astype(float) @ x)
+        pts[i] = k / q
+        k = (m @ k) % q
     return pts
 
 
@@ -384,18 +380,10 @@ def _corrections(tm: ToralAutomorphism, es, eu):
     _scan(xw[:warm], lam, scaled, yw[:warm])
     seam_warm = yw[warm - 1, 1:].copy() if count > 1 else None
     _scan(xw[warm:], lam, scaled, yw[warm:])
-    if count > 1:
-        seams = warm - 1 + seg * np.arange(1, count)
-        stale = np.any(seam_warm.view(np.int64) != ys[seams].view(np.int64), axis=(1, 2))
-        rerun = False
-        for k in range(1, count):
-            t = k * seg + warm
-            if rerun:       # the seam value was just recomputed
-                stale[k - 1] = not np.array_equal(seam_warm[k - 1].view(np.int64),
-                                                  ys[t - 1].view(np.int64))
-            rerun = stale[k - 1]
-            if rerun:
-                _scan(x[t:t + seg], lam, lam * ys[t - 1], ys[t:t + seg])
+    for k in range(1, count):       # in seam order, so a re-run's seam is re-checked
+        t = k * seg + warm
+        if not np.array_equal(seam_warm[k - 1].view(np.int64), ys[t - 1].view(np.int64)):
+            _scan(x[t:t + seg], lam, lam * ys[t - 1], ys[t:t + seg])
     return y[:n + 1, 0].T, y[n::-1, 1].T
 
 
@@ -412,17 +400,14 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     return starts[0], float(eps[0])
 
 
-_BLOCK = 1 << 15          # doubles per block of slots the corrections are recomposed in
-
-
 def shadow_batch(tm: ToralAutomorphism, orbits):
     """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
 
     One segmented correction scan (`_corrections`) runs over the time axis
     for all orbits and both eigencomponents.  The corrections are then
-    recomposed coordinate by coordinate on its time-major output, a block of
-    slots at a time so that the temporaries stay in cache, and eps is the
-    square root of the largest squared norm (sqrt is monotone, so that is
+    recomposed coordinate by coordinate on its time-major output in two
+    buffers, reused through `out=`, and eps is the square root of the
+    largest squared norm (sqrt is correctly rounded and monotone, so that is
     the largest norm).  Each row equals `shadow` of that orbit bit for bit.
     """
     deltas = np.array([p.delta for p in orbits])
@@ -430,25 +415,16 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
         raise ThresholdExceeded(f"delta={float(deltas.max())} >= 0.25 risks ambiguous lifts")
     a, b = _corrections(tm, *tm.components(np.stack([p.jumps for p in orbits])))
     a, b = a.T, b.T                      # (n + 1, rows) views of the scan output
-    slots, rows = a.shape
     (es0, es1), (eu0, eu1) = tm.e_s, tm.e_u
-    block = max(1, _BLOCK // rows)
-    cx, cy = np.empty((2, min(block, slots), rows))
-    sq_max = np.zeros(rows)
-    for i in range(0, slots, block):
-        ai, bi = a[i:i + block], b[i:i + block]
-        bx, by = cx[:len(ai)], cy[:len(ai)]
-        np.multiply(ai, es0, out=bx)
-        np.add(bx, np.multiply(bi, eu0, out=by), out=bx)
-        np.multiply(bi, eu1, out=by)
-        np.add(np.multiply(ai, es1, out=ai), by, out=by)    # ai is not read again
-        if i == 0:
-            starts = wrap(np.stack([p.points[0] for p in orbits])
-                          + np.stack([bx[0], by[0]], axis=1))
-        np.multiply(bx, bx, out=bx)
-        np.add(bx, np.multiply(by, by, out=by), out=bx)
-        np.maximum(sq_max, np.max(bx, axis=0), out=sq_max)
-    return starts, np.sqrt(sq_max)
+    cx = np.multiply(a, es0)
+    cy = np.multiply(b, eu0)
+    np.add(cx, cy, out=cx)
+    np.multiply(b, eu1, out=cy)
+    np.add(np.multiply(a, es1, out=a), cy, out=cy)     # a is not read again
+    starts = wrap(np.stack([p.points[0] for p in orbits]) + np.stack([cx[0], cy[0]], axis=1))
+    np.multiply(cx, cx, out=cx)
+    np.add(cx, np.multiply(cy, cy, out=cy), out=cx)
+    return starts, np.sqrt(np.max(cx, axis=0))
 
 
 @dataclass
@@ -565,13 +541,13 @@ class Specification:
     def fill(self):
         """Expand into the pseudo-orbit whose only jumps sit at the t_i.
 
-        Each gap is filled with exact iterates of its point, rounded once, so
+        Each gap is filled with the exact orbit of its point (`orbit`), so
         the jumps inside a gap are rounding-sized however long it is.
         """
         segs = []
         for i in range(len(self.times) - 1):
             gap = self.times[i + 1] - self.times[i]
-            segs.append(_exact_images(self.tm.matrix.tolist(), self.points[i], gap - 1))
+            segs.append(orbit(self.tm, self.points[i], gap - 1))
         segs.append(self.points[-1][None, :])
         return PseudoOrbit(self.tm, np.vstack(segs))
 

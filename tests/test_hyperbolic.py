@@ -92,6 +92,14 @@ class TestApply:
         step = apply(tm, pts[100], 1)
         assert torus_distance(step, pts[101]) < 1e-12
 
+    def test_orbit_matches_fraction_oracle(self):
+        # float steps drift like lam_u^i * 1e-16, 0.33 off by step 40 from here
+        tm = cat_map()
+        pts = hyp.orbit(tm, [0.3, 0.7], 200)
+        exact = _fraction_orbit(tm, [Fraction(0.3), Fraction(0.7)], 200)
+        want = [[0.0 if float(v) == 1.0 else float(v) for v in x] for x in exact]
+        assert np.array_equal(pts, want)
+
 
 class TestBracket:
     def test_same_point(self):
