@@ -43,7 +43,10 @@ class LabeledOrbitEnsemble:
     """Equal-length sampled orbits in a metric space, optionally labeled.
 
     `origin` is the array index of time zero; columns before it hold
-    backward iterates for two-sided probes.
+    backward iterates for two-sided probes.  `metric(p, q)` is called on
+    paired (P, dim) point arrays and returns the P distances between p[i]
+    and q[i]; it must act row by row, so a row's distance does not depend
+    on the other rows.
     """
 
     orbits: np.ndarray          # (n_orbits, n_steps, dim)
@@ -56,6 +59,8 @@ class LabeledOrbitEnsemble:
         self.orbits = np.asarray(self.orbits, dtype=float)
         if self.orbits.ndim != 3:
             raise ValueError("orbits must be (n_orbits, n_steps, dim)")
+        if not np.isfinite(self.orbits).all():
+            raise ValueError("orbits must have finite coordinates")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.labels is not None:
@@ -90,18 +95,6 @@ class LabeledOrbitEnsemble:
             self.origin)
 
 
-def _greedy_net(dists, limit):
-    """Lowest-index greedy net: centers pairwise > limit apart, all covered."""
-    n = dists.shape[0]
-    covered = np.zeros(n, dtype=bool)
-    kept = []
-    for i in range(n):
-        if not covered[i]:
-            kept.append(i)
-            covered |= dists[i] <= limit
-    return kept
-
-
 def _radius(value, name):
     """A scale delta or eps: finite and nonnegative, else ValueError."""
     value = float(value)
@@ -111,7 +104,7 @@ def _radius(value, name):
 
 
 def _squared(F):
-    """Whether the ladder of F holds squared distances (built-in metric, 1-7 coordinates).
+    """Whether the ladder of F compares squared distances (built-in metric, 1-7 coordinates).
 
     numpy sums fewer than 8 terms left to right, as the kernel does; longer
     sums are pairwise, so those ensembles go through the metric call.
@@ -135,61 +128,82 @@ def _sqrt_limit(radius):
 
 
 def _limit(F, radius):
-    """Threshold on the ladder matrix of F equivalent to d <= radius."""
+    """Threshold on the step values of F equivalent to d <= radius."""
     return _sqrt_limit(radius) if _squared(F) else radius
 
 
-def _dynamic_distance_ladder(F: LabeledOrbitEnsemble, columns, rows=None):
-    """Yields the running max over `columns` of the step distances, one per column.
+def _step_values(F, c, a, b):
+    """Step distances at column c between orbits a and b, pair by pair.
 
-    Entry (i, j) compares orbit rows[i] (all orbits by default) with orbit j.
-    For the built-in metrics (see `_squared`) the matrix holds squared
-    distances, accumulated one coordinate at a time on reused (len(rows), n)
-    buffers in the metric's own order of operations; sqrt is correctly
-    rounded and monotone, so sqrt of the running max is the running max of
-    the metric bit for bit.  Any other metric is called once per column and
-    the matrix holds the distances themselves.  The same buffer is yielded
-    every time.
+    For the built-in metrics (see `_squared`) these are squared distances,
+    accumulated one coordinate at a time in the metric's own order of
+    operations; sqrt is correctly rounded and monotone, so comparing them
+    with `_sqrt_limit` is comparing the metric bit for bit.  Any other
+    metric is called on the paired (P, dim) points.
     """
-    n = F.n_orbits
-    rows = np.arange(n) if rows is None else np.asarray(list(rows))
-    if rows.size == 0:
-        rows = rows.astype(np.intp)
-    d = np.zeros((len(rows), n))
+    x = F.orbits[:, c, :]
     if not _squared(F):
-        for c in columns:
-            pts = F.orbits[:, c, :]
-            np.maximum(d, F.metric(pts[rows][:, None, :], pts[None, :, :]), out=d)
-            yield d
-        return
+        return F.metric(x[a], x[b])
     torus = F.metric is torus_metric
-    diff, acc, tmp = (np.empty_like(d) for _ in range(3))
-    for c in columns:
-        for k in range(F.orbits.shape[2]):
-            x = F.orbits[:, c, k]
-            np.subtract(x[rows][:, None], x[None, :], out=diff)
-            if torus:
-                np.abs(diff, out=diff)
-                np.subtract(1.0, diff, out=tmp)
-                np.minimum(diff, tmp, out=diff)
-            np.multiply(diff, diff, out=diff)
-            if k == 0:
-                acc, diff = diff, acc
-            else:
-                np.add(acc, diff, out=acc)
-        np.maximum(d, acc, out=d)
-        yield d
+    a, b = a.astype(np.intp), b.astype(np.intp)   # numpy casts int32 indices on every gather
+    for k in range(x.shape[1]):
+        xk = np.ascontiguousarray(x[:, k])
+        diff = xk[a]
+        diff -= xk[b]
+        if torus:
+            np.abs(diff, out=diff)
+            np.minimum(diff, 1.0 - diff, out=diff)
+        diff *= diff
+        acc = diff if k == 0 else np.add(acc, diff, out=acc)
+    return acc
 
 
-def _close_pairs(d, limit):
-    """Orbit pairs i < j with entry <= limit.
+_CHUNK = 1 << 16    # pairs per kernel call, so its temporaries stay in cache
 
-    A metric's d_T matrix is symmetric (for the built-in kernel exactly,
-    since a - b = -(b - a) in floating point), so the pairs are half the
-    off-diagonal entries.
+
+def _close_pair_ladder(F: LabeledOrbitEnsemble, columns, a, b, limit):
+    """Yields, after each column, the pairs (a, b) whose running distance is <= limit.
+
+    d_T is a running max, so a pair whose step value is once not <= limit
+    (NaN included) stays apart at every later horizon; it is dropped for
+    good and never evaluated again.  Survivors keep their start order.
     """
-    close = d <= limit
-    return int(np.count_nonzero(close) - np.count_nonzero(close.diagonal())) // 2
+    for c in columns:
+        keep = np.empty(len(a), dtype=bool)
+        for s in range(0, len(a), _CHUNK):
+            np.less_equal(_step_values(F, c, a[s:s + _CHUNK], b[s:s + _CHUNK]), limit,
+                          out=keep[s:s + _CHUNK])
+        if not keep.all():
+            a, b = a[keep], b[keep]
+        yield a, b
+
+
+def _all_pairs(n):
+    """Every orbit pair i < j as int32 arrays (a, b), sorted by a then b."""
+    a = np.repeat(np.arange(n, dtype=np.int32), np.arange(n - 1, -1, -1))
+    b = np.empty_like(a)
+    start = 0
+    for i in range(n - 1):
+        b[start:start + n - 1 - i] = np.arange(i + 1, n, dtype=np.int32)
+        start += n - 1 - i
+    return a, b
+
+
+def _greedy_net_size(n, a, b):
+    """Size of the lowest-index greedy net over n orbits with close pairs a < b.
+
+    The pairs come sorted by a, so they form a CSR adjacency from each orbit
+    to its later close orbits.  Orbit i becomes a center unless an earlier
+    center covers it, and a center covers its later neighbours, so the
+    centers are exactly the orbits left uncovered.
+    """
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(a, minlength=n), out=ptr[1:])
+    covered = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(ptr[1:] > ptr[:-1]):
+        if not covered[i]:
+            covered[b[ptr[i]:ptr[i + 1]]] = True
+    return n - int(np.count_nonzero(covered))
 
 
 def ladder_counts(F: LabeledOrbitEnsemble, T, delta, pairs=False, covers=False):
@@ -199,13 +213,14 @@ def ladder_counts(F: LabeledOrbitEnsemble, T, delta, pairs=False, covers=False):
     cover sizes per step); each list stays empty unless requested.
     """
     limit = _limit(F, _radius(delta, "delta"))
+    columns = range(F.origin, F.origin + F.steps_for(T))
     pair_counts, cover_sizes = [], []
-    for d in _dynamic_distance_ladder(F, range(F.origin, F.origin + F.steps_for(T))):
+    for a, b in _close_pair_ladder(F, columns, *_all_pairs(F.n_orbits), limit):
         if pairs:
-            pair_counts.append(_close_pairs(d, limit))
+            pair_counts.append(len(a))
         if covers:
-            cover_sizes.append(len(_greedy_net(d, limit)))
-    return len(_greedy_net(d, limit)), pair_counts, cover_sizes
+            cover_sizes.append(_greedy_net_size(F.n_orbits, a, b))
+    return _greedy_net_size(F.n_orbits, a, b), pair_counts, cover_sizes
 
 
 def spanning_count(F: LabeledOrbitEnsemble, T, delta):
@@ -263,6 +278,19 @@ def entropy_estimate(F: LabeledOrbitEnsemble, T, delta, floor=16):
     return decay_rate(pair_survival_ladder(F, T, delta), F.dt, floor)
 
 
+def _orbit_rows(F: LabeledOrbitEnsemble, rows):
+    """`rows` as an index array (default every orbit); ValueError unless integers in [0, n)."""
+    if rows is None:
+        return np.arange(F.n_orbits)
+    rows = np.asarray(list(rows))
+    if rows.size == 0:
+        return rows.astype(np.intp)
+    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or rows.min() < 0 or rows.max() >= F.n_orbits):
+        raise ValueError(f"rows must be orbit indices in [0, {F.n_orbits}), got {rows.tolist()}")
+    return rows
+
+
 def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     """Gamma_eps(x) for each x in `rows` (default every orbit), from one pass.
 
@@ -277,9 +305,14 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     steps = int(round(horizon / F.dt))
     if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
         raise ValueError("two-sided data shorter than the requested horizon")
-    for d in _dynamic_distance_ladder(F, range(F.origin - steps, F.origin + steps + 1), rows):
+    uniq, where = np.unique(_orbit_rows(F, rows), return_inverse=True)
+    n = F.n_orbits
+    a = np.repeat(uniq.astype(np.int32), n)
+    b = np.tile(np.arange(n, dtype=np.int32), len(uniq))
+    for a, b in _close_pair_ladder(F, range(F.origin - steps, F.origin + steps + 1), a, b, limit):
         pass
-    return [np.flatnonzero(row <= limit) for row in d]
+    sets = np.split(b.astype(np.intp), np.searchsorted(a, uniq[1:]))
+    return [sets[k] for k in where]
 
 
 def gamma_set(x, F: LabeledOrbitEnsemble, eps, horizon):

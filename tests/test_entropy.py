@@ -380,13 +380,25 @@ def reference_ladder(F, steps):
         yield s, d
 
 
+def reference_greedy_net(dists, limit):
+    """Lowest-index greedy net on a dense distance matrix."""
+    n = dists.shape[0]
+    covered = np.zeros(n, dtype=bool)
+    kept = []
+    for i in range(n):
+        if not covered[i]:
+            kept.append(i)
+            covered |= dists[i] <= limit
+    return kept
+
+
 def reference_counts(F, steps, delta):
     """(final d_T, close pairs per step, greedy covers per step) from the reference."""
     iu = np.triu_indices(F.n_orbits, k=1)
     pairs, covers = [], []
     for _, d in reference_ladder(F, steps):
         pairs.append(int(np.count_nonzero(d[iu] <= delta)))
-        covers.append(len(ent._greedy_net(d, delta)))
+        covers.append(len(reference_greedy_net(d, delta)))
     return d.copy(), pairs, covers
 
 
@@ -436,12 +448,14 @@ class TestOnePassLadder:
         F = ladder_ensembles()[name]
         steps = F.n_steps - F.origin
         T = (steps - 1) * F.dt
-        for d in ent._dynamic_distance_ladder(F, range(F.origin, F.origin + steps)):
-            pass
-        final = np.sqrt(d) if ent._squared(F) else d
+        a, b = ent._all_pairs(F.n_orbits)
+        for c in range(F.origin, F.origin + steps):
+            pts = F.orbits[:, c, :]
+            values = ent._step_values(F, c, a, b)
+            values = np.sqrt(values) if ent._squared(F) else values
+            assert np.array_equal(values, F.metric(pts[:, None, :], pts[None, :, :])[a, b])
         for delta in (0.02, 0.05, 0.1, 0.3, 0.6):
-            ref_d, ref_pairs, ref_covers = reference_counts(F, steps, delta)
-            assert np.array_equal(final, ref_d)
+            _, ref_pairs, ref_covers = reference_counts(F, steps, delta)
             pairs = ent.pair_survival_ladder(F, T, delta)
             assert pairs == ref_pairs and all(type(c) is int for c in pairs)
             assert ent.count_ladder(F, T, delta) == ref_covers
@@ -490,6 +504,92 @@ class TestOnePassLadder:
         F = orbit_ensemble(cat_map(), 300, 15, backward=2, rng=np.random.default_rng(6))
         assert h_expansivity_probe(F, 2.0, 2, 0.05, sample=[0]) == \
             reference_probe(F, 2.0, 2, 0.05, sample=[0])
+
+
+PAIR_METRICS = {"torus": torus_metric, "euclidean": ent.euclidean_metric,
+                "chebyshev": lambda p, q: np.abs(p - q).max(axis=-1)}
+
+
+@st.composite
+def grid_ensembles(draw):
+    """Small ensembles on a coarse grid: copies of a few base orbits with some
+    entries redrawn, so exact ties, repeated orbits and late separations occur."""
+    n = draw(st.integers(0, 60))
+    dim = draw(st.integers(1, 9))
+    back, fwd = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    levels = draw(st.sampled_from([2, 4, 8, 1024]))
+    redraw = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    metric = PAIR_METRICS[draw(st.sampled_from(sorted(PAIR_METRICS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n, back + fwd + 1, dim)
+    base = rng.integers(0, levels, (draw(st.integers(1, 5)),) + shape[1:])
+    grid = base[rng.integers(0, len(base), n)]
+    mask = rng.random(shape) < redraw
+    grid[mask] = rng.integers(0, levels, int(mask.sum()))
+    return LabeledOrbitEnsemble(grid / levels, metric=metric, origin=back), levels
+
+
+class TestPairLadder:
+    """The close-pair ladder against the dense per-step references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_ensembles(), st.sampled_from(["zero", "small", "diameter"]), st.data())
+    def test_matches_dense_reference(self, drawn, scale, data):
+        F, levels = drawn
+        n, dim = F.n_orbits, F.orbits.shape[2]
+        # the coordinates lie in [0, 1), so sqrt(dim) is past every metric's diameter
+        delta = {"zero": 0.0, "small": 1.0 / levels, "diameter": float(np.sqrt(dim))}[scale]
+        steps = F.n_steps - F.origin
+        _, pairs, covers = reference_counts(F, steps, delta)
+        assert ent.ladder_counts(F, (steps - 1) * F.dt, delta, pairs=True, covers=True) == \
+            (covers[-1], pairs, covers)
+        rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=4) if n
+                         else st.sampled_from([None, []]))
+        horizon = min(F.origin, steps - 1)
+        sets = ent.gamma_sets(F, delta, horizon, rows)
+        xs = range(n) if rows is None else rows
+        assert len(sets) == len(xs)
+        for x, members in zip(xs, sets):
+            assert members.dtype == np.intp
+            assert np.array_equal(members, reference_gamma_set(x, F, delta, horizon))
+        assert h_expansivity_probe(F, delta, horizon, delta, sample=rows) == \
+            reference_probe(F, delta, horizon, delta, sample=rows)
+
+    @pytest.mark.parametrize("metric", [torus_metric, lambda p, q: torus_metric(p, q)],
+                             ids=["builtin", "callable"])
+    def test_pairs_across_chunk_seams(self, metric):
+        F = orbit_ensemble(cat_map(), 400, 6, backward=3, rng=np.random.default_rng(400))
+        F = LabeledOrbitEnsemble(F.orbits, metric=metric, origin=3)
+        assert len(ent._all_pairs(400)[0]) == 79_800 > ent._CHUNK
+        # 1.0 is past the torus diameter sqrt(2)/2: no pair ever separates
+        for delta in (0.05, 0.3, 1.0):
+            _, pairs, covers = reference_counts(F, 7, delta)
+            assert ent.ladder_counts(F, 6, delta, pairs=True, covers=True) == \
+                (covers[-1], pairs, covers)
+            sets = ent.gamma_sets(F, delta, 3)
+            assert all(np.array_equal(s, reference_gamma_set(x, F, delta, 3))
+                       for x, s in enumerate(sets))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ensemble_rejects_non_finite(self, bad):
+        orbits = np.zeros((3, 4, 2))
+        orbits[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LabeledOrbitEnsemble(orbits)
+        with pytest.raises(ValueError, match="finite"):
+            LabeledOrbitEnsemble(np.full((3, 4, 2), bad))
+
+    @pytest.mark.parametrize("row", [-1, -50, 4, 2.7, 3.0])
+    def test_gamma_rejects_bad_rows(self, row):
+        F, _ = crafted_two_sided_ensemble()
+        with pytest.raises(ValueError, match="rows"):
+            gamma_set(row, F, 0.01, 10)
+        with pytest.raises(ValueError, match="rows"):
+            ent.gamma_sets(F, 0.01, 10, [0, row])
+        with pytest.raises(ValueError, match="rows"):
+            h_expansivity_probe(F, 0.01, 10, 0.05, sample=[row])
 
 
 class TestBadScales:
