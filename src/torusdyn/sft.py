@@ -14,7 +14,9 @@ every iterate carries the certified bracket min(Bx/x) <= rho <= max(Bx/x).
 The bracket shrinks quadratically on any irreducible nonnegative block
 (L. Elsner, Linear Algebra Appl. 15 (1976) 235-242), and the iteration
 runs until it is within rtol and stops shrinking, so the vector is good to
-rounding level.  `top_entropy` takes the largest root over the strongly
+rounding level.  Each solve first eliminates the chains of single-successor
+symbols by back-substitution, so only the branching symbols enter a dense
+LU (`_shifted_solver`).  `top_entropy` takes the largest root over the strongly
 connected components of the essential part; `suspension.parry_measure`
 uses the right and left pairs of an irreducible matrix.
 """
@@ -45,6 +47,19 @@ class WindowMismatch(ValueError):
     """Symbol windows have different radii."""
 
 
+# Up to this many symbols Python lists beat one numpy call per row, and a
+# dense LU beats the chain plan of `perron_pair` and its per-step overhead
+# (measured crossovers 48-96 symbols for both, one BLAS thread).
+_SMALL = 64
+
+
+def _successors(bits):
+    """Successor lists of a square 0/1 matrix, as ascending Python ints."""
+    if len(bits) > _SMALL:
+        return [np.flatnonzero(row).tolist() for row in bits]
+    return [[j for j, b in enumerate(row) if b] for row in np.asarray(bits).tolist()]
+
+
 class TransitionMatrix:
     """0/1 transition matrix of a subshift of finite type."""
 
@@ -52,6 +67,8 @@ class TransitionMatrix:
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ValueError("transition matrix must be square")
+        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
+            raise ValueError("transition matrix entries must be 0 or 1")
         self.bits = bits.astype(bool)
         self.m = bits.shape[0]
         if not self.bits.any():
@@ -66,21 +83,32 @@ class TransitionMatrix:
     def essential_part(self):
         """Iteratively drop symbols without outgoing or incoming edges.
 
-        Returns (reduced TransitionMatrix or None, kept symbol indices).
+        A worklist over in- and out-degree counts: dropping a symbol lowers
+        the counts of its neighbours only.  Returns (reduced
+        TransitionMatrix or None, kept symbol indices).
         """
-        keep = np.ones(self.m, dtype=bool)
         bits = self.bits
-        while True:
-            sub = bits[np.ix_(keep, keep)]
-            alive = sub.any(axis=1) & sub.any(axis=0)
-            if alive.all():
-                break
-            idx = np.flatnonzero(keep)
-            keep[idx[~alive]] = False
-            if not keep.any():
-                return None, np.array([], dtype=int)
+        n_out = np.count_nonzero(bits, axis=1).tolist()
+        n_in = np.count_nonzero(bits, axis=0).tolist()
+        keep = [bool(a and b) for a, b in zip(n_out, n_in)]
+        dead = [v for v, k in enumerate(keep) if not k]
+        while dead:
+            v = dead.pop()
+            for w in np.flatnonzero(bits[v]).tolist():
+                n_in[w] -= 1
+                if not n_in[w] and keep[w]:
+                    keep[w] = False
+                    dead.append(w)
+            for u in np.flatnonzero(bits[:, v]).tolist():
+                n_out[u] -= 1
+                if not n_out[u] and keep[u]:
+                    keep[u] = False
+                    dead.append(u)
         kept = np.flatnonzero(keep)
-        return TransitionMatrix(bits[np.ix_(keep, keep)]), kept
+        if not kept.size:
+            return None, np.array([], dtype=int)
+        sub = bits if kept.size == self.m else bits[np.ix_(kept, kept)]
+        return TransitionMatrix(sub), kept  # the constructor copies
 
     def is_legal_word(self, word):
         """A(w_i, w_{i+1}) = 1 for all consecutive symbols."""
@@ -93,9 +121,10 @@ class TransitionMatrix:
         """All legal words of length n, lexicographic order."""
         if n < 1:
             raise ValueError("word length must be >= 1")
+        succ = _successors(self.bits)
         words = [(s,) for s in range(self.m)]
         for _ in range(n - 1):
-            words = [w + (int(t),) for w in words for t in np.flatnonzero(self.bits[w[-1]])]
+            words = [w + (t,) for w in words for t in succ[w[-1]]]
         return words
 
     # word-source protocol used by block_recode
@@ -161,7 +190,7 @@ def strong_components(bits):
     Iterative Tarjan: one depth-first pass, each component popped off the
     stack when its root finishes.  Returns a list of index arrays.
     """
-    succ = [np.flatnonzero(row).tolist() for row in bits]
+    succ = _successors(bits)
     m = len(succ)
     index = [-1] * m
     low = [0] * m
@@ -217,26 +246,118 @@ class PerronPair:
     steps: int
 
 
+def _chain_order(B):
+    """Chain vertices of B, each after its successor, and every row's successor.
+
+    A chain vertex has exactly one successor, and following successors from
+    it reaches a vertex of another out-degree; the rest, including every
+    single-successor vertex on a cycle of such vertices, stay in the dense
+    solve.  The successor list holds the column of each row's largest entry,
+    the one positive entry of a chain row.
+    """
+    deg = np.count_nonzero(B, axis=1)
+    if not (deg == 1).any():
+        return [], None
+    nxt = B.argmax(axis=1).tolist()
+    state = [0 if d == 1 else 1 for d in deg.tolist()]  # 0 unseen, 1 reaches K, 2 never
+    order = []
+    for start in range(len(B)):
+        path, v = [], start
+        while state[v] == 0:
+            state[v] = 2
+            path.append(v)
+            v = nxt[v]
+        if state[v] == 1:
+            path.reverse()
+            for u in path:
+                state[u] = 1
+            order += path
+    return order, nxt
+
+
+def _shifted_solver(B):
+    """solve(hi, x) -> y with (hi I - B) y = x, the single-successor chains eliminated.
+
+    A chain vertex v (`_chain_order`) with successor s has
+    y_v = (x_v + B[v,s] y_s)/hi; walking its chain to the first vertex r(v)
+    of K, the remaining vertices, gives y_v = a_v + c_v y_r(v).  Each step
+    builds a and c in one pass over the chain vertices (a = 0, c = 1 on K),
+    solves the k x k Schur complement (hi I - B_KK - M) y_K = x_K + B_KC a,
+    with M = B_KC c summed into the roots, and sets y = a + c y_K[r] at
+    once: O(m + k^3) a step.  A block of at most `_SMALL` symbols or
+    without chain vertices keeps the dense solve.
+    """
+    m = len(B)
+    order, nxt = _chain_order(B) if m > _SMALL else ([], None)
+    if not order:
+        shifted = np.empty_like(B)
+
+        def solve(hi, x):
+            np.negative(B, out=shifted)
+            shifted.flat[::m + 1] += hi
+            return np.linalg.solve(shifted, x)
+        return solve
+
+    chain = np.array(order)
+    in_k = np.ones(m, dtype=bool)
+    in_k[chain] = False
+    K = np.flatnonzero(in_k)
+    k = len(K)
+    root = np.zeros(m, dtype=int)
+    root[K] = np.arange(k)
+    root = root.tolist()
+    succ = [nxt[v] for v in order]
+    for v, s in zip(order, succ):
+        root[v] = root[s]
+    root = np.array(root)
+    links = list(zip(order, succ, B[chain, succ].tolist()))
+    BKK = B[np.ix_(K, K)]
+    eu, ec = np.nonzero(B[np.ix_(K, chain)])  # edges u -> s from K into the chains
+    es = chain[ec]
+    ew = B[K[eu], es]
+    cell = eu * k + root[es]
+
+    def solve(hi, x):
+        a, c, xs = [0.0] * m, [1.0] * m, x.tolist()
+        for v, s, w in links:
+            a[v] = (xs[v] + w * a[s]) / hi
+            c[v] = w * c[s] / hi
+        a, c = np.array(a), np.array(c)
+        shifted = np.negative(BKK)
+        shifted.flat[::k + 1] += hi
+        shifted -= np.bincount(cell, ew * c[es], minlength=k * k).reshape(k, k)
+        y_k = np.linalg.solve(shifted, x[K] + np.bincount(eu, ew * a[es], minlength=k))
+        return a + c * y_k[root]
+    return solve
+
+
 def perron_pair(bits, rtol=1e-12, max_iter=100):
-    """Perron root and positive vector of an irreducible 0/1 block.
+    """Perron root and positive vector of an irreducible nonnegative block.
 
     Noda's iteration: from x = 1, take the ratios r = Bx/x, whose extremes
     bracket the root, lo = min r <= rho <= hi = max r, then solve
     (hi I - B) y = x and set x = y/max y.  For irreducible B and hi > rho the
     solution is positive and the bracket shrinks quadratically.  A pure
     cycle or a bipartite block has lo = hi at x = 1 and needs no solve.
+    The solve eliminates the chains of single-successor vertices first
+    (`_shifted_solver`), so only the branching vertices enter a dense LU;
+    the bracket is always taken from B x on the whole block.
 
     The iteration stops once hi - lo <= rtol*hi and the width either
     stopped halving or is within 4 ulp of hi, so the vector is good to
     rounding level and not only to rtol; it also stops when the shifted
     system is singular or its solution is not finite and positive.  It
-    raises RuntimeError if the bracket is then still wider than rtol*hi.
-    `max_iter` bounds the number of solves.
+    raises RuntimeError if the bracket is then still wider than rtol*hi,
+    and ValueError on an empty or non-square block or on entries that are
+    negative or not finite.  `max_iter` bounds the number of solves.
     """
     B = np.array(bits, dtype=float)
-    m = B.shape[0]
-    shifted = np.empty_like(B)
-    x = np.ones(m)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
+        raise ValueError(f"perron_pair needs a nonempty square matrix, got shape {B.shape}")
+    if not 0 <= B.min() <= B.max() < np.inf:  # NaN fails every comparison
+        raise ValueError("perron_pair needs finite nonnegative entries")
+    solve = _shifted_solver(B)
+    x = np.ones(B.shape[0])
     width_prev = np.inf
     steps = 0
     while True:
@@ -246,10 +367,8 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
         if steps == max_iter or (width <= rtol * hi and (
                 width > width_prev / 2 or width <= 4 * np.spacing(hi))):
             break
-        np.negative(B, out=shifted)
-        shifted.flat[::m + 1] += hi
         try:
-            y = np.linalg.solve(shifted, x)
+            y = solve(hi, x)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(y).all() and (y > 0).all()):
@@ -277,7 +396,7 @@ def top_entropy(A: TransitionMatrix, rtol=1e-12, max_iter=100):
         raise ZeroShift("essential part of the shift is empty")
     root = 0.0
     for idx in strong_components(ess.bits):
-        block = ess.bits[np.ix_(idx, idx)]
+        block = ess.bits if len(idx) == ess.m else ess.bits[np.ix_(idx, idx)]
         if len(idx) == 1 and not block[0, 0]:
             continue  # transient symbol, no cycle through it
         root = max(root, perron_pair(block, rtol, max_iter).root)
@@ -289,7 +408,7 @@ def count_words(A: TransitionMatrix, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = [1] * A.m
-    rows = [list(np.flatnonzero(A.bits[i])) for i in range(A.m)]
+    rows = _successors(A.bits)
     for _ in range(n - 1):
         counts = [sum(counts[j] for j in rows[i]) for i in range(A.m)]
     return sum(counts)
@@ -297,7 +416,7 @@ def count_words(A: TransitionMatrix, n):
 
 def shortest_cycle(A: TransitionMatrix):
     """Minimum-period periodic orbit, by BFS from every symbol."""
-    rows = [list(np.flatnonzero(A.bits[i])) for i in range(A.m)]
+    rows = _successors(A.bits)
     best = None
     for s in range(A.m):
         # BFS over the transition graph; dist[u] = shortest path length s -> u
@@ -504,8 +623,6 @@ def parse_matrix(text):
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix grid is not square")
         bits = np.array(rows)
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError("transition matrix entries must be 0 or 1")
     return TransitionMatrix(bits)
 
 

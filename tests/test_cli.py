@@ -77,6 +77,13 @@ class TestSubcommands:
         assert code == 0 and payload["period"] == 1
         assert payload["period"] <= payload["bq_bound"]
 
+    def test_sft_shortest_cycle_csv_prints_plain_symbols(self, capsys, tmp_path):
+        path = tmp_path / "three.txt"
+        path.write_text("010\n001\n100\n")
+        code, out = run_capture(capsys, ["sft-shortest-cycle", "--matrix", str(path),
+                                         "--format", "csv"])
+        assert code == 0 and "cycle,[0, 1, 2]\n" in out
+
     def test_sft_recode(self, capsys, tmp_path):
         out_path = str(tmp_path / "z2.txt")
         code, out = run_capture(capsys, ["sft-recode", "--golden-mean", "--n", "2",

@@ -55,37 +55,131 @@ def cycle_chord(m):
     return bits
 
 
-TIMED_CYCLE_CHORD_800 = """
+TIMED_CYCLE_CHORD = """
 import sys, time
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from torusdyn.sft import TransitionMatrix, top_entropy
-bits = np.zeros((800, 800), dtype=bool)
-bits[np.arange(800), (np.arange(800) + 1) % 800] = True
-bits[0, 400] = True
+m = int(sys.argv[2])
+bits = np.zeros((m, m), dtype=bool)
+bits[np.arange(m), (np.arange(m) + 1) % m] = True
+bits[0, m // 2] = True
 t0 = time.perf_counter()
 h = top_entropy(TransitionMatrix(bits))
 print(repr(h), time.perf_counter() - t0)
 """
 
 
+def timed_cycle_chord(m):
+    """(h, seconds) of top_entropy(cycle_chord(m)) in a fresh process on one BLAS thread.
+
+    Timed as the benchmark runs it: on a shared 2-core host, 1 process in 30
+    ran every two-thread 800 x 800 LU factorization 15x slower than the
+    other 29 did.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sft.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", TIMED_CYCLE_CHORD, src, str(m)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    h, elapsed = proc.stdout.split()
+    return float(h), float(elapsed)
+
+
 def eig_root(bits):
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(bits, dtype=float)))))
 
 
+def first_return_root(m):
+    """Perron root of cycle_chord(m), m even, from its first-return equation.
+
+    The returns to symbol 0 take m steps round the cycle or m/2 + 1 through
+    the chord, so the root solves rho^(-m) + rho^(-(m/2+1)) = 1 on (1, 2).
+    The cost and the accuracy do not depend on m.
+    """
+    from scipy.optimize import brentq
+
+    return brentq(lambda r: r ** -m + r ** -(m // 2 + 1) - 1.0, 1.0, 2.0,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def reference_perron_pair(bits, rtol=1e-12, max_iter=100):
+    """The dense Noda iteration, one LU of the whole shifted block a step."""
+    B = np.array(bits, dtype=float)
+    m = B.shape[0]
+    shifted = np.empty_like(B)
+    x = np.ones(m)
+    width_prev = np.inf
+    steps = 0
+    while True:
+        r = (B @ x) / x
+        lo, hi = float(r.min()), float(r.max())
+        width = hi - lo
+        if steps == max_iter or (width <= rtol * hi and (
+                width > width_prev / 2 or width <= 4 * np.spacing(hi))):
+            break
+        np.negative(B, out=shifted)
+        shifted.flat[::m + 1] += hi
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(y).all() and (y > 0).all()):
+            break
+        x = y / y.max()
+        width_prev = width
+        steps += 1
+    if width > rtol * hi:
+        raise RuntimeError(f"Perron bracket [{lo!r}, {hi!r}] wider than rtol={rtol} "
+                           f"after {steps} shifted solves")
+    return sft.PerronPair(0.5 * (lo + hi), lo, hi, x, steps)
+
+
+def subdivided(m, density, seed, weighted):
+    """A random irreducible graph on m vertices, every edge replaced by a path.
+
+    Each path has 1 to 50 new vertices of a single successor; weighted
+    blocks carry entries in [0.5, 2] instead of 1.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.random((m, m)) < density
+    perm = rng.permutation(m)
+    base[perm, np.roll(perm, -1)] = True  # a Hamiltonian cycle makes it irreducible
+    edges = np.argwhere(base)
+    lengths = rng.integers(1, 51, len(edges))
+    B = np.zeros((m + int(lengths.sum()),) * 2)
+    new = m
+    for (u, v), n in zip(edges, lengths):
+        path = [u, *range(new, new + n), v]
+        new += n
+        B[path[:-1], path[1:]] = rng.uniform(0.5, 2.0, n + 1) if weighted else 1.0
+    return B
+
+
 class TestPerronPair:
     def test_cycle_chord_800_fast_and_exact(self):
-        # timed in a fresh process on one BLAS thread, as the benchmark runs it:
-        # on a shared 2-core host, 1 process in 30 ran every two-thread
-        # 800 x 800 LU factorization 15x slower than the other 29 did
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sft.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", TIMED_CYCLE_CHORD_800, src], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        h, elapsed = map(float, proc.stdout.split())
+        h, elapsed = timed_cycle_chord(800)
         assert abs(h - np.log(eig_root(cycle_chord(800)))) <= 1e-12
         assert elapsed < 1.0
+
+    def test_cycle_chord_3000_fast_and_exact(self):
+        # a dense LU of the 3000 x 3000 shifted block takes about 1 s a step
+        h, elapsed = timed_cycle_chord(3000)
+        assert abs(h - np.log(first_return_root(3000))) <= 4 * np.finfo(float).eps
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_first_return_root_matches_eigvals(self, m):
+        rho = first_return_root(m)
+        assert abs(rho - eig_root(cycle_chord(m))) <= 1e-14 * rho
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_cycle_chord_root_at_rounding_level(self, m):
+        pair = perron_pair(cycle_chord(m))
+        rho = first_return_root(m)
+        assert pair.steps <= 11
+        assert pair.lower <= rho <= pair.upper
+        assert abs(pair.root - rho) <= 2 * np.spacing(rho)
 
     @pytest.mark.parametrize("m", [2, 200, 800])
     def test_bracket_contains_eigvals_root(self, m):
@@ -144,8 +238,113 @@ class TestPerronPair:
         assert abs(pair.root - eig_root(bits)) <= 1e-12 * pair.root
 
     def test_parry_measure_stationary_at_rounding_level(self):
-        nu = parry_measure(TransitionMatrix(cycle_chord(200)))
-        assert np.max(np.abs(nu.p @ nu.P - nu.p)) <= 1e-15
+        for m in (200, 800):
+            nu = parry_measure(TransitionMatrix(cycle_chord(m)))
+            assert np.max(np.abs(nu.p @ nu.P - nu.p)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1), st.booleans())
+    def test_chain_heavy_blocks(self, m, density, seed, weighted):
+        B = subdivided(m, density, seed, weighted)
+        pair = perron_pair(B)
+        assert (pair.vector > 0).all()
+        assert pair.upper - pair.lower <= 1e-12 * pair.root
+        assert abs(pair.root - eig_root(B)) <= 1e-12 * pair.root
+
+    def test_weighted_long_cycle_stays_dense(self):
+        # every vertex has one successor but none reaches a branching one
+        m = 100
+        w = np.random.default_rng(3).uniform(0.5, 2.0, m)
+        B = np.zeros((m, m))
+        B[np.arange(m), (np.arange(m) + 1) % m] = w
+        pair, ref = perron_pair(B), reference_perron_pair(B)
+        assert pair.steps > 0 and pair.vector.tobytes() == ref.vector.tobytes()
+        rho = np.exp(np.log(w).mean())
+        assert abs(pair.root - rho) <= 1e-12 * rho
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 120), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+    def test_dense_blocks_match_reference_bit_for_bit(self, m, density, seed):
+        # blocks with no single-successor vertex, or too small to contract
+        rng = np.random.default_rng(seed)
+        bits = rng.random((m, m)) < density
+        perm = rng.permutation(m)
+        bits[perm, np.roll(perm, -1)] = True
+        if m > sft._SMALL:
+            bits[perm, np.roll(perm, -2)] = True  # out-degree >= 2 everywhere
+        pair, ref = perron_pair(bits), reference_perron_pair(bits)
+        assert (pair.root, pair.lower, pair.upper, pair.steps) == (
+            ref.root, ref.lower, ref.upper, ref.steps)
+        assert pair.vector.tobytes() == ref.vector.tobytes()
+
+    @pytest.mark.parametrize("bits", [
+        [[np.nan, 1], [1, 0]],
+        [[np.inf, 1], [1, 0]],
+        [[-1, 1], [1, 0]],
+    ], ids=["nan", "inf", "negative"])
+    def test_refuses_entries_it_cannot_certify(self, bits):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            perron_pair(bits)
+
+    @pytest.mark.parametrize("bits", [[], np.zeros((0, 0)), [[1, 1]], [1, 1]],
+                             ids=["empty-list", "empty-matrix", "non-square", "vector"])
+    def test_refuses_empty_or_non_square(self, bits):
+        with pytest.raises(ValueError, match="nonempty square"):
+            perron_pair(bits)
+
+
+def reference_essential_part(bits):
+    """Kept symbols by repeated submatrix sweeps, dropping rows or columns without a 1."""
+    keep = np.ones(len(bits), dtype=bool)
+    while True:
+        sub = bits[np.ix_(keep, keep)]
+        alive = sub.any(axis=1) & sub.any(axis=0)
+        if alive.all():
+            return np.flatnonzero(keep)
+        keep[np.flatnonzero(keep)[~alive]] = False
+
+
+class TestSuccessorLists:
+    @pytest.mark.parametrize("m", [1, 5, 64, 65, 150])
+    def test_match_flatnonzero_rows(self, m):
+        rng = np.random.default_rng(m)
+        bits = rng.random((m, m)) < 0.2
+        expected = [np.flatnonzero(row).tolist() for row in bits]
+        assert sft._successors(bits) == expected
+        assert sft._successors(bits.astype(float)) == expected
+
+    def test_essential_part_matches_submatrix_sweeps(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m = int(rng.integers(1, 90))
+            bits = rng.random((m, m)) < rng.uniform(0.0, 0.1)
+            bits[0, 0] |= not bits.any()
+            ess, kept = TransitionMatrix(bits).essential_part()
+            expected = reference_essential_part(bits)
+            assert kept.tolist() == expected.tolist()
+            if ess is None:
+                assert expected.size == 0
+            else:
+                assert np.array_equal(ess.bits, bits[np.ix_(expected, expected)])
+
+    def test_words_and_cycles_are_python_ints(self):
+        A = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert all(type(s) is int for s in shortest_cycle(A).cycle)
+        assert all(type(s) is int for w in A.legal_words(3) for s in w)
+
+
+class TestTransitionMatrixEntries:
+    @pytest.mark.parametrize("bits", [[[np.nan, 1], [1, 0]], [[2, 1], [1, 0]],
+                                      [[0.5, 1], [1, 0]], [[-1, 1], [1, 0]]],
+                             ids=["nan", "two", "half", "negative"])
+    def test_refuses_entries_other_than_0_and_1(self, bits):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            TransitionMatrix(bits)
+
+    def test_accepts_0_1_ints_floats_and_bools(self):
+        expected = np.array([[True, True], [True, False]])
+        for bits in ([[1, 1], [1, 0]], [[1.0, 1.0], [1.0, 0.0]], expected):
+            assert np.array_equal(TransitionMatrix(bits).bits, expected)
 
 
 class TestCountWords:
