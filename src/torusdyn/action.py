@@ -2,15 +2,15 @@
 
 Curves are broken paths: uniformly-timed knots on the torus with integer
 winding offsets per segment, evaluated by Gauss-Legendre quadrature of
-k + L along the linear interpolant in the universal cover.  Fixed-endpoint
-minimizers come from damped Newton descent on the knots across winding
-classes, with the block-tridiagonal Hessian of the discrete action taken
-from coloured differences of its gradient.  The action potential takes
-the minimum over a log grid of durations, watching for closed loops of
-negative action, whose existence marks the sub-critical regime and is
-certified by the loop itself.  The critical value is the best closed-form
-loop threshold over a battery, each of its four best loops lifted by an
-L-BFGS ascent."""
+k + L along the linear interpolant in the universal cover.  Minimizers
+come from damped Newton descent on the knots across winding classes, with
+the block-tridiagonal Hessian taken from coloured differences of the
+gradient: of the action at a fixed duration (Tonelli minimizers), or of
+its least value over the duration in closed form, the free-time action
+(the action potential, extrapolated in the knot count).  Closed loops of
+negative action mark the sub-critical regime and certify it.  The
+critical value is the best closed-form loop threshold over a battery,
+each of its four best loops lifted by an L-BFGS ascent."""
 
 from dataclasses import dataclass
 
@@ -117,20 +117,22 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None):
-    """Per-segment terms of uniformly timed cover paths X (B, n, d), and grad.
+def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None, origin=0.0):
+    """Per-segment terms of uniformly timed cover paths origin + X (B, n, d), and grad.
 
     Segment i, of duration dt, has (L + k)-action kin_i/dt + dt (k - u_i) + m_i:
     kin_i = |dX_i|^2 / 2, and u_i, m_i the quadratures of U and of eta.dX_i.
     At T = (n-1) dt the action is K/T + T (k - Ubar) + M, K = (n-1) sum kin,
     Ubar = mean u, M = sum m.  grad(a, b, c) is the knot gradient of
     a K + b Ubar + c M for per-row weights.  Batch rows do not interact.
-    u covers the first `n_values` rows only (all when None).
+    u covers the first `n_values` rows only (all when None).  The origin
+    enters only where U and eta are sampled: relative knots keep their
+    displacements free of cover rounding.
     """
     n = X.shape[1]
     s, w = _gl_nodes(n_quad)
     disp = np.diff(X, axis=1)                      # (B, n-1, d)
-    pts = X[:, :-1, None, :] + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
+    pts = (X[:, :-1, None, :] + origin) + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
     kin = 0.5 * (disp * disp).sum(axis=2)
     u = L.potential(pts[:n_values]) @ w
     magnetic = not L.oneform.is_zero()
@@ -161,10 +163,10 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None):
 
 
 def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True,
-                       n_values=None):
-    """Actions of the first `n_values` (default all) cover paths X (B, n, d)
-    at durations T, and the knot gradients of all B."""
-    kin, u, m, grad = _action_terms(L, X, n_quad, n_values)
+                       n_values=None, origin=0.0):
+    """Actions of the first `n_values` (default all) cover paths origin + X
+    (B, n, d) at durations T, and the knot gradients of all B."""
+    kin, u, m, grad = _action_terms(L, X, n_quad, n_values, origin)
     dt = np.asarray(T, dtype=float)[..., None] / (X.shape[1] - 1)
     # summed segment by segment: totals K/T and T Ubar cancel more digits,
     # and the descent's stopping tests act at that rounding level
@@ -188,7 +190,7 @@ def _thresholds(L: MechanicalLagrangian, X, need_grad=False):
 
 def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
     """Rigorous lower bound on the (L + k)-action of every broken path of
-    duration T whose cover displacement is `disp`.
+    duration T (any duration when T is None) whose cover displacement is `disp`.
 
     Split eta into the midpoint eta_bar of its component bounds (the
     constant Fourier term) and a rest of sup norm at most s.  Then
@@ -200,15 +202,21 @@ def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
     Gauss-Legendre weights are positive with sum 1, so every u_i <= u_hi,
     the eta_bar parts of the m_i sum to eta_bar . disp exactly and the rest
     to at least -s l0; and l0^2/(2T) - s l0 over l0 >= |disp| is least at
-    l0 = l.  For eta = 0 this is |disp|^2/(2T) + (k - u_hi) T.
+    l0 = l.  For eta = 0 this is |disp|^2/(2T) + (k - u_hi) T.  Least over
+    T, with kappa = k - u_hi: |disp| (sqrt(2 kappa) - s) + eta_bar . disp
+    when s^2 <= 2 kappa (at T = |disp| / sqrt(2 kappa)), and -inf otherwise.
     """
-    u_hi = L.potential.value_bounds()[1]
+    kappa = k - L.potential.value_bounds()[1]
     shift, s = 0.0, 0.0
     if not L.oneform.is_zero():
         lo, hi = np.array([c.value_bounds() for c in L.oneform.components]).T
         shift, s = float((lo + hi) / 2 @ disp), float(np.linalg.norm((hi - lo) / 2))
+    if T is None:
+        if s * s > 2 * kappa:
+            return -np.inf
+        return np.sqrt(disp @ disp) * (np.sqrt(2 * kappa) - s) + shift
     ell = np.maximum(np.sqrt(disp @ disp), s * T)
-    return ell * ell / (2 * T) - s * ell + shift + (k - u_hi) * T
+    return ell * ell / (2 * T) - s * ell + shift + kappa * T
 
 
 def action(L: MechanicalLagrangian, p: BrokenPath, k, n_quad=8):
@@ -250,8 +258,9 @@ def _hessian_blocks(grads, m, d):
 
 
 def _ldl_solve_1(a, b, mu, r):
-    """x with (H + mu I) x = r, H tridiagonal (diagonal a, off-diagonal b),
-    by an LDL^T sweep in Python floats; None when a pivot is not positive."""
+    """x with (H + mu I) x = r, H tridiagonal (diagonal a, off-diagonal b), by
+    an LDL^T sweep in Python floats, for the columns of r at once (r[i] and
+    x[i] list one value per column); None when a pivot is not positive."""
     piv = a[0] + mu
     if not piv > 0.0:
         return None
@@ -263,111 +272,145 @@ def _ldl_solve_1(a, b, mu, r):
             return None
         pivs.append(piv)
         ls.append(l)
-        ys.append(r[i] - l * ys[-1])
-    x = [ys[-1] / piv]
+        ys.append([v - l * y for v, y in zip(r[i], ys[-1])])
+    x = [[y / piv for y in ys[-1]]]
     for i in range(len(a) - 2, -1, -1):
-        x.append(ys[i] / pivs[i] - ls[i] * x[-1])
+        x.append([y / pivs[i] - ls[i] * v for y, v in zip(ys[i], x[-1])])
     return x[::-1]
 
 
 def _ldl_solve_2(A, B, mu, r):
-    """x with (H + mu I) x = r, H block tridiagonal with symmetric 2x2
-    diagonal blocks A and couplings B (H[i, i+1] = B[i], H[i+1, i] = B[i]^T),
-    by a block LDL^T sweep in Python floats; None when a pivot block is not
-    positive definite.  Forward: D_i = A_i + mu I - B^T D^-1 B of the knot
-    before, z_i = D_i^-1 (r_i - B^T z_(i-1)); back: x_i = z_i - D_i^-1 B_i x_(i+1).
-    """
+    """As `_ldl_solve_1` for symmetric 2x2 diagonal blocks A and couplings B
+    (H[i, i+1] = B[i] = H[i+1, i]^T; r[i], x[i] list a 2-vector per column):
+    pivot blocks D_i = A_i + mu I - B^T D^-1 B of the knot before, forward
+    z_i = D_i^-1 (r_i - B^T z_(i-1)), back x_i = z_i - D_i^-1 B_i x_(i+1)."""
     zs, ws = [], []
-    w = z = None
     for i, ((p, q), (_, s)) in enumerate(A):
-        p, s, r0, r1 = p + mu, s + mu, r[i][0], r[i][1]
+        p, s, ri = p + mu, s + mu, r[i]
         if i:
-            (e, f), (g, h) = B[i - 1]
-            w00, w01, w10, w11 = w
+            ((e, f), (g, h)), (w00, w01, w10, w11) = B[i - 1], ws[-1]
             p -= e * w00 + g * w10
             q -= e * w01 + g * w11
             s -= f * w01 + h * w11
-            r0 -= e * z[0] + g * z[1]
-            r1 -= f * z[0] + h * z[1]
+            ri = [(r0 - e * z0 - g * z1, r1 - f * z0 - h * z1)
+                  for (r0, r1), (z0, z1) in zip(ri, zs[-1])]
         det = p * s - q * q
         if not (p > 0.0 and det > 0.0):
             return None
         ip, iq, js = s / det, -q / det, p / det          # D_i^-1
-        z = (ip * r0 + iq * r1, iq * r0 + js * r1)
-        zs.append(z)
+        zs.append([(ip * r0 + iq * r1, iq * r0 + js * r1) for r0, r1 in ri])
         if i < len(A) - 1:
             (e, f), (g, h) = B[i]
-            w = (ip * e + iq * g, ip * f + iq * h, iq * e + js * g, iq * f + js * h)
-            ws.append(w)
+            ws.append((ip * e + iq * g, ip * f + iq * h, iq * e + js * g, iq * f + js * h))
     x = [zs[-1]]
     for i in range(len(A) - 2, -1, -1):
-        (z0, z1), (w00, w01, w10, w11), (x0, x1) = zs[i], ws[i], x[-1]
-        x.append((z0 - w00 * x0 - w01 * x1, z1 - w10 * x0 - w11 * x1))
+        w00, w01, w10, w11 = ws[i]
+        x.append([(z0 - w00 * x0 - w01 * x1, z1 - w10 * x0 - w11 * x1)
+                  for (z0, z1), (x0, x1) in zip(zs[i], x[-1])])
     return x[::-1]
+
+
+def _free_time_action(L: MechanicalLagrangian, X, k, n_quad=8, origin=0.0):
+    """(F, T*, sigma, grad of `_action_terms`) of the path origin + X[0];
+    None when g = k - Ubar <= 0.
+
+    F = 2 sqrt(K g) + M, the least of the action K/T + T g + M over T, at
+    T* = sqrt(K / g), is the discrete Maupertuis-Jacobi length (Contreras
+    and Iturriaga, Global minimizers of autonomous Lagrangians, 1999, sec. 2).
+    grad F = grad(1/T*, -T*, 1); the Hessian of F is the fixed-T Hessian at
+    T* minus sigma w w^T, w = grad(1/T*, T*, 0), sigma = 1 / (2 sqrt(K g)):
+    rank 1, as 2 sqrt(K g) is homogeneous of degree 1 in (K, g).
+    """
+    kin, u, m, grad = _action_terms(L, X, n_quad, 1, origin)
+    K, gap = (X.shape[1] - 1) * float(kin[0].sum()), k - float(u[0].mean())
+    if not gap > 0.0:
+        return None
+    root = np.sqrt(K * gap)
+    return 2.0 * root + float(m[0].sum()), np.sqrt(K / gap), 0.5 / root, grad
 
 
 def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
                     x_init=None, residual_target=1e-6):
-    """Damped Newton descent of the action over the interior knots of the
-    straight-line seed (or `x_init`); (path, action, residual).
+    """Damped Newton descent over the interior knots of the straight-line
+    seed (or `x_init`, relative to x_from); (path, value, residual).
 
-    One batched `_action_value_grad` call per iteration gives the value and
-    gradient at the trial knots and the forward differences for the
-    block-tridiagonal Hessian (`_hessian_blocks`); the step solves
-    (H + mu I) s = -g by a block LDL^T sweep.  mu follows Levenberg-Marquardt
-    with Nielsen's gain-ratio update (Madsen, Nielsen and Tingleff, Methods
-    for Non-Linear Least Squares Problems, 2004), and a pivot that is not
-    positive raises mu.  Where the two actions agree to rounding, the gain is
-    the trapezoid -(g + g_new).s / 2, exact on quadratics.  Stops once
-    max|g| / dt <= 0.2 residual_target, after `maxiter` Newton steps (steps
-    the gain ratio accepts; a rejected trial raises mu and tries again), or
-    when the step no longer moves the knots.
+    The value is the (L + k)-action at duration T or, T None, the free-time
+    action of `_free_time_action`, whose T* the path gets.  Knots are taken
+    relative to x_from, added only where U and eta are sampled.  One
+    batched `_action_terms` call per iteration gives the value, gradient,
+    Hessian blocks (`_hessian_blocks`) and, free in time, w; the step solves
+    (H + mu I - sigma w w^T) s = -g by a block LDL^T sweep, plus one
+    Sherman-Morrison back-solve free in time.  mu follows Nielsen's
+    gain-ratio update (Madsen, Nielsen and Tingleff, Methods for Non-Linear
+    Least Squares Problems, 2004); a non-positive pivot or Sherman-Morrison
+    denominator, or a trial with k <= Ubar, raises mu.  Where the values
+    agree to rounding the gain is the trapezoid -(g + g_new).s / 2.  Stops
+    once the Euler-Lagrange residual max|g| / dt is <= 0.2 residual_target,
+    after `maxiter` accepted steps, or when the step no longer moves X.
     """
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
-    X = np.array(x_init if x_init is not None else x_from + line * disp, dtype=float)
+    X = np.array(x_init if x_init is not None else line * disp, dtype=float)
     m = n_knots - 2
-    dt = T / (n_knots - 1)
-    probe = np.zeros((3, d, n_knots, d))
+    probe = np.zeros((1 + 3 * d + (T is None), n_knots, d))   # X, the probes, (X for w)
     for c in range(3):
         for j in range(d):
-            probe[c, j, 1 + c:-1:3, j] = _FD_STEP
-    probe = np.concatenate([np.zeros((1, n_knots, d)), probe.reshape(-1, n_knots, d)])
+            probe[1 + c * d + j, 1 + c:-1:3, j] = _FD_STEP
     solve = _ldl_solve_1 if d == 1 else _ldl_solve_2
 
     def evaluate(X):
-        vals, grads = _action_value_grad(L, X + probe, T, k, n_quad, n_values=1)
-        return float(vals[0]), grads[0, 1:-1], _hessian_blocks(grads, m, d)
+        """(value, grad, Hessian blocks, (w, sigma) or None, T); None where k <= Ubar."""
+        if T is not None:
+            vals, grads = _action_value_grad(L, X + probe, T, k, n_quad, n_values=1, origin=x_from)
+            return float(vals[0]), grads[0, 1:-1], _hessian_blocks(grads, m, d), None, T
+        if (free := _free_time_action(L, X + probe, k, n_quad, x_from)) is None:
+            return None
+        f, t_star, sigma, grad = free
+        sign = np.append(np.ones(len(probe) - 1), -1.0)
+        grads = grad(1.0 / t_star, -t_star * sign, sign > 0)
+        return (f, grads[0, 1:-1], _hessian_blocks(grads[:-1], m, d),
+                (grads[-1, 1:-1], sigma), t_star)
 
-    f, g, (A, B) = evaluate(X)
+    def newton_step(A, B, g, mu, rank1):
+        """s with (H + mu I - sigma w w^T) s = -g; None unless positive definite."""
+        rhs = np.stack([-g] if rank1 is None else [-g, rank1[0]], axis=1)   # (m, columns, d)
+        if d == 1:
+            A, B, rhs = A[:, 0, 0], B[:, 0, 0], rhs[..., 0]
+        if (xs := solve(A.tolist(), B.tolist(), mu, rhs.tolist())) is None:
+            return None
+        xs = np.array(xs).reshape(m, -1, d)
+        if rank1 is None:
+            return xs[:, 0]
+        (step, z), (w, sigma) = xs.transpose(1, 0, 2), rank1
+        denom = 1.0 - sigma * float((w * z).sum())
+        return step + z * (sigma * float((w * step).sum()) / denom) if denom > 0.0 else None
+
+    if (state := evaluate(X)) is None:
+        raise NoConvergence(f"k = {k} does not exceed the mean of U on the seed path")
+    f, g, (A, B), rank1, dur = state
     mu, nu = 1e-3 * float(np.abs(A).max()), 2.0
     steps = 0
-    while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dt:
-        if d == 1:
-            a, b, r = A[:, 0, 0].tolist(), B[:, 0, 0].tolist(), (-g[:, 0]).tolist()
-        else:
-            a, b, r = A.tolist(), B.tolist(), (-g).tolist()
-        while (step := solve(a, b, mu, r)) is None and mu < np.inf:
+    while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dur / (m + 1):
+        while (step := newton_step(A, B, g, mu, rank1)) is None and mu < np.inf:
             mu, nu = mu * nu, 2.0 * nu
-        if step is None:
-            break
-        step = np.array(step).reshape(m, d)
-        if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(X).max()):
+        if step is None or np.abs(step).max() <= 1e-15 * (1.0 + np.abs(X).max()):
             break
         trial = X.copy()
         trial[1:-1] += step
-        f_new, g_new, blocks = evaluate(trial)
-        gain = f - f_new
-        if abs(gain) <= 1e-12 * (1.0 + abs(f)):     # below what the summed action resolves
-            gain = -0.5 * float(((g + g_new) * step).sum())
+        if (state := evaluate(trial)) is None:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        gain = f - state[0]
+        if abs(gain) <= 1e-12 * (1.0 + abs(f)):     # below what the summed value resolves
+            gain = -0.5 * float(((g + state[1]) * step).sum())
         rho = gain / (0.5 * float((step * (mu * step - g)).sum()))
         if rho > 0.0:
             steps += 1
-            X, f, g, (A, B) = trial, f_new, g_new, blocks
+            X, (f, g, (A, B), rank1, dur) = trial, state
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu
-    return BrokenPath.from_cover(X, T), f, float(np.abs(g).max() / dt)
+    return BrokenPath.from_cover(x_from + X, dur), f, float(np.abs(g).max() / (dur / (m + 1)))
 
 
 def _winding_classes(dim, w_max):
@@ -378,6 +421,19 @@ def _winding_classes(dim, w_max):
     return [np.array(w, dtype=float) for w in classes]
 
 
+def _least_over_classes(L, base, w_max, T, k, solve):
+    """(path, value, residual) of the least `solve(base + w)` over the winding
+    classes w by increasing |w|, skipping a class when `_action_lower_bound`
+    at its displacement exceeds the best value so far by more than 1e-9."""
+    best = None
+    for wind in _winding_classes(L.dim, w_max):
+        disp = base + wind
+        if best is None or _action_lower_bound(L, disp, T, k) <= best[1] + 1e-9:
+            out = solve(disp)
+            best = out if best is None or out[1] < best[1] else best
+    return best
+
+
 def default_knot_count(T):
     """Knot budget growing with duration, capped to keep descent cheap."""
     return int(np.clip(int(8 * T) + 7, 9, 97))
@@ -385,13 +441,9 @@ def default_knot_count(T):
 
 def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
                       residual_tol=1e-6, maxiter=400, n_quad=8):
-    """Fixed-endpoint, fixed-time local action minimizer across winding classes.
-
-    Classes are tried by increasing |winding|; a class is skipped when
-    `_action_lower_bound` at its displacement exceeds the best action so
-    far by more than 1e-9.  The bound charges the mean of eta exactly and
-    only its oscillating rest per unit length, so a class that eta rewards
-    stays in play.
+    """Fixed-endpoint, fixed-time local action minimizer across winding classes
+    (`_least_over_classes`; the bound charges the mean of eta exactly, so a
+    class that eta rewards stays in play).
 
     Raises NoConvergence (carrying the best iterate and its residual) when
     the discrete Euler-Lagrange residual stays above `residual_tol`.
@@ -404,16 +456,9 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
         n_knots = default_knot_count(T)
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
-    base = minimal_lift(y - x)
-    best = None
-    for wind in _winding_classes(L.dim, w_max):
-        disp = base + wind
-        if best is not None and _action_lower_bound(L, disp, T, 0.0) > best[1] + 1e-9:
-            continue
-        path, val, res = _minimize_knots(L, x, disp, T, n_knots, 0.0, n_quad, maxiter)
-        if best is None or val < best[1]:
-            best = (path, val, res)
-    path, val, res = best
+    path, _, res = _least_over_classes(
+        L, minimal_lift(y - x), w_max, T, 0.0,
+        lambda disp: _minimize_knots(L, x, disp, T, n_knots, 0.0, n_quad, maxiter))
     if res > residual_tol:
         raise NoConvergence(f"residual {res:.2e} above {residual_tol:.0e}", path, res)
     return path
@@ -497,8 +542,7 @@ class NegativeLoopSearch:
     beyond `w_max` are seen only through the random loops: U = 0 with
     eta = (0.6, -0.8), where c = 0.5 needs winding (-3, 4), gives 0.49.
 
-    A search belongs to one Lagrangian and also caches the k-independent
-    Tonelli minimizers of `action_potential` by (x, y, T).
+    Potentials at several k can share one search and its battery.
     """
 
     def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2, n_knots=33):
@@ -507,7 +551,6 @@ class NegativeLoopSearch:
         _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
         self.w_max = w_max
         self.n_knots = n_knots
-        self._tonelli = {}       # (x, y, T, w_max, n_quad) -> Tonelli minimizer
         self._best = None        # see _best_loop
         self._rng = np.random.default_rng(seed)
         self._purely_mechanical = L.oneform.is_zero()
@@ -554,7 +597,8 @@ class NegativeLoopSearch:
 
 def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
                      search: NegativeLoopSearch = None, n_quad=8, refine_steps=10):
-    """Mane potential estimate: minimize (L+k)-action over duration and winding.
+    """Mane potential estimate: the least free-time (L+k)-action over knots
+    and winding classes, extrapolated in the knot count.
 
     Returns the minus-infinity sentinel with a certificate loop whenever
     the negative-loop search succeeds at this k.  Otherwise, when x = y
@@ -562,84 +606,39 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
     with no negative loop Phi_k(x, x) >= 0, and constant curves of vanishing
     duration reach 0.
 
-    The grid durations are visited by increasing B(T), the least
-    `_action_lower_bound` over the winding classes `tonelli_minimizer`
-    tries (every path it returns lies in one), and a duration is skipped
-    once B(T) exceeds the best action so far by more than 1e-9.  A skipped
-    value lies strictly above the minimum, so the argmin, its bracket and
-    the golden-section refinement, hence Phi, are those of minimizing
-    every duration.  The default grid (0.05 to 50) gets a near-diagonal
-    floor: the minimizers have energy k, so speed at most
-    A0 = sqrt(2 (k - u_lo)) (u_lo the coefficient bound on U) and duration
-    at least d / A0, d = |minimal lift of y - x|; when
-    d / A0 < 0.05, the durations 0.05 r^-j (r the grid ratio) are prepended
-    until one lies below d / A0.
-
-    The fixed-endpoint minimizers do not depend on k.  When `search`
-    belongs to L, they are cached on it by (x, y, T, w_max, n_quad), so
-    calls that share a search (as `potential_table` does across k) minimize
-    each duration once and re-evaluate only the (L+k)-action of the path;
-    a later k minimizes the durations an earlier one skipped.
+    No duration is searched (see `_free_time_action`).  Each winding class
+    (`_least_over_classes`, bounded over all T) is solved at 33 knots, then
+    at 65 from the midpoint prolongation, and gives the Richardson value
+    (4 F_65 - F_33) / 3: the error of F falls 4x per knot doubling.  Raises
+    NoConvergence (with the 65-knot path and the larger residual of the two
+    solves) when the winning class misses the residual target 1e-6, and
+    ValueError for k NaN or +inf, non-finite x or y, or w_max < 0.
+    `t_grid` and `refine_steps` stay accepted and are unused.
     """
-    search = search if search is not None else NegativeLoopSearch(L)
-    loop = search.find(k)
-    if loop is not None:
-        val = action(L, loop, k)
-        if val < 0:
-            return ActionValue(None, loop)
-    x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-    y = wrap(np.atleast_1d(np.asarray(y, dtype=float)))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if np.isnan(k) or k == np.inf or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"k must be finite or -inf and x, y finite, got {k}, {x}, {y}")
+    if w_max < 0:
+        raise ValueError(f"w_max must be nonnegative, got {w_max}")
+    loop = (search if search is not None else NegativeLoopSearch(L)).find(k)
+    if loop is not None and action(L, loop, k) < 0:
+        return ActionValue(None, loop)
+    x, y = wrap(x), wrap(y)
     base = minimal_lift(y - x)
     if np.abs(base).max() <= 1e-12:
         return ActionValue(0.0)
-    dist = float(np.sqrt(base @ base))
-    if t_grid is None:
-        # energy-k arcs have speed sqrt(2 (k - U)) <= a0, hence duration >= d / a0
-        grid = duration_grid()
-        a0 = np.sqrt(max(2.0 * (k - L.potential.value_bounds()[0]), 0.0))
-        ratio = grid[1] / grid[0]
-        n_low = int(np.log(grid[0] * a0 / dist) // np.log(ratio)) + 1 if dist < grid[0] * a0 else 0
-        grid = np.concatenate([grid[0] * ratio ** -np.arange(n_low, 0, -1), grid])
-    else:
-        grid = np.asarray(t_grid, dtype=float)
-    cache = search._tonelli if search.L is L else {}
 
-    def value_at(T):
-        key = (tuple(x), tuple(y), float(T), w_max, n_quad)
-        if key not in cache:
-            try:
-                cache[key] = tonelli_minimizer(L, x, y, T, w_max=w_max, n_quad=n_quad)
-            except NoConvergence as nc:
-                cache[key] = nc.path
-        return action(L, cache[key], k, n_quad)
+    def richardson(disp):
+        path, coarse, res = _minimize_knots(L, x, disp, None, 33, k, n_quad)
+        X, seed = path.cover_knots() - x, np.empty((65, L.dim))
+        seed[::2], seed[1::2] = X, (X[:-1] + X[1:]) / 2
+        path, fine, res_fine = _minimize_knots(L, x, disp, None, 65, k, n_quad, x_init=seed)
+        return path, (4.0 * fine - coarse) / 3.0, max(res, res_fine)
 
-    bounds = np.min([_action_lower_bound(L, base + w, grid, k)
-                     for w in _winding_classes(L.dim, w_max)], axis=0)
-    vals = np.full(len(grid), np.inf)
-    for j in np.argsort(bounds, kind="stable"):
-        if bounds[j] > vals.min() + 1e-9:
-            break
-        vals[j] = value_at(grid[j])
-    i = int(np.argmin(vals))
-    best_v = vals[i]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    # golden-section refinement on log duration
-    a, b = np.log(lo), np.log(hi)
-    gr = (np.sqrt(5) - 1) / 2
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = value_at(np.exp(c)), value_at(np.exp(d))
-    for _ in range(refine_steps):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = value_at(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = value_at(np.exp(d))
-    best_v = min(best_v, fc, fd)
-    return ActionValue(float(best_v))
+    path, value, res = _least_over_classes(L, base, w_max, None, k, richardson)
+    if res > 1e-6:
+        raise NoConvergence(f"action potential: residual {res:.2e} above 1e-06", path, res)
+    return ActionValue(float(value))
 
 
 def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch = None):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .torus import torus_metric
+
 
 class HorizonExceeded(ValueError):
     """Orbit data shorter than the requested refinement horizon."""
@@ -24,13 +26,6 @@ class NoValidRadius(ValueError):
     def __init__(self, msg, achieved=None):
         super().__init__(msg)
         self.achieved = achieved
-
-
-def torus_metric(a, b):
-    """Flat torus distance, broadcasting over leading axes."""
-    d = np.abs(np.asarray(a) - np.asarray(b))
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt((d * d).sum(axis=-1))
 
 
 def euclidean_metric(a, b):

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .torus import _lift_inplace, _wrap_into, minimal_lift, wrap
+from .torus import torus_metric as torus_distance   # one metric, two public names
 
 
 class OutOfLocalChart(ValueError):
@@ -33,11 +34,6 @@ class HypothesisViolated(ValueError):
     def __init__(self, msg, step=None):
         super().__init__(msg)
         self.step = step
-
-
-def torus_distance(a, b):
-    """Euclidean distance on the torus (flat metric, minimal lifts)."""
-    return np.linalg.norm(minimal_lift(np.asarray(a) - np.asarray(b)), axis=-1)
 
 
 def _int_matmul(a, b):

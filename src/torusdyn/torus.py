@@ -1,4 +1,5 @@
-"""Reduction of torus coordinates: points to [0, 1), displacements to [-1/2, 1/2)."""
+"""Reduction of torus coordinates (points to [0, 1), displacements to
+[-1/2, 1/2)) and the flat torus metric."""
 
 import numpy as np
 
@@ -28,3 +29,11 @@ def wrap(x):
 def minimal_lift(x):
     """Representative of a torus displacement with entries in [-1/2, 1/2)."""
     return _lift_inplace(np.array(x, dtype=float))[()]   # a scalar for 0-d input
+
+
+def torus_metric(a, b):
+    """Flat torus distance, broadcasting over leading axes: each coordinate
+    gap d = |a - b| mod 1 (exact) counts as min(d, 1 - d)."""
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.sqrt((d * d).sum(axis=-1))

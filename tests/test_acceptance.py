@@ -23,7 +23,7 @@ LOG_PHI = np.log((1 + np.sqrt(5)) / 2)
 LOG_CAT = np.log((3 + np.sqrt(5)) / 2)
 
 # pinned tolerances for criterion 5
-TRIANGLE_TOL = 5e-3     # duration-grid refinement granularity
+TRIANGLE_TOL = 1e-6     # Phi is within 1e-6 of the Maupertuis integral
 LOOP_TOL = 1e-3
 
 

@@ -372,62 +372,19 @@ class TestBatchedLoopLibrary:
             assert abs(fd[0] - grad[0, i, j]) <= 1e-7
 
 
-class TestSharedTonelliCache:
-    GRID = duration_grid(0.1, 10.0, 10)
-
-    @pytest.mark.parametrize("make,pair,ks", [
-        (pendulum, (0.05, 0.31), (1.05, 1.3)),
-        (double_well, (0.2, 0.7), (1.35, 1.6)),
-    ])
-    def test_second_k_matches_fresh_search(self, make, pair, ks):
-        L = make()
-        x, y = [pair[0]], [pair[1]]
-        shared = NegativeLoopSearch(L)
-        action_potential(L, ks[0], x, y, t_grid=self.GRID, search=shared)
-        reused = action_potential(L, ks[1], x, y, t_grid=self.GRID, search=shared)
-        fresh = action_potential(L, ks[1], x, y, t_grid=self.GRID, search=NegativeLoopSearch(L))
-        assert reused.value == fresh.value
-
-    def test_minimizes_each_duration_once(self, monkeypatch):
-        # the non-converged fallback path is cached as well
-        calls = []
-
-        def never_converges(L, x, y, T, **kwargs):
-            calls.append(float(T))
-            path = tonelli_minimizer(L, x, y, T, **kwargs)
-            raise NoConvergence("forced", path, 1.0)
-
-        L = pendulum()
-        search = NegativeLoopSearch(L)
-        expected = action_potential(L, 1.3, [0.25], [0.625], t_grid=self.GRID,
-                                    search=NegativeLoopSearch(L)).value
-        monkeypatch.setattr(action_mod, "tonelli_minimizer", never_converges)
-        action_potential(L, 1.05, [0.25], [0.625], t_grid=self.GRID, search=search)
-        first = len(calls)
-        assert len(set(calls)) == first
-        # the same endpoints one period over share the cache
-        again = action_potential(L, 1.3, [1.25], [-0.375], t_grid=self.GRID, search=search)
-        assert again.value == expected
-        assert set(calls[first:]).isdisjoint(calls[:first])
-        assert len(calls) - first < first
-
-    def test_search_of_another_lagrangian_is_not_reused(self):
-        L, other = pendulum(), pendulum()
-        search = NegativeLoopSearch(other)
-        action_potential(L, 1.3, [0.05], [0.31], t_grid=self.GRID, search=search)
-        assert search._tonelli == {}
-
-
 class TestDiagonal:
     @pytest.mark.parametrize("make,c", [(pendulum, 1.0), (double_well, 1.3)])
     @pytest.mark.parametrize("x,y", [(0.52, 0.52), (1.52, 0.52), (0.0, 0.9999999999999999)])
-    def test_exactly_zero_at_and_above_critical(self, make, c, x, y):
+    def test_exactly_zero_at_and_above_critical(self, make, c, x, y, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the diagonal needs no minimization")
+
         L = make()
         search = NegativeLoopSearch(L)
+        monkeypatch.setattr(action_mod, "_minimize_knots", no_solve)
         for k in (c, c + 0.05, c + 0.3):
             av = action_potential(L, k, [x], [y], search=search)
             assert av.value == 0.0
-        assert search._tonelli == {}
 
     def test_below_critical_is_certified_minus_infinity(self):
         L = pendulum()
@@ -454,54 +411,6 @@ def maupertuis_t1(cos, eta0, k, x, y, w_max=4):
                for w in range(-w_max, w_max + 1))
 
 
-def _every_duration_potential(L, k, x, y, t_grid=None, w_max=3, search=None, n_quad=8,
-                              refine_steps=10):
-    """The duration search before bound pruning, verbatim: every grid duration."""
-    search = search if search is not None else NegativeLoopSearch(L)
-    loop = search.find(k)
-    if loop is not None:
-        val = action(L, loop, k)
-        if val < 0:
-            return ActionValue(None, loop)
-    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    y = np.atleast_1d(np.asarray(y, dtype=float)) % 1.0
-    if np.abs((y - x + 0.5) % 1.0 - 0.5).max() <= 1e-12:
-        return ActionValue(0.0)
-    grid = duration_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    cache = search._tonelli if search.L is L else {}
-
-    def value_at(T):
-        key = (tuple(x), tuple(y), float(T), w_max, n_quad)
-        if key not in cache:
-            try:
-                cache[key] = tonelli_minimizer(L, x, y, T, w_max=w_max, n_quad=n_quad)
-            except NoConvergence as nc:
-                cache[key] = nc.path
-        return action(L, cache[key], k, n_quad)
-
-    vals = [value_at(T) for T in grid]
-    i = int(np.argmin(vals))
-    best_v = vals[i]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    # golden-section refinement on log duration
-    a, b = np.log(lo), np.log(hi)
-    gr = (np.sqrt(5) - 1) / 2
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = value_at(np.exp(c)), value_at(np.exp(d))
-    for _ in range(refine_steps):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = value_at(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = value_at(np.exp(d))
-    best_v = min(best_v, fc, fd)
-    return ActionValue(float(best_v))
-
-
 def general_magnetic_t2():
     return MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}),
                                 OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
@@ -513,51 +422,7 @@ def torus2_mechanical():
 
 
 class TestBoundPrunedSearch:
-    """Skipping the durations `_action_lower_bound` rules out leaves Phi unchanged."""
-
-    @pytest.mark.parametrize("make", [pendulum, double_well])
-    def test_criterion_5_tables_equal_every_duration(self, make):
-        # the two searches share the Tonelli cache, so each duration is minimized once
-        L = make()
-        search = NegativeLoopSearch(L)
-        c = critical_value(L, search=search)
-        points = (0.05, 0.31, 0.52, 0.68, 0.9)
-        for k in (c + 0.05, c + 0.3):
-            for x in points:
-                for y in points:
-                    pruned = action_potential(L, k, [x], [y], search=search)
-                    full = _every_duration_potential(L, k, [x], [y], search=search)
-                    assert pruned.value == full.value
-        # every Tonelli solve behind the tables converged, the 800 solves at
-        # the 40 grid durations among them
-        assert max(el_residual(L, path) for path in search._tonelli.values()) <= 1e-6
-
-    def test_torus2_mechanical_equals_every_duration(self):
-        # nine winding classes keep the every-duration side affordable
-        L = torus2_mechanical()
-        search = NegativeLoopSearch(L)
-        k = critical_value(L, search=search) + 0.1
-        x, y = [0.1, 0.2], [0.45, 0.7]
-        assert action_potential(L, k, x, y, w_max=1, search=search).value == \
-            _every_duration_potential(L, k, x, y, w_max=1, search=search).value
-
-    @pytest.mark.parametrize("make", [magnetic_t1, weak_magnetic_t1])
-    def test_magnetic_t1_equals_every_duration(self, make):
-        # the duration bound charges eta's mean per winding class exactly
-        L = make()
-        search = NegativeLoopSearch(L)
-        c = critical_value(L, search=search)
-        for k in (c + 0.05, c + 0.3):
-            assert action_potential(L, k, [0.05], [0.31], search=search).value == \
-                _every_duration_potential(L, k, [0.05], [0.31], search=search).value
-
-    @pytest.mark.parametrize("grid", [[0.3, 1.0, 2.5, 6.0, 12.0], [12.0, 4.0, 0.7, 0.2]])
-    def test_custom_grid_equals_every_duration(self, grid):
-        L = pendulum()
-        search = NegativeLoopSearch(L)
-        for k in (1.05, 1.3):
-            assert action_potential(L, k, [0.2], [0.6], t_grid=grid, search=search).value == \
-                _every_duration_potential(L, k, [0.2], [0.6], t_grid=grid, search=search).value
+    """`_action_lower_bound`, which prunes winding classes, is a lower bound."""
 
     @settings(max_examples=300, deadline=None)
     @given(make=st.sampled_from([pendulum, magnetic_t1, magnetic_t2, general_magnetic_t2,
@@ -575,20 +440,6 @@ class TestBoundPrunedSearch:
         kinetic = (n_knots - 1) * float(((X[1:] - X[:-1]) ** 2).sum()) / (2 * T)
         assert value >= bound - 1e-12 * (1.0 + abs(bound) + abs(value) + kinetic)
 
-    def test_skips_grid_durations(self, monkeypatch):
-        calls = []
-
-        def counted(L, x, y, T, **kwargs):
-            calls.append(float(T))
-            return tonelli_minimizer(L, x, y, T, **kwargs)
-
-        monkeypatch.setattr(action_mod, "tonelli_minimizer", counted)
-        action_potential(pendulum(), 1.05, [0.05], [0.31])
-        grid = set(duration_grid().tolist())
-        assert len(grid & set(calls)) < len(grid)
-        assert len(calls) < len(grid)
-
-
 class TestMagneticWindingClasses:
     def test_class_against_eta_is_minimized(self):
         # at T = 1 winding -2 has action -1.958, below winding -1 (-1.201)
@@ -603,11 +454,12 @@ class TestMagneticWindingClasses:
         c = magnetic_t1_exact_c(2.0, 0.2)
         for k in (c + 0.05, c + 0.3):
             phi = action_potential(L, k, [0.05], [0.31], search=search).value
-            assert abs(phi - maupertuis_t1({1: 0.2}, 2.0, k, 0.05, 0.31)) <= 3e-3
+            assert abs(phi - maupertuis_t1({1: 0.2}, 2.0, k, 0.05, 0.31)) <= 1e-6
 
 
 class TestNearDiagonal:
-    """Close pairs need durations below 0.05: the default grid reaches down."""
+    """Close pairs: the knots are solved relative to x, so cover rounding does
+    not stall the residual (action_potential raises NoConvergence if it did)."""
 
     @pytest.mark.parametrize("make,cos,c", [(pendulum, {1: 1.0}, 1.0),
                                             (double_well, {1: 0.3, 2: 1.0}, 1.3)])
@@ -619,7 +471,7 @@ class TestNearDiagonal:
             for d in (5e-4, -5e-4, 5e-3, -0.01, 0.02, 0.05):
                 y = (x + d) % 1.0
                 phi = action_potential(L, k, [x], [y], search=search).value
-                assert abs(phi - maupertuis_t1(cos, 0.0, k, x, y)) <= 3e-3
+                assert abs(phi - maupertuis_t1(cos, 0.0, k, x, y)) <= 1e-6
 
 
 def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
@@ -742,14 +594,142 @@ class TestGridExtremumPolish:
         assert np.abs(field.grad(x_lo)).max() <= 1e-12 and np.abs(field.grad(x_hi)).max() <= 1e-12
 
 
-def test_tiny_negative_endpoint_shares_cache_keys():
-    # -1e-17 % 1.0 is 1.0, a key apart from 0.0; the torus wrap maps it to 0.0
+def test_tiny_negative_endpoint_gives_same_value():
+    # -1e-17 % 1.0 is 1.0; the torus wrap maps it to 0.0
     L = pendulum()
     search = NegativeLoopSearch(L)
-    grid = duration_grid(0.1, 10.0, 10)
-    first = action_potential(L, 1.3, [-1e-17], [0.31], t_grid=grid, search=search)
-    keys = set(search._tonelli)
-    second = action_potential(L, 1.3, [0.0], [0.31], t_grid=grid, search=search)
-    assert set(search._tonelli) == keys and first.value == second.value
-    assert {key[0] for key in keys} == {(0.0,)}
+    first = action_potential(L, 1.3, [-1e-17], [0.31], search=search)
+    second = action_potential(L, 1.3, [0.0], [0.31], search=search)
+    assert first.value == second.value
     assert tonelli_minimizer(L, [-1e-17], [0.31], 1.0).knots[0, 0] == 0.0
+
+
+def knot_refinement_potential(L, k, x, y, w_max):
+    """Phi_k(x, y) from free-time solves at 129 and 257 knots, extrapolated
+    as action_potential does at 33 and 65."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    best = np.inf
+    for wind in action_mod._winding_classes(L.dim, w_max):
+        disp = (y - x + 0.5) % 1.0 - 0.5 + wind
+        path, coarse, _ = action_mod._minimize_knots(L, x, disp, None, 129, k)
+        X = path.cover_knots() - x
+        seed = np.empty((257, L.dim))
+        seed[::2], seed[1::2] = X, (X[:-1] + X[1:]) / 2
+        _, fine, res = action_mod._minimize_knots(L, x, disp, None, 257, k, x_init=seed)
+        assert res <= 1e-6
+        best = min(best, (4 * fine - coarse) / 3)
+    return best
+
+
+class TestFreeTimePotential:
+    """Phi_k against independent oracles, to 1e-6."""
+
+    @pytest.mark.parametrize("make,cos,eta0", [(pendulum, {1: 1.0}, 0.0),
+                                               (double_well, {1: 0.3, 2: 1.0}, 0.0),
+                                               (magnetic_t1, {1: 1.0}, 2.0)])
+    def test_criterion_5_cells_match_maupertuis(self, make, cos, eta0):
+        L = make()
+        search = NegativeLoopSearch(L)
+        c = critical_value(L, search=search)
+        pairs = CRITERION_5_PAIRS if eta0 == 0.0 else CRITERION_5_PAIRS[::7]
+        for k in (c + 0.05, c + 0.3):
+            for x, y in pairs:
+                phi = action_potential(L, k, [x], [y], search=search).value
+                assert abs(phi - maupertuis_t1(cos, eta0, k, x, y)) <= 1e-6, (k, x, y)
+
+    @pytest.mark.parametrize("eta,ks", [((0.5, 0.5), (0.3, 1.0)), ((0.6, -0.8), (0.8, 1.2))])
+    def test_constant_eta_on_t2_closed_form(self, eta, ks):
+        # U = 0 with constant eta, k > |eta|^2 / 2: straight segments at speed
+        # sqrt(2k), so Phi_k = min over w of sqrt(2k)|D + w| + eta.(D + w)
+        L = MechanicalLagrangian(2, FourierSeries(2), OneForm([FourierSeries(2, cos={(0, 0): e})
+                                                               for e in eta]))
+        search = NegativeLoopSearch(L)
+        windings = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7)], dtype=float)
+        for k in ks:
+            for x, y in [((0.1, 0.2), (0.45, 0.7)), ((0.8, 0.05), (0.3, 0.4)), ((0.5, 0.5), (0.5, 0.9))]:
+                D = (np.subtract(y, x) + 0.5) % 1.0 - 0.5 + windings
+                exact = (np.sqrt(2 * k) * np.sqrt((D * D).sum(axis=1)) + D @ np.array(eta)).min()
+                assert abs(action_potential(L, k, x, y, search=search).value - exact) <= 1e-6
+
+    @pytest.mark.parametrize("make,dk", [(torus2_mechanical, 0.1), (general_magnetic_t2, 0.05)])
+    def test_t2_matches_knot_refinement(self, make, dk):
+        L = make()
+        search = NegativeLoopSearch(L)
+        k = critical_value(L, search=search) + dk
+        x, y = [0.1, 0.2], [0.45, 0.7]
+        phi = action_potential(L, k, x, y, w_max=1, search=search).value
+        assert abs(phi - knot_refinement_potential(L, k, x, y, w_max=1)) <= 1e-6
+
+    def test_missed_residual_raises_no_convergence(self, monkeypatch):
+        solve = action_mod._minimize_knots
+
+        def stalled(*args, **kwargs):
+            path, value, _ = solve(*args, **kwargs)
+            return path, value, 1e-3
+
+        monkeypatch.setattr(action_mod, "_minimize_knots", stalled)
+        with pytest.raises(NoConvergence) as exc:
+            action_potential(pendulum(), 1.3, [0.05], [0.31])
+        assert exc.value.residual == 1e-3
+        assert exc.value.path.n_knots == 65 and exc.value.path.knots[0, 0] == 0.05
+
+    @pytest.mark.parametrize("k,x,y,w_max", [
+        (np.nan, 0.1, 0.3, 3), (np.inf, 0.1, 0.3, 3), (1.3, np.nan, 0.3, 3),
+        (1.3, 0.1, np.inf, 3), (1.3, 0.1, 0.3, -1),
+    ])
+    def test_bad_input_raises_value_error(self, k, x, y, w_max):
+        with pytest.raises(ValueError):
+            action_potential(pendulum(), k, [x], [y], w_max=w_max)
+
+    def test_minus_infinite_k_is_certified(self):
+        av = action_potential(pendulum(), -np.inf, [0.1], [0.3])
+        assert av.is_minus_infinity
+
+
+def free_time_value(L, X, k):
+    return action_mod._free_time_action(L, X[None], k)[0]
+
+
+class TestFreeTimeAction:
+    """F = 2 sqrt(K (k - Ubar)) + M, the least discrete action over durations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(make=st.sampled_from([pendulum, double_well, magnetic_t1, magnetic_t2,
+                                 general_magnetic_t2, weak_magnetic_t1]),
+           n_knots=st.integers(2, 12), k_above=st.floats(1e-3, 3.0),
+           log_ts=st.lists(st.floats(np.log(1e-3), np.log(50.0)), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_least_action_over_durations(self, make, n_knots, k_above, log_ts, seed):
+        L = make()
+        k = L.potential.value_bounds()[1] + k_above      # above every Ubar
+        rng = np.random.default_rng(seed)
+        p = BrokenPath(rng.random((n_knots, L.dim)), rng.integers(-3, 4, (n_knots - 1, L.dim)), 1.0)
+        X = p.cover_knots()
+        F, t_star, _, _ = action_mod._free_time_action(L, X[None], k)
+        at_t_star = action(L, BrokenPath.from_cover(X, t_star), k)
+        kinetic = (n_knots - 1) * float(((X[1:] - X[:-1]) ** 2).sum()) / (2 * t_star)
+        assert abs(at_t_star - F) <= 1e-12 * (abs(F) + kinetic)     # kinetic = (F - M) / 2
+        for log_t in log_ts:
+            value = action(L, BrokenPath.from_cover(X, float(np.exp(log_t))), k)
+            assert F <= value + 1e-12 * (1.0 + abs(value))
+        bound = action_mod._action_lower_bound(L, X[-1] - X[0], None, k)
+        assert bound <= F + 1e-12 * (1.0 + abs(F))
+
+    @settings(max_examples=100, deadline=None)
+    @given(make=st.sampled_from([pendulum, magnetic_t1, general_magnetic_t2]),
+           n_knots=st.integers(3, 12), k_above=st.floats(0.05, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_central_differences(self, make, n_knots, k_above, seed):
+        L = make()
+        k = L.potential.value_bounds()[1] + k_above
+        rng = np.random.default_rng(seed)
+        X = np.cumsum(rng.uniform(-0.3, 0.3, (n_knots, L.dim)), axis=0)
+        _, t_star, _, grad = action_mod._free_time_action(L, X[None], k)
+        g = grad(1.0 / t_star, -t_star, 1.0)[0]
+        h = 1e-6
+        for i in range(n_knots):
+            for j in range(L.dim):
+                E = np.zeros_like(X)
+                E[i, j] = h
+                fd = (free_time_value(L, X + E, k) - free_time_value(L, X - E, k)) / (2 * h)
+                assert abs(fd - g[i, j]) <= 1e-6 * (1.0 + abs(g[i, j]))

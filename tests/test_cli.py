@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,38 @@ class TestExitCodes:
         path.write_text(f"index,x1,x2\n0,0.1,0.2\n1,{bad},0.3\n2,0.5,0.6\n")
         assert_one_error_line(capsys, ["shadow", "--orbit", str(path)], "finite")
 
+    @pytest.mark.parametrize("flags,needle", [
+        # nan and inf exited 0 with "phi": "nan"; 1e308 and -1 escaped numpy errors
+        (["--k", "nan"], "k must be"), (["--x", "nan"], "finite"), (["--y", "inf"], "finite"),
+        (["--k", "1e308"], "residual"), (["--w-max", "-1"], "w_max"),
+    ])
+    def test_bad_action_potential_input_is_1(self, capsys, tmp_path, flags, needle):
+        cfg = tmp_path / "pendulum.cfg"
+        cfg.write_text(PENDULUM_CFG)
+        values = {"--k": "1.3", "--x": "0.1", "--y": "0.3"} | dict([flags])
+        argv = ["action-potential", "--config", str(cfg)] + [a for kv in values.items() for a in kv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_one_error_line(capsys, argv, needle)
+        assert not caught
+
+    def test_minus_infinite_k_is_neg_inf(self, capsys, tmp_path):
+        cfg = tmp_path / "pendulum.cfg"
+        cfg.write_text(PENDULUM_CFG)
+        code, out = run_capture(capsys, ["action-potential", "--config", str(cfg), "--k=-inf",
+                                         "--x", "0.1", "--y", "0.3", "--format", "csv"])
+        assert code == 0 and out.splitlines()[1] == "-inf,0.1,0.3,,neg_inf"
+
+    def test_unconverged_action_potential_is_1(self, capsys, tmp_path, monkeypatch):
+        action_mod = sys.modules["torusdyn.action"]    # the package binds `action` to the function
+        solve = action_mod._minimize_knots
+        monkeypatch.setattr(action_mod, "_minimize_knots",
+                            lambda *a, **kw: solve(*a, **kw)[:2] + (1e-3,))
+        cfg = tmp_path / "pendulum.cfg"
+        cfg.write_text(PENDULUM_CFG)
+        assert_one_error_line(capsys, ["action-potential", "--config", str(cfg), "--k", "1.3",
+                                       "--x", "0.05", "--y", "0.31"], "residual 1.00e-03")
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
@@ -329,8 +362,8 @@ AP_ARGV = ["action-potential", "--config", "PENDULUM", "--k", "1.05,1.3",
 
 class TestGoldenStdout:
     """Byte-identical stdout against outputs recorded before the one-pass ladder
-    (the action-potential tables: with the damped Newton Tonelli solver; see
-    LBFGS_AP_TABLE for the values before it)."""
+    (the action-potential tables: with the free-time Newton solve; see
+    LBFGS_AP_TABLE for the duration-grid values before it)."""
 
     @pytest.mark.parametrize("name,argv", [
         ("entropy_estimate.json", ["entropy-estimate"]),
@@ -363,8 +396,9 @@ class TestGoldenStdout:
             assert code == 0 and out == fh.read()
 
 
-# The table as the L-BFGS-B solver gave it before the damped Newton solver;
-# the golden files above were re-recorded with the Newton solver.
+# The table as the duration grid with the L-BFGS-B solver gave it, before the
+# damped Newton solver and the free-time solve; the golden files above hold
+# the free-time values.
 LBFGS_AP_TABLE = [
     ("1.05", "0.05", "0.31", 0.2855767200027507),
     ("1.05", "0.05", "0.52", 0.6449929775556169),
@@ -387,7 +421,9 @@ LBFGS_AP_TABLE = [
 ]
 
 
-def test_action_potential_table_within_1e_12_of_lbfgs_record(capsys, tmp_path):
+def test_action_potential_table_matches_maupertuis_and_improves_on_lbfgs_record(capsys, tmp_path):
+    from test_action import maupertuis_t1
+
     pendulum = tmp_path / "pendulum.cfg"
     pendulum.write_text(PENDULUM_CFG)
     code, out = run_capture(capsys, [a if a != "PENDULUM" else str(pendulum) for a in AP_ARGV])
@@ -395,7 +431,9 @@ def test_action_potential_table_within_1e_12_of_lbfgs_record(capsys, tmp_path):
     assert code == 0 and len(table) == len(LBFGS_AP_TABLE)
     for row, (k, x, y, phi) in zip(table, LBFGS_AP_TABLE):
         assert (row["k"], row["x"], row["y"], row["status"]) == (k, x, y, "finite")
-        assert abs(float(row["phi"]) - phi) <= 1e-12
+        exact = maupertuis_t1({1: 1.0}, 0.0, float(k), float(x), float(y)) if x != y else 0.0
+        assert abs(float(row["phi"]) - exact) <= 1e-6
+        assert abs(float(row["phi"]) - exact) <= abs(phi - exact)
 
 
 class TestConfigRoundTrip:

@@ -668,3 +668,20 @@ class TestSpecification:
         assert eps <= tm.shadowing_q * spec.delta + 1e-12
         for i, t in enumerate(times):
             assert torus_distance(apply(tm, x0, t), points[i]) <= eps + 1e-8
+
+
+def test_one_torus_metric_for_both_names():
+    from torusdyn.entropy import torus_metric
+    from torusdyn.torus import minimal_lift
+
+    assert torus_distance is torus_metric
+    rng = np.random.default_rng(5)
+    a, b = rng.random((2, 500, 2))
+    # on points in [0, 1) the folded gaps, bit for bit (the entropy golden files pin them)
+    d = np.abs(a - b)
+    d = np.minimum(d, 1.0 - d)
+    assert np.array_equal(torus_distance(a, b), np.sqrt((d * d).sum(axis=-1)))
+    # on cover points the norm of the minimal lift
+    shift = rng.integers(-3, 4, (500, 2))
+    expected = np.linalg.norm(minimal_lift(a - b), axis=-1)
+    assert np.abs(torus_distance(a + shift, b) - expected).max() <= 1e-12
