@@ -43,7 +43,8 @@ k_star = 1.0
 av = action_potential(pendulum, k_star, [0.0], [0.5], search=search)
 print(f"Phi_c(0, 1/2) = {av.value:.4f}   (separatrix integral 2/pi = {2/np.pi:.4f})")
 
-# --- staticity defect: zero exactly on the Aubry set (the equilibrium)
+# --- staticity defect: at x = y it is 0 by the shortcut Phi_k(x, x) = 0,
+#     for every x, so the first line is no test of the Aubry set
 print(f"defect at the equilibrium: {staticity_defect(pendulum, k_star, [0.0], [0.0]):.2e}")
 print(f"defect max vs min:         {staticity_defect(pendulum, k_star, [0.0], [0.5]):.4f} "
       f"(4/pi = {4/np.pi:.4f})")

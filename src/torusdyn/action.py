@@ -236,6 +236,7 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
 
 
 _FD_STEP = 2.0 ** -23     # X + h is exact for cover coordinates below 2^29
+_STEP_FLOOR = 1e-15       # steps below _STEP_FLOOR (1 + max|X|) no longer move the knots
 
 
 def _hessian_blocks(grads, m, d):
@@ -393,7 +394,7 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
     while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dur / (m + 1):
         while (step := newton_step(A, B, g, mu, rank1)) is None and mu < np.inf:
             mu, nu = mu * nu, 2.0 * nu
-        if step is None or np.abs(step).max() <= 1e-15 * (1.0 + np.abs(X).max()):
+        if step is None or np.abs(step).max() <= _STEP_FLOOR * (1.0 + np.abs(X).max()):
             break
         trial = X.copy()
         trial[1:-1] += step
@@ -462,10 +463,6 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     if res > residual_tol:
         raise NoConvergence(f"residual {res:.2e} above {residual_tol:.0e}", path, res)
     return path
-
-
-def duration_grid(t_min=0.05, t_max=50.0, count=40):
-    return np.geomspace(t_min, t_max, count)
 
 
 def _ascend(L: MechanicalLagrangian, X, n_knots):
@@ -538,9 +535,11 @@ class NegativeLoopSearch:
     mechanical L), a straight `n_knots` loop in each nonzero winding class
     up to `w_max`, and random-waypoint loops filling `budget`.  Loops with
     M >= 0 have theta = Ubar <= max U; the four best with M < 0 get one
-    L-BFGS ascent of theta.  `find(k)` checks best theta > k.  Classes
-    beyond `w_max` are seen only through the random loops: U = 0 with
-    eta = (0.6, -0.8), where c = 0.5 needs winding (-3, 4), gives 0.49.
+    L-BFGS ascent of theta.  `find(k)` checks best theta > k.  The random
+    loops close on their first knot in the cover, so all are null-homologous
+    and raise theta only where d eta != 0; classes beyond `w_max` are never
+    tried.  U = 0 with eta = (0.6, -0.8), where c = 0.5 needs winding
+    (-3, 4), gives the 0.49 of the class (-1, 1) loop.
 
     Potentials at several k can share one search and its battery.
     """
@@ -595,8 +594,8 @@ class NegativeLoopSearch:
         return BrokenPath.from_cover(X, float(T))
 
 
-def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
-                     search: NegativeLoopSearch = None, n_quad=8, refine_steps=10):
+def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
+                     search: NegativeLoopSearch = None, n_quad=8):
     """Mane potential estimate: the least free-time (L+k)-action over knots
     and winding classes, extrapolated in the knot count.
 
@@ -611,9 +610,11 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
     at 65 from the midpoint prolongation, and gives the Richardson value
     (4 F_65 - F_33) / 3: the error of F falls 4x per knot doubling.  Raises
     NoConvergence (with the 65-knot path and the larger residual of the two
-    solves) when the winning class misses the residual target 1e-6, and
-    ValueError for k NaN or +inf, non-finite x or y, or w_max < 0.
-    `t_grid` and `refine_steps` stay accepted and are unused.
+    solves) when the winning class misses the residual target, and
+    ValueError for k NaN or +inf, non-finite x or y, or w_max < 0.  The
+    target is 1e-6, or the rounding floor 2 _STEP_FLOOR (1 + max|X|) / dt^2
+    where larger: the residual a knot step too small to move the knots
+    leaves, linear in k.  Where 1 / dt^2 overflows, 1e-6 stands.
     """
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if np.isnan(k) or k == np.inf or not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -636,8 +637,11 @@ def action_potential(L: MechanicalLagrangian, k, x, y, t_grid=None, w_max=3,
         return path, (4.0 * fine - coarse) / 3.0, max(res, res_fine)
 
     path, value, res = _least_over_classes(L, base, w_max, None, k, richardson)
-    if res > 1e-6:
-        raise NoConvergence(f"action potential: residual {res:.2e} above 1e-06", path, res)
+    rate = (path.n_knots - 1) / float(path.T)                # 1 / dt
+    floor = 2.0 * _STEP_FLOOR * (1.0 + float(np.abs(path.cover_knots() - x).max())) * (rate * rate)
+    target = max(1e-6, floor if floor < np.inf else 0.0)
+    if not res <= target:
+        raise NoConvergence(f"action potential: residual {res:.2e} above {target:.0e}", path, res)
     return ActionValue(float(value))
 
 
@@ -656,7 +660,8 @@ def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch
 
 
 def staticity_defect(L: MechanicalLagrangian, c, x, y, **kwargs):
-    """Phi_c(x, y) + Phi_c(y, x); zero picks out projected-Aubry pairs."""
+    """Phi_c(x, y) + Phi_c(y, x); zero picks out static pairs.  At x = y it
+    is 0 by the shortcut Phi_k(x, x) = 0, so it tests nothing of the Aubry set."""
     fwd = action_potential(L, c, x, y, **kwargs)
     bwd = action_potential(L, c, y, x, **kwargs)
     if fwd.is_minus_infinity or bwd.is_minus_infinity:

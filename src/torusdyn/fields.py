@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .torus import wrap
+from .torus import grid, wrap
 
 TWO_PI = 2.0 * np.pi
 
@@ -202,8 +202,7 @@ def grid_extremum(field, dim, n=512, refine=True):
     Dense grid scan followed by a Newton polish of each extremum, kept when
     it improves on the grid value; an oracle helper, not a rigorous bound.
     """
-    axes = [np.arange(n) / n for _ in range(dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    mesh = grid(n, dim)
     vals = field(mesh)
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     best = {"min": (float(vals[lo_i]), mesh[lo_i]), "max": (float(vals[hi_i]), mesh[hi_i])}

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .torus import _lift_inplace, _wrap_into, minimal_lift, wrap
+from .torus import grid as torus_grid
 from .torus import torus_metric as torus_distance   # one metric, two public names
 
 
@@ -146,6 +147,15 @@ def apply(tm: ToralAutomorphism, x, n=1):
     return np.array(images).reshape(pts.shape)
 
 
+def _lattice_orbit(mat, k, n_steps, q):
+    """[k, M k, ..., M^n_steps k] mod q for int64 lattice points k (..., 2)."""
+    out = [k]
+    for _ in range(n_steps):
+        k = (k @ mat.T) % q
+        out.append(k)
+    return out
+
+
 def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     """Forward orbit x, Tx, ..., T^(n_steps) x as an (n_steps+1, 2) array.
 
@@ -153,16 +163,11 @@ def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     orbits carry no accumulated rounding error.  With `modulus` q the orbit
     is instead computed on the rational lattice (k/q) in int64 arithmetic.
     """
-    m = tm.matrix
     if modulus is None:
-        return _exact_images(m.tolist(), x0, n_steps)
+        return _exact_images(tm.matrix.tolist(), x0, n_steps)
     q = int(modulus)
     k = np.asarray(np.round(np.asarray(x0, dtype=float) * q), dtype=np.int64) % q
-    pts = np.empty((n_steps + 1, 2))
-    for i in range(n_steps + 1):
-        pts[i] = k / q
-        k = (m @ k) % q
-    return pts
+    return np.array(_lattice_orbit(tm.matrix, k, n_steps, q)) / q
 
 
 def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
@@ -191,22 +196,10 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
         k0 = rng.integers(0, q, size=(n_orbits, 2))
     k0 = k0.astype(np.int64)
     m = tm.matrix
-    det = tm.det
     adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
-    minv = (det * adj) % q
-
-    cols = [k0]
-    k = k0
-    for _ in range(n_steps):
-        k = (k @ m.T) % q
-        cols.append(k)
-    k = k0
-    back = []
-    for _ in range(backward):
-        k = (k @ minv.T) % q
-        back.append(k)
-    back.reverse()
-    stack = np.stack(back + cols, axis=1).astype(float) / q
+    minv = (tm.det * adj) % q
+    back = _lattice_orbit(minv, k0, backward, q)[:0:-1]   # T^-backward k0, ..., T^-1 k0
+    stack = np.stack(back + _lattice_orbit(m, k0, n_steps, q), axis=1).astype(float) / q
     return LabeledOrbitEnsemble(stack, dt=1.0, origin=backward)
 
 
@@ -219,8 +212,7 @@ def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
         side = int(round(np.sqrt(n_orbits)))
         if side * side != n_orbits:
             raise ValueError("grid ensembles need a square orbit count")
-        ticks = np.arange(side) / side
-        x = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+        x = torus_grid(side, 2)
     else:
         x = rng.random((n_orbits, 2))
     mf = tm.matrix.astype(float)

@@ -165,35 +165,24 @@ def _point_acceleration(L):
 # bit for bit.  Each returns the (n + 1, 4) rows x0, x1, v0, v1 with
 # positions unwrapped, and stops before the first non-finite state.
 
-def _verlet(acc, x0, x1, v0, v1, dt, n):
-    rows = [(x0, x1, v0, v1)]
-    half = 0.5 * dt
-    a0, a1 = acc(x0, x1, v0, v1)
-    for _ in range(n):
-        vh0, vh1 = v0 + half * a0, v1 + half * a1
-        x0, x1 = x0 + dt * vh0, x1 + dt * vh1
-        a0, a1 = acc(x0, x1, vh0, vh1)
-        v0, v1 = vh0 + half * a0, vh1 + half * a1
-        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
-            break
-        rows.append((x0, x1, v0, v1))
-    return rows
-
-
-def _yoshida4(acc, x0, x1, v0, v1, dt, n):
-    rows = [(x0, x1, v0, v1)]
-    subs = [(w * dt, 0.5 * (w * dt)) for w in _YOSHIDA]
-    a0, a1 = acc(x0, x1, v0, v1)
-    for _ in range(n):
-        for h, half in subs:
-            vh0, vh1 = v0 + half * a0, v1 + half * a1
-            x0, x1 = x0 + h * vh0, x1 + h * vh1
-            a0, a1 = acc(x0, x1, vh0, vh1)
-            v0, v1 = vh0 + half * a0, vh1 + half * a1
-        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
-            break
-        rows.append((x0, x1, v0, v1))
-    return rows
+def _splitting(weights):
+    """Kick-drift-kick loop over substeps w dt, w in `weights`: Verlet for
+    (1.0,), whose substep w dt = dt and 0.5 (w dt) = dt / 2 are exact."""
+    def integrate(acc, x0, x1, v0, v1, dt, n):
+        rows = [(x0, x1, v0, v1)]
+        subs = [(w * dt, 0.5 * (w * dt)) for w in weights]
+        a0, a1 = acc(x0, x1, v0, v1)
+        for _ in range(n):
+            for h, half in subs:
+                vh0, vh1 = v0 + half * a0, v1 + half * a1
+                x0, x1 = x0 + h * vh0, x1 + h * vh1
+                a0, a1 = acc(x0, x1, vh0, vh1)
+                v0, v1 = vh0 + half * a0, vh1 + half * a1
+            if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)):
+                break
+            rows.append((x0, x1, v0, v1))
+        return rows
+    return integrate
 
 
 def _rk4(acc, x0, x1, v0, v1, dt, n):
@@ -217,7 +206,7 @@ def _rk4(acc, x0, x1, v0, v1, dt, n):
     return rows
 
 
-_INTEGRATORS = {"verlet": _verlet, "yoshida4": _yoshida4, "rk4": _rk4}
+_INTEGRATORS = {"verlet": _splitting((1.0,)), "yoshida4": _splitting(_YOSHIDA), "rk4": _rk4}
 
 
 def el_flow(L: MechanicalLagrangian, s0: PhaseState, T, dt, integrator=None):

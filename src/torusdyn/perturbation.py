@@ -12,10 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .action import NegativeLoopSearch, action, critical_value, duration_grid, BrokenPath
+from .action import _action_value_grad, _lift, _split, critical_value
 from .fields import SumField
 from .lagrangian import MechanicalLagrangian
-from .torus import wrap
+from .torus import grid, wrap
 
 
 class DimMismatch(ValueError):
@@ -26,8 +26,8 @@ class CanalPotential:
     """eps * min(d(x, core), plateau)^k around a polyline core on T^dim.
 
     The core is a vertex list with integer winding offsets per segment
-    (single vertex with no segments: a point core; single vertex with a
-    nonzero wind: a closed winding loop).
+    (single vertex with a zero wind: a point core, stored as one segment of
+    length 0; single vertex with a nonzero wind: a closed winding loop).
     """
 
     def __init__(self, core, eps, k=2, plateau=None, winds=None, closed=True):
@@ -42,15 +42,11 @@ class CanalPotential:
         if self.k < 2:
             raise ValueError("exponent k must be >= 2 for a C^1 perturbation")
         m = len(core)
-        n_segs = m if closed else m - 1
+        n_segs = m if closed or m == 1 else m - 1
         if winds is None:
-            winds = np.zeros((max(n_segs, 0), self.dim), dtype=int)
+            winds = np.zeros((n_segs, self.dim), dtype=int)
         winds = np.atleast_2d(np.asarray(winds, dtype=int))
-        if m == 1 and closed:
-            # point core unless an explicit winding loop is requested
-            n_segs = 1 if winds.any() else 0
-            winds = winds[:n_segs]
-        if n_segs and winds.shape != (n_segs, self.dim):
+        if winds.shape != (n_segs, self.dim):
             raise ValueError("one winding vector per segment required")
         if np.any(np.abs(winds) > 1):
             raise ValueError("segment winds beyond +-1 exceed the 3^dim lift search")
@@ -67,8 +63,8 @@ class CanalPotential:
                 shift = np.floor((pa + pb) / 2.0)
                 starts.append(pa - shift)
                 ends.append(pb - shift)
-        self._seg_a = np.array(starts) if starts else np.zeros((0, self.dim))
-        self._seg_v = (np.array(ends) - self._seg_a) if starts else np.zeros((0, self.dim))
+        self._seg_a = np.array(starts)
+        self._seg_v = np.array(ends) - self._seg_a
         self._lifts = np.array(list(product((-1.0, 0.0, 1.0), repeat=self.dim)))
 
     def _distance_and_direction(self, x):
@@ -76,25 +72,18 @@ class CanalPotential:
         x = wrap(np.atleast_2d(x))
         n = len(x)
         y = x[:, None, :] + self._lifts[None, :, :]      # (n, 3^d, d)
-        if len(self._seg_a) == 0:
-            diff = y[:, :, None, :] - self.core[None, None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)         # (n, lifts, m)
-            flat = dist.reshape(n, -1)
-            best = np.argmin(flat, axis=1)
-            d = flat[np.arange(n), best]
-            away = diff.reshape(n, -1, x.shape[1])[np.arange(n), best]
-        else:
-            rel = y[:, :, None, :] - self._seg_a[None, None, :, :]     # (n, L, S, d)
-            vv = (self._seg_v * self._seg_v).sum(axis=1)               # (S,)
-            t = np.einsum("nlsd,sd->nls", rel, self._seg_v) / np.maximum(vv, 1e-300)
-            t = np.clip(t, 0.0, 1.0)
-            proj = self._seg_a[None, None] + t[..., None] * self._seg_v[None, None]
-            diff = y[:, :, None, :] - proj
-            dist = np.linalg.norm(diff, axis=-1)
-            flat = dist.reshape(n, -1)
-            best = np.argmin(flat, axis=1)
-            d = flat[np.arange(n), best]
-            away = diff.reshape(n, -1, x.shape[1])[np.arange(n), best]
+        rel = y[:, :, None, :] - self._seg_a[None, None, :, :]     # (n, L, S, d)
+        vv = (self._seg_v * self._seg_v).sum(axis=1)               # (S,)
+        # a segment of length 0 has t = 0, so its projection is its vertex exactly
+        t = np.einsum("nlsd,sd->nls", rel, self._seg_v) / np.maximum(vv, 1e-300)
+        t = np.clip(t, 0.0, 1.0)
+        proj = self._seg_a[None, None] + t[..., None] * self._seg_v[None, None]
+        diff = y[:, :, None, :] - proj
+        dist = np.linalg.norm(diff, axis=-1)
+        flat = dist.reshape(n, -1)
+        best = np.argmin(flat, axis=1)
+        d = flat[np.arange(n), best]
+        away = diff.reshape(n, -1, x.shape[1])[np.arange(n), best]
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(d[:, None] > 0, away / np.maximum(d[:, None], 1e-300), 0.0)
         return d, unit
@@ -126,8 +115,8 @@ class CanalPotential:
         return 0.0, self.eps * reach**self.k
 
     def core_samples(self, per_segment=64):
-        """Points along the core (the vertices themselves for a point core)."""
-        if len(self._seg_a) == 0:
+        """Points along the core (the vertex itself for a point core)."""
+        if not self._seg_v.any():
             return self.core.copy()
         t = np.linspace(0.0, 1.0, per_segment, endpoint=False)
         pts = self._seg_a[:, None, :] + t[None, :, None] * self._seg_v[:, None, :]
@@ -159,23 +148,16 @@ class CanalExperimentConfig:
     tolerance: float = 2e-2
     seed: int = 0
     n_random_loops: int = 300
-    near_core_factor: float = 1.0
-    loop_knots: int = 21
 
 
-def _loop_candidates(L, rng, n_random, t_choices, grid_n=64):
-    """Closed-loop sample: constants on a grid plus random-waypoint loops."""
-    loops = []
-    axes = [np.arange(grid_n) / grid_n for _ in range(L.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.dim)
-    stride = max(len(mesh) // 256, 1)
-    for x in mesh[::stride]:
-        loops.append(BrokenPath.constant(x, 1.0))
+def _loop_candidates(dim, rng, n_random, t_choices, grid_n=64):
+    """(cover knots, duration) of constant loops on a grid, then of
+    null-homologous random-waypoint loops in draw order."""
+    mesh = grid(grid_n, dim)
+    loops = [(np.vstack([x, x]), 1.0) for x in mesh[::max(len(mesh) // 256, 1)]]
     for _ in range(n_random):
-        m = int(rng.integers(3, 6))
-        X = rng.random((m, L.dim))
-        X = np.vstack([X, X[:1]])
-        loops.append(BrokenPath.from_cover(X, float(rng.choice(t_choices))))
+        X = rng.random((int(rng.integers(3, 6)), dim))
+        loops.append((np.vstack([X, X[:1]]), float(rng.choice(t_choices))))
     return loops
 
 
@@ -197,32 +179,34 @@ def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential,
         raise RuntimeError(f"monotonicity violated: c(L+phi)={c_pert} > c(L)={c_base}")
 
     rng = np.random.default_rng(config.seed)
-    loops = _loop_candidates(L, rng, config.n_random_loops, duration_grid(0.5, 8.0, 5))
+    loops = _loop_candidates(L.dim, rng, config.n_random_loops, np.geomspace(0.5, 8.0, 5))
+    # one batch per knot count: normalized actions, largest core distances
+    actions, dists = np.empty(len(loops)), np.empty(len(loops))
+    sizes = np.array([len(X) for X, _ in loops])
+    for n in np.unique(sizes):
+        idx = np.flatnonzero(sizes == n)
+        X = _lift(*_split(np.array([loops[i][0] for i in idx])))
+        T = np.array([loops[i][1] for i in idx])
+        actions[idx] = _action_value_grad(L_pert, X, T, c_pert, need_grad=False)[0] / T
+        dists[idx] = cp.distance(wrap(X)).max(axis=1)
     # radius where the canal exceeds the critical-value resolution
-    near_r = min(config.near_core_factor * (1e-2 / cp.eps) ** (1.0 / cp.k),
-                 0.45 * np.sqrt(cp.dim))
-    best = {"on": None, "off": None}
-    best_overall = None
-    for loop in loops:
-        a = action(L_pert, loop, c_pert) / loop.T   # normalized closed-measure action
-        dist = float(np.max(cp.distance(wrap(loop.cover_knots()))))
-        side = "on" if dist <= near_r else "off"
-        if best[side] is None or a < best[side][0]:
-            best[side] = (a, dist)
-        if best_overall is None or a < best_overall[0]:
-            best_overall = (a, dist)
+    near_r = min((1e-2 / cp.eps) ** (1.0 / cp.k), 0.45 * np.sqrt(cp.dim))
+    on = dists <= near_r
+    best = int(np.argmin(actions))       # the first least action in sample order
+    best_on = float(actions[on].min()) if on.any() else None
+    best_off = float(actions[~on].min()) if not on.all() else None
     report = {
         "c_base": c_base,
         "c_perturbed": c_pert,
         "monotone": bool(monotone),
         "core_force_residual": core_force_residual(L, cp),
         "near_core_radius": near_r,
-        "best_loop_action": best_overall[0],
-        "best_loop_core_distance": best_overall[1],
-        "best_on_core_action": None if best["on"] is None else best["on"][0],
-        "best_off_core_action": None if best["off"] is None else best["off"][0],
-        "localized": bool(best_overall[1] <= near_r),
+        "best_loop_action": float(actions[best]),
+        "best_loop_core_distance": float(dists[best]),
+        "best_on_core_action": best_on,
+        "best_off_core_action": best_off,
+        "localized": bool(dists[best] <= near_r),
     }
-    if best["on"] is not None and best["off"] is not None:
-        report["action_gap_off_minus_on"] = best["off"][0] - best["on"][0]
+    if best_on is not None and best_off is not None:
+        report["action_gap_off_minus_on"] = best_off - best_on
     return report

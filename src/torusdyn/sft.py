@@ -17,7 +17,7 @@ runs until it is within rtol and stops shrinking, so the vector is good to
 rounding level.  Each solve first eliminates the chains of single-successor
 symbols by back-substitution, so only the branching symbols enter a dense
 LU (`_shifted_solver`).  `top_entropy` takes the largest root over the strongly
-connected components of the essential part; `suspension.parry_measure`
+connected components that carry a cycle; `suspension.parry_measure`
 uses the right and left pairs of an irreducible matrix.
 """
 
@@ -387,20 +387,19 @@ def top_entropy(A: TransitionMatrix, rtol=1e-12, max_iter=100):
 
     The Perron root of a reducible matrix is the largest root over its
     strongly connected components, each of them irreducible, so
-    `perron_pair` runs once per component of the essential part (Noda's
-    shifted inverse iteration, certified to rtol; `max_iter` bounds its
-    shifted solves per component).
+    `perron_pair` runs once per component with a cycle (Noda's shifted
+    inverse iteration, certified to rtol; `max_iter` bounds its shifted
+    solves per component); ZeroShift when there is none.
     """
-    ess, _ = A.essential_part()
-    if ess is None:
-        raise ZeroShift("essential part of the shift is empty")
-    root = 0.0
-    for idx in strong_components(ess.bits):
-        block = ess.bits if len(idx) == ess.m else ess.bits[np.ix_(idx, idx)]
+    roots = []
+    for idx in strong_components(A.bits):
+        block = A.bits if len(idx) == A.m else A.bits[np.ix_(idx, idx)]
         if len(idx) == 1 and not block[0, 0]:
             continue  # transient symbol, no cycle through it
-        root = max(root, perron_pair(block, rtol, max_iter).root)
-    return float(np.log(root))
+        roots.append(perron_pair(block, rtol, max_iter).root)
+    if not roots:
+        raise ZeroShift("essential part of the shift is empty")
+    return float(np.log(max(roots)))
 
 
 def count_words(A: TransitionMatrix, n):

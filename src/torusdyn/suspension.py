@@ -290,20 +290,27 @@ class LiftedMeasure:
         if radius is None:
             radius = self.tau.radius
         radius = max(radius, self.tau.radius)
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        rule = np.polynomial.legendre.leggauss(n_quad)
 
         def fiber(w):
             top = self.tau(w)
             cuts = [0.0, top]
             if breakpoints is not None:
                 cuts = sorted(set(cuts) | {float(b) for b in breakpoints(w) if 0.0 < b < top})
-            total = 0.0
-            for a, b in zip(cuts, cuts[1:]):
-                mid, half = (a + b) / 2.0, (b - a) / 2.0
-                total += half * sum(wq * f(w, mid + half * xq) for xq, wq in zip(nodes, weights))
-            return total
+            return _panel_sum(f, w, cuts, rule)
 
         return self.nu.expect_window(fiber, radius) / self.total_time
+
+
+def _panel_sum(f, w, cuts, rule):
+    """Gauss-Legendre `rule` (nodes, weights) sum of f(w, s) over each panel
+    [cuts[i], cuts[i + 1]] of the fiber above the window w."""
+    nodes, weights = rule
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        total += half * sum(wq * f(w, mid + half * xq) for xq, wq in zip(nodes, weights))
+    return total
 
 
 def lift_measure(nu, tau: CeilingFunction):
@@ -314,12 +321,9 @@ def orbit_weight(cycle, tau: CeilingFunction, cost, n_quad=32):
     """Integral of cost(window, height) over one period of a suspended cycle."""
     cycle = tuple(cycle)
     radius = max(tau.radius, 1) + len(cycle)
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    rule = np.polynomial.legendre.leggauss(n_quad)
     total = 0.0
     for phase in range(len(cycle)):
-        rot = cycle[phase:] + cycle[:phase]
-        w = SymbolWindow.periodic(rot, radius)
-        top = tau(w)
-        mid, half = top / 2.0, top / 2.0
-        total += half * sum(wq * cost(w, mid + half * xq) for xq, wq in zip(nodes, weights))
+        w = SymbolWindow.periodic(cycle[phase:] + cycle[:phase], radius)
+        total += _panel_sum(cost, w, (0.0, tau(w)), rule)
     return float(total)

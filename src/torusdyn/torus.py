@@ -1,5 +1,5 @@
 """Reduction of torus coordinates (points to [0, 1), displacements to
-[-1/2, 1/2)) and the flat torus metric."""
+[-1/2, 1/2)), the uniform grid and the flat torus metric."""
 
 import numpy as np
 
@@ -29,6 +29,12 @@ def wrap(x):
 def minimal_lift(x):
     """Representative of a torus displacement with entries in [-1/2, 1/2)."""
     return _lift_inplace(np.array(x, dtype=float))[()]   # a scalar for 0-d input
+
+
+def grid(n, dim):
+    """The n^dim grid points (i_1, ..., i_dim) / n as rows, the first slowest."""
+    axes = [np.arange(n) / n] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
 def torus_metric(a, b):

@@ -17,7 +17,6 @@ from torusdyn.action import (
     action,
     action_potential,
     critical_value,
-    duration_grid,
     el_residual,
     staticity_defect,
     tonelli_minimizer,
@@ -548,7 +547,7 @@ class TestNewtonAgainstReference:
     ])
     def test_same_action_at_default_grid_durations(self, monkeypatch, make, t_max, pairs):
         L = make()
-        grid = duration_grid()
+        grid = np.geomspace(0.05, 50.0, 40)
         for x, y in pairs:
             for T in grid[grid < t_max]:
                 (ref, ref_ok), (new, new_ok) = self._both(L, [x], [y], T, monkeypatch)
@@ -568,7 +567,7 @@ class TestNewtonAgainstReference:
         # the reference left 9 of these 80 solves above the residual target
         # (1.6e-6 to 5.6e-6 against 1e-6), all at T <= 0.0851
         L = double_well()
-        grid = duration_grid()
+        grid = np.geomspace(0.05, 50.0, 40)
         for x, y in CRITERION_5_PAIRS:
             for T in grid[grid <= 0.086]:
                 path = tonelli_minimizer(L, [x], [y], T)
@@ -659,6 +658,13 @@ class TestFreeTimePotential:
         x, y = [0.1, 0.2], [0.45, 0.7]
         phi = action_potential(L, k, x, y, w_max=1, search=search).value
         assert abs(phi - knot_refinement_potential(L, k, x, y, w_max=1)) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1e6, 1e7])
+    def test_large_k_matches_maupertuis(self, k):
+        # the residual's rounding floor passes 1e-6 here (4.4e-6 and 4.6e-5)
+        phi = action_potential(pendulum(), k, [0.05], [0.31]).value
+        exact = maupertuis_t1({1: 1.0}, 0.0, k, 0.05, 0.31)
+        assert abs(phi - exact) <= 1e-6 * exact
 
     def test_missed_residual_raises_no_convergence(self, monkeypatch):
         solve = action_mod._minimize_knots

@@ -685,3 +685,79 @@ def test_one_torus_metric_for_both_names():
     shift = rng.integers(-3, 4, (500, 2))
     expected = np.linalg.norm(minimal_lift(a - b), axis=-1)
     assert np.abs(torus_distance(a + shift, b) - expected).max() <= 1e-12
+
+
+def reference_lattice_orbit(tm, x0, n_steps, modulus):
+    """`orbit(..., modulus=q)` before the lattice stepper was shared, verbatim."""
+    m = tm.matrix
+    q = int(modulus)
+    k = np.asarray(np.round(np.asarray(x0, dtype=float) * q), dtype=np.int64) % q
+    pts = np.empty((n_steps + 1, 2))
+    for i in range(n_steps + 1):
+        pts[i] = k / q
+        k = (m @ k) % q
+    return pts
+
+
+def reference_ensemble_orbits(tm, n_orbits, n_steps, backward=0, grid=False, rng=None,
+                              modulus=2**31):
+    """The orbit array of `orbit_ensemble` before the lattice stepper was
+    shared, verbatim."""
+    q = int(modulus)
+    if grid:
+        side = int(round(np.sqrt(n_orbits)))
+        ticks = (np.arange(side) * (q // side)) % q
+        k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    else:
+        k0 = rng.integers(0, q, size=(n_orbits, 2))
+    k0 = k0.astype(np.int64)
+    m = tm.matrix
+    det = tm.det
+    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
+    minv = (det * adj) % q
+
+    cols = [k0]
+    k = k0
+    for _ in range(n_steps):
+        k = (k @ m.T) % q
+        cols.append(k)
+    k = k0
+    back = []
+    for _ in range(backward):
+        k = (k @ minv.T) % q
+        back.append(k)
+    back.reverse()
+    return np.stack(back + cols, axis=1).astype(float) / q
+
+
+class TestLatticeOrbitFold:
+    """One int64 stepper serves `orbit(modulus=)` and `orbit_ensemble`."""
+
+    MATRICES = [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((3, 2), (1, 1)), ((5, 7), (2, 3))]
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    @pytest.mark.parametrize("modulus", [7, 81, 1000, 2**31])
+    def test_orbit_modulus(self, matrix, modulus):
+        tm = ToralAutomorphism(matrix)
+        rng = np.random.default_rng(modulus)
+        for x0 in [(0.0, 0.0), (0.25, 0.5)] + [tuple(rng.random(2)) for _ in range(5)]:
+            for n in (0, 1, 40):
+                got = hyp.orbit(tm, x0, n, modulus=modulus)
+                ref = reference_lattice_orbit(tm, x0, n, modulus)
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    @pytest.mark.parametrize("backward,n_steps", [(0, 0), (0, 12), (3, 0), (5, 9), (30, 40)])
+    def test_ensemble(self, matrix, backward, n_steps):
+        tm = ToralAutomorphism(matrix)
+        for modulus in (1000, 2**31):
+            got = hyp.orbit_ensemble(tm, 25, n_steps, backward=backward, modulus=modulus,
+                                     rng=np.random.default_rng(4))
+            ref = reference_ensemble_orbits(tm, 25, n_steps, backward, modulus=modulus,
+                                            rng=np.random.default_rng(4))
+            assert got.origin == backward and np.array_equal(got.orbits, ref)
+            got = hyp.orbit_ensemble(tm, 16, n_steps, backward=backward, grid=True,
+                                     modulus=modulus)
+            ref = reference_ensemble_orbits(tm, 16, n_steps, backward, grid=True,
+                                            modulus=modulus)
+            assert np.array_equal(got.orbits, ref)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from torusdyn.action import critical_value
-from torusdyn.fields import FourierSeries
+from torusdyn.action import BrokenPath, action, critical_value
+from torusdyn.fields import FourierSeries, OneForm
 from torusdyn.lagrangian import MechanicalLagrangian, PhaseState, el_flow
 from torusdyn.perturbation import (
     CanalExperimentConfig,
@@ -13,6 +13,7 @@ from torusdyn.perturbation import (
     experiment_localization,
     perturb,
 )
+from torusdyn.torus import wrap
 
 
 def pendulum():
@@ -150,3 +151,111 @@ class TestExperiment:
                 cp = CanalPotential([[0.0]], eps=eps, k=k)
                 c_pert = critical_value(perturb(L, cp))
                 assert c_pert <= 1.0 + 2e-2
+
+
+def reference_point_distance_and_direction(cp, x):
+    """The point-core branch of `CanalPotential._distance_and_direction`
+    before a point core became a segment of length 0, verbatim."""
+    x = wrap(np.atleast_2d(x))
+    n = len(x)
+    y = x[:, None, :] + cp._lifts[None, :, :]      # (n, 3^d, d)
+    diff = y[:, :, None, :] - cp.core[None, None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)         # (n, lifts, m)
+    flat = dist.reshape(n, -1)
+    best = np.argmin(flat, axis=1)
+    d = flat[np.arange(n), best]
+    away = diff.reshape(n, -1, x.shape[1])[np.arange(n), best]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(d[:, None] > 0, away / np.maximum(d[:, None], 1e-300), 0.0)
+    return d, unit
+
+
+class TestPointCoreFold:
+    """A point core as a segment of length 0 gives the point branch's bits."""
+
+    @pytest.mark.parametrize("vertex", [[0.0], [0.25], [0.9999], [0.0, 0.0], [0.3, 0.6],
+                                        [0.999, 0.5]])
+    @pytest.mark.parametrize("plateau", [None, 0.2])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_values_gradients_distances(self, vertex, plateau, closed):
+        cp = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, closed=closed)
+        ref = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, closed=closed)
+        ref._distance_and_direction = lambda x: reference_point_distance_and_direction(ref, x)
+        dim = len(vertex)
+        rng = np.random.default_rng(dim)
+        pts = np.vstack([rng.random((300, dim)), [vertex], wrap(np.add(vertex, 0.5)),
+                         np.add(vertex, 1e-9), -rng.random((20, dim))])
+        for x in (pts, pts[0], pts.reshape(-1, 2, dim) if len(pts) % 2 == 0 else pts[:-1]):
+            assert np.array_equal(cp(x), ref(x))
+            assert np.array_equal(cp.grad(x), ref.grad(x))
+            assert np.array_equal(np.asarray(cp.distance(x)), np.asarray(ref.distance(x)))
+        assert np.array_equal(cp.core_samples(), wrap(np.atleast_2d(vertex)))
+
+
+def reference_localization(L, cp, config):
+    """`experiment_localization` before its loops were priced in batches:
+    one `action` and one `distance` call per loop, verbatim."""
+    L_pert = perturb(L, cp)
+    c_base = critical_value(L)
+    c_pert = critical_value(L_pert)
+    monotone = c_pert <= c_base + config.tolerance
+    rng = np.random.default_rng(config.seed)
+    loops = []
+    axes = [np.arange(64) / 64 for _ in range(L.dim)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.dim)
+    stride = max(len(mesh) // 256, 1)
+    for x in mesh[::stride]:
+        loops.append(BrokenPath.constant(x, 1.0))
+    for _ in range(config.n_random_loops):
+        m = int(rng.integers(3, 6))
+        X = rng.random((m, L.dim))
+        X = np.vstack([X, X[:1]])
+        loops.append(BrokenPath.from_cover(X, float(rng.choice(np.geomspace(0.5, 8.0, 5)))))
+    near_r = min(1.0 * (1e-2 / cp.eps) ** (1.0 / cp.k), 0.45 * np.sqrt(cp.dim))
+    best = {"on": None, "off": None}
+    best_overall = None
+    for loop in loops:
+        a = action(L_pert, loop, c_pert) / loop.T
+        dist = float(np.max(cp.distance(wrap(loop.cover_knots()))))
+        side = "on" if dist <= near_r else "off"
+        if best[side] is None or a < best[side][0]:
+            best[side] = (a, dist)
+        if best_overall is None or a < best_overall[0]:
+            best_overall = (a, dist)
+    report = {
+        "c_base": c_base,
+        "c_perturbed": c_pert,
+        "monotone": bool(monotone),
+        "core_force_residual": core_force_residual(L, cp),
+        "near_core_radius": near_r,
+        "best_loop_action": best_overall[0],
+        "best_loop_core_distance": best_overall[1],
+        "best_on_core_action": None if best["on"] is None else best["on"][0],
+        "best_off_core_action": None if best["off"] is None else best["off"][0],
+        "localized": bool(best_overall[1] <= near_r),
+    }
+    if best["on"] is not None and best["off"] is not None:
+        report["action_gap_off_minus_on"] = best["off"][0] - best["on"][0]
+    return report
+
+
+class TestCanalScanFold:
+    """Batched loop pricing reports what the per-loop scan reported."""
+
+    def test_benchmark_t1_point_canal(self):
+        # the benchmark's canal job at its anchor values: magnetic pendulum, point core
+        L = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}),
+                                 OneForm([FourierSeries(1, cos={0: 0.85})]))
+        cp = CanalPotential([[0.0]], eps=0.12, k=2)
+        config = CanalExperimentConfig()
+        assert experiment_localization(L, cp, config) == reference_localization(L, cp, config)
+
+    def test_t2_polyline_canal(self):
+        L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2,
+                                                          (1, 1): 0.1}))
+        cp = CanalPotential([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], eps=0.4, k=2,
+                            winds=[[0, 0], [0, 0], [1, 0]])
+        config = CanalExperimentConfig()
+        report = experiment_localization(L, cp, config)
+        assert report == reference_localization(L, cp, config)
+        assert "action_gap_off_minus_on" in report

@@ -585,3 +585,65 @@ class TestMatrixIO:
 def test_cylinder_growth_exposed():
     k6 = sft.cylinder_growth(GOLDEN_MEAN, 6)
     assert k6 > 0
+
+
+def reference_top_entropy(A, rtol=1e-12, max_iter=100):
+    """`top_entropy` through `essential_part`, before it walked the
+    components of A directly, verbatim."""
+    ess, _ = A.essential_part()
+    if ess is None:
+        raise sft.ZeroShift("essential part of the shift is empty")
+    root = 0.0
+    for idx in sft.strong_components(ess.bits):
+        block = ess.bits if len(idx) == ess.m else ess.bits[np.ix_(idx, idx)]
+        if len(idx) == 1 and not block[0, 0]:
+            continue  # transient symbol, no cycle through it
+        root = max(root, perron_pair(block, rtol, max_iter).root)
+    return float(np.log(root))
+
+
+def layered_bits(rng, m, density, n_layers):
+    """Random 0/1 matrix whose symbols fall into layers: edges stay inside a
+    layer or lead to a later one, so there are several components, and
+    layers of one symbol without a self-loop are transient."""
+    layer = np.sort(rng.integers(0, n_layers, size=m))
+    rng.shuffle(layer)
+    bits = (rng.random((m, m)) < density) & (layer[:, None] <= layer[None, :])
+    return bits
+
+
+class TestTopEntropyOverComponents:
+    """Walking the components of A gives the value through the essential part."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 40), density=st.floats(0.02, 0.6), n_layers=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_essential_part(self, m, density, n_layers, seed):
+        bits = layered_bits(np.random.default_rng(seed), m, density, n_layers)
+        if not bits.any():
+            return
+        A = TransitionMatrix(bits)
+        try:
+            expected = reference_top_entropy(A)
+        except sft.ZeroShift:
+            with pytest.raises(sft.ZeroShift):
+                top_entropy(A)
+            return
+        assert top_entropy(A) == expected
+
+    def test_transients_and_several_components(self):
+        # symbols 0-1 a 2-cycle, 2 transient, 3-5 the golden mean and a
+        # fixed point 6, each reached only forward
+        bits = np.zeros((7, 7), dtype=bool)
+        for i, j in [(0, 1), (1, 0), (1, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 5),
+                     (5, 6), (6, 6), (2, 6)]:
+            bits[i, j] = True
+        A = TransitionMatrix(bits)
+        assert top_entropy(A) == reference_top_entropy(A)
+        assert abs(top_entropy(A) - LOG_PHI) <= 1e-12
+
+    def test_acyclic_raises_zero_shift(self):
+        A = TransitionMatrix(np.triu(np.ones((5, 5), dtype=bool), k=1))
+        for fn in (reference_top_entropy, top_entropy):
+            with pytest.raises(sft.ZeroShift):
+                fn(A)

@@ -250,3 +250,76 @@ def test_abramov_consistency_unit_ceiling():
         a = refine_entropy(mu, part, f_shift, n)
         b = refine_entropy(mu, part, f_return, n)
         assert a == b
+
+
+def reference_orbit_weight(cycle, tau, cost, n_quad=32):
+    """`orbit_weight` before the panel sum was shared with
+    `LiftedMeasure.integrate`, verbatim."""
+    cycle = tuple(cycle)
+    radius = max(tau.radius, 1) + len(cycle)
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    total = 0.0
+    for phase in range(len(cycle)):
+        rot = cycle[phase:] + cycle[:phase]
+        w = SymbolWindow.periodic(rot, radius)
+        top = tau(w)
+        mid, half = top / 2.0, top / 2.0
+        total += half * sum(wq * cost(w, mid + half * xq) for xq, wq in zip(nodes, weights))
+    return float(total)
+
+
+def reference_integrate(integ, f, radius=None, n_quad=32, breakpoints=None):
+    """`LiftedMeasure.integrate` before the panel sum was shared, verbatim."""
+    if radius is None:
+        radius = integ.tau.radius
+    radius = max(radius, integ.tau.radius)
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+
+    def fiber(w):
+        top = integ.tau(w)
+        cuts = [0.0, top]
+        if breakpoints is not None:
+            cuts = sorted(set(cuts) | {float(b) for b in breakpoints(w) if 0.0 < b < top})
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            total += half * sum(wq * f(w, mid + half * xq) for xq, wq in zip(nodes, weights))
+        return total
+
+    return integ.nu.expect_window(fiber, radius) / integ.total_time
+
+
+class TestPanelSumFold:
+    """One Gauss-Legendre panel sum serves both integrators, bit for bit."""
+
+    TAUS = [CeilingFunction.constant(1.0), CeilingFunction.constant(0.3),
+            CeilingFunction.symbol_bonus(1.0, 0.5, symbol=1),
+            CeilingFunction.symbol_bonus(0.7, -0.2, symbol=0)]
+
+    @staticmethod
+    def cost(w, s):
+        return np.sin(3.0 * s) + 0.7 * (w[0] == 0) - 0.2 * s * s * (w[1] == 1)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("cycle", [(0,), (1, 0), (0, 1, 0, 0, 1), (2, 0, 1, 1)])
+    @pytest.mark.parametrize("n_quad", [1, 5, 32])
+    def test_orbit_weight(self, tau, cycle, n_quad):
+        assert orbit_weight(cycle, tau, self.cost, n_quad) == \
+            reference_orbit_weight(cycle, tau, self.cost, n_quad)
+
+    @pytest.mark.parametrize("tau", TAUS[2:])
+    @pytest.mark.parametrize("t", [0.35, 1.2, -0.8])
+    def test_integrate_with_breakpoints(self, tau, t):
+        integ = lift_measure(parry_measure(GOLDEN_MEAN), tau)
+
+        def f(w, s):
+            out = suspend_flow(SuspensionPoint(w, s), t, tau)
+            return self.cost(out.base, out.height)
+
+        def kinks(w):
+            return roof_crossings(w, t, tau)
+
+        for n_quad in (3, 32):
+            assert integ.integrate(f, 4, n_quad, kinks) == \
+                reference_integrate(integ, f, 4, n_quad, kinks)
+            assert integ.integrate(f, 4, n_quad) == reference_integrate(integ, f, 4, n_quad)
