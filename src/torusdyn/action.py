@@ -9,8 +9,9 @@ gradient: of the action at a fixed duration (Tonelli minimizers), or of
 its least value over the duration in closed form, the free-time action
 (the action potential, extrapolated in the knot count).  Closed loops of
 negative action mark the sub-critical regime and certify it.  The
-critical value is the best closed-form loop threshold over a battery,
-each of its four best loops lifted by an L-BFGS ascent."""
+critical value is the best closed-form loop threshold theta over a
+battery, its four best candidates raised by Newton in k on the same
+free-time solve, re-based at the middle knot after each solve."""
 
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ class BrokenPath:
             raise ValueError("a path needs at least two knots")
         if self.winds.shape != (len(self.knots) - 1, self.knots.shape[1]):
             raise ValueError("winding offsets must be one integer vector per segment")
-        if self.T <= 0:
-            raise ValueError("total time must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"total time must be positive and finite, got {self.T}")
 
     @property
     def n_knots(self):
@@ -174,18 +175,17 @@ def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=Tru
     return value, (grad(1.0 / T, -T, 1.0) if need_grad else None)
 
 
-def _thresholds(L: MechanicalLagrangian, X, need_grad=False):
-    """theta, (K, Ubar, u) and grad theta of closed loops X (B, n, d), K > 0.
+def _thresholds(L: MechanicalLagrangian, X):
+    """theta and (K, Ubar, u) of closed loops X (B, n, d), K > 0.
 
     Minimizing K/T + T (k - Ubar) + M over T (AM-GM): a loop has negative
     (L + k)-action at some duration exactly when k < theta = Ubar + K u^2,
-    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).  By the
-    envelope identity grad theta = -grad A_theta(X, 1/u) * u.
+    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).
     """
-    kin, useg, m, grad = _action_terms(L, X)
+    kin, useg, m, _ = _action_terms(L, X)
     K, ubar = (X.shape[1] - 1) * kin.sum(axis=1), useg.mean(axis=1)
     u = np.maximum(-m.sum(axis=1), 0.0) / (2.0 * K)
-    return ubar + K * u * u, (K, ubar, u), (grad(-u * u, 1.0, -u) if need_grad else None)
+    return ubar + K * u * u, (K, ubar, u)
 
 
 def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
@@ -447,12 +447,13 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     class that eta rewards stays in play).
 
     Raises NoConvergence (carrying the best iterate and its residual) when
-    the discrete Euler-Lagrange residual stays above `residual_tol`.
+    the discrete Euler-Lagrange residual is not within `residual_tol`, and
+    ValueError for non-finite x or y or a T that is not positive and finite.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-    y = wrap(np.atleast_1d(np.asarray(y, dtype=float)))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if not (0 < T < np.inf and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"T must be positive and finite and x, y finite, got {T}, {x}, {y}")
+    x, y = wrap(x), wrap(y)
     if n_knots is None:
         n_knots = default_knot_count(T)
     if n_knots < 3:
@@ -460,69 +461,39 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     path, _, res = _least_over_classes(
         L, minimal_lift(y - x), w_max, T, 0.0,
         lambda disp: _minimize_knots(L, x, disp, T, n_knots, 0.0, n_quad, maxiter))
-    if res > residual_tol:
+    if not res <= residual_tol:
         raise NoConvergence(f"residual {res:.2e} above {residual_tol:.0e}", path, res)
     return path
 
 
-def _ascend(L: MechanicalLagrangian, X, n_knots):
-    """Ascent of the threshold of the closed loop X (m, d), its segments cut
-    into equal pieces up to n_knots knots, winding fixed.
-
-    L-BFGS on -theta (two-loop recursion over the last 10 pairs, Nocedal and
-    Wright, Numerical Optimization, 2006, Alg. 7.4) with a backtracking Armijo
-    search; the first step has unit length.  Stops after 200 steps, on
-    max|grad| <= 1e-10, on a relative gain <= 1e-15 or when the search finds
-    no decrease.
+def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
+    """The closed loop X (m, d), its segments cut into equal pieces up to
+    n_knots knots, raised by Newton in k: k <- theta(argmin F_k), F_k the
+    free-time action of `_minimize_knots(T=None)` started from the loop
+    before, and theta the root in k of F_k of the new loop.  F_k <= 0 at
+    the loop before, so theta never falls.  Starts at k = max(theta, max U):
+    below max U no minimizer exists.  Each solve pins the first knot, so the
+    loop is re-based at its middle knot after it.  Stops when theta no longer
+    exceeds k, after 40 solves, or when k <= Ubar on a seed; returns the
+    last loop whose theta exceeded k, else the cut seed.
     """
-    d = X.shape[1]
-    wind = X[-1] - X[0]
     r = -(-(n_knots - 1) // (len(X) - 1))
-    z = (X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :]).ravel()
-
-    def close(z):
-        Y = z.reshape(-1, d)
-        return np.vstack([Y, Y[:1] + wind])
-
-    def fun(z):
-        theta, _, grad = _thresholds(L, close(z)[None], need_grad=True)
-        g = grad[0, :-1]
-        g[0] += grad[0, -1]
-        return -float(theta[0]), -g.ravel()
-
-    f, g = fun(z)
-    pairs = []                      # (s, y, 1 / y.s), oldest first
-    for _ in range(200):
-        if np.abs(g).max() <= 1e-10:
+    W = np.vstack([(X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :])
+                   .reshape(-1, X.shape[1]), X[-1:]])
+    best, h = W, (len(W) - 1) // 2
+    k = max(float(_thresholds(L, W[None])[0][0]), u_max)
+    for _ in range(40):
+        try:
+            path, _, _ = _minimize_knots(L, W[0], W[-1] - W[0], None, len(W), k, x_init=W - W[0])
+        except NoConvergence:
             break
-        p = -g
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ p))
-            p = p - alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            p = p * ((s @ y) / (y @ y))
-        else:
-            p = p / np.sqrt(p @ p)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            p = p + (a - rho * (y @ p)) * s
-        slope, t = float(g @ p), 1.0
-        for _ in range(40):
-            f_new, g_new = fun(z + t * p)
-            if f_new <= f + 1e-4 * t * slope:
-                break
-            t /= 2.0
-        else:
+        W = path.cover_knots()
+        W = np.vstack([W[h:-1], W[:h + 1] + (W[-1] - W[0])])
+        theta = float(_thresholds(L, W[None])[0][0])
+        if not theta > k:
             break
-        s, y = t * p, g_new - g
-        if y @ s > 0.0:
-            pairs = (pairs + [(s, y, 1.0 / (y @ s))])[-10:]
-        done = f - f_new <= 1e-15 * max(abs(f), abs(f_new), 1.0)
-        z, f, g = z + s, f_new, g_new
-        if done:
-            break
-    return close(z)
+        best, k = W, theta
+    return best
 
 
 class NegativeLoopSearch:
@@ -534,12 +505,15 @@ class NegativeLoopSearch:
     loop at the maximum of U (theta = max U; all there is for purely
     mechanical L), a straight `n_knots` loop in each nonzero winding class
     up to `w_max`, and random-waypoint loops filling `budget`.  Loops with
-    M >= 0 have theta = Ubar <= max U; the four best with M < 0 get one
-    L-BFGS ascent of theta.  `find(k)` checks best theta > k.  The random
-    loops close on their first knot in the cover, so all are null-homologous
-    and raise theta only where d eta != 0; classes beyond `w_max` are never
-    tried.  U = 0 with eta = (0.6, -0.8), where c = 0.5 needs winding
-    (-3, 4), gives the 0.49 of the class (-1, 1) loop.
+    M >= 0 have theta = Ubar <= max U.  A candidate has M < 0 and winds or
+    has theta > max U: a null-homologous loop below max U only shrinks to a
+    point under the free-time solve, and with constant eta its M is
+    rounding.  The four best candidates are raised by `_refine_loop`.
+    `find(k)` checks best theta > k.  The random loops close on their first
+    knot in the cover, so all are null-homologous and raise theta only where
+    d eta != 0; classes beyond `w_max` are never tried.  U = 0 with
+    eta = (0.6, -0.8), where c = 0.5 needs winding (-3, 4), gives the 0.49
+    of the class (-1, 1) loop.
 
     Potentials at several k can share one search and its battery.
     """
@@ -554,19 +528,24 @@ class NegativeLoopSearch:
         self._rng = np.random.default_rng(seed)
         self._purely_mechanical = L.oneform.is_zero()
 
-    def _candidates(self):
-        """The four battery loops with M < 0 of highest threshold."""
+    def _battery(self):
+        """The battery's loops (B, m, d), in groups of one knot count m."""
         winds = np.array([w for w in _winding_classes(self.L.dim, self.w_max) if np.any(w)])
         groups = [self.x_max + np.linspace(0, 1, self.n_knots)[None, :, None] * winds[:, None, :]]
         sizes = self._rng.integers(3, 6, size=max(self.budget - len(winds) - 1, 0))
         for m in np.unique(sizes):
             X = self._rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
             groups.append(np.concatenate([X, X[:, :1]], axis=1))
+        return groups
+
+    def _candidates(self):
+        """The four candidate loops (see the class) of highest threshold."""
         loops, thetas = [], []
-        for X in groups:
-            theta, (_, _, u), _ = _thresholds(self.L, X)
-            loops.extend(X[u > 0])
-            thetas.extend(theta[u > 0])
+        for X in self._battery():
+            theta, (_, _, u) = _thresholds(self.L, X)
+            keep = (u > 0) & (np.any(X[:, -1] != X[:, 0], axis=1) | (theta > self.u_max))
+            loops.extend(X[keep])
+            thetas.extend(theta[keep])
         return [loops[i] for i in np.argsort(thetas)[::-1][:4]]
 
     def _best_loop(self):
@@ -575,7 +554,7 @@ class NegativeLoopSearch:
             self._best = (self.u_max, None)
             # a purely mechanical (L + k)-integrand is >= 0 once k >= max U
             for X in [] if self._purely_mechanical else self._candidates():
-                for Y in (X, _ascend(self.L, X, self.n_knots)):
+                for Y in (X, _refine_loop(self.L, X, self.n_knots, self.u_max)):
                     theta = float(_thresholds(self.L, Y[None])[0][0])
                     self._best = max(self._best, (theta, Y), key=lambda b: b[0])
         return self._best
@@ -588,7 +567,7 @@ class NegativeLoopSearch:
         theta, X = self._best_loop()
         if X is None or k >= theta:
             return None
-        _, (K, ubar, u), _ = _thresholds(self.L, X[None])
+        _, (K, ubar, u) = _thresholds(self.L, X[None])
         # at k <= Ubar no duration minimizes; 1/u gives (k - theta)/u < 0
         T = np.sqrt(K[0] / (k - ubar[0])) if k > ubar[0] else 1.0 / u[0]
         return BrokenPath.from_cover(X, float(T))
@@ -647,7 +626,11 @@ def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
 
 def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch = None):
     """Mane critical value c(L) (least k with no negative (L + k)-loop) as
-    the best threshold theta = Ubar + max(-M, 0)^2 / (4K) of `search`.
+    the best threshold theta = Ubar + max(-M, 0)^2 / (4K) of `search`: its
+    battery's four best candidate loops, each raised by Newton in k
+    (`_refine_loop`: k <- theta of the least free-time action F_k, the root
+    of F_k = 2 sqrt(K (k - Ubar)) + M, with the loop re-based at its middle
+    knot after each solve).
 
     A certified lower bound: at T* = sqrt(K / (k - Ubar)) the best loop has
     negative action for every k below it.  Exact (max U) for purely

@@ -88,6 +88,11 @@ class TestBrokenPath:
         with pytest.raises(ValueError):
             BrokenPath(np.array([[0.1], [0.2]]), np.zeros((1, 1), dtype=int), -1.0)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, T):
+        with pytest.raises(ValueError):
+            BrokenPath(np.array([[0.1], [0.2]]), np.zeros((1, 1), dtype=int), T)
+
 
 class TestAction:
     def test_constant_path(self):
@@ -171,6 +176,23 @@ class TestTonelliMinimizer:
             tonelli_minimizer(L, [0.262], [0.738], T=4.0, maxiter=2, residual_tol=1e-12)
         assert exc.value.path is not None
         assert exc.value.residual > 1e-12
+
+    @pytest.mark.parametrize("x,y,T", [(np.nan, 0.3, 1.0), (0.1, np.inf, 1.0), (0.1, -np.inf, 1.0),
+                                       (0.1, 0.3, np.nan), (0.1, 0.3, np.inf), (0.1, 0.3, 0.0)])
+    def test_bad_input_raises_value_error(self, x, y, T):
+        with pytest.raises(ValueError):
+            tonelli_minimizer(pendulum(), [x], [y], T)
+
+    def test_nan_residual_raises_no_convergence(self, monkeypatch):
+        solve = action_mod._minimize_knots
+
+        def nan_residual(*args, **kwargs):
+            path, value, _ = solve(*args, **kwargs)
+            return path, value, np.nan
+
+        monkeypatch.setattr(action_mod, "_minimize_knots", nan_residual)
+        with pytest.raises(NoConvergence):
+            tonelli_minimizer(pendulum(), [0.1], [0.3], 1.0)
 
     def test_el_equation_consistency(self):
         # interior knots of the minimizer satisfy x'' = -grad U up to the
@@ -353,22 +375,6 @@ class TestBatchedLoopLibrary:
         T = np.sqrt(K / (k - ubar))
         expected = 2 * np.sqrt(K * (k - ubar)) + M
         assert abs(action(L, BrokenPath.from_cover(X[0], T), k) - expected) <= 1e-12
-
-    def test_threshold_gradient_matches_finite_differences(self):
-        # the ascent's gradient, from the action kernel by the envelope identity
-        L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}),
-                                 OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
-                                          FourierSeries(2, cos={(0, 0): -0.3, (1, 0): 0.15})]))
-        line = np.linspace(0, 1, 12)[:, None]
-        X = (0.3 + line * np.array([-1.0, 1.0]) + 0.05 * np.sin(6 * np.pi * line))[None]
-        theta, (_, _, u), grad = action_mod._thresholds(L, X, need_grad=True)
-        assert u[0] > 0
-        h = 1e-6
-        for i, j in [(0, 0), (4, 1), (11, 0)]:
-            E = np.zeros_like(X)
-            E[0, i, j] = h
-            fd = (action_mod._thresholds(L, X + E)[0] - action_mod._thresholds(L, X - E)[0]) / (2 * h)
-            assert abs(fd[0] - grad[0, i, j]) <= 1e-7
 
 
 class TestDiagonal:
@@ -739,3 +745,143 @@ class TestFreeTimeAction:
                 E[i, j] = h
                 fd = (free_time_value(L, X + E, k) - free_time_value(L, X - E, k)) / (2 * h)
                 assert abs(fd - g[i, j]) <= 1e-6 * (1.0 + abs(g[i, j]))
+
+
+def _reference_thresholds(L, X, need_grad=False):
+    """theta, (K, Ubar, u) and grad theta of closed loops X (B, n, d), K > 0.
+
+    Minimizing K/T + T (k - Ubar) + M over T (AM-GM): a loop has negative
+    (L + k)-action at some duration exactly when k < theta = Ubar + K u^2,
+    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).  By the
+    envelope identity grad theta = -grad A_theta(X, 1/u) * u.
+    """
+    kin, useg, m, grad = action_mod._action_terms(L, X)
+    K, ubar = (X.shape[1] - 1) * kin.sum(axis=1), useg.mean(axis=1)
+    u = np.maximum(-m.sum(axis=1), 0.0) / (2.0 * K)
+    return ubar + K * u * u, (K, ubar, u), (grad(-u * u, 1.0, -u) if need_grad else None)
+
+
+def _reference_ascend(L, X, n_knots):
+    """Ascent of the threshold of the closed loop X (m, d), its segments cut
+    into equal pieces up to n_knots knots, winding fixed.
+
+    L-BFGS on -theta (two-loop recursion over the last 10 pairs, Nocedal and
+    Wright, Numerical Optimization, 2006, Alg. 7.4) with a backtracking Armijo
+    search; the first step has unit length.  Stops after 200 steps, on
+    max|grad| <= 1e-10, on a relative gain <= 1e-15 or when the search finds
+    no decrease.
+    """
+    d = X.shape[1]
+    wind = X[-1] - X[0]
+    r = -(-(n_knots - 1) // (len(X) - 1))
+    z = (X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :]).ravel()
+
+    def close(z):
+        Y = z.reshape(-1, d)
+        return np.vstack([Y, Y[:1] + wind])
+
+    def fun(z):
+        theta, _, grad = _reference_thresholds(L, close(z)[None], need_grad=True)
+        g = grad[0, :-1]
+        g[0] += grad[0, -1]
+        return -float(theta[0]), -g.ravel()
+
+    f, g = fun(z)
+    pairs = []                      # (s, y, 1 / y.s), oldest first
+    for _ in range(200):
+        if np.abs(g).max() <= 1e-10:
+            break
+        p = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ p))
+            p = p - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            p = p * ((s @ y) / (y @ y))
+        else:
+            p = p / np.sqrt(p @ p)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            p = p + (a - rho * (y @ p)) * s
+        slope, t = float(g @ p), 1.0
+        for _ in range(40):
+            f_new, g_new = fun(z + t * p)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t /= 2.0
+        else:
+            break
+        s, y = t * p, g_new - g
+        if y @ s > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / (y @ s))])[-10:]
+        done = f - f_new <= 1e-15 * max(abs(f), abs(f_new), 1.0)
+        z, f, g = z + s, f_new, g_new
+        if done:
+            break
+    return close(z)
+
+
+def reference_critical_value(L):
+    """The critical value of the L-BFGS ascent that `_refine_loop` replaced:
+    the best of max U and the four battery loops with M < 0 of highest
+    threshold, each before and after `_reference_ascend`."""
+    search = NegativeLoopSearch(L)
+    loops, thetas = [], []
+    for X in search._battery():
+        theta, (_, _, u), _ = _reference_thresholds(L, X)
+        loops.extend(X[u > 0])
+        thetas.extend(theta[u > 0])
+    best = search.u_max
+    for i in np.argsort(thetas)[::-1][:4]:
+        for Y in (loops[i], _reference_ascend(L, loops[i], search.n_knots)):
+            best = max(best, float(_reference_thresholds(L, Y[None])[0][0]))
+    return best
+
+
+def pendulum_eta(eta0):
+    return MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}),
+                                OneForm([FourierSeries(1, cos={0: eta0})]))
+
+
+def magnetic_on_t2(u_cos, eta_cos):
+    return MechanicalLagrangian(2, FourierSeries(2, cos=u_cos),
+                                OneForm([FourierSeries(2, cos=c) for c in eta_cos]))
+
+
+REFINE_CASES = {
+    **{f"t1.eta{eta0}": (lambda eta0=eta0: pendulum_eta(eta0))
+       for eta0 in (0.85, 1.28, 1.3, 1.5, 2.0, 3.0)},
+    "double_well.eta2": lambda: MechanicalLagrangian(1, FourierSeries(1, cos={1: 0.3, 2: 1.0}),
+                                                     OneForm([FourierSeries(1, cos={0: 2.0})])),
+    "t2.eta_half": eta_half_t2,
+    "t2.cos_eta02": magnetic_t2,
+    "t2.general": general_magnetic_t2,
+    "t2.w_max_miss": lambda: magnetic_on_t2({}, [{(0, 0): 0.6}, {(0, 0): -0.8}]),
+    # each solve pins the first knot: never re-based, the loop stops at 1.5043, not 1.5255
+    "t2.curl": lambda: magnetic_on_t2({(1, 0): 0.2}, [{(0, 1): 1.5}, {(0, 0): 0.3, (1, 0): -1.5}]),
+    "t2.strong": lambda: magnetic_on_t2({(1, 0): 0.5, (1, 1): 0.3},
+                                        [{(0, 0): 1.2, (0, 1): 0.6}, {(0, 0): -0.9, (1, 0): 0.45}]),
+}
+
+
+class TestLoopRefinement:
+    """Newton in k on the free-time solver against the L-BFGS ascent."""
+
+    @pytest.mark.parametrize("name", REFINE_CASES)
+    def test_at_least_the_reference_ascent(self, name):
+        L = REFINE_CASES[name]()
+        c, ref = critical_value(L), reference_critical_value(L)
+        slack = 1e-12 * max(1.0, abs(c))
+        eta_sup2 = sum(max(abs(lo), abs(hi)) ** 2
+                       for lo, hi in (comp.value_bounds() for comp in L.oneform.components))
+        assert c >= ref - slack
+        assert c <= L.potential.value_bounds()[1] + eta_sup2 / 2 + slack
+
+    @pytest.mark.parametrize("eta0", [1.28, 1.3])
+    def test_winding_classes_not_crowded_out(self, eta0):
+        # with constant eta the null-homologous battery loops have M at
+        # rounding level (-2.8e-17); as candidates they fill all four slots
+        # at eta0 = 1.28, and c would read max U = 1
+        c = critical_value(pendulum_eta(eta0))
+        assert 1.003 < c <= magnetic_t1_exact_c(eta0)
+
