@@ -175,6 +175,8 @@ def cmd_shadow(args):
             raise ValueError(f"--count must be at least 1, got {args.count}")
         if args.length < 2:
             raise ValueError(f"--length must be at least 2, got {args.length}")
+        if not 0.0 <= args.delta < 0.25:          # NaN fails this test too
+            raise ValueError(f"--delta must be finite, >= 0 and < 0.25, got {args.delta}")
         rng = np.random.default_rng(args.seed)
         orbits = hyp_mod.random_pseudo_orbit_batch(tm, args.count, args.length, args.delta, rng)
     _, eps = hyp_mod.shadow_batch(tm, orbits)

@@ -235,6 +235,8 @@ class PseudoOrbit:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
             raise ValueError("expected an (n, 2) array with n >= 2")
+        if delta is not None and not delta >= 0:      # written so that NaN fails too
+            raise ValueError(f"claimed jump bound must be >= 0, got {delta}")
         self.tm = tm
         with np.errstate(invalid="ignore"):   # a non-finite point makes its jumps NaN
             self.points = points = wrap(points)
@@ -297,6 +299,7 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
 
 
 _SEGMENT = 256          # steps each segment of the correction scan owns
+_BLOCK = 1 << 14        # elements (steps x rows) in a cache-sized block of the load and the recomposition
 
 
 def _warmup(tm: ToralAutomorphism):
@@ -311,14 +314,32 @@ def _warmup(tm: ToralAutomorphism):
 
 
 def _scan(x, lam, scaled, out):
-    """out[t] = x[t] + lam*out[t-1] along the first axis, lam*out[-1] given.
+    """out[t] = lam*out[t-1] - x[t] along the first axis, lam*out[-1] given.
 
     `scaled` holds lam*out[t-1] and is updated in place, so a second call
-    continues the recursion where the first one stopped.
+    continues the recursion where the first one stopped.  out may be x.
     """
     for xt, yt in zip(x, out):
-        np.add(xt, scaled, out=yt)
+        np.subtract(scaled, xt, out=yt)
         np.multiply(lam, yt, out=scaled)
+
+
+def _load(x, es, eu, lam_u, t0):
+    """x[i] <- (es_t, eu_{n-1-t}/-lam_u) for the steps t = t0 + i, and 0 from step n on.
+
+    The rows are transposed into time-major blocks of B = _BLOCK // rows
+    steps.  Block k reads es from step t0 + kB and eu from the mirrored step,
+    so a whole load (t0 = 0) reads each cache line of components that
+    interleave in memory once.  eu/-lam_u = -(eu/lam_u) exactly.
+    """
+    rows, n = es.shape
+    m, block = max(0, min(t0 + len(x), n) - t0), max(1, _BLOCK // rows)
+    u = n - t0 - m                   # the eu step of x[m - 1]
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        np.copyto(x[i0:i1, 0], es[:, t0 + i0:t0 + i1].T)
+        np.divide(eu[:, u + i0:u + i1].T, -lam_u, out=x[m - i1:m - i0, 1][::-1])
+    x[m:] = 0.0
 
 
 def _corrections(tm: ToralAutomorphism, es, eu):
@@ -329,50 +350,56 @@ def _corrections(tm: ToralAutomorphism, es, eu):
     first-order recursion y_i = x_i + lam y_{i-1}, in the order of operations
     of a direct-form IIR filter (scipy.signal.lfilter([1], [1, -lam])), and
     run together: step t of one time-major scan takes -es_t and, in reversed
-    time, eu_{n-1-t}/lam_u, and gives a_{t+1} and b_{n-1-t}.
+    time, eu_{n-1-t}/lam_u, and gives a_{t+1} and b_{n-1-t}.  The buffer
+    holds the negated inputs, es_t and eu_{n-1-t}/-lam_u, and the scan
+    subtracts them (x + y = y - (-x) exactly), so the stable half is a copy.
 
-    The time axis is cut into segments of _SEGMENT steps, and all segments of
-    all rows step together: W + _SEGMENT numpy steps instead of n.  Every
-    segment but the first starts W = _warmup(tm) steps early from 0 and is
-    kept when its warm-up value at the seam has the bits of the previous
-    segment's value there; the recursion is deterministic, so from then on
-    the two agree.  A segment whose seam differs, because a start's influence
-    outlives W (on long runs of zero jumps the exact value decays while the
-    warm-up stays 0), is run again from the exact seam value, in seam order.
-    The result equals the sequential recursion bit for bit; a and b are
-    (rows, n + 1) views of the time-major scan output.
+    One time-major buffer (steps, 2, rows) holds the input (`_load`) and is
+    overwritten by the output, step by step.  The time axis is cut into
+    segments of _SEGMENT steps, and all segments of all rows step together:
+    W + _SEGMENT numpy steps instead of n, each on whole (segments, 2, rows)
+    arrays with lam stored at full size, so that no operand broadcasts.  Each
+    segment first runs W = _warmup(tm) warm-up steps from 0 over the end of
+    the previous one (segment 0 over W zero steps of padding, and it then
+    starts from its exact value 0), writing only into a scratch array; then
+    its own steps in place.  A segment is kept when the warm-up value at its
+    seam has the bits of the previous segment's value there; the recursion is
+    deterministic, so from then on the two agree.  A segment whose seam
+    differs, because a start's influence outlives W (on long runs of zero
+    jumps the exact value decays while the warm-up stays 0), is loaded again
+    and run again from the exact seam value, in seam order.  The result
+    equals the sequential recursion bit for bit; a and b are (rows, n + 1)
+    views of the buffer.
     """
     es, eu = np.atleast_2d(es), np.atleast_2d(eu)
     rows, n = es.shape
     seg, warm = _SEGMENT, _warmup(tm)
-    count = 1 if n <= warm + seg else -(-(n - warm) // seg)
-    span = n if count == 1 else warm + seg
-    length = (count - 1) * seg + span          # padded scan length, >= n
-    x = np.empty((length, 2, rows))
-    np.negative(es.T, out=x[:n, 0])
-    np.divide(eu[:, ::-1].T, tm.lam_u, out=x[:n, 1])
-    x[n:] = 0.0
-    y = np.empty((length + 1, 2, rows))
-    y[0] = 0.0                                 # a_0 and b_n
-    ys = y[1:]
-    lam = np.array([[tm.lam_s], [1.0 / tm.lam_u]])
+    count = 1 if n <= warm + seg else -(-n // seg)
+    if count == 1:
+        seg, warm = n, 0                        # nothing to warm up
+    z = np.empty((warm + 1 + count * seg, 2, rows))
+    z[:warm + 1] = 0.0                          # warm-up padding, then a_0 = b_n = 0
+    steps = z[warm + 1:]                        # steps[t] holds x_t, then y_t
+    _load(steps, es, eu, tm.lam_u, 0)
+    lam = np.empty((count, 2, rows))
+    lam[:, 0], lam[:, 1] = tm.lam_s, 1.0 / tm.lam_u
 
-    def segments(v):     # (span, count, 2, rows) view: segment k starts at step k*seg
-        st = v.strides[0]
-        return as_strided(v, (span, count) + v.shape[1:], (st, seg * st) + v.strides[1:])
-
-    # segments overlap by `warm` steps, and a segment's warm-up values are
-    # overwritten by its predecessor's exact ones, so keep those at the seams
-    xw, yw = segments(x), segments(ys)
+    st = z.strides[0]                           # segment k: steps k*seg - warm ..
+    zw = as_strided(z[1:], (warm + seg, count, 2, rows), (st, seg * st) + z.strides[1:])
+    seam_warm = np.empty((count, 2, rows))      # each warm-up step overwrites it
     scaled = np.zeros((count, 2, rows))
-    _scan(xw[:warm], lam, scaled, yw[:warm])
-    seam_warm = yw[warm - 1, 1:].copy() if count > 1 else None
-    _scan(xw[warm:], lam, scaled, yw[warm:])
+    _scan(zw[:warm], lam, scaled, as_strided(seam_warm, (warm,) + seam_warm.shape,
+                                             (0,) + seam_warm.strides))
+    scaled[0] = 0.0
+    _scan(zw[warm:], lam, scaled, zw[warm:])
     for k in range(1, count):       # in seam order, so a re-run's seam is re-checked
-        t = k * seg + warm
-        if not np.array_equal(seam_warm[k - 1].view(np.int64), ys[t - 1].view(np.int64)):
-            _scan(x[t:t + seg], lam, lam * ys[t - 1], ys[t:t + seg])
-    return y[:n + 1, 0].T, y[n::-1, 1].T
+        t = k * seg
+        if not np.array_equal(seam_warm[k].view(np.int64), steps[t - 1].view(np.int64)):
+            again = steps[t:t + seg]
+            _load(again, es, eu, tm.lam_u, t)
+            _scan(again, lam[0], lam[0] * steps[t - 1], again)
+    y = z[warm:warm + n + 1]
+    return y[:, 0].T, y[::-1, 1].T
 
 
 def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
@@ -391,28 +418,44 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
 def shadow_batch(tm: ToralAutomorphism, orbits):
     """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
 
-    One segmented correction scan (`_corrections`) runs over the time axis
-    for all orbits and both eigencomponents.  The corrections are then
-    recomposed coordinate by coordinate on its time-major output in two
-    buffers, reused through `out=`, and eps is the square root of the
-    largest squared norm (sqrt is correctly rounded and monotone, so that is
-    the largest norm).  Each row equals `shadow` of that orbit bit for bit.
+    The jumps are split into eigencomponents one orbit at a time: the BLAS
+    product of `tm.components` on the stacked jumps, without the stacked
+    copy.  One segmented correction scan (`_corrections`) runs over the time
+    axis for all orbits and both eigencomponents.  The corrections are then
+    recomposed coordinate by coordinate on its time-major output in blocks
+    of _BLOCK // rows steps, in three block-sized buffers that stay in
+    cache, and eps is the square root of the running max of the squared
+    norms (sqrt is correctly rounded and monotone, so that is the largest
+    norm).  Each row equals `shadow` of that orbit bit for bit.
     """
+    if not orbits:
+        raise ValueError("shadow_batch needs at least one pseudo-orbit")
+    lengths = sorted({len(p) for p in orbits})
+    if len(lengths) > 1:
+        raise ValueError(f"pseudo-orbits must have equal lengths, got lengths {lengths}")
     deltas = np.array([p.delta for p in orbits])
-    if np.any(deltas >= 0.25):
-        raise ThresholdExceeded(f"delta={float(deltas.max())} >= 0.25 risks ambiguous lifts")
-    a, b = _corrections(tm, *tm.components(np.stack([p.jumps for p in orbits])))
+    if not np.all(deltas < 0.25):        # written so that a NaN bound fails too
+        bad = float(deltas[~(deltas < 0.25)][0])
+        raise ThresholdExceeded(f"delta={bad} is not below 0.25: ambiguous lifts")
+    comp = np.empty((len(orbits), lengths[0] - 1, 2))
+    for p, c in zip(orbits, comp):
+        np.matmul(p.jumps, tm._basis_inv.T, out=c)
+    a, b = _corrections(tm, comp[..., 0], comp[..., 1])
     a, b = a.T, b.T                      # (n + 1, rows) views of the scan output
     (es0, es1), (eu0, eu1) = tm.e_s, tm.e_u
-    cx = np.multiply(a, es0)
-    cy = np.multiply(b, eu0)
-    np.add(cx, cy, out=cx)
-    np.multiply(b, eu1, out=cy)
-    np.add(np.multiply(a, es1, out=a), cy, out=cy)     # a is not read again
-    starts = wrap(np.stack([p.points[0] for p in orbits]) + np.stack([cx[0], cy[0]], axis=1))
-    np.multiply(cx, cx, out=cx)
-    np.add(cx, np.multiply(cy, cy, out=cy), out=cx)
-    return starts, np.sqrt(np.max(cx, axis=0))
+    heads = np.stack([p.points[0] for p in orbits])
+    starts = wrap(heads + np.stack([a[0] * es0 + b[0] * eu0, a[0] * es1 + b[0] * eu1], axis=1))
+    block = max(1, _BLOCK // len(orbits))
+    cx, cy, tmp = np.empty((3, min(block, len(a)), len(orbits)))
+    peak = np.zeros(len(orbits))
+    for t0 in range(0, len(a), block):
+        ab, bb = a[t0:t0 + block], b[t0:t0 + block]
+        x, y, w = cx[:len(ab)], cy[:len(ab)], tmp[:len(ab)]
+        np.add(np.multiply(ab, es0, out=x), np.multiply(bb, eu0, out=w), out=x)
+        np.add(np.multiply(ab, es1, out=w), np.multiply(bb, eu1, out=y), out=y)
+        np.add(np.multiply(x, x, out=x), np.multiply(y, y, out=y), out=x)
+        np.maximum(peak, np.max(x, axis=0), out=peak)
+    return starts, np.sqrt(peak)
 
 
 @dataclass
@@ -440,8 +483,8 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     n = len(pts)
     closing = minimal_lift(pts[0] - wrap(pts[-1] @ tm.matrix.T.astype(float)))
     delta = max(p.delta, float(np.linalg.norm(closing)))
-    if delta >= 0.25:
-        raise ThresholdExceeded(f"delta={delta} >= 0.25 risks ambiguous lifts")
+    if not delta < 0.25:                 # written so that a NaN bound fails too
+        raise ThresholdExceeded(f"delta={delta} is not below 0.25: ambiguous lifts")
 
     (a, b), (c, d) = tm.matrix.tolist()
     exact_pts = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]

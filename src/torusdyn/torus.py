@@ -6,9 +6,11 @@ import numpy as np
 
 def _wrap_into(x, out):
     """out <- x % 1.0 in [0, 1), bit for bit on finite input: x - floor(x), and
-    1.0 (a tiny negative x rounds up to it) replaced by 0.0.  out may be x."""
+    1.0 (a tiny negative x rounds up to it) replaced by 0.0.  out may be x.
+    The replacing pass runs only when the max is not below 1.0 (or is NaN)."""
     np.subtract(x, np.floor(x), out=out)
-    np.copyto(out, 0.0, where=out >= 1.0)
+    if not out.max(initial=0.0) < 1.0:
+        np.copyto(out, 0.0, where=out >= 1.0)
     return out
 
 

@@ -193,6 +193,11 @@ class TestExitCodes:
     def test_empty_batch_is_1(self, capsys, argv, flag):
         assert_one_error_line(capsys, argv, flag)
 
+    @pytest.mark.parametrize("value", ["nan", "-1e-4", "inf", "0.25"])
+    def test_shadow_delta_out_of_range_is_1(self, capsys, value):
+        # nan used to fail as "points must be finite", -1e-4 as an observed jump
+        assert_one_error_line(capsys, ["shadow", f"--delta={value}", "--length", "50"], "--delta")
+
     @pytest.mark.parametrize("old,new,needle", [
         ("1 = 1.0", "1 = nan", "finite"),
         ("1 = 1.0", "1 = inf", "finite"),

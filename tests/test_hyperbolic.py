@@ -398,6 +398,111 @@ class TestSegmentedCorrections:
         assert _same_bits(eps, np.max(np.sqrt(cx * cx + cy * cy), axis=1))
 
 
+def _reference_shadow(tm, orbits):
+    """Starts and eps from `_reference_corrections` and a full-array recomposition."""
+    es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+    a, b = _reference_corrections(tm, es, eu)
+    cx = a * tm.e_s[0] + b * tm.e_u[0]
+    cy = a * tm.e_s[1] + b * tm.e_u[1]
+    heads = np.stack([p.points[0] for p in orbits])
+    return (hyp.wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)),
+            np.max(np.sqrt(cx * cx + cy * cy), axis=1))
+
+
+def _lattice_pseudo_orbits(tm, rows, n, every, rng, q=2**20):
+    """Pseudo-orbits on the lattice (1/q)Z^2 whose jumps are exactly 0 except
+    every `every` steps: the products and sums on k/q are exact doubles."""
+    k = rng.integers(0, q, (rows, 2))
+    pts = []
+    for i in range(n):
+        pts.append(k)
+        k = (k @ tm.matrix.T) % q
+        if (i + 1) % every == 0:
+            k = (k + rng.integers(-3, 4, (rows, 2))) % q
+    return [PseudoOrbit(tm, p) for p in np.stack(pts, axis=1) / q]
+
+
+class TestBlockedLayout:
+    """The blocked load and recomposition against the full-array forms, at block edges."""
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    @pytest.mark.parametrize("rows", [1, 100])
+    def test_lengths_around_the_block(self, entries, rows):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        block = hyp._BLOCK // rows                 # steps per block
+        rng = np.random.default_rng(rows)
+        for m in ((1, 2) if rows > 1 else (1,)):
+            for n_points in (m * block - 1, m * block, m * block + 1):
+                orbits = hyp.random_pseudo_orbit_batch(tm, rows, n_points, 1e-4, rng)
+                starts, eps = shadow_batch(tm, orbits)
+                ref_starts, ref_eps = _reference_shadow(tm, orbits)
+                assert _same_bits(starts, ref_starts) and _same_bits(eps, ref_eps)
+                es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+                TestSegmentedCorrections._check(tm, es, eu)
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    def test_zero_stretches_rerun_in_shadow_batch(self, entries, monkeypatch):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        orbits = _lattice_pseudo_orbits(tm, 4, 1829, 200, np.random.default_rng(2))
+        off_seams = np.arange(1828) % 200 != 199
+        assert not any(np.any(p.jumps[off_seams]) for p in orbits)
+        calls = TestSegmentedCorrections._count_scans(monkeypatch)
+        starts, eps = shadow_batch(tm, orbits)
+        assert len(calls) > 2                      # some segment ran again
+        ref_starts, ref_eps = _reference_shadow(tm, orbits)
+        assert _same_bits(starts, ref_starts) and _same_bits(eps, ref_eps)
+
+    def test_peak_memory_of_a_bench_sized_batch(self):
+        import tracemalloc
+
+        tm = cat_map()
+        orbits = hyp.random_pseudo_orbit_batch(tm, 100, 10_000, 1e-4, np.random.default_rng(1))
+        jump_bytes = 100 * 9_999 * 2 * 8           # the stacked jumps
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            shadow_batch(tm, orbits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the stacked jumps and their components, then the components and
+        # the one scan buffer: 2.05x; separate input and output buffers and
+        # full-size recomposition temporaries took 3.03x
+        assert peak <= 2.25 * jump_bytes
+
+
+class TestShadowInputChecks:
+    def test_nan_or_negative_claimed_bound(self):
+        tm = cat_map()
+        pts = hyp.orbit(tm, [0.1, 0.2], 20)
+        for delta in (float("nan"), -1e-4):
+            with pytest.raises(ValueError, match="claimed jump bound"):
+                PseudoOrbit(tm, pts, delta)
+        assert PseudoOrbit(tm, pts, 0.0).delta == 0.0
+
+    def test_nan_bound_fails_the_threshold(self):
+        tm = cat_map()
+        p = PseudoOrbit(tm, hyp.orbit(tm, [0.1, 0.2], 20))
+        p.delta = float("nan")
+        with pytest.raises(hyp.ThresholdExceeded, match="nan"):
+            shadow_batch(tm, [p])
+        cycle = PseudoOrbit(tm, hyp.orbit(tm, [0.0, 0.0], 4))
+        cycle.delta = float("nan")
+        with pytest.raises(hyp.ThresholdExceeded, match="nan"):
+            periodic_shadow(tm, cycle)
+
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one pseudo-orbit"):
+            shadow_batch(cat_map(), [])
+
+    def test_unequal_lengths(self):
+        tm = cat_map()
+        rng = np.random.default_rng(1)
+        orbits = [random_pseudo_orbit(tm, n, 1e-4, rng) for n in (30, 20, 30)]
+        with pytest.raises(ValueError, match=r"equal lengths, got lengths \[20, 30\]"):
+            shadow_batch(tm, orbits)
+
+
 def _per_orbit_loop(tm, n, delta, rng):
     """The one-orbit generator before lockstep stepping, verbatim."""
     pts = np.empty((n, 2))
