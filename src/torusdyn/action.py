@@ -440,6 +440,14 @@ def default_knot_count(T):
     return int(np.clip(int(8 * T) + 7, 9, 97))
 
 
+def _points(L: MechanicalLagrangian, x, y):
+    """x and y as float arrays; ValueError unless each has L.dim coordinates."""
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if x.shape != (L.dim,) or y.shape != (L.dim,):
+        raise ValueError(f"x and y need L.dim = {L.dim} coordinates, got {x.size} and {y.size}")
+    return x, y
+
+
 def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
                       residual_tol=1e-6, maxiter=400, n_quad=8):
     """Fixed-endpoint, fixed-time local action minimizer across winding classes
@@ -448,14 +456,14 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
 
     Raises NoConvergence (carrying the best iterate and its residual) when
     the discrete Euler-Lagrange residual is not within `residual_tol`, and
-    ValueError for non-finite x or y or a T that is not positive and finite.
+    ValueError for x or y without L.dim coordinates, non-finite x or y, or
+    a T that is not positive and finite.
     """
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    x, y = _points(L, x, y)
     if not (0 < T < np.inf and np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"T must be positive and finite and x, y finite, got {T}, {x}, {y}")
     x, y = wrap(x), wrap(y)
-    if n_knots is None:
-        n_knots = default_knot_count(T)
+    n_knots = default_knot_count(T) if n_knots is None else n_knots
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
     path, _, res = _least_over_classes(
@@ -467,21 +475,21 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
 
 
 def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
-    """The closed loop X (m, d), its segments cut into equal pieces up to
-    n_knots knots, raised by Newton in k: k <- theta(argmin F_k), F_k the
-    free-time action of `_minimize_knots(T=None)` started from the loop
-    before, and theta the root in k of F_k of the new loop.  F_k <= 0 at
+    """(theta, loop) of the closed loop X (m, d), its segments cut into equal
+    pieces up to n_knots knots, raised by Newton in k: k <- theta(argmin F_k),
+    F_k the free-time action of `_minimize_knots(T=None)` started from the
+    loop before, and theta the root in k of F_k of the new loop.  F_k <= 0 at
     the loop before, so theta never falls.  Starts at k = max(theta, max U):
     below max U no minimizer exists.  Each solve pins the first knot, so the
     loop is re-based at its middle knot after it.  Stops when theta no longer
-    exceeds k, after 40 solves, or when k <= Ubar on a seed; returns the
-    last loop whose theta exceeded k, else the cut seed.
+    exceeds k, after 40 solves, or when k <= Ubar on a seed; returns the last
+    loop whose theta exceeded k, else the cut seed, with its theta.
     """
     r = -(-(n_knots - 1) // (len(X) - 1))
     W = np.vstack([(X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :])
                    .reshape(-1, X.shape[1]), X[-1:]])
-    best, h = W, (len(W) - 1) // 2
-    k = max(float(_thresholds(L, W[None])[0][0]), u_max)
+    best, h = (float(_thresholds(L, W[None])[0][0]), W), (len(W) - 1) // 2
+    k = max(best[0], u_max)
     for _ in range(40):
         try:
             path, _, _ = _minimize_knots(L, W[0], W[-1] - W[0], None, len(W), k, x_init=W - W[0])
@@ -492,7 +500,7 @@ def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
         theta = float(_thresholds(L, W[None])[0][0])
         if not theta > k:
             break
-        best, k = W, theta
+        best, k = (theta, W), theta
     return best
 
 
@@ -502,61 +510,60 @@ class NegativeLoopSearch:
     A loop certifies c(L) >= theta = Ubar + max(-M, 0)^2 / (4K): below
     theta it has negative (L + k)-action at T* = sqrt(K / (k - Ubar)).  The
     battery, priced once in one quadrature per knot count: the constant
-    loop at the maximum of U (theta = max U; all there is for purely
-    mechanical L), a straight `n_knots` loop in each nonzero winding class
-    up to `w_max`, and random-waypoint loops filling `budget`.  Loops with
-    M >= 0 have theta = Ubar <= max U.  A candidate has M < 0 and winds or
-    has theta > max U: a null-homologous loop below max U only shrinks to a
-    point under the free-time solve, and with constant eta its M is
-    rounding.  The four best candidates are raised by `_refine_loop`.
-    `find(k)` checks best theta > k.  The random loops close on their first
-    knot in the cover, so all are null-homologous and raise theta only where
-    d eta != 0; classes beyond `w_max` are never tried.  U = 0 with
-    eta = (0.6, -0.8), where c = 0.5 needs winding (-3, 4), gives the 0.49
-    of the class (-1, 1) loop.
+    loop at the maximum of U (theta = max U), a straight `n_knots` loop
+    through it in each nonzero winding class up to `w_max`, and, on T^2
+    with non-constant eta only, random-waypoint loops filling `budget`.
+    A candidate has M < 0 and winds or has theta > max U: loops with
+    M >= 0 have theta = Ubar <= max U, and a null-homologous loop below
+    max U only shrinks to a point under the free-time solve.  A random
+    loop closes on its first knot in the cover, so it is null-homologous
+    and its M is the flux of d eta through it, rounding on T^1 and for
+    constant eta: there none can be a candidate, and with eta = 0 no loop
+    is, which leaves max U.  The four best candidates are raised by
+    `_refine_loop`; every loop keeps the theta it was priced at.
+    `find(k)` checks best theta > k.  Classes beyond `w_max` are never
+    tried: U = 0 with eta = (0.6, -0.8), where c = 0.5 needs winding
+    (-3, 4), gives the 0.49 of the class (-1, 1) loop.
 
     Potentials at several k can share one search and its battery.
     """
 
     def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2, n_knots=33):
-        self.L = L
-        self.budget = budget
+        self.L, self.budget, self.w_max, self.n_knots = L, budget, w_max, n_knots
         _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
-        self.w_max = w_max
-        self.n_knots = n_knots
         self._best = None        # see _best_loop
         self._rng = np.random.default_rng(seed)
-        self._purely_mechanical = L.oneform.is_zero()
 
     def _battery(self):
         """The battery's loops (B, m, d), in groups of one knot count m."""
         winds = np.array([w for w in _winding_classes(self.L.dim, self.w_max) if np.any(w)])
         groups = [self.x_max + np.linspace(0, 1, self.n_knots)[None, :, None] * winds[:, None, :]]
-        sizes = self._rng.integers(3, 6, size=max(self.budget - len(winds) - 1, 0))
-        for m in np.unique(sizes):
-            X = self._rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
-            groups.append(np.concatenate([X, X[:, :1]], axis=1))
+        # Stokes: a null-homologous loop has M = 0 unless d eta != 0, which needs T^2
+        if self.L.dim == 2 and any(lo < hi for lo, hi in
+                                   (c.value_bounds() for c in self.L.oneform.components)):
+            sizes = self._rng.integers(3, 6, size=max(self.budget - len(winds) - 1, 0))
+            for m in np.unique(sizes):
+                X = self._rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
+                groups.append(np.concatenate([X, X[:, :1]], axis=1))
         return groups
 
     def _candidates(self):
-        """The four candidate loops (see the class) of highest threshold."""
+        """(theta, loop) of the four candidates (see the class) of highest theta."""
         loops, thetas = [], []
         for X in self._battery():
             theta, (_, _, u) = _thresholds(self.L, X)
             keep = (u > 0) & (np.any(X[:, -1] != X[:, 0], axis=1) | (theta > self.u_max))
             loops.extend(X[keep])
             thetas.extend(theta[keep])
-        return [loops[i] for i in np.argsort(thetas)[::-1][:4]]
+        return [(float(thetas[i]), loops[i]) for i in np.argsort(thetas)[::-1][:4]]
 
     def _best_loop(self):
         """(theta, cover knots) of the best loop; knots None: the constant loop."""
         if self._best is None:
-            self._best = (self.u_max, None)
-            # a purely mechanical (L + k)-integrand is >= 0 once k >= max U
-            for X in [] if self._purely_mechanical else self._candidates():
-                for Y in (X, _refine_loop(self.L, X, self.n_knots, self.u_max)):
-                    theta = float(_thresholds(self.L, Y[None])[0][0])
-                    self._best = max(self._best, (theta, Y), key=lambda b: b[0])
+            priced = [(self.u_max, None)]
+            for theta, X in self._candidates():
+                priced += [(theta, X), _refine_loop(self.L, X, self.n_knots, self.u_max)]
+            self._best = max(priced, key=lambda b: b[0])
         return self._best
 
     def find(self, k):
@@ -590,12 +597,13 @@ def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
     (4 F_65 - F_33) / 3: the error of F falls 4x per knot doubling.  Raises
     NoConvergence (with the 65-knot path and the larger residual of the two
     solves) when the winning class misses the residual target, and
-    ValueError for k NaN or +inf, non-finite x or y, or w_max < 0.  The
+    ValueError for k NaN or +inf, x or y without L.dim coordinates,
+    non-finite x or y, or w_max < 0.  The
     target is 1e-6, or the rounding floor 2 _STEP_FLOOR (1 + max|X|) / dt^2
     where larger: the residual a knot step too small to move the knots
     leaves, linear in k.  Where 1 / dt^2 overflows, 1e-6 stands.
     """
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    x, y = _points(L, x, y)
     if np.isnan(k) or k == np.inf or not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"k must be finite or -inf and x, y finite, got {k}, {x}, {y}")
     if w_max < 0:
@@ -626,17 +634,19 @@ def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
 
 def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch = None):
     """Mane critical value c(L) (least k with no negative (L + k)-loop) as
-    the best threshold theta = Ubar + max(-M, 0)^2 / (4K) of `search`: its
-    battery's four best candidate loops, each raised by Newton in k
-    (`_refine_loop`: k <- theta of the least free-time action F_k, the root
-    of F_k = 2 sqrt(K (k - Ubar)) + M, with the loop re-based at its middle
-    knot after each solve).
+    the best threshold theta = Ubar + max(-M, 0)^2 / (4K) of `search`: max U
+    and its battery's four best candidate loops, each priced once and raised
+    by Newton in k (`_refine_loop`: k <- theta of the least free-time action
+    F_k, the root of F_k = 2 sqrt(K (k - Ubar)) + M, with the loop re-based
+    at its middle knot after each solve).  Random-waypoint loops enter the
+    battery only on T^2 with non-constant eta, where d eta can be nonzero.
 
     A certified lower bound: at T* = sqrt(K / (k - Ubar)) the best loop has
     negative action for every k below it.  Exact (max U) for purely
-    mechanical L; at most max U + sup|eta|^2 / 2; windings beyond `w_max`
-    are missed (see `NegativeLoopSearch`).  `tol` no longer changes the
-    result; it stays for the CLI `--tol` flag.
+    mechanical L, where no loop is a candidate; at most
+    max U + sup|eta|^2 / 2; windings beyond `w_max` are missed (see
+    `NegativeLoopSearch`).  `tol` no longer changes the result; it stays for
+    the CLI `--tol` flag.
     """
     search = search if search is not None else NegativeLoopSearch(L)
     return search._best_loop()[0]
@@ -659,12 +669,10 @@ def potential_table(L: MechanicalLagrangian, ks, pairs, search=None, **kwargs):
     for k in ks:
         for x, y in pairs:
             av = action_potential(L, k, x, y, search=search, **kwargs)
-            phi = "" if av.is_minus_infinity else repr(av.value)
-            status = "neg_inf" if av.is_minus_infinity else "finite"
+            phi, status = ("", "neg_inf") if av.is_minus_infinity else (repr(av.value), "finite")
             rows.append((repr(float(k)), _fmt_pt(x), _fmt_pt(y), phi, status))
     return rows
 
 
 def _fmt_pt(p):
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return ";".join(repr(float(v)) for v in p)
+    return ";".join(repr(float(v)) for v in np.atleast_1d(p))

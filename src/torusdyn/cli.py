@@ -112,6 +112,8 @@ def cmd_action_potential(args):
 
 def cmd_suspend_integrate(args):
     A = _load_matrix(args)
+    if args.tau_bonus and not 0 <= args.tau_symbol < A.m:
+        raise ValueError(f"--tau-symbol must be a symbol in [0, {A.m}), got {args.tau_symbol}")
     nu = sus_mod.parry_measure(A)
     tau = sus_mod.CeilingFunction.symbol_bonus(args.tau_base, args.tau_bonus, args.tau_symbol) \
         if args.tau_bonus else sus_mod.CeilingFunction.constant(args.tau_base)

@@ -154,7 +154,12 @@ def format_polyline_csv(verts, winds=None):
 
 
 def parse_canal_experiment(text, base_dir="."):
-    """(MechanicalLagrangian, CanalPotential, CanalExperimentConfig) from config."""
+    """(MechanicalLagrangian, CanalPotential, CanalExperimentConfig) from config.
+
+    Raises ValueError without `eps`, for an `eps` or `plateau` that is not
+    positive and finite, a `tolerance` that is not finite and >= 0, or a
+    negative `n_random_loops`.
+    """
     import os
 
     cp = _parse(text)
@@ -169,6 +174,8 @@ def parse_canal_experiment(text, base_dir="."):
         verts, winds = parse_polyline_csv(sec["core"].replace(";", "\n"))
     else:
         raise ValueError("canal needs `core` (inline) or `core_file` (CSV path)")
+    if "eps" not in sec:
+        raise ValueError("canal needs `eps`")
     canal = CanalPotential(
         verts, eps=float(sec["eps"]), k=int(sec.get("k", 2)),
         plateau=float(sec["plateau"]) if sec.get("plateau") else None,
@@ -177,6 +184,10 @@ def parse_canal_experiment(text, base_dir="."):
         tolerance=float(sec.get("tolerance", 2e-2)),
         seed=int(sec.get("seed", 0)),
         n_random_loops=int(sec.get("n_random_loops", 300)))
+    if not 0 <= econf.tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {econf.tolerance!r}")
+    if econf.n_random_loops < 0:
+        raise ValueError(f"n_random_loops must be >= 0, got {econf.n_random_loops}")
     return L, canal, econf
 
 

@@ -75,9 +75,7 @@ class LabeledOrbitEnsemble:
 
     def steps_for(self, T):
         """Number of forward samples covering [0, T]."""
-        T = float(T)
-        if not (math.isfinite(T) and T >= 0.0):
-            raise ValueError(f"T must be finite and nonnegative, got {T}")
+        T = _radius(T, "T")
         steps = int(round(T / self.dt)) + 1
         if self.origin + steps > self.n_steps:
             raise ValueError(f"T={T} exceeds the sampled horizon")
@@ -91,7 +89,8 @@ class LabeledOrbitEnsemble:
 
 
 def _radius(value, name):
-    """A scale delta or eps: finite and nonnegative, else ValueError."""
+    """A scale delta or eps, a time T or a horizon, as a float: finite and
+    nonnegative, else ValueError."""
     value = float(value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -294,10 +293,7 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     requested rows.
     """
     limit = _limit(F, _radius(eps, "eps"))
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-    steps = int(round(horizon / F.dt))
+    steps = int(round(_radius(horizon, "horizon") / F.dt))
     if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
         raise ValueError("two-sided data shorter than the requested horizon")
     uniq, where = np.unique(_orbit_rows(F, rows), return_inverse=True)

@@ -91,11 +91,9 @@ class ToralAutomorphism:
         self.expansivity_D = float(np.sqrt(2.0) * self.basis_condition**2)
 
     def _eigenvector(self, lam):
+        # b != 0: with b = 0 the eigenvalues are a, d = +-1, which __init__ rejects
         a, b = float(self.matrix[0, 0]), float(self.matrix[0, 1])
-        if abs(b) > 1e-14:
-            v = np.array([b, lam - a])
-        else:
-            v = np.array([lam - float(self.matrix[1, 1]), float(self.matrix[1, 0])])
+        v = np.array([b, lam - a])
         return v / np.linalg.norm(v)
 
     @property

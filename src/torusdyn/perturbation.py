@@ -37,8 +37,10 @@ class CanalPotential:
         self.eps = float(eps)
         self.k = int(k)
         self.plateau = None if plateau is None else float(plateau)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if self.plateau is not None and not 0 < self.plateau < np.inf:
+            raise ValueError(f"plateau must be positive and finite, got {self.plateau!r}")
         if self.k < 2:
             raise ValueError("exponent k must be >= 2 for a C^1 perturbation")
         m = len(core)

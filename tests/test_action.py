@@ -23,6 +23,7 @@ from torusdyn.action import (
 )
 from torusdyn.fields import FourierSeries, OneForm, grid_extremum
 from torusdyn.lagrangian import MechanicalLagrangian
+from torusdyn.perturbation import CanalPotential, perturb
 
 # the package namespace binds `action` to the function, not the module
 action_mod = sys.modules[NegativeLoopSearch.__module__]
@@ -182,6 +183,17 @@ class TestTonelliMinimizer:
     def test_bad_input_raises_value_error(self, x, y, T):
         with pytest.raises(ValueError):
             tonelli_minimizer(pendulum(), [x], [y], T)
+
+    @pytest.mark.parametrize("make,x,y", [(magnetic_t2, [0.1], [0.2]),
+                                          (pendulum, [0.1, 0.2], [0.3]),
+                                          (pendulum, [0.1], [0.3, 0.4])])
+    def test_wrong_coordinate_count_raises_value_error(self, make, x, y):
+        # on T^2 one coordinate used to end in NoConvergence, on T^1 two in a matmul error
+        L = make()
+        with pytest.raises(ValueError, match=f"L.dim = {L.dim} coordinates, got {len(x)} and {len(y)}"):
+            tonelli_minimizer(L, x, y, 1.0)
+        with pytest.raises(ValueError, match=f"L.dim = {L.dim} coordinates, got {len(x)} and {len(y)}"):
+            action_potential(L, 5.0, x, y)
 
     def test_nan_residual_raises_no_convergence(self, monkeypatch):
         solve = action_mod._minimize_knots
@@ -885,3 +897,72 @@ class TestLoopRefinement:
         c = critical_value(pendulum_eta(eta0))
         assert 1.003 < c <= magnetic_t1_exact_c(eta0)
 
+
+
+PINNED_CASES = {
+    **REFINE_CASES,
+    "t1.mechanical": pendulum,
+    "t2.mechanical": torus2_mechanical,
+    "t1.canal": lambda: perturb(pendulum_eta(1.5), CanalPotential([[0.0]], eps=0.12, k=2)),
+    # d eta = 0 although eta is not constant
+    "t2.closed_sin": lambda: MechanicalLagrangian(
+        2, FourierSeries(2, cos={(1, 0): 0.4}),
+        OneForm([FourierSeries(2, cos={(0, 0): 0.3}, sin={(1, 0): 0.5}),
+                 FourierSeries(2, cos={(0, 0): -0.2}, sin={(0, 1): 0.4})])),
+}
+
+# repr(critical_value(L)); limiting random loops to T^2 with non-constant eta
+# and pricing each loop once leave every one of them unchanged
+PINNED_REPR = {
+    "t1.eta0.85": "1.0", "t1.eta1.28": "1.0033406066236883",
+    "t1.eta1.3": "1.0193318845733632", "t1.eta1.5": "1.2442180954768962",
+    "t1.eta2.0": "2.0635863048727576", "t1.eta3.0": "4.527796328381564",
+    "double_well.eta2": "2.0721830425928913", "t2.eta_half": "0.24999999999999994",
+    "t2.cos_eta02": "2.9999999999999996", "t2.general": "0.8",
+    "t2.w_max_miss": "0.4900000000000001", "t2.curl": "1.5255359648333988",
+    "t2.strong": "1.6848275525885852", "t1.mechanical": "1.0", "t2.mechanical": "0.6",
+    "t1.canal": "1.2371434336910154", "t2.closed_sin": "0.42000000000000004",
+}
+
+
+class TestBatteryRule:
+    """Random-waypoint loops only on T^2 with non-constant eta, each loop priced once."""
+
+    @pytest.mark.parametrize("name", PINNED_CASES)
+    def test_critical_value_pinned_and_certified(self, name):
+        L = PINNED_CASES[name]()
+        search = NegativeLoopSearch(L)
+        c = critical_value(L, search=search)
+        assert repr(c) == PINNED_REPR[name]
+        assert action(L, search.find(c - 1e-3), c - 1e-3) < 0
+
+    @pytest.mark.parametrize("name", ["t1.eta2.0", "t1.canal", "t1.mechanical", "t2.mechanical",
+                                      "t2.eta_half", "t2.cos_eta02", "t2.w_max_miss"])
+    def test_winding_group_only(self, name):
+        # T^1, constant eta or eta = 0: a null-homologous loop has M = 0 up to rounding
+        L = PINNED_CASES[name]()
+        groups = NegativeLoopSearch(L)._battery()
+        assert [X.shape for X in groups] == [(5 ** L.dim - 1, 33, L.dim)]
+
+    @pytest.mark.parametrize("name", ["t2.curl", "t2.general", "t2.closed_sin"])
+    def test_random_groups_on_t2_with_non_constant_eta(self, name):
+        groups = NegativeLoopSearch(PINNED_CASES[name](), budget=500, seed=2)._battery()
+        assert [X.shape[1:] for X in groups] == [(33, 2), (4, 2), (5, 2), (6, 2)]
+        assert sum(len(X) for X in groups) == 500 - 1
+
+    @pytest.mark.parametrize("name", ["t1.eta2.0", "t2.curl", "t2.strong"])
+    def test_each_theta_is_the_loops_own(self, name):
+        # the theta a loop was priced at in its batch, or by `_refine_loop`,
+        # equals a fresh single-row pricing bit for bit
+        L = PINNED_CASES[name]()
+        search = NegativeLoopSearch(L)
+
+        def fresh(X):
+            return float(action_mod._thresholds(L, X[None])[0][0])
+
+        candidates = search._candidates()
+        assert len(candidates) == (2 if L.dim == 1 else 4)   # on T^1 the classes -1 and -2
+        for theta, X in candidates:
+            assert theta == fresh(X)
+            refined_theta, Y = action_mod._refine_loop(L, X, search.n_knots, search.u_max)
+            assert refined_theta == fresh(Y) >= theta

@@ -221,6 +221,27 @@ class TestExitCodes:
         path.write_text(text)
         assert_one_error_line(capsys, ["sft-entropy", "--matrix", str(path)], needle)
 
+    @pytest.mark.parametrize("old,new,needle", [
+        ("eps = 0.1\n", "", "eps"),                  # was a KeyError traceback
+        ("eps = 0.1", "eps = nan", "eps"),            # nan, inf and a nan plateau or tolerance
+        ("eps = 0.1", "eps = inf", "eps"),            # exited 1 as a monotonicity violation
+        ("k = 2", "k = 2\nplateau = nan", "plateau"),
+        ("k = 2", "k = 2\nplateau = -1", "plateau"),     # exited 0
+        ("k = 2", "k = 2\ntolerance = nan", "tolerance"),
+        ("k = 2", "k = 2\ntolerance = -1", "tolerance"),
+        ("n_random_loops = 40", "n_random_loops = -5", "n_random_loops"),   # exited 0
+    ])
+    def test_bad_canal_config_is_1(self, capsys, tmp_path, old, new, needle):
+        path = tmp_path / "canal.cfg"
+        path.write_text(CANAL_CFG.replace(old, new))
+        assert_one_error_line(capsys, ["canal-experiment", "--config", str(path)], needle)
+
+    @pytest.mark.parametrize("symbol", ["7", "2", "-1"])
+    def test_missing_tau_symbol_is_1(self, capsys, symbol):
+        # the bonus never applied to a symbol the shift does not have, and it exited 0
+        assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean", "--tau-bonus", "0.5",
+                                       f"--tau-symbol={symbol}"], "--tau-symbol")
+
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")
 
@@ -265,6 +286,8 @@ class TestExitCodes:
         # nan and inf exited 0 with "phi": "nan"; 1e308 and -1 escaped numpy errors
         (["--k", "nan"], "k must be"), (["--x", "nan"], "finite"), (["--y", "inf"], "finite"),
         (["--k", "1e308"], "residual"), (["--w-max", "-1"], "w_max"),
+        # two coordinates on T^1 printed numpy's matmul message
+        (["--x", "0.1;0.2"], "L.dim = 1 coordinates, got 2 and 1"),
     ])
     def test_bad_action_potential_input_is_1(self, capsys, tmp_path, flags, needle):
         cfg = tmp_path / "pendulum.cfg"

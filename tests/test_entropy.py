@@ -606,6 +606,12 @@ class TestBadScales:
         with pytest.raises(ValueError, match="T must be"):
             spanning_count(single_orbit_ensemble(), T, 0.1)
 
+    @pytest.mark.parametrize("horizon", [-1.0, float("nan"), float("inf")])
+    def test_gamma_rejects_bad_horizon(self, horizon):
+        F, _ = crafted_two_sided_ensemble()
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            ent.gamma_sets(F, 0.01, horizon)
+
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
     def test_gamma_rejects_bad_eps(self, eps):
         F, _ = crafted_two_sided_ensemble()

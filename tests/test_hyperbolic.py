@@ -39,6 +39,13 @@ class TestAutomorphism:
         with pytest.raises(ValueError):
             ToralAutomorphism([[2, 1], [1, 2]])  # determinant 3
 
+    @pytest.mark.parametrize("matrix", [[[1, 0], [3, 1]], [[1, 0], [3, -1]],
+                                        [[-1, 0], [2, 1]], [[-1, 0], [5, -1]]])
+    def test_zero_upper_right_entry_is_not_hyperbolic(self, matrix):
+        # b = 0 leaves the eigenvalues a, d = +-1, so no eigenvector needs b != 0
+        with pytest.raises(ValueError):
+            ToralAutomorphism(matrix)
+
     def test_det_minus_one(self):
         tm = ToralAutomorphism([[1, 1], [1, 0]])
         assert tm.det == -1

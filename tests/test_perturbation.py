@@ -34,6 +34,15 @@ class TestCanalValues:
         cp = CanalPotential([[0.0]], eps=2.0, k=3, plateau=0.2)
         assert abs(canal(cp, [0.5]) - 2.0 * 0.2**3) < 1e-14
 
+    @pytest.mark.parametrize("eps,plateau,needle", [
+        (np.nan, None, "eps"), (np.inf, None, "eps"), (0.0, None, "eps"),
+        (1.0, np.nan, "plateau"), (1.0, -1.0, "plateau"), (1.0, 0.0, "plateau"),
+        (1.0, np.inf, "plateau"),
+    ])
+    def test_rejects_bad_amplitude_and_plateau(self, eps, plateau, needle):
+        with pytest.raises(ValueError, match=f"{needle} must be positive and finite"):
+            CanalPotential([[0.0]], eps=eps, k=2, plateau=plateau)
+
     def test_equator_core_on_t2(self):
         # core = the circle x2 = 0.25; farthest parallel is at distance 1/2
         cp = CanalPotential([[0.0, 0.25]], eps=1.0, k=2,
