@@ -111,6 +111,11 @@ def cmd_action_potential(args):
 
 
 def cmd_suspend_integrate(args):
+    if not 0 < args.tau_base < np.inf:            # NaN fails this test too
+        raise ValueError(f"--tau-base must be finite and > 0, got {args.tau_base}")
+    if not -args.tau_base < args.tau_bonus < np.inf:
+        raise ValueError(f"--tau-bonus must be finite with --tau-base + --tau-bonus > 0, "
+                         f"got {args.tau_bonus}")
     A = _load_matrix(args)
     if args.tau_bonus and not 0 <= args.tau_symbol < A.m:
         raise ValueError(f"--tau-symbol must be a symbol in [0, {A.m}), got {args.tau_symbol}")
@@ -168,9 +173,20 @@ def cmd_shadow(args):
     tm = hyp_mod.ToralAutomorphism(np.array(entries).reshape(2, 2))
     if args.orbit:
         with open(args.orbit) as fh:
-            rows = [ln.split(",") for ln in fh.read().strip().splitlines()
-                    if ln and not ln[0].isalpha()]
-        pts = np.array([[float(r[-2]), float(r[-1])] for r in rows])
+            text = fh.read()
+        pts = []
+        for lineno, ln in enumerate(text.splitlines(), 1):
+            ln = ln.strip()
+            if not ln or ln[0].isalpha():
+                continue
+            fields = ln.split(",")
+            if len(fields) < 2:
+                raise ValueError(f"line {lineno}: expected two coordinate columns in {ln!r}")
+            try:
+                pts.append([float(fields[-2]), float(fields[-1])])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        pts = np.array(pts)
         orbits = [hyp_mod.PseudoOrbit(tm, pts)]
     else:
         if args.count < 1:

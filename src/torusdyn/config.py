@@ -42,6 +42,16 @@ def _finite(value, what):
     return value
 
 
+def _integer(value, what, low=None):
+    try:
+        value = int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def _coeff_section(cp, name, dim):
     if not cp.has_section(name):
         return {}
@@ -157,8 +167,9 @@ def parse_canal_experiment(text, base_dir="."):
     """(MechanicalLagrangian, CanalPotential, CanalExperimentConfig) from config.
 
     Raises ValueError without `eps`, for an `eps` or `plateau` that is not
-    positive and finite, a `tolerance` that is not finite and >= 0, or a
-    negative `n_random_loops`.
+    positive and finite, a `tolerance` that is not finite and >= 0, a `k`
+    that is not an integer, or a `seed` or `n_random_loops` that is not an
+    integer >= 0.
     """
     import os
 
@@ -177,17 +188,15 @@ def parse_canal_experiment(text, base_dir="."):
     if "eps" not in sec:
         raise ValueError("canal needs `eps`")
     canal = CanalPotential(
-        verts, eps=float(sec["eps"]), k=int(sec.get("k", 2)),
+        verts, eps=float(sec["eps"]), k=_integer(sec.get("k", 2), "k"),
         plateau=float(sec["plateau"]) if sec.get("plateau") else None,
         winds=winds)
     econf = CanalExperimentConfig(
         tolerance=float(sec.get("tolerance", 2e-2)),
-        seed=int(sec.get("seed", 0)),
-        n_random_loops=int(sec.get("n_random_loops", 300)))
+        seed=_integer(sec.get("seed", 0), "seed", low=0),
+        n_random_loops=_integer(sec.get("n_random_loops", 300), "n_random_loops", low=0))
     if not 0 <= econf.tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {econf.tolerance!r}")
-    if econf.n_random_loops < 0:
-        raise ValueError(f"n_random_loops must be >= 0, got {econf.n_random_loops}")
     return L, canal, econf
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .entropy import LabeledOrbitEnsemble
 from .torus import _lift_inplace, _wrap_into, minimal_lift, wrap
 from .torus import grid as torus_grid
 from .torus import torus_metric as torus_distance   # one metric, two public names
@@ -176,8 +177,6 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
     points; `backward` extra columns of inverse iterates precede it.  The
     modular integer arithmetic keeps long and backward orbits exact.
     """
-    from .entropy import LabeledOrbitEnsemble
-
     if n_steps < 0 or backward < 0:
         raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}, "
                          f"backward={backward}")
@@ -194,8 +193,7 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
         k0 = rng.integers(0, q, size=(n_orbits, 2))
     k0 = k0.astype(np.int64)
     m = tm.matrix
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
-    minv = (tm.det * adj) % q
+    minv = np.array(_int_matpow(m.tolist(), -1), dtype=np.int64) % q
     back = _lattice_orbit(minv, k0, backward, q)[:0:-1]   # T^-backward k0, ..., T^-1 k0
     stack = np.stack(back + _lattice_orbit(m, k0, n_steps, q), axis=1).astype(float) / q
     return LabeledOrbitEnsemble(stack, dt=1.0, origin=backward)
@@ -204,8 +202,6 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
 def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
                              grid=False, rng=None):
     """Forward float orbits of x -> T x + eps*g(x) mod 1 for a fixed smooth g."""
-    from .entropy import LabeledOrbitEnsemble
-
     if grid:
         side = int(round(np.sqrt(n_orbits)))
         if side * side != n_orbits:

@@ -413,38 +413,43 @@ def count_words(A: TransitionMatrix, n):
     return sum(counts)
 
 
+def _cycle_through(rows, s, limit):
+    """Shortest cycle through s of length below `limit`, by BFS from s, or None.
+
+    Of several, the cycle closes at the first symbol in BFS order with an
+    edge back to s.  The BFS keeps only parent pointers, s its own root.
+    """
+    parent = {s: s}
+    frontier = [s]
+    depth = 1                      # the length of a cycle closed from the frontier
+    while frontier and depth < limit:
+        nxt = []
+        for u in frontier:
+            for v in rows[u]:
+                if v == s:
+                    path = [u]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+        depth += 1
+    return None
+
+
 def shortest_cycle(A: TransitionMatrix):
-    """Minimum-period periodic orbit, by BFS from every symbol."""
+    """Minimum-period periodic orbit, by BFS from every symbol.
+
+    The BFS from each symbol stops at the period found so far, since only a
+    strictly shorter cycle replaces it: the orbit starts at the lowest
+    symbol of least period.
+    """
     rows = _successors(A.bits)
     best = None
     for s in range(A.m):
-        # BFS over the transition graph; dist[u] = shortest path length s -> u
-        dist = {s: 0}
-        parent = {}
-        frontier = [s]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for u in frontier:
-                for v in rows[u]:
-                    if v == s:
-                        found = u
-                        break
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is None:
-            continue
-        path = [found]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        cycle = tuple(reversed(path))
-        if best is None or len(cycle) < len(best):
-            best = cycle
+        best = _cycle_through(rows, s, len(best) if best else A.m + 1) or best
     if best is None:
         raise NoCycle("transition graph is acyclic")
     return PeriodicOrbit(best, minimal=True)
@@ -476,7 +481,7 @@ class BlockRecoding:
     matrix: TransitionMatrix
     words: list
     n: int
-    index: dict = field(repr=False, default_factory=dict)
+    index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
@@ -495,13 +500,11 @@ def block_recode(source, n):
     words = [tuple(w) for w in source.words(n)]
     if not words:
         raise EmptyRecode(f"no legal {n}-words")
-    k = len(words)
-    bits = np.zeros((k, k), dtype=bool)
     if isinstance(source, TransitionMatrix):
-        for i, u in enumerate(words):
-            for j, v in enumerate(words):
-                bits[i, j] = source.bits[u[-1], v[0]]
+        bits = source.bits[np.ix_([u[-1] for u in words], [v[0] for v in words])]
     else:
+        k = len(words)
+        bits = np.zeros((k, k), dtype=bool)
         legal_2n = set(map(tuple, source.words(2 * n)))
         for i, u in enumerate(words):
             for j, v in enumerate(words):
@@ -580,13 +583,10 @@ def format_matrix(A: TransitionMatrix, fmt="grid"):
     if fmt == "grid":
         return "\n".join("".join("1" if b else "0" for b in row) for row in A.bits) + "\n"
     if fmt == "rle":
-        flat = A.bits.astype(int).ravel()
-        runs = []
-        start = 0
-        for i in range(1, len(flat) + 1):
-            if i == len(flat) or flat[i] != flat[start]:
-                runs.append(f"{i - start}*{flat[start]}")
-                start = i
+        flat = A.bits.ravel()
+        starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
+        lengths = np.diff(starts, append=flat.size)
+        runs = (f"{n}*{b:d}" for n, b in zip(lengths.tolist(), flat[starts].tolist()))
         return f"rle {A.m}\n" + " ".join(runs) + "\n"
     raise ValueError(f"unknown matrix format {fmt!r}")
 
@@ -663,21 +663,19 @@ def parse_words(text):
     return words
 
 
-def random_transition_matrix(rng, m, density, require_cycle=True, max_tries=100):
-    """Random essential transition matrix with the given edge density."""
-    for _ in range(max_tries):
+def random_transition_matrix(rng, m, density):
+    """Random essential transition matrix with the given edge density.
+
+    Every symbol of a nonempty essential part has a successor inside it, so
+    the part always carries a cycle.
+    """
+    for _ in range(100):
         bits = rng.random((m, m)) < density
         if not bits.any():
             continue
         ess, _ = TransitionMatrix(bits).essential_part()
-        if ess is None:
-            continue
-        if require_cycle:
-            try:
-                shortest_cycle(ess)
-            except NoCycle:
-                continue
-        return ess
+        if ess is not None:
+            return ess
     raise RuntimeError("failed to sample an essential matrix")
 
 

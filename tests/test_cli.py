@@ -230,6 +230,8 @@ class TestExitCodes:
         ("k = 2", "k = 2\ntolerance = nan", "tolerance"),
         ("k = 2", "k = 2\ntolerance = -1", "tolerance"),
         ("n_random_loops = 40", "n_random_loops = -5", "n_random_loops"),   # exited 0
+        ("k = 2", "k = 2.5", "k must be an integer"),    # int()'s message named no key
+        ("k = 2", "k = 2\nseed = -1", "seed must be >= 0"),   # numpy's message named no key
     ])
     def test_bad_canal_config_is_1(self, capsys, tmp_path, old, new, needle):
         path = tmp_path / "canal.cfg"
@@ -241,6 +243,17 @@ class TestExitCodes:
         # the bonus never applied to a symbol the shift does not have, and it exited 0
         assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean", "--tau-bonus", "0.5",
                                        f"--tau-symbol={symbol}"], "--tau-symbol")
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--tau-base", "inf"], "--tau-base"),     # exited 0 with "value": NaN
+        (["--tau-base", "-1"], "--tau-base"),
+        (["--tau-base", "nan"], "--tau-base"),
+        (["--tau-bonus", "nan"], "--tau-bonus"),   # said "ceiling value nan escapes [1.0, 1.0]"
+        (["--tau-bonus=-inf"], "--tau-bonus"),
+        (["--tau-bonus=-1"], "--tau-bonus"),
+    ])
+    def test_bad_ceiling_is_1(self, capsys, flags, needle):
+        assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean"] + flags, needle)
 
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")
@@ -281,6 +294,15 @@ class TestExitCodes:
         path = tmp_path / "orbit.csv"
         path.write_text(f"index,x1,x2\n0,0.1,0.2\n1,{bad},0.3\n2,0.5,0.6\n")
         assert_one_error_line(capsys, ["shadow", "--orbit", str(path)], "finite")
+
+    @pytest.mark.parametrize("row,needle", [
+        ("0.5", "line 3: expected two coordinate columns"),      # was an IndexError traceback
+        ("1,abc,0.3", "line 3: could not convert string to float: 'abc'"),
+    ])
+    def test_bad_orbit_row_is_1(self, capsys, tmp_path, row, needle):
+        path = tmp_path / "orbit.csv"
+        path.write_text(f"index,x1,x2\n0,0.1,0.2\n{row}\n2,0.5,0.6\n")
+        assert_one_error_line(capsys, ["shadow", "--orbit", str(path)], needle)
 
     @pytest.mark.parametrize("flags,needle", [
         # nan and inf exited 0 with "phi": "nan"; 1e308 and -1 escaped numpy errors

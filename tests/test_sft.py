@@ -375,6 +375,56 @@ class TestCountWords:
         assert rates[-1] - h <= 0.02
 
 
+def reference_shortest_cycle(A):
+    """The full BFS from every symbol that `shortest_cycle` replaced, kept as its reference."""
+    rows = sft._successors(A.bits)
+    best = None
+    for s in range(A.m):
+        dist = {s: 0}
+        parent = {}
+        frontier = [s]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for u in frontier:
+                for v in rows[u]:
+                    if v == s:
+                        found = u
+                        break
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is None:
+            continue
+        path = [found]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        cycle = tuple(reversed(path))
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    if best is None:
+        raise sft.NoCycle("transition graph is acyclic")
+    return best
+
+
+def reference_random_transition_matrix(rng, m, density, max_tries=100):
+    """The sampler with its shortest-cycle pass, which never rejected a draw."""
+    for _ in range(max_tries):
+        bits = rng.random((m, m)) < density
+        if not bits.any():
+            continue
+        ess, _ = TransitionMatrix(bits).essential_part()
+        if ess is None:
+            continue
+        reference_shortest_cycle(ess)
+        return ess
+    raise RuntimeError("failed to sample an essential matrix")
+
+
 class TestShortestCycle:
     def test_self_loop(self):
         A = TransitionMatrix([[0, 1], [1, 1]])
@@ -400,6 +450,37 @@ class TestShortestCycle:
         for _ in range(50):
             A = sft.random_transition_matrix(rng, int(rng.integers(2, 9)), rng.uniform(0.2, 0.8))
             assert shortest_cycle(A).period == brute_force_min_period(A)
+
+    def test_same_cycle_as_full_bfs(self):
+        # the cut BFS returns the reference's cycle, not only its period
+        rng = np.random.default_rng(17)
+        cases = [GOLDEN_MEAN, TransitionMatrix(cycle_chord(200))]
+        for i in range(400):
+            m = int(rng.integers(1, 81))
+            bits = rng.random((m, m)) < rng.uniform(0.5, 4.0) / m
+            if i % 2:
+                np.fill_diagonal(bits, False)
+            if bits.any():
+                cases.append(TransitionMatrix(bits))
+        acyclic = 0
+        for A in cases:
+            try:
+                expected = reference_shortest_cycle(A)
+            except sft.NoCycle:
+                acyclic += 1
+                with pytest.raises(sft.NoCycle):
+                    shortest_cycle(A)
+                continue
+            assert shortest_cycle(A).cycle == expected
+        assert 0 < acyclic < len(cases) // 2
+
+    def test_sampler_matches_reference(self):
+        for seed in range(100):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for m, density in ((1, 0.5), (3, 0.2), (7, 0.1), (12, 0.4)):
+                assert sft.random_transition_matrix(rng, m, density) == \
+                    reference_random_transition_matrix(ref, m, density)
+            assert rng.random() == ref.random()
 
 
 class TestBqBound:
@@ -473,13 +554,20 @@ class TestBlockRecode:
                 assert top_entropy(rec.matrix) >= n * h - 1e-9
 
     def test_word_list_source_matches_matrix_source(self):
-        n = 3
-        words = GOLDEN_MEAN.legal_words(2 * n)
-        src = FiniteWordSource(words)
-        rec_a = block_recode(GOLDEN_MEAN, n)
-        rec_b = block_recode(src, n)
-        assert rec_a.words == rec_b.words
-        assert np.array_equal(rec_a.matrix.bits, rec_b.matrix.bits)
+        # the 1-step bridge gather against the generic 2n-word rule
+        for bits, n in ((GOLDEN_MEAN.bits, 3), (np.ones((3, 3)), 4), (cycle_chord(6), 2),
+                        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3), ([[1]], 2)):
+            A = TransitionMatrix(bits)
+            rec_a = block_recode(A, n)
+            rec_b = block_recode(FiniteWordSource(A.legal_words(2 * n)), n)
+            assert rec_a.words == rec_b.words
+            assert np.array_equal(rec_a.matrix.bits, rec_b.matrix.bits)
+
+    def test_index_is_not_a_constructor_argument(self):
+        rec = block_recode(GOLDEN_MEAN, 2)
+        assert rec.index == {w: i for i, w in enumerate(rec.words)}
+        with pytest.raises(TypeError):
+            sft.BlockRecoding(rec.matrix, rec.words, 2, index={})
 
 
 class TestProjectCycle:
@@ -559,6 +647,18 @@ class TestDaDistance:
         assert duv <= max(d_a_distance(u, w), d_a_distance(w, v)) + 1e-15
 
 
+def reference_rle(A):
+    """The per-cell run-length writer that `format_matrix` replaced, kept as its reference."""
+    flat = A.bits.astype(int).ravel()
+    runs = []
+    start = 0
+    for i in range(1, len(flat) + 1):
+        if i == len(flat) or flat[i] != flat[start]:
+            runs.append(f"{i - start}*{flat[start]}")
+            start = i
+    return f"rle {A.m}\n" + " ".join(runs) + "\n"
+
+
 class TestMatrixIO:
     def test_grid_round_trip(self):
         text = sft.format_matrix(GOLDEN_MEAN, "grid")
@@ -566,9 +666,13 @@ class TestMatrixIO:
 
     def test_rle_round_trip(self):
         rng = np.random.default_rng(7)
-        A = sft.random_transition_matrix(rng, 9, 0.4)
-        text = sft.format_matrix(A, "rle")
-        assert sft.parse_matrix(text) == A
+        cases = [sft.random_transition_matrix(rng, 9, 0.4), GOLDEN_MEAN, TransitionMatrix([[1]]),
+                 full_shift(4), TransitionMatrix(np.eye(5)), TransitionMatrix(cycle_chord(40)),
+                 TransitionMatrix(rng.random((30, 30)) < 0.5)]
+        for A in cases:
+            text = sft.format_matrix(A, "rle")
+            assert text == reference_rle(A)
+            assert sft.parse_matrix(text) == A
 
     def test_spaced_grid(self):
         assert sft.parse_matrix("1 1\n1 0\n") == GOLDEN_MEAN
