@@ -16,7 +16,7 @@ from torusdyn.perturbation import (
 )
 
 pendulum = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}))
-config = CanalExperimentConfig(n_random_loops=100)
+config = CanalExperimentConfig()
 
 # --- canal at the unstable equilibrium (the Aubry set): nothing moves
 cp = CanalPotential([[0.0]], eps=0.1, k=2)

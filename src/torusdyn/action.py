@@ -435,11 +435,6 @@ def _least_over_classes(L, base, w_max, T, k, solve):
     return best
 
 
-def default_knot_count(T):
-    """Knot budget growing with duration, capped to keep descent cheap."""
-    return int(np.clip(int(8 * T) + 7, 9, 97))
-
-
 def _points(L: MechanicalLagrangian, x, y):
     """x and y as float arrays; ValueError unless each has L.dim coordinates."""
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
@@ -463,7 +458,8 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     if not (0 < T < np.inf and np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"T must be positive and finite and x, y finite, got {T}, {x}, {y}")
     x, y = wrap(x), wrap(y)
-    n_knots = default_knot_count(T) if n_knots is None else n_knots
+    # a knot budget growing with duration, capped to keep descent cheap
+    n_knots = int(np.clip(int(8 * T) + 7, 9, 97)) if n_knots is None else n_knots
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
     path, _, res = _least_over_classes(
@@ -531,7 +527,7 @@ class NegativeLoopSearch:
     def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2, n_knots=33):
         self.L, self.budget, self.w_max, self.n_knots = L, budget, w_max, n_knots
         _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
-        self._best = None        # see _best_loop
+        self._best = None        # see best_loop
         self._rng = np.random.default_rng(seed)
 
     def _battery(self):
@@ -557,8 +553,10 @@ class NegativeLoopSearch:
             thetas.extend(theta[keep])
         return [(float(thetas[i]), loops[i]) for i in np.argsort(thetas)[::-1][:4]]
 
-    def _best_loop(self):
-        """(theta, cover knots) of the best loop; knots None: the constant loop."""
+    def best_loop(self):
+        """(theta, cover knots) of the loop that certifies c(L) >= theta: the
+        best of the constant loop at `x_max` (knots None, theta = max U) and
+        the candidates, each priced once and refined (see the class)."""
         if self._best is None:
             priced = [(self.u_max, None)]
             for theta, X in self._candidates():
@@ -571,7 +569,7 @@ class NegativeLoopSearch:
         # constant loops: action (k - U(x)) T, decisive at the potential max
         if k < self.u_max - 1e-12:
             return BrokenPath.constant(self.x_max, 1.0)
-        theta, X = self._best_loop()
+        theta, X = self.best_loop()
         if X is None or k >= theta:
             return None
         _, (K, ubar, u) = _thresholds(self.L, X[None])
@@ -649,14 +647,16 @@ def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch
     the CLI `--tol` flag.
     """
     search = search if search is not None else NegativeLoopSearch(L)
-    return search._best_loop()[0]
+    return search.best_loop()[0]
 
 
-def staticity_defect(L: MechanicalLagrangian, c, x, y, **kwargs):
+def staticity_defect(L: MechanicalLagrangian, c, x, y, search=None, **kwargs):
     """Phi_c(x, y) + Phi_c(y, x); zero picks out static pairs.  At x = y it
-    is 0 by the shortcut Phi_k(x, x) = 0, so it tests nothing of the Aubry set."""
-    fwd = action_potential(L, c, x, y, **kwargs)
-    bwd = action_potential(L, c, y, x, **kwargs)
+    is 0 by the shortcut Phi_k(x, x) = 0, so it tests nothing of the Aubry set.
+    Both potentials share one `NegativeLoopSearch`."""
+    search = search if search is not None else NegativeLoopSearch(L)
+    fwd = action_potential(L, c, x, y, search=search, **kwargs)
+    bwd = action_potential(L, c, y, x, search=search, **kwargs)
     if fwd.is_minus_infinity or bwd.is_minus_infinity:
         raise BelowCritical(f"k={c} admits negative loops; defect undefined")
     return fwd.value + bwd.value

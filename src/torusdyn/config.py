@@ -42,14 +42,11 @@ def _finite(value, what):
     return value
 
 
-def _integer(value, what, low=None):
+def _integer(value, what):
     try:
-        value = int(value)
+        return int(value)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
-    return value
 
 
 def _coeff_section(cp, name, dim):
@@ -163,13 +160,15 @@ def format_polyline_csv(verts, winds=None):
     return "\n".join(lines) + "\n"
 
 
+_CANAL_KEYS = {"core", "core_file", "eps", "k", "plateau", "tolerance"}
+
+
 def parse_canal_experiment(text, base_dir="."):
     """(MechanicalLagrangian, CanalPotential, CanalExperimentConfig) from config.
 
-    Raises ValueError without `eps`, for an `eps` or `plateau` that is not
-    positive and finite, a `tolerance` that is not finite and >= 0, a `k`
-    that is not an integer, or a `seed` or `n_random_loops` that is not an
-    integer >= 0.
+    Raises ValueError without `eps`, for a key outside `_CANAL_KEYS`, an
+    `eps` or `plateau` that is not positive and finite, a `tolerance` that
+    is not finite and >= 0, or a `k` that is not an integer.
     """
     import os
 
@@ -178,6 +177,10 @@ def parse_canal_experiment(text, base_dir="."):
     if not cp.has_section("canal"):
         raise ValueError("missing [canal] section")
     sec = cp["canal"]
+    unknown = sorted(set(sec) - _CANAL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown [canal] key {unknown[0]!r}; "
+                         f"expected one of {', '.join(sorted(_CANAL_KEYS))}")
     if "core_file" in sec:
         with open(os.path.join(base_dir, sec["core_file"])) as fh:
             verts, winds = parse_polyline_csv(fh.read())
@@ -191,10 +194,7 @@ def parse_canal_experiment(text, base_dir="."):
         verts, eps=float(sec["eps"]), k=_integer(sec.get("k", 2), "k"),
         plateau=float(sec["plateau"]) if sec.get("plateau") else None,
         winds=winds)
-    econf = CanalExperimentConfig(
-        tolerance=float(sec.get("tolerance", 2e-2)),
-        seed=_integer(sec.get("seed", 0), "seed", low=0),
-        n_random_loops=_integer(sec.get("n_random_loops", 300), "n_random_loops", low=0))
+    econf = CanalExperimentConfig(tolerance=float(sec.get("tolerance", 2e-2)))
     if not 0 <= econf.tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {econf.tolerance!r}")
     return L, canal, econf

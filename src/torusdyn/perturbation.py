@@ -7,15 +7,15 @@ Euler-Lagrange flow survive the perturbation, while the critical value can
 only decrease: c(L + phi) <= c(L).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .action import _action_value_grad, _lift, _split, critical_value
+from .action import NegativeLoopSearch, critical_value
 from .fields import SumField
 from .lagrangian import MechanicalLagrangian
-from .torus import grid, wrap
+from .torus import wrap
 
 
 class DimMismatch(ValueError):
@@ -148,67 +148,38 @@ def core_force_residual(L: MechanicalLagrangian, cp: CanalPotential, per_segment
 @dataclass
 class CanalExperimentConfig:
     tolerance: float = 2e-2
-    seed: int = 0
-    n_random_loops: int = 300
-
-
-def _loop_candidates(dim, rng, n_random, t_choices, grid_n=64):
-    """(cover knots, duration) of constant loops on a grid, then of
-    null-homologous random-waypoint loops in draw order."""
-    mesh = grid(grid_n, dim)
-    loops = [(np.vstack([x, x]), 1.0) for x in mesh[::max(len(mesh) // 256, 1)]]
-    for _ in range(n_random):
-        X = rng.random((int(rng.integers(3, 6)), dim))
-        loops.append((np.vstack([X, X[:1]]), float(rng.choice(t_choices))))
-    return loops
 
 
 def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential,
                             config: CanalExperimentConfig = None):
-    """Perturb, re-estimate the critical value, and watch where low-action
-    loops live relative to the canal core.
+    """Perturb, re-estimate the critical value, and report where the loop
+    that certifies c(L + phi) lies relative to the canal core.
 
+    The loop is `NegativeLoopSearch(L + phi).best_loop()`, the one
+    `critical_value` reads c(L + phi) off: the constant loop at the maximum
+    of U - phi, or a refined winding or battery loop when c(L + phi) exceeds
+    that maximum.  Its core distance is the largest over its knots.
     Guarantees in the report: the monotonicity c(L+phi) <= c(L) + tol is
-    checked (and must hold: phi >= 0); the localization of minimizing
-    loops near the core is reported, not asserted.
+    checked (and must hold: phi >= 0); the localization is reported, not
+    asserted.
     """
     config = config or CanalExperimentConfig()
-    L_pert = perturb(L, cp)
+    search = NegativeLoopSearch(perturb(L, cp))
     c_base = critical_value(L)
-    c_pert = critical_value(L_pert)
+    c_pert = critical_value(search.L, search=search)
     monotone = c_pert <= c_base + config.tolerance
     if not monotone:
         raise RuntimeError(f"monotonicity violated: c(L+phi)={c_pert} > c(L)={c_base}")
-
-    rng = np.random.default_rng(config.seed)
-    loops = _loop_candidates(L.dim, rng, config.n_random_loops, np.geomspace(0.5, 8.0, 5))
-    # one batch per knot count: normalized actions, largest core distances
-    actions, dists = np.empty(len(loops)), np.empty(len(loops))
-    sizes = np.array([len(X) for X, _ in loops])
-    for n in np.unique(sizes):
-        idx = np.flatnonzero(sizes == n)
-        X = _lift(*_split(np.array([loops[i][0] for i in idx])))
-        T = np.array([loops[i][1] for i in idx])
-        actions[idx] = _action_value_grad(L_pert, X, T, c_pert, need_grad=False)[0] / T
-        dists[idx] = cp.distance(wrap(X)).max(axis=1)
+    _, X = search.best_loop()
+    dist = float(np.max(cp.distance(search.x_max if X is None else X)))
     # radius where the canal exceeds the critical-value resolution
     near_r = min((1e-2 / cp.eps) ** (1.0 / cp.k), 0.45 * np.sqrt(cp.dim))
-    on = dists <= near_r
-    best = int(np.argmin(actions))       # the first least action in sample order
-    best_on = float(actions[on].min()) if on.any() else None
-    best_off = float(actions[~on].min()) if not on.all() else None
-    report = {
+    return {
         "c_base": c_base,
         "c_perturbed": c_pert,
         "monotone": bool(monotone),
         "core_force_residual": core_force_residual(L, cp),
         "near_core_radius": near_r,
-        "best_loop_action": float(actions[best]),
-        "best_loop_core_distance": float(dists[best]),
-        "best_on_core_action": best_on,
-        "best_off_core_action": best_off,
-        "localized": bool(dists[best] <= near_r),
+        "best_loop_core_distance": dist,
+        "localized": bool(dist <= near_r),
     }
-    if best_on is not None and best_off is not None:
-        report["action_gap_off_minus_on"] = best_off - best_on
-    return report

@@ -22,7 +22,7 @@ uses the right and left pairs of an irreducible matrix.
 """
 
 from dataclasses import dataclass, field
-from itertools import count, product
+from itertools import count
 
 import numpy as np
 
@@ -596,19 +596,23 @@ def parse_matrix(text):
     if not lines:
         raise ValueError("empty matrix text")
     if lines[0].startswith("rle"):
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError(f"run-length header {lines[0]!r} must be `rle <size>`")
-        m = int(head[1])
+        try:
+            _, size = lines[0].split()
+            m = int(size)
+        except ValueError:
+            raise ValueError(f"run-length header {lines[0]!r} must be `rle <size>`") from None
         if m < 1:
             raise ValueError(f"run-length size {m} must be at least 1")
         counts, values = [], []
         for tok in " ".join(lines[1:]).split():
-            count, bit = (int(v) for v in tok.split("*"))
+            try:
+                count, bit = (int(v) for v in tok.split("*"))
+            except ValueError:
+                raise ValueError(f"run token {tok!r} must be `count*bit`") from None
             if count < 0:
                 raise ValueError(f"run length {count} in {tok!r} is negative")
             if bit not in (0, 1):
-                raise ValueError("transition matrix entries must be 0 or 1")
+                raise ValueError(f"run token {tok!r}: entries must be 0 or 1")
             counts.append(count)
             values.append(bit)
         if sum(counts) != m * m:
@@ -617,8 +621,10 @@ def parse_matrix(text):
     else:
         rows = []
         for ln in lines:
-            row = [int(c) for c in (ln.split() if " " in ln else ln)]
-            rows.append(row)
+            try:
+                rows.append([int(c) for c in (ln.split() if " " in ln else ln)])
+            except ValueError:
+                raise ValueError(f"matrix row {ln!r}: entries must be 0 or 1") from None
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix grid is not square")
         bits = np.array(rows)

@@ -344,6 +344,18 @@ class TestStaticityDefect:
         with pytest.raises(BelowCritical):
             staticity_defect(pendulum(), 0.5, [0.0], [0.5])
 
+    def test_one_search_for_both_potentials(self, monkeypatch):
+        L, k, x, y = magnetic_t2(), 3.1, [0.1, 0.2], [0.6, 0.7]
+        search = NegativeLoopSearch(L)
+        expected = (action_potential(L, k, x, y, search=search).value
+                    + action_potential(L, k, y, x, search=search).value)
+        built = []
+        init = NegativeLoopSearch.__init__
+        monkeypatch.setattr(NegativeLoopSearch, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        assert staticity_defect(L, k, x, y) == expected
+        assert len(built) == 1
+
 
 class TestActionValueType:
     def test_sentinel_needs_certificate(self):

@@ -31,7 +31,6 @@ CANAL_CFG = PENDULUM_CFG + """
 eps = 0.1
 k = 2
 core = 0.0
-n_random_loops = 40
 """
 
 
@@ -215,6 +214,11 @@ class TestExitCodes:
         ("12\n10\n", "0 or 1"),
         ("rle 2\n1*1 1*2 2*0\n", "0 or 1"),
         ("rle\n4*1\n", "rle"),
+        ("rle x\n4*1\n", "'rle x'"),             # int()'s message named no header
+        ("rle 2\n3 1*0\n", "'3'"),               # was an unpacking message
+        ("rle 2\n1*1 3*x\n", "'3*x'"),
+        ("rle 2\n4*2\n", "'4*2'"),
+        ("11\n1a\n", "'1a'"),
     ])
     def test_bad_matrix_is_1(self, capsys, tmp_path, text, needle):
         path = tmp_path / "bad.txt"
@@ -229,9 +233,11 @@ class TestExitCodes:
         ("k = 2", "k = 2\nplateau = -1", "plateau"),     # exited 0
         ("k = 2", "k = 2\ntolerance = nan", "tolerance"),
         ("k = 2", "k = 2\ntolerance = -1", "tolerance"),
-        ("n_random_loops = 40", "n_random_loops = -5", "n_random_loops"),   # exited 0
         ("k = 2", "k = 2.5", "k must be an integer"),    # int()'s message named no key
-        ("k = 2", "k = 2\nseed = -1", "seed must be >= 0"),   # numpy's message named no key
+        # keys of the retired loop sample would be read by nothing and exit 0
+        pytest.param("k = 2", "k = 2\nn_random_loops = 40", "unknown [canal] key 'n_random_loops'",
+                     id="retired n_random_loops"),
+        pytest.param("k = 2", "k = 2\nseed = -1", "unknown [canal] key 'seed'", id="retired seed"),
     ])
     def test_bad_canal_config_is_1(self, capsys, tmp_path, old, new, needle):
         path = tmp_path / "canal.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusdyn.action import BrokenPath, action, critical_value
+from torusdyn.action import NegativeLoopSearch, critical_value
 from torusdyn.fields import FourierSeries, OneForm
 from torusdyn.lagrangian import MechanicalLagrangian, PhaseState, el_flow
 from torusdyn.perturbation import (
@@ -132,14 +132,14 @@ class TestExperiment:
     def test_trivial_amplitude_keeps_critical_value(self):
         L = pendulum()
         cp = CanalPotential([[0.0]], eps=1e-9, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig(n_random_loops=50))
+        rep = experiment_localization(L, cp, CanalExperimentConfig())
         assert abs(rep["c_base"] - rep["c_perturbed"]) <= 2e-2
         assert rep["monotone"]
 
     def test_canal_at_fixed_point_preserves_c(self):
         L = pendulum()
         cp = CanalPotential([[0.0]], eps=0.1, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig(n_random_loops=50))
+        rep = experiment_localization(L, cp, CanalExperimentConfig())
         assert abs(rep["c_perturbed"] - 1.0) <= 2e-2
         assert rep["core_force_residual"] <= 1e-8
         assert rep["localized"]
@@ -148,7 +148,7 @@ class TestExperiment:
         # canal around the potential minimum: minimizing loops stay off-core
         L = pendulum()
         cp = CanalPotential([[0.5]], eps=0.2, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig(n_random_loops=50))
+        rep = experiment_localization(L, cp, CanalExperimentConfig())
         assert rep["monotone"]
         assert rep["c_perturbed"] <= rep["c_base"] + 2e-2
         assert not rep["localized"]  # best loops hug the max at 0, far from 0.5
@@ -201,70 +201,50 @@ class TestPointCoreFold:
         assert np.array_equal(cp.core_samples(), wrap(np.atleast_2d(vertex)))
 
 
-def reference_localization(L, cp, config):
-    """`experiment_localization` before its loops were priced in batches:
-    one `action` and one `distance` call per loop, verbatim."""
-    L_pert = perturb(L, cp)
-    c_base = critical_value(L)
-    c_pert = critical_value(L_pert)
-    monotone = c_pert <= c_base + config.tolerance
-    rng = np.random.default_rng(config.seed)
-    loops = []
-    axes = [np.arange(64) / 64 for _ in range(L.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.dim)
-    stride = max(len(mesh) // 256, 1)
-    for x in mesh[::stride]:
-        loops.append(BrokenPath.constant(x, 1.0))
-    for _ in range(config.n_random_loops):
-        m = int(rng.integers(3, 6))
-        X = rng.random((m, L.dim))
-        X = np.vstack([X, X[:1]])
-        loops.append(BrokenPath.from_cover(X, float(rng.choice(np.geomspace(0.5, 8.0, 5)))))
-    near_r = min(1.0 * (1e-2 / cp.eps) ** (1.0 / cp.k), 0.45 * np.sqrt(cp.dim))
-    best = {"on": None, "off": None}
-    best_overall = None
-    for loop in loops:
-        a = action(L_pert, loop, c_pert) / loop.T
-        dist = float(np.max(cp.distance(wrap(loop.cover_knots()))))
-        side = "on" if dist <= near_r else "off"
-        if best[side] is None or a < best[side][0]:
-            best[side] = (a, dist)
-        if best_overall is None or a < best_overall[0]:
-            best_overall = (a, dist)
-    report = {
-        "c_base": c_base,
-        "c_perturbed": c_pert,
-        "monotone": bool(monotone),
-        "core_force_residual": core_force_residual(L, cp),
-        "near_core_radius": near_r,
-        "best_loop_action": best_overall[0],
-        "best_loop_core_distance": best_overall[1],
-        "best_on_core_action": None if best["on"] is None else best["on"][0],
-        "best_off_core_action": None if best["off"] is None else best["off"][0],
-        "localized": bool(best_overall[1] <= near_r),
-    }
-    if best["on"] is not None and best["off"] is not None:
-        report["action_gap_off_minus_on"] = best["off"][0] - best["on"][0]
-    return report
+def magnetic_pendulum(eta0):
+    return MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}),
+                                OneForm([FourierSeries(1, cos={0: eta0})]))
 
 
-class TestCanalScanFold:
-    """Batched loop pricing reports what the per-loop scan reported."""
+def benchmark_case():
+    # the benchmark's canal job at its anchor values
+    return magnetic_pendulum(0.85), CanalPotential([[0.0]], eps=0.12, k=2)
 
-    def test_benchmark_t1_point_canal(self):
-        # the benchmark's canal job at its anchor values: magnetic pendulum, point core
-        L = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}),
-                                 OneForm([FourierSeries(1, cos={0: 0.85})]))
-        cp = CanalPotential([[0.0]], eps=0.12, k=2)
-        config = CanalExperimentConfig()
-        assert experiment_localization(L, cp, config) == reference_localization(L, cp, config)
 
-    def test_t2_polyline_canal(self):
-        L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2,
-                                                          (1, 1): 0.1}))
-        cp = CanalPotential([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], eps=0.4, k=2,
-                            winds=[[0, 0], [0, 0], [1, 0]])
-        config = CanalExperimentConfig()
-        report = experiment_localization(L, cp, config)
-        assert report == reference_localization(L, cp, config)
-        assert "action_gap_off_minus_on" in report
+def t2_polyline_case():
+    L = MechanicalLagrangian(2, FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.1}))
+    cp = CanalPotential([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], eps=0.4, k=2,
+                        winds=[[0, 0], [0, 0], [1, 0]])
+    return L, cp
+
+
+class TestCertifyingLoop:
+    """The experiment reads localization off the loop that certifies c(L + phi)."""
+
+    @pytest.mark.parametrize("case", [benchmark_case, t2_polyline_case],
+                             ids=["benchmark_t1_point", "t2_polyline"])
+    def test_report_is_the_critical_loop(self, case):
+        L, cp = case()
+        report = experiment_localization(L, cp)
+        assert set(report) == {"c_base", "c_perturbed", "monotone", "core_force_residual",
+                               "near_core_radius", "best_loop_core_distance", "localized"}
+        assert report["c_base"] == critical_value(L)
+        assert report["c_perturbed"] == critical_value(perturb(L, cp))
+        search = NegativeLoopSearch(perturb(L, cp))
+        _, X = search.best_loop()
+        dist = np.max(cp.distance(search.x_max if X is None else X))
+        assert report["best_loop_core_distance"] == dist
+        assert report["localized"] == (dist <= report["near_core_radius"])
+
+    def test_winding_critical_loop_is_not_localized(self):
+        # eta0 = 2 lifts c(L + phi) = 2.0551 above max(U - phi) = 1: a loop winding
+        # once around the circle carries it, and a point canal cannot hold it
+        L, cp = magnetic_pendulum(2.0), CanalPotential([[0.0]], eps=0.12, k=2)
+        report = experiment_localization(L, cp)
+        assert report["c_perturbed"] > 2.05
+        assert report["localized"] is False
+        assert report["best_loop_core_distance"] >= 0.45
+
+    @pytest.mark.parametrize("L", [pendulum(), magnetic_pendulum(2.0)])
+    def test_critical_value_is_best_loop_theta(self, L):
+        assert critical_value(L) == NegativeLoopSearch(L).best_loop()[0]
