@@ -196,14 +196,25 @@ def _newton_polish(field, x, sign):
     return x
 
 
+# points per batch of `grid_extremum`: a field's temporaries grow with its batch,
+# and a three-segment `CanalPotential` on T^2 holds about 3 KB a point (a 48 MB
+# peak at this size, 670 MB for the whole 512^2 grid)
+_GRID_BATCH = 1 << 14
+
+
 def grid_extremum(field, dim, n=512, refine=True):
     """Numeric (min, argmin, max, argmax) of a periodic scalar field.
 
     Dense grid scan followed by a Newton polish of each extremum, kept when
     it improves on the grid value; an oracle helper, not a rigorous bound.
+    The grid is evaluated in batches of whole rows of n points, at most
+    `_GRID_BATCH` points where n allows, so the field's temporaries stay
+    bounded while the values, and the first grid point of least and of
+    largest value, are those of one batch over the whole grid.
     """
     mesh = grid(n, dim)
-    vals = field(mesh)
+    step = max(1, _GRID_BATCH // n) * n
+    vals = np.concatenate([field(mesh[i:i + step]) for i in range(0, len(mesh), step)])
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     best = {"min": (float(vals[lo_i]), mesh[lo_i]), "max": (float(vals[hi_i]), mesh[hi_i])}
     if refine:

@@ -16,13 +16,16 @@ The bracket shrinks quadratically on any irreducible nonnegative block
 runs until it is within rtol and stops shrinking, so the vector is good to
 rounding level.  Each solve first eliminates the chains of single-successor
 symbols by back-substitution, so only the branching symbols enter a dense
-LU (`_shifted_solver`).  `top_entropy` takes the largest root over the strongly
-connected components that carry a cycle; `suspension.parry_measure`
-uses the right and left pairs of an irreducible matrix.
+LU (`_shifted_solver`), and the bracket's B x is taken on the same chain
+plan: one product per chain row, a dense row only for a branching symbol.
+A chain-heavy block therefore never allocates an m x m float array.
+`top_entropy` takes the largest root over the strongly connected
+components that carry a cycle; `suspension.parry_measure` uses the right
+and left pairs of an irreducible matrix.
 """
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, pairwise
 
 import numpy as np
 
@@ -47,17 +50,24 @@ class WindowMismatch(ValueError):
     """Symbol windows have different radii."""
 
 
-# Up to this many symbols Python lists beat one numpy call per row, and a
-# dense LU beats the chain plan of `perron_pair` and its per-step overhead
-# (measured crossovers 48-96 symbols for both, one BLAS thread).
+# Up to this many symbols `_shifted_solver` keeps the dense LU and product of
+# the whole block.  On chain-heavy blocks the chain plan draws level near 48
+# symbols (0.69 against 0.67 ms a `perron_pair` of `cycle_chord`), wins by
+# 6 % at 64 and by 2.7x at 128 (one BLAS thread, 2-core Xeon).
 _SMALL = 64
 
 
+def _rows(flat, m):
+    """Column lists of the rows of an m x m matrix, as ascending Python ints,
+    from the ascending flat indices of its entries: row i owns [i m, (i + 1) m)."""
+    bounds = flat.searchsorted(np.arange(0, m * m + 1, m)).tolist()
+    cols = (flat % m).tolist()
+    return [cols[a:b] for a, b in pairwise(bounds)]
+
+
 def _successors(bits):
-    """Successor lists of a square 0/1 matrix, as ascending Python ints."""
-    if len(bits) > _SMALL:
-        return [np.flatnonzero(row).tolist() for row in bits]
-    return [[j for j, b in enumerate(row) if b] for row in np.asarray(bits).tolist()]
+    """Successor lists of a square matrix, from one scan of its entries."""
+    return _rows(np.asarray(bits).ravel().nonzero()[0], len(bits))
 
 
 class TransitionMatrix:
@@ -84,22 +94,26 @@ class TransitionMatrix:
         """Iteratively drop symbols without outgoing or incoming edges.
 
         A worklist over in- and out-degree counts: dropping a symbol lowers
-        the counts of its neighbours only.  Returns (reduced
-        TransitionMatrix or None, kept symbol indices).
+        the counts of its neighbours only.  The successor and predecessor
+        lists come from one scan of the entries, the predecessors by sorting
+        their transposed flat indices.  Returns (reduced TransitionMatrix or
+        None, kept symbol indices).
         """
-        bits = self.bits
-        n_out = np.count_nonzero(bits, axis=1).tolist()
-        n_in = np.count_nonzero(bits, axis=0).tolist()
+        bits, m = self.bits, self.m
+        flat = bits.ravel().nonzero()[0]
+        rows, cols = np.divmod(flat, m)
+        succ, pred = _rows(flat, m), _rows(np.sort(cols * m + rows), m)
+        n_out, n_in = [len(r) for r in succ], [len(c) for c in pred]
         keep = [bool(a and b) for a, b in zip(n_out, n_in)]
         dead = [v for v, k in enumerate(keep) if not k]
         while dead:
             v = dead.pop()
-            for w in np.flatnonzero(bits[v]).tolist():
+            for w in succ[v]:
                 n_in[w] -= 1
                 if not n_in[w] and keep[w]:
                     keep[w] = False
                     dead.append(w)
-            for u in np.flatnonzero(bits[:, v]).tolist():
+            for u in pred[v]:
                 n_out[u] -= 1
                 if not n_out[u] and keep[u]:
                     keep[u] = False
@@ -107,7 +121,7 @@ class TransitionMatrix:
         kept = np.flatnonzero(keep)
         if not kept.size:
             return None, np.array([], dtype=int)
-        sub = bits if kept.size == self.m else bits[np.ix_(kept, kept)]
+        sub = bits if kept.size == m else bits[np.ix_(kept, kept)]
         return TransitionMatrix(sub), kept  # the constructor copies
 
     def is_legal_word(self, word):
@@ -276,7 +290,7 @@ def _chain_order(B):
 
 
 def _shifted_solver(B):
-    """solve(hi, x) -> y with (hi I - B) y = x, the single-successor chains eliminated.
+    """(solve, product): solve(hi, x) -> y with (hi I - B) y = x, and product(x) = B x.
 
     A chain vertex v (`_chain_order`) with successor s has
     y_v = (x_v + B[v,s] y_s)/hi; walking its chain to the first vertex r(v)
@@ -284,19 +298,27 @@ def _shifted_solver(B):
     builds a and c in one pass over the chain vertices (a = 0, c = 1 on K),
     solves the k x k Schur complement (hi I - B_KK - M) y_K = x_K + B_KC a,
     with M = B_KC c summed into the roots, and sets y = a + c y_K[r] at
-    once: O(m + k^3) a step.  A block of at most `_SMALL` symbols or
-    without chain vertices keeps the dense solve.
+    once: O(m + k^3) a step.  The product reads the same plan: a chain row
+    has the one entry B[v,s], so (B x)_v = B[v,s] x_s, and the k branching
+    rows B_K, copied to floats once, give B_K x: O(m + k m) a step, and no
+    m x m array is built.  A block of at most `_SMALL` symbols or without
+    chain vertices is converted to floats whole and keeps the dense solve
+    and product.
     """
     m = len(B)
     order, nxt = _chain_order(B) if m > _SMALL else ([], None)
     if not order:
+        B = np.asarray(B, dtype=float)
         shifted = np.empty_like(B)
 
         def solve(hi, x):
             np.negative(B, out=shifted)
             shifted.flat[::m + 1] += hi
             return np.linalg.solve(shifted, x)
-        return solve
+
+        def product(x):
+            return B @ x
+        return solve, product
 
     chain = np.array(order)
     in_k = np.ones(m, dtype=bool)
@@ -310,11 +332,14 @@ def _shifted_solver(B):
     for v, s in zip(order, succ):
         root[v] = root[s]
     root = np.array(root)
-    links = list(zip(order, succ, B[chain, succ].tolist()))
-    BKK = B[np.ix_(K, K)]
-    eu, ec = np.nonzero(B[np.ix_(K, chain)])  # edges u -> s from K into the chains
+    weight = np.asarray(B[chain, succ], dtype=float)
+    links = list(zip(order, succ, weight.tolist()))
+    succ = np.array(succ)
+    BK = np.asarray(B[K], dtype=float)
+    BKK = BK[:, K]
+    eu, ec = np.nonzero(BK[:, chain])  # edges u -> s from K into the chains
     es = chain[ec]
-    ew = B[K[eu], es]
+    ew = BK[eu, es]
     cell = eu * k + root[es]
 
     def solve(hi, x):
@@ -328,7 +353,13 @@ def _shifted_solver(B):
         shifted -= np.bincount(cell, ew * c[es], minlength=k * k).reshape(k, k)
         y_k = np.linalg.solve(shifted, x[K] + np.bincount(eu, ew * a[es], minlength=k))
         return a + c * y_k[root]
-    return solve
+
+    def product(x):
+        y = np.empty(m)
+        y[chain] = weight * x[succ]
+        y[K] = BK @ x
+        return y
+    return solve, product
 
 
 def perron_pair(bits, rtol=1e-12, max_iter=100):
@@ -340,8 +371,10 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
     solution is positive and the bracket shrinks quadratically.  A pure
     cycle or a bipartite block has lo = hi at x = 1 and needs no solve.
     The solve eliminates the chains of single-successor vertices first
-    (`_shifted_solver`), so only the branching vertices enter a dense LU;
-    the bracket is always taken from B x on the whole block.
+    (`_shifted_solver`), so only the branching vertices enter a dense LU,
+    and the bracket comes from B x taken on the same chain plan: a chain
+    row by its one entry, a branching row densely.  A contracted block
+    builds no m x m array; a bool block needs no entry check.
 
     The iteration stops once hi - lo <= rtol*hi and the width either
     stopped halving or is within 4 ulp of hi, so the vector is good to
@@ -351,17 +384,17 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
     and ValueError on an empty or non-square block or on entries that are
     negative or not finite.  `max_iter` bounds the number of solves.
     """
-    B = np.array(bits, dtype=float)
+    B = np.asarray(bits)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
         raise ValueError(f"perron_pair needs a nonempty square matrix, got shape {B.shape}")
-    if not 0 <= B.min() <= B.max() < np.inf:  # NaN fails every comparison
+    if B.dtype != bool and not 0 <= B.min() <= B.max() < np.inf:  # NaN fails every comparison
         raise ValueError("perron_pair needs finite nonnegative entries")
-    solve = _shifted_solver(B)
+    solve, product = _shifted_solver(B)
     x = np.ones(B.shape[0])
     width_prev = np.inf
     steps = 0
     while True:
-        r = (B @ x) / x
+        r = product(x) / x
         lo, hi = float(r.min()), float(r.max())
         width = hi - lo
         if steps == max_iter or (width <= rtol * hi and (

@@ -39,6 +39,16 @@ def magnetic_2d():
     return MechanicalLagrangian(2, U, eta)
 
 
+def one_batch_grid_extremum(field, dim, n=512):
+    """The grid scan of `grid_extremum` with the whole grid in one batch."""
+    from torusdyn.torus import grid
+
+    mesh = grid(n, dim)
+    vals = field(mesh)
+    lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
+    return float(vals[lo_i]), mesh[lo_i], float(vals[hi_i]), mesh[hi_i]
+
+
 class TestFields:
     def test_fourier_values_and_grad(self):
         f = FourierSeries(1, cos={1: 1.0}, sin={2: 0.5})
@@ -60,6 +70,19 @@ class TestFields:
         _, _, hi, argmax = grid_extremum(f, 1)
         assert abs(hi - 1.5) < 1e-10
         assert min(argmax[0], 1 - argmax[0]) < 1e-6
+
+    def test_grid_extremum_matches_one_batch(self):
+        # the batched scan keeps the values and first arguments of one batch
+        f = FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.1},
+                          sin={(2, 1): 0.05, (0, 3): 0.07})
+        canal = CanalPotential([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], eps=0.4, k=2,
+                               winds=[[0, 0], [0, 0], [1, 0]])
+        for field in (f, SumField([(1.0, f), (-1.0, canal)])):
+            got = grid_extremum(field, 2, refine=False)
+            want = one_batch_grid_extremum(field, 2)
+            assert [float(got[0]), float(got[2])] == [want[0], want[2]]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[3].tobytes() == want[3].tobytes()
 
     def test_sum_field(self):
         f = FourierSeries(1, cos={1: 1.0})

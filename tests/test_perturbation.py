@@ -236,6 +236,20 @@ class TestCertifyingLoop:
         assert report["best_loop_core_distance"] == dist
         assert report["localized"] == (dist <= report["near_core_radius"])
 
+    def test_search_on_polyline_canal_has_bounded_memory(self):
+        # one batch over the 512^2 grid of U - phi would need about 670 MB
+        import tracemalloc
+
+        L, cp = t2_polyline_case()
+        Lp = perturb(L, cp)
+        tracemalloc.start()
+        try:
+            NegativeLoopSearch(Lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
     def test_winding_critical_loop_is_not_localized(self):
         # eta0 = 2 lifts c(L + phi) = 2.0551 above max(U - phi) = 1: a loop winding
         # once around the circle carries it, and a point canal cannot hold it

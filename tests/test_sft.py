@@ -267,6 +267,20 @@ class TestPerronPair:
         rho = np.exp(np.log(w).mean())
         assert abs(pair.root - rho) <= 1e-12 * rho
 
+    def test_contracted_block_builds_no_dense_copy(self):
+        # the whole 3000 x 3000 block as floats would take 72 MB
+        import tracemalloc
+
+        bits = cycle_chord(3000)
+        tracemalloc.start()
+        try:
+            pair = perron_pair(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.lower <= first_return_root(3000) <= pair.upper
+        assert peak < 5e6
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 120), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
     def test_dense_blocks_match_reference_bit_for_bit(self, m, density, seed):
@@ -310,19 +324,21 @@ def reference_essential_part(bits):
 
 
 class TestSuccessorLists:
-    @pytest.mark.parametrize("m", [1, 5, 64, 65, 150])
+    @pytest.mark.parametrize("m", [1, 5, 64, 65, 150, 1000])
     def test_match_flatnonzero_rows(self, m):
         rng = np.random.default_rng(m)
         bits = rng.random((m, m)) < 0.2
-        expected = [np.flatnonzero(row).tolist() for row in bits]
-        assert sft._successors(bits) == expected
-        assert sft._successors(bits.astype(float)) == expected
+        bits[rng.random(m) < 0.3] = False  # rows without a successor
+        weights = np.where(bits, rng.uniform(0.5, 2.0, (m, m)), 0.0)
+        for matrix in (bits, bits.astype(float), weights, bits.T, weights.T):
+            expected = [np.flatnonzero(row).tolist() for row in matrix]
+            assert sft._successors(matrix) == expected
 
     def test_essential_part_matches_submatrix_sweeps(self):
         rng = np.random.default_rng(17)
-        for _ in range(300):
-            m = int(rng.integers(1, 90))
-            bits = rng.random((m, m)) < rng.uniform(0.0, 0.1)
+        for big in [0] * 300 + [1000, 3000]:
+            m = big or int(rng.integers(1, 90))
+            bits = rng.random((m, m)) < (1 / m if big else rng.uniform(0.0, 0.1))
             bits[0, 0] |= not bits.any()
             ess, kept = TransitionMatrix(bits).essential_part()
             expected = reference_essential_part(bits)
