@@ -5,7 +5,8 @@ winding offsets per segment, evaluated by Gauss-Legendre quadrature of
 k + L along the linear interpolant in the universal cover.  Minimizers
 come from damped Newton descent on the knots across winding classes, with
 the block-tridiagonal Hessian taken from coloured differences of the
-gradient: of the action at a fixed duration (Tonelli minimizers), or of
+gradient and each damped step one numpy LAPACK solve, in every torus
+dimension: of the action at a fixed duration (Tonelli minimizers), or of
 its least value over the duration in closed form, the free-time action
 (the action potential, extrapolated in the knot count).  Closed loops of
 negative action mark the sub-critical regime and certify it.  The
@@ -239,76 +240,43 @@ _FD_STEP = 2.0 ** -23     # X + h is exact for cover coordinates below 2^29
 _STEP_FLOOR = 1e-15       # steps below _STEP_FLOOR (1 + max|X|) no longer move the knots
 
 
-def _hessian_blocks(grads, m, d):
-    """Block-tridiagonal Hessian of the interior knots from coloured differences.
+def _hessian(grads, m, d):
+    """Hessian (m d, m d) of the interior knots from coloured differences.
 
     grads (1 + 3d, n, d): the gradient at X, then at X with coordinate j of
     every interior knot i = c (mod 3) moved by h, row 1 + c d + j.  Knot i
     couples only to i - 1 and i + 1, so each row of the Hessian sees exactly
-    one moved knot of each colour (Curtis, Powell and Reid 1974).  Returns
-    the diagonal blocks A (m, d, d) and the couplings B (m - 1, d, d),
-    B[i] = d^2 f / dx_i dx_{i+1}, each averaged with its transpose.
+    one moved knot of each colour (Curtis, Powell and Reid 1974).  Entry
+    (r d + i, s d + j) is d^2 f / dx_{r,i} dx_{s,j}, averaged with its transpose.
     """
     g = grads[0, 1:-1]
     dG = ((grads[1:, 1:-1] - g) / _FD_STEP).reshape(-1, d, m, d)   # (colour, j, knot, i)
     r = np.arange(m)
-    A = dG[r % 3, :, r, :]
-    up = dG[(r[:-1] + 1) % 3, :, r[:-1], :]          # d g_{r,i} / d x_{r+1,j} at [r, j, i]
-    down = dG[r[:-1] % 3, :, r[:-1] + 1, :]          # d g_{r+1,j} / d x_{r,i} at [r, i, j]
-    return (A + A.transpose(0, 2, 1)) / 2, (up.transpose(0, 2, 1) + down) / 2
+    rows, cols = np.concatenate([r, r[1:], r[:-1]]), np.concatenate([r, r[:-1], r[1:]])
+    H = np.zeros((m, d, m, d))
+    H[rows, :, cols, :] = dG[cols % 3, :, rows, :].transpose(0, 2, 1)
+    H = H.reshape(m * d, m * d)
+    return (H + H.T) / 2
 
 
-def _ldl_solve_1(a, b, mu, r):
-    """x with (H + mu I) x = r, H tridiagonal (diagonal a, off-diagonal b), by
-    an LDL^T sweep in Python floats, for the columns of r at once (r[i] and
-    x[i] list one value per column); None when a pivot is not positive."""
-    piv = a[0] + mu
-    if not piv > 0.0:
+def _newton_step(H, g, mu, rank1=None):
+    """s (m, d) with (H + mu I - sigma w w^T) s = -g, rank1 = (w, sigma) or
+    None; None unless H + mu I is positive definite (Cholesky) and the
+    Sherman-Morrison denominator 1 - sigma w^T (H + mu I)^-1 w is positive."""
+    damped = H.copy()
+    damped.flat[::len(H) + 1] += mu
+    try:
+        if not np.linalg.cholesky(damped).trace() > 0.0:     # LAPACK lets NaN through
+            return None
+    except np.linalg.LinAlgError:
         return None
-    pivs, ls, ys = [piv], [], [r[0]]
-    for i in range(1, len(a)):
-        l = b[i - 1] / piv
-        piv = a[i] + mu - l * b[i - 1]
-        if not piv > 0.0:
-            return None
-        pivs.append(piv)
-        ls.append(l)
-        ys.append([v - l * y for v, y in zip(r[i], ys[-1])])
-    x = [[y / piv for y in ys[-1]]]
-    for i in range(len(a) - 2, -1, -1):
-        x.append([y / pivs[i] - ls[i] * v for y, v in zip(ys[i], x[-1])])
-    return x[::-1]
-
-
-def _ldl_solve_2(A, B, mu, r):
-    """As `_ldl_solve_1` for symmetric 2x2 diagonal blocks A and couplings B
-    (H[i, i+1] = B[i] = H[i+1, i]^T; r[i], x[i] list a 2-vector per column):
-    pivot blocks D_i = A_i + mu I - B^T D^-1 B of the knot before, forward
-    z_i = D_i^-1 (r_i - B^T z_(i-1)), back x_i = z_i - D_i^-1 B_i x_(i+1)."""
-    zs, ws = [], []
-    for i, ((p, q), (_, s)) in enumerate(A):
-        p, s, ri = p + mu, s + mu, r[i]
-        if i:
-            ((e, f), (g, h)), (w00, w01, w10, w11) = B[i - 1], ws[-1]
-            p -= e * w00 + g * w10
-            q -= e * w01 + g * w11
-            s -= f * w01 + h * w11
-            ri = [(r0 - e * z0 - g * z1, r1 - f * z0 - h * z1)
-                  for (r0, r1), (z0, z1) in zip(ri, zs[-1])]
-        det = p * s - q * q
-        if not (p > 0.0 and det > 0.0):
-            return None
-        ip, iq, js = s / det, -q / det, p / det          # D_i^-1
-        zs.append([(ip * r0 + iq * r1, iq * r0 + js * r1) for r0, r1 in ri])
-        if i < len(A) - 1:
-            (e, f), (g, h) = B[i]
-            ws.append((ip * e + iq * g, ip * f + iq * h, iq * e + js * g, iq * f + js * h))
-    x = [zs[-1]]
-    for i in range(len(A) - 2, -1, -1):
-        w00, w01, w10, w11 = ws[i]
-        x.append([(z0 - w00 * x0 - w01 * x1, z1 - w10 * x0 - w11 * x1)
-                  for (z0, z1), (x0, x1) in zip(zs[i], x[-1])])
-    return x[::-1]
+    cols = np.array([g] if rank1 is None else [g, rank1[0]])
+    x = np.linalg.solve(damped, cols.reshape(len(cols), -1).T).T.reshape(cols.shape)
+    if rank1 is None:
+        return -x[0]
+    (s, z), (w, sigma) = x, rank1                   # s = (H + mu I)^-1 g
+    denom = 1.0 - sigma * float((w * z).sum())
+    return -(s + z * (sigma * float((w * s).sum()) / denom)) if denom > 0.0 else None
 
 
 def _free_time_action(L: MechanicalLagrangian, X, k, n_quad=8, origin=0.0):
@@ -339,15 +307,17 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
     action of `_free_time_action`, whose T* the path gets.  Knots are taken
     relative to x_from, added only where U and eta are sampled.  One
     batched `_action_terms` call per iteration gives the value, gradient,
-    Hessian blocks (`_hessian_blocks`) and, free in time, w; the step solves
-    (H + mu I - sigma w w^T) s = -g by a block LDL^T sweep, plus one
-    Sherman-Morrison back-solve free in time.  mu follows Nielsen's
+    the coloured differences of the Hessian (`_hessian`, assembled once per
+    accepted state) and, free in time, w; the step solves
+    (H + mu I - sigma w w^T) s = -g by numpy's LAPACK (`_newton_step`), with
+    one Sherman-Morrison correction free in time.  mu follows Nielsen's
     gain-ratio update (Madsen, Nielsen and Tingleff, Methods for Non-Linear
-    Least Squares Problems, 2004); a non-positive pivot or Sherman-Morrison
-    denominator, or a trial with k <= Ubar, raises mu.  Where the values
-    agree to rounding the gain is the trapezoid -(g + g_new).s / 2.  Stops
-    once the Euler-Lagrange residual max|g| / dt is <= 0.2 residual_target,
-    after `maxiter` accepted steps, or when the step no longer moves X.
+    Least Squares Problems, 2004); a failed Cholesky factorization or a
+    non-positive Sherman-Morrison denominator, or a trial with k <= Ubar,
+    raises mu.  Where the values agree to rounding the gain is the
+    trapezoid -(g + g_new).s / 2.  Stops once the Euler-Lagrange residual
+    max|g| / dt is <= 0.2 residual_target, after `maxiter` accepted steps,
+    or when the step no longer moves X.
     """
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
@@ -357,42 +327,29 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
     for c in range(3):
         for j in range(d):
             probe[1 + c * d + j, 1 + c:-1:3, j] = _FD_STEP
-    solve = _ldl_solve_1 if d == 1 else _ldl_solve_2
 
     def evaluate(X):
-        """(value, grad, Hessian blocks, (w, sigma) or None, T); None where k <= Ubar."""
+        """(value, grad, the gradients `_hessian` takes, (w, sigma) or None, T);
+        None where k <= Ubar."""
         if T is not None:
             vals, grads = _action_value_grad(L, X + probe, T, k, n_quad, n_values=1, origin=x_from)
-            return float(vals[0]), grads[0, 1:-1], _hessian_blocks(grads, m, d), None, T
+            return float(vals[0]), grads[0, 1:-1], grads, None, T
         if (free := _free_time_action(L, X + probe, k, n_quad, x_from)) is None:
             return None
         f, t_star, sigma, grad = free
         sign = np.append(np.ones(len(probe) - 1), -1.0)
         grads = grad(1.0 / t_star, -t_star * sign, sign > 0)
-        return (f, grads[0, 1:-1], _hessian_blocks(grads[:-1], m, d),
-                (grads[-1, 1:-1], sigma), t_star)
-
-    def newton_step(A, B, g, mu, rank1):
-        """s with (H + mu I - sigma w w^T) s = -g; None unless positive definite."""
-        rhs = np.stack([-g] if rank1 is None else [-g, rank1[0]], axis=1)   # (m, columns, d)
-        if d == 1:
-            A, B, rhs = A[:, 0, 0], B[:, 0, 0], rhs[..., 0]
-        if (xs := solve(A.tolist(), B.tolist(), mu, rhs.tolist())) is None:
-            return None
-        xs = np.array(xs).reshape(m, -1, d)
-        if rank1 is None:
-            return xs[:, 0]
-        (step, z), (w, sigma) = xs.transpose(1, 0, 2), rank1
-        denom = 1.0 - sigma * float((w * z).sum())
-        return step + z * (sigma * float((w * step).sum()) / denom) if denom > 0.0 else None
+        return f, grads[0, 1:-1], grads[:-1], (grads[-1, 1:-1], sigma), t_star
 
     if (state := evaluate(X)) is None:
         raise NoConvergence(f"k = {k} does not exceed the mean of U on the seed path")
-    f, g, (A, B), rank1, dur = state
-    mu, nu = 1e-3 * float(np.abs(A).max()), 2.0
+    f, g, probes, rank1, dur = state
+    H = _hessian(probes, m, d)
+    r = np.arange(m)
+    mu, nu = 1e-3 * float(np.abs(H.reshape(m, d, m, d)[r, :, r, :]).max()), 2.0
     steps = 0
     while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dur / (m + 1):
-        while (step := newton_step(A, B, g, mu, rank1)) is None and mu < np.inf:
+        while (step := _newton_step(H, g, mu, rank1)) is None and mu < np.inf:
             mu, nu = mu * nu, 2.0 * nu
         if step is None or np.abs(step).max() <= _STEP_FLOOR * (1.0 + np.abs(X).max()):
             break
@@ -407,7 +364,8 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
         rho = gain / (0.5 * float((step * (mu * step - g)).sum()))
         if rho > 0.0:
             steps += 1
-            X, (f, g, (A, B), rank1, dur) = trial, state
+            X, (f, g, probes, rank1, dur) = trial, state
+            H = _hessian(probes, m, d)
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu

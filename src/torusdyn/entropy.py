@@ -98,45 +98,30 @@ def _radius(value, name):
 
 
 def _squared(F):
-    """Whether the ladder of F compares squared distances (built-in metric, 1-7 coordinates).
+    """Whether the ladder of F sums squared coordinate gaps in its own kernel:
+    a built-in metric on 1-7 coordinates, and for `torus_metric` points in
+    [0, 1), where a gap |x - y| < 1 folds as min(d, 1 - d) without `% 1.0`.
 
     numpy sums fewer than 8 terms left to right, as the kernel does; longer
     sums are pairwise, so those ensembles go through the metric call.
     """
-    builtin = F.metric is torus_metric or F.metric is euclidean_metric
-    return builtin and 0 < F.orbits.shape[2] < 8
+    if not 0 < F.orbits.shape[2] < 8:
+        return False
+    if F.metric is torus_metric:      # NaN fails both tests
+        return F.orbits.min(initial=0.0) >= 0.0 and F.orbits.max(initial=0.0) < 1.0
+    return F.metric is euclidean_metric
 
 
-def _sqrt_limit(radius):
-    """Largest double t with sqrt(t) <= radius.
-
-    sqrt is correctly rounded and monotone, so for d2 >= 0 the test
-    d2 <= t is exactly the test sqrt(d2) <= radius.
-    """
-    t = radius * radius
-    while math.sqrt(t) > radius:
-        t = math.nextafter(t, 0.0)
-    while math.sqrt(math.nextafter(t, math.inf)) <= radius:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
-def _limit(F, radius):
-    """Threshold on the step values of F equivalent to d <= radius."""
-    return _sqrt_limit(radius) if _squared(F) else radius
-
-
-def _step_values(F, c, a, b):
+def _step_values(F, c, a, b, squared):
     """Step distances at column c between orbits a and b, pair by pair.
 
-    For the built-in metrics (see `_squared`) these are squared distances,
-    accumulated one coordinate at a time in the metric's own order of
-    operations; sqrt is correctly rounded and monotone, so comparing them
-    with `_sqrt_limit` is comparing the metric bit for bit.  Any other
-    metric is called on the paired (P, dim) points.
+    When `squared` (see `_squared`), the squared gaps are accumulated one
+    coordinate at a time in the metric's own order of operations, and one
+    correctly rounded sqrt gives the metric's value bit for bit.  Otherwise
+    the metric is called on the paired (P, dim) points.
     """
     x = F.orbits[:, c, :]
-    if not _squared(F):
+    if not squared:
         return F.metric(x[a], x[b])
     torus = F.metric is torus_metric
     a, b = a.astype(np.intp), b.astype(np.intp)   # numpy casts int32 indices on every gather
@@ -149,23 +134,24 @@ def _step_values(F, c, a, b):
             np.minimum(diff, 1.0 - diff, out=diff)
         diff *= diff
         acc = diff if k == 0 else np.add(acc, diff, out=acc)
-    return acc
+    return np.sqrt(acc, out=acc)
 
 
 _CHUNK = 1 << 16    # pairs per kernel call, so its temporaries stay in cache
 
 
-def _close_pair_ladder(F: LabeledOrbitEnsemble, columns, a, b, limit):
-    """Yields, after each column, the pairs (a, b) whose running distance is <= limit.
+def _close_pair_ladder(F: LabeledOrbitEnsemble, columns, a, b, radius):
+    """Yields, after each column, the pairs (a, b) whose running distance is <= radius.
 
-    d_T is a running max, so a pair whose step value is once not <= limit
+    d_T is a running max, so a pair whose step distance is once not <= radius
     (NaN included) stays apart at every later horizon; it is dropped for
     good and never evaluated again.  Survivors keep their start order.
     """
+    squared = _squared(F)
     for c in columns:
         keep = np.empty(len(a), dtype=bool)
         for s in range(0, len(a), _CHUNK):
-            np.less_equal(_step_values(F, c, a[s:s + _CHUNK], b[s:s + _CHUNK]), limit,
+            np.less_equal(_step_values(F, c, a[s:s + _CHUNK], b[s:s + _CHUNK], squared), radius,
                           out=keep[s:s + _CHUNK])
         if not keep.all():
             a, b = a[keep], b[keep]
@@ -206,10 +192,10 @@ def ladder_counts(F: LabeledOrbitEnsemble, T, delta, pairs=False, covers=False):
     Returns (greedy cover size at T, close-pair counts per step, greedy
     cover sizes per step); each list stays empty unless requested.
     """
-    limit = _limit(F, _radius(delta, "delta"))
+    radius = _radius(delta, "delta")
     columns = range(F.origin, F.origin + F.steps_for(T))
     pair_counts, cover_sizes = [], []
-    for a, b in _close_pair_ladder(F, columns, *_all_pairs(F.n_orbits), limit):
+    for a, b in _close_pair_ladder(F, columns, *_all_pairs(F.n_orbits), radius):
         if pairs:
             pair_counts.append(len(a))
         if covers:
@@ -292,7 +278,7 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     all |n| <= horizon; the pass walks the two-sided window once for all
     requested rows.
     """
-    limit = _limit(F, _radius(eps, "eps"))
+    radius = _radius(eps, "eps")
     steps = int(round(_radius(horizon, "horizon") / F.dt))
     if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
         raise ValueError("two-sided data shorter than the requested horizon")
@@ -300,7 +286,7 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     n = F.n_orbits
     a = np.repeat(uniq.astype(np.int32), n)
     b = np.tile(np.arange(n, dtype=np.int32), len(uniq))
-    for a, b in _close_pair_ladder(F, range(F.origin - steps, F.origin + steps + 1), a, b, limit):
+    for a, b in _close_pair_ladder(F, range(F.origin - steps, F.origin + steps + 1), a, b, radius):
         pass
     sets = np.split(b.astype(np.intp), np.searchsorted(a, uniq[1:]))
     return [sets[k] for k in where]

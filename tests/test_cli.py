@@ -26,6 +26,16 @@ MAGNETIC_CFG = PENDULUM_CFG + """
 0 = 2.0
 """
 
+T2_CFG = """\
+[lagrangian]
+dim = 2
+dt = 0.001
+
+[potential.cos]
+1,0 = 1.0
+0,1 = 0.5
+"""
+
 CANAL_CFG = PENDULUM_CFG + """
 [canal]
 eps = 0.1
@@ -374,13 +384,16 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("argv", [
         ["sft-entropy", "--golden-mean"],
         ["action-potential", "--config", "PENDULUM", "--k", "1.3", "--x", "0.05", "--y", "0.31"],
+        pytest.param(["action-potential", "--config", "T2", "--k", "1.6",
+                      "--x", "0.05;0.1", "--y", "0.31;0.4"], id="action-potential-t2"),
         ["critical-value", "--config", "MAGNETIC"],       # the threshold ascent runs
         ["canal-experiment", "--config", "CANAL"],
     ], ids=lambda argv: argv[0])
     def test_command_leaves_out_scipy(self, tmp_path, argv):
-        # the Perron root, the Tonelli minimizers, the threshold ascent and the
-        # grid polish are numpy only
-        configs = {"PENDULUM": PENDULUM_CFG, "MAGNETIC": MAGNETIC_CFG, "CANAL": CANAL_CFG}
+        # the Perron root, the Tonelli minimizers and their Newton step solve
+        # on T^1 and T^2, the threshold ascent and the grid polish are numpy only
+        configs = {"PENDULUM": PENDULUM_CFG, "MAGNETIC": MAGNETIC_CFG, "CANAL": CANAL_CFG,
+                   "T2": T2_CFG}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a) if a in configs else a for a in argv]
@@ -418,7 +431,8 @@ AP_ARGV = ["action-potential", "--config", "PENDULUM", "--k", "1.05,1.3",
 
 class TestGoldenStdout:
     """Byte-identical stdout against outputs recorded before the one-pass ladder
-    (the action-potential tables: with the free-time Newton solve; see
+    (the action-potential tables: with the free-time Newton solve, its step
+    solved by LAPACK, which moved 6 of the 18 values by at most 3 ulp; see
     LBFGS_AP_TABLE for the duration-grid values before it)."""
 
     @pytest.mark.parametrize("name,argv", [

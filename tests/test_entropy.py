@@ -451,8 +451,7 @@ class TestOnePassLadder:
         a, b = ent._all_pairs(F.n_orbits)
         for c in range(F.origin, F.origin + steps):
             pts = F.orbits[:, c, :]
-            values = ent._step_values(F, c, a, b)
-            values = np.sqrt(values) if ent._squared(F) else values
+            values = ent._step_values(F, c, a, b, ent._squared(F))
             assert np.array_equal(values, F.metric(pts[:, None, :], pts[None, :, :])[a, b])
         for delta in (0.02, 0.05, 0.1, 0.3, 0.6):
             _, ref_pairs, ref_covers = reference_counts(F, steps, delta)
@@ -475,18 +474,33 @@ class TestOnePassLadder:
                 ent.ladder_counts(G, 10, delta, pairs=True, covers=True)
         assert entropy_estimate(F, 10, 0.05) == entropy_estimate(G, 10, 0.05)
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats(0, 1e300), st.floats(0, 1e300))
-    def test_squared_threshold_is_exact(self, d2, delta):
-        assert (d2 <= ent._sqrt_limit(delta)) == (np.sqrt(d2) <= delta)
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 7), torus=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e150]))
+    def test_kernel_gives_the_metric_bit_for_bit(self, dim, torus, seed, scale):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((12, 1, dim))
+        F = (LabeledOrbitEnsemble(pts) if torus else
+             LabeledOrbitEnsemble(pts * scale, metric=ent.euclidean_metric))
+        assert ent._squared(F)
+        a, b = ent._all_pairs(F.n_orbits)
+        assert np.array_equal(ent._step_values(F, 0, a, b, True),
+                              F.metric(F.orbits[a, 0], F.orbits[b, 0]))
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats(1e-300, 1e300), st.integers(-4, 4))
-    def test_squared_threshold_at_the_boundary(self, delta, ulps):
-        d2 = delta * delta
-        for _ in range(abs(ulps)):
-            d2 = np.nextafter(d2, np.inf if ulps > 0 else 0.0)
-        assert (d2 <= ent._sqrt_limit(delta)) == (np.sqrt(d2) <= delta)
+    def test_lifted_torus_coordinates_give_the_wrapped_counts(self):
+        # the same torus points, orbit i lifted by (i mod 3) (1, 2): the kernel's
+        # fold min(d, 1 - d) holds for gaps below 1 only, so these take the metric
+        F = orbit_ensemble(cat_map(), 150, 9, backward=2, rng=np.random.default_rng(4))
+        lift = (np.arange(F.n_orbits) % 3)[:, None, None] * np.array([1.0, 2.0])
+        G = LabeledOrbitEnsemble(F.orbits + lift, origin=F.origin)
+        assert ent._squared(F) and not ent._squared(G)
+        for delta in (0.05, 0.1, 0.3):
+            assert ent.ladder_counts(G, 6, delta, pairs=True, covers=True) == \
+                ent.ladder_counts(F, 6, delta, pairs=True, covers=True)
+        for eps in (0.1, 0.4):
+            assert all(np.array_equal(s, t) for s, t in
+                       zip(ent.gamma_sets(G, eps, 2), ent.gamma_sets(F, eps, 2)))
+        assert spanning_count(G, 3, 0.3) == spanning_count(F, 3, 0.3) == 61
 
     def test_gamma_sets_and_probe_match_reference(self):
         F = orbit_ensemble(cat_map(), 120, 12, backward=2, rng=np.random.default_rng(6))
