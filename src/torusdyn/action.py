@@ -15,6 +15,7 @@ battery, its four best candidates raised by Newton in k on the same
 free-time solve, re-based at the middle knot after each solve."""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -109,17 +110,27 @@ class ActionValue:
         return self.value is None
 
 
-_GL_CACHE = {}
+_N_QUAD = 8                # Gauss-Legendre nodes per segment
+_KNOTS = 33                # knots of a battery loop and of Phi's first solve
+_RESIDUAL_TARGET = 1e-6    # Euler-Lagrange residual a solve is converged at
 
 
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = ((x + 1) / 2.0, w / 2.0)   # mapped to [0, 1]
-    return _GL_CACHE[n]
+@cache
+def _gl_nodes():
+    """(nodes, weights) of the `_N_QUAD`-node Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_N_QUAD)
+    return (x + 1) / 2.0, w / 2.0
 
 
-def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None, origin=0.0):
+def _prolong(X, r):
+    """X (m, d) with each segment cut into r: X_i, then ((r - j) X_i + j X_{i+1}) / r
+    for 0 < j < r, and X[-1].  X_i stays bit for bit, where (7 X_i) / 7 may not."""
+    j, a = np.arange(1, r)[:, None], X[:-1, None, :]
+    cut = np.concatenate([a, ((r - j) * a + j * X[1:, None, :]) / r], axis=1)
+    return np.vstack([cut.reshape(-1, X.shape[1]), X[-1:]])
+
+
+def _action_terms(L: MechanicalLagrangian, X, n_values=None, origin=0.0):
     """Per-segment terms of uniformly timed cover paths origin + X (B, n, d), and grad.
 
     Segment i, of duration dt, has (L + k)-action kin_i/dt + dt (k - u_i) + m_i:
@@ -132,7 +143,7 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None, origin=0.
     displacements free of cover rounding.
     """
     n = X.shape[1]
-    s, w = _gl_nodes(n_quad)
+    s, w = _gl_nodes()
     disp = np.diff(X, axis=1)                      # (B, n-1, d)
     pts = (X[:, :-1, None, :] + origin) + s[None, None, :, None] * disp[:, :, None, :]   # (B, n-1, q, d)
     kin = 0.5 * (disp * disp).sum(axis=2)
@@ -164,11 +175,11 @@ def _action_terms(L: MechanicalLagrangian, X, n_quad=8, n_values=None, origin=0.
     return kin, u, m, grad
 
 
-def _action_value_grad(L: MechanicalLagrangian, X, T, k, n_quad=8, need_grad=True,
-                       n_values=None, origin=0.0):
+def _action_value_grad(L: MechanicalLagrangian, X, T, k, need_grad=True, n_values=None,
+                       origin=0.0):
     """Actions of the first `n_values` (default all) cover paths origin + X
     (B, n, d) at durations T, and the knot gradients of all B."""
-    kin, u, m, grad = _action_terms(L, X, n_quad, n_values, origin)
+    kin, u, m, grad = _action_terms(L, X, n_values, origin)
     dt = np.asarray(T, dtype=float)[..., None] / (X.shape[1] - 1)
     # summed segment by segment: totals K/T and T Ubar cancel more digits,
     # and the descent's stopping tests act at that rounding level
@@ -220,19 +231,20 @@ def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
     return ell * ell / (2 * T) - s * ell + shift + kappa * T
 
 
-def action(L: MechanicalLagrangian, p: BrokenPath, k, n_quad=8):
+def action(L: MechanicalLagrangian, p: BrokenPath, k):
     """Composite quadrature of k + L along the path; exact on free segments."""
-    value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, n_quad, need_grad=False)
+    value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, need_grad=False)
     return float(value[0])
 
 
-def el_residual(L: MechanicalLagrangian, p: BrokenPath, k=0.0, n_quad=8):
-    """Sup norm of the discrete Euler-Lagrange equations at interior knots."""
+def el_residual(L: MechanicalLagrangian, p: BrokenPath):
+    """Sup norm of the discrete Euler-Lagrange equations at interior knots
+    (k drops out: k T is constant in the knots)."""
     X = p.cover_knots()
     if len(X) < 3:
         return 0.0
     dt = p.T / (len(X) - 1)
-    _, grad = _action_value_grad(L, X[None], p.T, k, n_quad)
+    _, grad = _action_value_grad(L, X[None], p.T, 0.0)
     return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 
@@ -279,7 +291,7 @@ def _newton_step(H, g, mu, rank1=None):
     return -(s + z * (sigma * float((w * s).sum()) / denom)) if denom > 0.0 else None
 
 
-def _free_time_action(L: MechanicalLagrangian, X, k, n_quad=8, origin=0.0):
+def _free_time_action(L: MechanicalLagrangian, X, k, origin=0.0):
     """(F, T*, sigma, grad of `_action_terms`) of the path origin + X[0];
     None when g = k - Ubar <= 0.
 
@@ -290,7 +302,7 @@ def _free_time_action(L: MechanicalLagrangian, X, k, n_quad=8, origin=0.0):
     T* minus sigma w w^T, w = grad(1/T*, T*, 0), sigma = 1 / (2 sqrt(K g)):
     rank 1, as 2 sqrt(K g) is homogeneous of degree 1 in (K, g).
     """
-    kin, u, m, grad = _action_terms(L, X, n_quad, 1, origin)
+    kin, u, m, grad = _action_terms(L, X, 1, origin)
     K, gap = (X.shape[1] - 1) * float(kin[0].sum()), k - float(u[0].mean())
     if not gap > 0.0:
         return None
@@ -298,8 +310,7 @@ def _free_time_action(L: MechanicalLagrangian, X, k, n_quad=8, origin=0.0):
     return 2.0 * root + float(m[0].sum()), np.sqrt(K / gap), 0.5 / root, grad
 
 
-def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
-                    x_init=None, residual_target=1e-6):
+def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x_init=None):
     """Damped Newton descent over the interior knots of the straight-line
     seed (or `x_init`, relative to x_from); (path, value, residual).
 
@@ -316,7 +327,7 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
     non-positive Sherman-Morrison denominator, or a trial with k <= Ubar,
     raises mu.  Where the values agree to rounding the gain is the
     trapezoid -(g + g_new).s / 2.  Stops once the Euler-Lagrange residual
-    max|g| / dt is <= 0.2 residual_target, after `maxiter` accepted steps,
+    max|g| / dt is <= 0.2 `_RESIDUAL_TARGET`, after `maxiter` accepted steps,
     or when the step no longer moves X.
     """
     d = len(x_from)
@@ -332,9 +343,9 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
         """(value, grad, the gradients `_hessian` takes, (w, sigma) or None, T);
         None where k <= Ubar."""
         if T is not None:
-            vals, grads = _action_value_grad(L, X + probe, T, k, n_quad, n_values=1, origin=x_from)
+            vals, grads = _action_value_grad(L, X + probe, T, k, n_values=1, origin=x_from)
             return float(vals[0]), grads[0, 1:-1], grads, None, T
-        if (free := _free_time_action(L, X + probe, k, n_quad, x_from)) is None:
+        if (free := _free_time_action(L, X + probe, k, x_from)) is None:
             return None
         f, t_star, sigma, grad = free
         sign = np.append(np.ones(len(probe) - 1), -1.0)
@@ -348,7 +359,7 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
     r = np.arange(m)
     mu, nu = 1e-3 * float(np.abs(H.reshape(m, d, m, d)[r, :, r, :]).max()), 2.0
     steps = 0
-    while steps < maxiter and np.abs(g).max() > 0.2 * residual_target * dur / (m + 1):
+    while steps < maxiter and np.abs(g).max() > 0.2 * _RESIDUAL_TARGET * dur / (m + 1):
         while (step := _newton_step(H, g, mu, rank1)) is None and mu < np.inf:
             mu, nu = mu * nu, 2.0 * nu
         if step is None or np.abs(step).max() <= _STEP_FLOOR * (1.0 + np.abs(X).max()):
@@ -402,7 +413,7 @@ def _points(L: MechanicalLagrangian, x, y):
 
 
 def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
-                      residual_tol=1e-6, maxiter=400, n_quad=8):
+                      residual_tol=_RESIDUAL_TARGET, maxiter=400):
     """Fixed-endpoint, fixed-time local action minimizer across winding classes
     (`_least_over_classes`; the bound charges the mean of eta exactly, so a
     class that eta rewards stays in play).
@@ -422,7 +433,7 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
         raise ValueError("need at least 3 knots")
     path, _, res = _least_over_classes(
         L, minimal_lift(y - x), w_max, T, 0.0,
-        lambda disp: _minimize_knots(L, x, disp, T, n_knots, 0.0, n_quad, maxiter))
+        lambda disp: _minimize_knots(L, x, disp, T, n_knots, maxiter=maxiter))
     if not res <= residual_tol:
         raise NoConvergence(f"residual {res:.2e} above {residual_tol:.0e}", path, res)
     return path
@@ -430,18 +441,18 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
 
 def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
     """(theta, loop) of the closed loop X (m, d), its segments cut into equal
-    pieces up to n_knots knots, raised by Newton in k: k <- theta(argmin F_k),
+    pieces to at least n_knots knots, raised by Newton in k: k <- theta(argmin F_k),
     F_k the free-time action of `_minimize_knots(T=None)` started from the
     loop before, and theta the root in k of F_k of the new loop.  F_k <= 0 at
     the loop before, so theta never falls.  Starts at k = max(theta, max U):
     below max U no minimizer exists.  Each solve pins the first knot, so the
     loop is re-based at its middle knot after it.  Stops when theta no longer
-    exceeds k, after 40 solves, or when k <= Ubar on a seed; returns the last
-    loop whose theta exceeded k, else the cut seed, with its theta.
+    exceeds k, when it exceeds k by at most 4 ulp (a rise at rounding level,
+    after which the next solve takes no step), after 40 solves, or when
+    k <= Ubar on a seed; returns the last loop whose theta exceeded k, else
+    the cut seed, with its theta.
     """
-    r = -(-(n_knots - 1) // (len(X) - 1))
-    W = np.vstack([(X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :])
-                   .reshape(-1, X.shape[1]), X[-1:]])
+    W = _prolong(X, -(-(n_knots - 1) // (len(X) - 1)))
     best, h = (float(_thresholds(L, W[None])[0][0]), W), (len(W) - 1) // 2
     k = max(best[0], u_max)
     for _ in range(40):
@@ -454,7 +465,10 @@ def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
         theta = float(_thresholds(L, W[None])[0][0])
         if not theta > k:
             break
+        rounding = theta - k <= 4.0 * np.spacing(k)
         best, k = (theta, W), theta
+        if rounding:
+            break
     return best
 
 
@@ -464,9 +478,10 @@ class NegativeLoopSearch:
     A loop certifies c(L) >= theta = Ubar + max(-M, 0)^2 / (4K): below
     theta it has negative (L + k)-action at T* = sqrt(K / (k - Ubar)).  The
     battery, priced once in one quadrature per knot count: the constant
-    loop at the maximum of U (theta = max U), a straight `n_knots` loop
-    through it in each nonzero winding class up to `w_max`, and, on T^2
-    with non-constant eta only, random-waypoint loops filling `budget`.
+    loop at the maximum of U (theta = max U), a straight `n_knots` (33) loop
+    through it in each nonzero winding class up to `w_max` (2), and, on T^2
+    with non-constant eta only, random-waypoint loops from `seed` (0)
+    filling `budget` (10,000): class constants, as no caller varies them.
     A candidate has M < 0 and winds or has theta > max U: loops with
     M >= 0 have theta = Ubar <= max U, and a null-homologous loop below
     max U only shrinks to a point under the free-time solve.  A random
@@ -482,11 +497,12 @@ class NegativeLoopSearch:
     Potentials at several k can share one search and its battery.
     """
 
-    def __init__(self, L: MechanicalLagrangian, budget=10000, seed=0, w_max=2, n_knots=33):
-        self.L, self.budget, self.w_max, self.n_knots = L, budget, w_max, n_knots
+    n_knots, w_max, budget, seed = _KNOTS, 2, 10000, 0
+
+    def __init__(self, L: MechanicalLagrangian):
+        self.L = L
         _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
         self._best = None        # see best_loop
-        self._rng = np.random.default_rng(seed)
 
     def _battery(self):
         """The battery's loops (B, m, d), in groups of one knot count m."""
@@ -495,9 +511,10 @@ class NegativeLoopSearch:
         # Stokes: a null-homologous loop has M = 0 unless d eta != 0, which needs T^2
         if self.L.dim == 2 and any(lo < hi for lo, hi in
                                    (c.value_bounds() for c in self.L.oneform.components)):
-            sizes = self._rng.integers(3, 6, size=max(self.budget - len(winds) - 1, 0))
+            rng = np.random.default_rng(self.seed)
+            sizes = rng.integers(3, 6, size=self.budget - len(winds) - 1)
             for m in np.unique(sizes):
-                X = self._rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
+                X = rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
                 groups.append(np.concatenate([X, X[:, :1]], axis=1))
         return groups
 
@@ -537,7 +554,7 @@ class NegativeLoopSearch:
 
 
 def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
-                     search: NegativeLoopSearch = None, n_quad=8):
+                     search: NegativeLoopSearch = None):
     """Mane potential estimate: the least free-time (L+k)-action over knots
     and winding classes, extrapolated in the knot count.
 
@@ -573,16 +590,15 @@ def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
         return ActionValue(0.0)
 
     def richardson(disp):
-        path, coarse, res = _minimize_knots(L, x, disp, None, 33, k, n_quad)
-        X, seed = path.cover_knots() - x, np.empty((65, L.dim))
-        seed[::2], seed[1::2] = X, (X[:-1] + X[1:]) / 2
-        path, fine, res_fine = _minimize_knots(L, x, disp, None, 65, k, n_quad, x_init=seed)
+        path, coarse, res = _minimize_knots(L, x, disp, None, _KNOTS, k)
+        seed = _prolong(path.cover_knots() - x, 2)
+        path, fine, res_fine = _minimize_knots(L, x, disp, None, len(seed), k, x_init=seed)
         return path, (4.0 * fine - coarse) / 3.0, max(res, res_fine)
 
     path, value, res = _least_over_classes(L, base, w_max, None, k, richardson)
     rate = (path.n_knots - 1) / float(path.T)                # 1 / dt
     floor = 2.0 * _STEP_FLOOR * (1.0 + float(np.abs(path.cover_knots() - x).max())) * (rate * rate)
-    target = max(1e-6, floor if floor < np.inf else 0.0)
+    target = max(_RESIDUAL_TARGET, floor if floor < np.inf else 0.0)
     if not res <= target:
         raise NoConvergence(f"action potential: residual {res:.2e} above {target:.0e}", path, res)
     return ActionValue(float(value))

@@ -186,6 +186,8 @@ def cmd_shadow(args):
                 pts.append([float(fields[-2]), float(fields[-1])])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            if not np.isfinite(pts[-1]).all():
+                raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")
         pts = np.array(pts)
         orbits = [hyp_mod.PseudoOrbit(tm, pts)]
     else:

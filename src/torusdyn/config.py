@@ -36,7 +36,10 @@ def _mode_key(key, dim):
 
 
 def _finite(value, what):
-    value = float(value)
+    try:
+        value = float(value)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value
@@ -119,28 +122,29 @@ def serialize_lagrangian(L: MechanicalLagrangian, meta=None):
 
 
 def parse_polyline_csv(text):
-    """Vertex rows of coordinates; a header `x1[,x2][,w1[,w2]]` may add
-    per-segment integer wind columns.  Without a header all columns are
-    coordinates and winds default to zero."""
-    lines = [ln.strip() for ln in text.strip().splitlines()
+    """Vertex rows of finite coordinates; a header `x1[,x2][,w1[,w2]]` may
+    add per-segment integer wind columns.  Without a header all columns are
+    coordinates and winds default to zero.  A bad cell is a ValueError that
+    names its line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise ValueError("empty polyline")
-    n_winds = 0
-    if lines[0][0].isalpha():
-        cols = [c.strip() for c in lines[0].split(",")]
+    n_winds, first = 0, lines[0][1]
+    if first[0] in "xw":             # not any letter: a `nan` or `inf` row is data
+        cols = [c.strip() for c in first.split(",")]
         n_winds = sum(c.startswith("w") for c in cols)
         dim = len(cols) - n_winds
         lines = lines[1:]
     else:
-        dim = len(lines[0].split(","))
+        dim = len(first.split(","))
     verts, winds = [], []
-    for ln in lines:
-        vals = [float(p) for p in ln.split(",")]
-        if len(vals) != dim + n_winds:
-            raise ValueError(f"row {ln!r} does not match the {dim}+{n_winds} column layout")
-        verts.append(vals[:dim])
-        winds.append([int(v) for v in vals[dim:]])
+    for n, ln in lines:
+        cells = ln.split(",")
+        if len(cells) != dim + n_winds:
+            raise ValueError(f"line {n}: row {ln!r} does not match the {dim}+{n_winds} column layout")
+        verts.append([_finite(c, f"line {n}: coordinate") for c in cells[:dim]])
+        winds.append([_integer(c, f"line {n}: wind") for c in cells[dim:]])
     wind_arr = np.array(winds, dtype=int) if n_winds else None
     return np.array(verts), wind_arr
 
@@ -191,11 +195,11 @@ def parse_canal_experiment(text, base_dir="."):
     if "eps" not in sec:
         raise ValueError("canal needs `eps`")
     canal = CanalPotential(
-        verts, eps=float(sec["eps"]), k=_integer(sec.get("k", 2), "k"),
-        plateau=float(sec["plateau"]) if sec.get("plateau") else None,
+        verts, eps=_finite(sec["eps"], "eps"), k=_integer(sec.get("k", 2), "k"),
+        plateau=_finite(sec["plateau"], "plateau") if sec.get("plateau") else None,
         winds=winds)
-    econf = CanalExperimentConfig(tolerance=float(sec.get("tolerance", 2e-2)))
-    if not 0 <= econf.tolerance < np.inf:
+    econf = CanalExperimentConfig(tolerance=_finite(sec.get("tolerance", 2e-2), "tolerance"))
+    if econf.tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {econf.tolerance!r}")
     return L, canal, econf
 

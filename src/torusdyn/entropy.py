@@ -507,10 +507,13 @@ def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
         parts = ln.split(",")
         if len(parts) < 2:
             raise ValueError(f"line {lineno}: expected orbit,step,coordinate columns in {ln!r}")
-        coords = [float(v) for v in parts[2:]]
+        try:
+            orbit, step, coords = int(parts[0]), int(parts[1]), [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, coords)):
             raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")
-        rows.append((int(parts[0]), int(parts[1]), coords))
+        rows.append((orbit, step, coords))
     if not rows:
         raise ValueError("no data rows")
     dims = sorted({len(r[2]) for r in rows})

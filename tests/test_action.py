@@ -381,7 +381,7 @@ def test_potential_table_rows():
 class TestBatchedLoopLibrary:
     def test_returned_loop_is_certified(self):
         L = magnetic_t1()
-        search = NegativeLoopSearch(L, budget=4000, seed=5)
+        search = NegativeLoopSearch(L)
         loop = search.find(1.9)
         assert loop is not None and action(L, loop, 1.9) < 0
 
@@ -503,13 +503,14 @@ class TestNearDiagonal:
                 assert abs(phi - maupertuis_t1(cos, 0.0, k, x, y)) <= 1e-6
 
 
-def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxiter=400,
-                              x_init=None, residual_target=1e-6):
+def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x_init=None):
     """The L-BFGS-B solver with restarts and a Newton-CG polish that the damped
-    Newton `_minimize_knots` replaced, verbatim."""
+    Newton `_minimize_knots` replaced, verbatim but with its quadrature and
+    residual target fixed at the module's: 8 nodes and 1e-6."""
     from scipy.optimize import minimize
 
     _action_value_grad = action_mod._action_value_grad
+    residual_target = 1e-6
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
     X0 = x_init if x_init is not None else x_from + line * disp
@@ -518,7 +519,7 @@ def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, n_quad=8, maxi
 
     def fun(z):
         X = np.vstack([X0[:1], z.reshape(shape) + 0.0, X0[-1:]])
-        val, grad = _action_value_grad(L, X[None], T, k, n_quad)
+        val, grad = _action_value_grad(L, X[None], T, k)
         return float(val[0]), grad[0, 1:-1].ravel()
 
     z = X0[1:-1].ravel()
@@ -1038,9 +1039,9 @@ class TestBatteryRule:
 
     @pytest.mark.parametrize("name", ["t2.curl", "t2.general", "t2.closed_sin"])
     def test_random_groups_on_t2_with_non_constant_eta(self, name):
-        groups = NegativeLoopSearch(PINNED_CASES[name](), budget=500, seed=2)._battery()
+        groups = NegativeLoopSearch(PINNED_CASES[name]())._battery()
         assert [X.shape[1:] for X in groups] == [(33, 2), (4, 2), (5, 2), (6, 2)]
-        assert sum(len(X) for X in groups) == 500 - 1
+        assert sum(len(X) for X in groups) == NegativeLoopSearch.budget - 1 == 9999
 
     @pytest.mark.parametrize("name", ["t1.eta2.0", "t2.curl", "t2.strong"])
     def test_each_theta_is_the_loops_own(self, name):
@@ -1058,3 +1059,54 @@ class TestBatteryRule:
             assert theta == fresh(X)
             refined_theta, Y = action_mod._refine_loop(L, X, search.n_knots, search.u_max)
             assert refined_theta == fresh(Y) >= theta
+
+    @pytest.mark.parametrize("name", ["t1.eta2.0", "t2.curl", "t2.strong"])
+    def test_no_solve_after_a_rise_at_rounding_level(self, name, monkeypatch):
+        # a solve at k within 4 ulp of the one before takes no step: on t1.eta2.0
+        # the first candidate ran at k = 2.0629624864034595 and again 4 ulp above
+        L = PINNED_CASES[name]()
+        search = NegativeLoopSearch(L)
+        ks, solve = [], action_mod._minimize_knots
+
+        def recording(*args, **kwargs):
+            ks.append(args[5])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(action_mod, "_minimize_knots", recording)
+        for _, X in search._candidates():
+            ks.clear()
+            action_mod._refine_loop(L, X, search.n_knots, search.u_max)
+            assert all(b - a > 4 * np.spacing(a) for a, b in zip(ks, ks[1:])), ks
+
+
+def _old_refine_cut(X, r):
+    """`_refine_loop`'s cut of the loop X into r pieces a segment, verbatim."""
+    return np.vstack([(X[:-1, None, :] + (np.arange(r) / r)[:, None] * np.diff(X, axis=0)[:, None, :])
+                      .reshape(-1, X.shape[1]), X[-1:]])
+
+
+def _old_midpoint_seed(X):
+    """`action_potential`'s 65-knot seed from the 33-knot path X, verbatim."""
+    seed = np.empty((65, X.shape[1]))
+    seed[::2], seed[1::2] = X, (X[:-1] + X[1:]) / 2
+    return seed
+
+
+class TestProlongation:
+    """`_prolong` against the two constructions it replaced."""
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 8, 11])
+    def test_against_the_old_constructions(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(200):
+            m, d = int(rng.integers(2, 34)), int(rng.integers(1, 3))
+            X = rng.random((m - 1, d)) * rng.choice([1.0, 3.0, 100.0])
+            X = np.vstack([X, X[:1] + rng.integers(-2, 3, d)])     # a loop, as in the battery
+            W, old = action_mod._prolong(X, r), _old_refine_cut(X, r)
+            assert W.shape == old.shape == (r * (m - 1) + 1, d)
+            assert W[::r].tobytes() == old[::r].tobytes() == X.tobytes()
+            # an inserted knot is two or three roundings from each: 6 ulp of max|X|
+            assert np.abs(W - old).max() <= 6 * np.spacing(np.abs(X).max())
+            if r == 2:
+                Y = rng.random((33, d)) * rng.choice([1.0, 3.0, 100.0])
+                assert action_mod._prolong(Y, 2).tobytes() == _old_midpoint_seed(Y).tobytes()

@@ -244,6 +244,8 @@ class TestExitCodes:
         ("k = 2", "k = 2\ntolerance = nan", "tolerance"),
         ("k = 2", "k = 2\ntolerance = -1", "tolerance"),
         ("k = 2", "k = 2.5", "k must be an integer"),    # int()'s message named no key
+        ("eps = 0.1", "eps = abc", "eps must be a number"),   # float()'s message named no key
+        ("k = 2", "k = 2\ntolerance = x", "tolerance must be a number"),
         # keys of the retired loop sample would be read by nothing and exit 0
         pytest.param("k = 2", "k = 2\nn_random_loops = 40", "unknown [canal] key 'n_random_loops'",
                      id="retired n_random_loops"),
@@ -253,6 +255,36 @@ class TestExitCodes:
         path = tmp_path / "canal.cfg"
         path.write_text(CANAL_CFG.replace(old, new))
         assert_one_error_line(capsys, ["canal-experiment", "--config", str(path)], needle)
+
+    @pytest.mark.parametrize("command,text,needle", [
+        # a core wind of 0.7 was truncated to 0 and exited 0, an inf wind was an
+        # OverflowError traceback, an inf coordinate printed a RuntimeWarning
+        # line and then "cannot convert float NaN to integer"
+        ("canal", "x1,w1\n0.0,0.7\n", "line 2: wind must be an integer, got '0.7'"),
+        ("canal", "x1,w1\n0.0,inf\n", "line 2: wind must be an integer, got 'inf'"),
+        ("canal", "x1,w1\n0.0,0\ninf,0\n", "line 3: coordinate must be finite"),
+        ("canal", "x1\n0.0\nnan\n", "line 3: coordinate must be finite"),
+        ("canal", "nan\n0.0\n", "line 1: coordinate must be finite"),   # was read as a header
+        ("canal", "x1\n0.0\nabc\n", "line 3: coordinate must be a number, got 'abc'"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,inf,0.3\n", "line 3: non-finite"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,0.2,nan\n", "line 3: non-finite"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,abc,0.3\n", "line 3: could not convert"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,inf\n1,0,0.4\n1,1,0.6\n", "line 3: non-finite"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,nan\n1,0,0.4\n1,1,0.6\n", "line 3: non-finite"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,abc\n1,0,0.4\n1,1,0.6\n",
+         "line 3: could not convert"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,0.5,0.2\n1,0,0.4\n1,1,0.6\n",
+         "line 3: invalid literal for int()"),
+    ])
+    def test_bad_file_cell_is_1(self, capsys, tmp_path, command, text, needle):
+        cells = tmp_path / "cells.csv"
+        cells.write_text(text)
+        cfg = tmp_path / "canal.cfg"
+        cfg.write_text(CANAL_CFG.replace("core = 0.0", f"core_file = {cells.name}"))
+        argv = {"canal": ["canal-experiment", "--config", str(cfg)],
+                "shadow": ["shadow", "--orbit", str(cells)],
+                "ensemble": ["entropy-estimate", "--ensemble", str(cells)]}[command]
+        assert_one_error_line(capsys, argv, needle)
 
     @pytest.mark.parametrize("symbol", ["7", "2", "-1"])
     def test_missing_tau_symbol_is_1(self, capsys, symbol):
