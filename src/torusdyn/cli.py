@@ -37,10 +37,8 @@ def _emit(args, payload, rows=None, header=None):
     """payload: dict for JSON; rows/header: columnar data for CSV output."""
     if args.format == "csv":
         if rows is None:
-            rows = sorted(payload.items())
-            header = ("key", "value")
-        text = ",".join(header) + "\n" + "\n".join(",".join(str(c) for c in r) for r in rows)
-        text += "\n"
+            rows, header = sorted(payload.items()), ("key", "value")
+        text = config_mod.format_csv(header, rows)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.out:
@@ -98,9 +96,8 @@ def cmd_critical_value(args):
 
 def cmd_action_potential(args):
     L, _ = _load_lagrangian(args)
-    ks = [float(v) for v in args.k.split(",")]
-    xs = [[float(c) for c in p.split(";")] for p in args.x.split(",")]
-    ys = [[float(c) for c in p.split(";")] for p in args.y.split(",")]
+    ks = [config_mod._number(v, f"--k value {i}: k") for i, v in enumerate(args.k.split(","), 1)]
+    xs, ys = _flag_points("--x", args.x), _flag_points("--y", args.y)
     pairs = [(x, y) for x in xs for y in ys]
     rows = _potential_table(L, ks, pairs, w_max=args.w_max)
     if args.format == "csv":
@@ -108,6 +105,12 @@ def cmd_action_potential(args):
     else:
         payload = {"table": [dict(zip(("k", "x", "y", "phi", "status"), r)) for r in rows]}
         _emit(args, payload)
+
+
+def _flag_points(flag, text):
+    """Points of a flag: `,` between points and `;` between coordinates."""
+    return [[config_mod._finite(c, f"{flag} point {i}: coordinate") for c in p.split(";")]
+            for i, p in enumerate(text.split(","), 1)]
 
 
 def cmd_suspend_integrate(args):
@@ -173,23 +176,11 @@ def cmd_shadow(args):
     tm = hyp_mod.ToralAutomorphism(np.array(entries).reshape(2, 2))
     if args.orbit:
         with open(args.orbit) as fh:
-            text = fh.read()
-        pts = []
-        for lineno, ln in enumerate(text.splitlines(), 1):
-            ln = ln.strip()
-            if not ln or ln[0].isalpha():
-                continue
-            fields = ln.split(",")
-            if len(fields) < 2:
-                raise ValueError(f"line {lineno}: expected two coordinate columns in {ln!r}")
-            try:
-                pts.append([float(fields[-2]), float(fields[-1])])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if not np.isfinite(pts[-1]).all():
-                raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")
-        pts = np.array(pts)
-        orbits = [hyp_mod.PseudoOrbit(tm, pts)]
+            _, rows = config_mod.csv_rows(fh.read())
+        pts = config_mod.csv_cells(   # the last two cells are the point; leading ones are labels
+            rows, lambda w: (None,) * (w - 2) + ("coordinate",) * 2 if w >= 2 else None,
+            "two coordinate")
+        orbits = [hyp_mod.PseudoOrbit(tm, np.array(pts))]
     else:
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -300,7 +291,7 @@ def build_parser():
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--length", "--len", type=int, default=10000)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--orbit", default=None, help="pseudo-orbit CSV (index,x1,x2)")
+    p.add_argument("--orbit", default=None, help="pseudo-orbit CSV; a row's last two columns are its point")
     common(p)
     p.set_defaults(func=cmd_shadow)
 

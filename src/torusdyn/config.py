@@ -10,6 +10,7 @@ trailing integer wind columns).  Parsing and serialization round-trip.
 
 import configparser
 import io
+import math
 
 import numpy as np
 
@@ -35,14 +36,18 @@ def _mode_key(key, dim):
     return tuple(parts)
 
 
-def _finite(value, what):
+def _number(value, what):
     try:
-        value = float(value)
+        return float(value)
     except ValueError:
         raise ValueError(f"{what} must be a number, got {value!r}") from None
-    if not np.isfinite(value):
+
+
+def _finite(value, what):
+    number = _number(value, what)
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
+    return number
 
 
 def _integer(value, what):
@@ -121,47 +126,67 @@ def serialize_lagrangian(L: MechanicalLagrangian, meta=None):
     return out.getvalue()
 
 
+_CELL_RULES = {"coordinate": _finite, "wind": _integer, "orbit": _integer, "step": _integer}
+
+
+def csv_rows(text):
+    """(header, rows) of a CSV table; rows are (line number, cells) pairs.
+    Blank and `#` lines are skipped.  The first line left is a header when its
+    first cell is not a number (`x1,x2` is, `nan,0.5` is not); the rest is data."""
+    rows = [(n, line.split(",")) for n, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
+    try:
+        float(rows[0][1][0] if rows else 0)
+        return None, rows
+    except ValueError:
+        return [c.strip() for c in rows[0][1]], rows[1:]
+
+
+def csv_cells(rows, kinds, expected):
+    """Values of `csv_rows` data rows: `kinds(width)` names the kind of each cell
+    (None skips it), or is None when no `width`-cell row fits.  A bad row or
+    cell is a ValueError naming its line: "line 3: coordinate must be finite, got 'inf'"."""
+    values = []
+    for n, cells in rows:
+        try:
+            names = kinds(len(cells))
+            if names is None:
+                raise ValueError(f"expected {expected} columns, got {len(cells)}")
+            values.append([_CELL_RULES[k](c, k) for c, k in zip(cells, names) if k])
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    return values
+
+
+def format_csv(header, rows):
+    """CSV text, a line for the header and each row; a list cell's items are joined by `;`."""
+    return "".join(",".join(";".join(map(str, c)) if isinstance(c, (list, tuple)) else str(c)
+                            for c in row) + "\n" for row in [header, *rows])
+
+
 def parse_polyline_csv(text):
     """Vertex rows of finite coordinates; a header `x1[,x2][,w1[,w2]]` may
     add per-segment integer wind columns.  Without a header all columns are
-    coordinates and winds default to zero.  A bad cell is a ValueError that
-    names its line."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
+    coordinates and winds default to zero."""
+    header, rows = csv_rows(text)
+    if not rows:
         raise ValueError("empty polyline")
-    n_winds, first = 0, lines[0][1]
-    if first[0] in "xw":             # not any letter: a `nan` or `inf` row is data
-        cols = [c.strip() for c in first.split(",")]
-        n_winds = sum(c.startswith("w") for c in cols)
-        dim = len(cols) - n_winds
-        lines = lines[1:]
-    else:
-        dim = len(first.split(","))
-    verts, winds = [], []
-    for n, ln in lines:
-        cells = ln.split(",")
-        if len(cells) != dim + n_winds:
-            raise ValueError(f"line {n}: row {ln!r} does not match the {dim}+{n_winds} column layout")
-        verts.append([_finite(c, f"line {n}: coordinate") for c in cells[:dim]])
-        winds.append([_integer(c, f"line {n}: wind") for c in cells[dim:]])
-    wind_arr = np.array(winds, dtype=int) if n_winds else None
-    return np.array(verts), wind_arr
+    n_winds = sum(c.startswith("w") for c in header) if header else 0
+    dim = (len(header) if header else len(rows[0][1])) - n_winds
+    layout = ("coordinate",) * dim + ("wind",) * n_winds
+    values = csv_cells(rows, lambda width: layout if width == len(layout) else None,
+                       f"{dim} coordinate and {n_winds} wind")
+    winds = np.array([v[dim:] for v in values], dtype=int) if n_winds else None
+    return np.array([v[:dim] for v in values]), winds
 
 
 def format_polyline_csv(verts, winds=None):
-    verts = np.atleast_2d(verts)
-    dim = verts.shape[1]
-    header = ",".join(f"x{i+1}" for i in range(dim))
+    verts = np.atleast_2d(verts).astype(float)
+    header, rows = [f"x{i+1}" for i in range(verts.shape[1])], verts.tolist()
     if winds is not None:
-        header += "," + ",".join(f"w{i+1}" for i in range(dim))
-    lines = [header]
-    for i, v in enumerate(verts):
-        row = ",".join(repr(float(c)) for c in v)
-        if winds is not None:
-            row += "," + ",".join(str(int(c)) for c in winds[i])
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+        header += [f"w{i+1}" for i in range(verts.shape[1])]
+        rows = [v + w for v, w in zip(rows, np.asarray(winds).astype(int).tolist())]
+    return format_csv(header, rows)
 
 
 _CANAL_KEYS = {"core", "core_file", "eps", "k", "plateau", "tolerance"}

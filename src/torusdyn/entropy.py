@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import csv_cells, csv_rows, format_csv
 from .torus import torus_metric
 
 
@@ -488,46 +489,44 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps,
 # CSV ensemble I/O: rows of (orbit id, step, coordinates...)
 
 def ensemble_to_csv(F: LabeledOrbitEnsemble):
-    dim = F.orbits.shape[2]
-    header = "orbit,step," + ",".join(f"x{i+1}" for i in range(dim))
-    lines = [header]
-    for o in range(F.n_orbits):
-        for s in range(F.n_steps):
-            coords = ",".join(repr(float(v)) for v in F.orbits[o, s])
-            lines.append(f"{o},{s - F.origin},{coords}")
-    return "\n".join(lines) + "\n"
+    header = ["orbit", "step"] + [f"x{i+1}" for i in range(F.orbits.shape[2])]
+    pts = F.orbits.tolist()
+    return format_csv(header, ([o, s - F.origin] + pts[o][s]
+                               for o in range(F.n_orbits) for s in range(F.n_steps)))
 
 
 def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
-    rows = []
-    for lineno, ln in enumerate(text.splitlines(), 1):
-        ln = ln.strip()
-        if not ln or ln[0].isalpha():
-            continue
-        parts = ln.split(",")
-        if len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected orbit,step,coordinate columns in {ln!r}")
-        try:
-            orbit, step, coords = int(parts[0]), int(parts[1]), [float(v) for v in parts[2:]]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, coords)):
-            raise ValueError(f"line {lineno}: non-finite coordinate in {ln!r}")
-        rows.append((orbit, step, coords))
-    if not rows:
+    """Ensemble from CSV rows `orbit,step,x1,...`: every orbit has one row
+    per step, and the step labels are consecutive integers (negative steps
+    hold backward iterates; step 0, when present, is the origin)."""
+    _, rows = csv_rows(text)
+    values = csv_cells(rows, lambda w: ("orbit", "step") + ("coordinate",) * (w - 2)
+                       if w >= 2 else None, "orbit,step,coordinate")
+    lines = [n for n, _ in rows]
+    if not values:
         raise ValueError("no data rows")
-    dims = sorted({len(r[2]) for r in rows})
+    dims = sorted({len(v) - 2 for v in values})
     if len(dims) > 1:
         raise ValueError(f"ensemble rows carry different coordinate counts {dims}")
     if dims == [0]:
         raise ValueError("ensemble rows carry no coordinate columns")
-    orbit_ids = sorted({r[0] for r in rows})
-    steps = sorted({r[1] for r in rows})
+    # the first line of each (orbit, step) pair
+    first = {(v[0], v[1]): n for n, v in zip(reversed(lines), reversed(values))}
+    if len(first) < len(values):
+        n, o, s = next((n, v[0], v[1]) for n, v in zip(lines, values) if first[v[0], v[1]] != n)
+        raise ValueError(f"line {n}: orbit {o} step {s} repeats line {first[o, s]}")
+    steps = sorted({v[1] for v in values})
+    gap = next((i for i in range(1, len(steps)) if steps[i] != steps[i - 1] + 1), None)
+    if gap is not None:
+        n = next(n for n, v in zip(lines, values) if v[1] == steps[gap])
+        raise ValueError(f"line {n}: step {steps[gap]} leaves a gap; step labels must be "
+                         f"consecutive integers and step {steps[gap - 1] + 1} is missing")
+    orbit_ids = sorted({v[0] for v in values})
     id_pos = {o: i for i, o in enumerate(orbit_ids)}
-    step_pos = {s: i for i, s in enumerate(steps)}
     orbits = np.full((len(orbit_ids), len(steps), dims[0]), np.nan)
-    for o, s, coords in rows:
-        orbits[id_pos[o], step_pos[s]] = coords
-    if np.isnan(orbits).any():
+    at = ([id_pos[v[0]] for v in values], [v[1] - steps[0] for v in values])
+    orbits[at] = [v[2:] for v in values]
+    if len(values) != orbits.shape[0] * orbits.shape[1]:
         raise ValueError("ragged ensemble: missing (orbit, step) rows")
-    return LabeledOrbitEnsemble(orbits, dt=dt, metric=metric, origin=step_pos[0] if 0 in step_pos else 0)
+    return LabeledOrbitEnsemble(orbits, dt=dt, metric=metric,
+                                origin=-steps[0] if steps[0] <= 0 <= steps[-1] else 0)

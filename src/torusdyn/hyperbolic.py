@@ -169,6 +169,18 @@ def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     return np.array(_lattice_orbit(tm.matrix, k, n_steps, q)) / q
 
 
+def _grid_side(n_orbits, grid, rng):
+    """The side of a square grid of n_orbits starts; a random ensemble needs an rng."""
+    if not grid:
+        if rng is None:
+            raise ValueError("random ensembles need an rng")
+        return None
+    side = int(round(np.sqrt(n_orbits)))
+    if side * side != n_orbits:
+        raise ValueError("grid ensembles need a square orbit count")
+    return side
+
+
 def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
                    grid=False, rng=None, modulus=2**31):
     """Ensemble of exact orbits on the rational lattice (k/modulus).
@@ -180,16 +192,11 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
     if n_steps < 0 or backward < 0:
         raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}, "
                          f"backward={backward}")
-    q = int(modulus)
+    q, side = int(modulus), _grid_side(n_orbits, grid, rng)
     if grid:
-        side = int(round(np.sqrt(n_orbits)))
-        if side * side != n_orbits:
-            raise ValueError("grid ensembles need a square orbit count")
         ticks = (np.arange(side) * (q // side)) % q
         k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
-        if rng is None:
-            raise ValueError("random ensembles need an rng")
         k0 = rng.integers(0, q, size=(n_orbits, 2))
     k0 = k0.astype(np.int64)
     m = tm.matrix
@@ -202,13 +209,8 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
 def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
                              grid=False, rng=None):
     """Forward float orbits of x -> T x + eps*g(x) mod 1 for a fixed smooth g."""
-    if grid:
-        side = int(round(np.sqrt(n_orbits)))
-        if side * side != n_orbits:
-            raise ValueError("grid ensembles need a square orbit count")
-        x = torus_grid(side, 2)
-    else:
-        x = rng.random((n_orbits, 2))
+    side = _grid_side(n_orbits, grid, rng)
+    x = torus_grid(side, 2) if grid else rng.random((n_orbits, 2))
     mf = tm.matrix.astype(float)
 
     def g(pts):

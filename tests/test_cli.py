@@ -92,7 +92,9 @@ class TestSubcommands:
         path.write_text("010\n001\n100\n")
         code, out = run_capture(capsys, ["sft-shortest-cycle", "--matrix", str(path),
                                          "--format", "csv"])
-        assert code == 0 and "cycle,[0, 1, 2]\n" in out
+        assert code == 0 and "cycle,0;1;2\n" in out          # was "cycle,[0, 1, 2]"
+        rows = out.splitlines()
+        assert all(len(r.split(",")) == len(rows[0].split(",")) for r in rows)
 
     def test_sft_recode(self, capsys, tmp_path):
         out_path = str(tmp_path / "z2.txt")
@@ -266,15 +268,39 @@ class TestExitCodes:
         ("canal", "x1\n0.0\nnan\n", "line 3: coordinate must be finite"),
         ("canal", "nan\n0.0\n", "line 1: coordinate must be finite"),   # was read as a header
         ("canal", "x1\n0.0\nabc\n", "line 3: coordinate must be a number, got 'abc'"),
-        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,inf,0.3\n", "line 3: non-finite"),
-        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,0.2,nan\n", "line 3: non-finite"),
-        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,abc,0.3\n", "line 3: could not convert"),
-        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,inf\n1,0,0.4\n1,1,0.6\n", "line 3: non-finite"),
-        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,nan\n1,0,0.4\n1,1,0.6\n", "line 3: non-finite"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,inf,0.3\n",
+         "line 3: coordinate must be finite, got 'inf'"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,0.2,nan\n",
+         "line 3: coordinate must be finite, got 'nan'"),
+        ("shadow", "index,x1,x2\n0,0.1,0.2\n1,abc,0.3\n",
+         "line 3: coordinate must be a number, got 'abc'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,inf\n1,0,0.4\n1,1,0.6\n",
+         "line 3: coordinate must be finite, got 'inf'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,nan\n1,0,0.4\n1,1,0.6\n",
+         "line 3: coordinate must be finite, got 'nan'"),
         ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,abc\n1,0,0.4\n1,1,0.6\n",
-         "line 3: could not convert"),
+         "line 3: coordinate must be a number, got 'abc'"),
         ("ensemble", "orbit,step,x1\n0,0,0.1\n0,0.5,0.2\n1,0,0.4\n1,1,0.6\n",
-         "line 3: invalid literal for int()"),
+         "line 3: step must be an integer, got '0.5'"),
+        # each file exited 0: the row was skipped, overwrote an earlier row, or
+        # had its step gap closed up
+        ("shadow", "x1,x2\n0.1,0.2\n0.4,0.3\ninf,0.3\n",
+         "line 4: coordinate must be finite, got 'inf'"),
+        ("shadow", "x1,x2\n0.1,0.2\nnan,0.5\n0.4,0.3\n",
+         "line 3: coordinate must be finite, got 'nan'"),
+        ("shadow", "x1,x2\n0.1,0.2\nabc,def\n0.4,0.3\n",
+         "line 3: coordinate must be a number, got 'abc'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,0.2\n1,0,0.4\n1,1,0.6\nnan,1,0.6\n",
+         "line 6: orbit must be an integer, got 'nan'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,0.2\ninf,0,0.4\n1,0,0.4\n1,1,0.6\n",
+         "line 4: orbit must be an integer, got 'inf'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,0.2\norbit,step,x1\n1,0,0.4\n1,1,0.6\n",
+         "line 4: orbit must be an integer, got 'orbit'"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,0.2\n1,0,0.4\n1,1,0.6\n0,1,0.9\n",
+         "line 6: orbit 0 step 1 repeats line 3"),
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,5,0.2\n1,0,0.4\n1,5,0.6\n",
+         "line 3: step 5 leaves a gap; step labels must be consecutive integers "
+         "and step 1 is missing"),
     ])
     def test_bad_file_cell_is_1(self, capsys, tmp_path, command, text, needle):
         cells = tmp_path / "cells.csv"
@@ -327,9 +353,9 @@ class TestExitCodes:
         ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.3\n", "different coordinate counts"),
         # inf exited 0 with "h_estimate": 0.0; nan read as a missing row
         ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,inf,0.3\n1,0,0.4,0.5\n1,1,0.6,0.7\n",
-         "line 3: non-finite"),
+         "line 3: coordinate must be finite, got 'inf'"),
         ("orbit,step,x1,x2\n0,0,0.1,0.2\n0,1,0.2,0.3\n1,0,0.4,nan\n1,1,0.6,0.7\n",
-         "line 4: non-finite"),
+         "line 4: coordinate must be finite, got 'nan'"),
     ])
     def test_bad_ensemble_is_1(self, capsys, tmp_path, text, needle):
         path = tmp_path / "ensemble.csv"
@@ -345,7 +371,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row,needle", [
         ("0.5", "line 3: expected two coordinate columns"),      # was an IndexError traceback
-        ("1,abc,0.3", "line 3: could not convert string to float: 'abc'"),
+        ("1,abc,0.3", "line 3: coordinate must be a number, got 'abc'"),
     ])
     def test_bad_orbit_row_is_1(self, capsys, tmp_path, row, needle):
         path = tmp_path / "orbit.csv"
@@ -358,6 +384,11 @@ class TestExitCodes:
         (["--k", "1e308"], "residual"), (["--w-max", "-1"], "w_max"),
         # two coordinates on T^1 printed numpy's matmul message
         (["--x", "0.1;0.2"], "L.dim = 1 coordinates, got 2 and 1"),
+        # each exited 1 with float()'s message, which named no flag
+        (["--k", "1.2,"], "--k value 2: k must be a number, got ''"),
+        (["--x", "abc"], "--x point 1: coordinate must be a number, got 'abc'"),
+        (["--y", "0.3;x"], "--y point 1: coordinate must be a number, got 'x'"),
+        (["--y", "0.3,inf"], "--y point 2: coordinate must be finite, got 'inf'"),
     ])
     def test_bad_action_potential_input_is_1(self, capsys, tmp_path, flags, needle):
         cfg = tmp_path / "pendulum.cfg"

@@ -357,6 +357,17 @@ def test_semicontinuity_probe_small():
     assert max(ests[-3:]) <= base + 0.05
 
 
+@pytest.mark.parametrize("build", [orbit_ensemble, perturbed_orbit_ensemble])
+def test_ensemble_builders_check_their_starts_alike(build):
+    # perturbed_orbit_ensemble without an rng was an AttributeError on None
+    args = (cat_map(),) if build is orbit_ensemble else (cat_map(), 1e-3)
+    with pytest.raises(ValueError, match="random ensembles need an rng"):
+        build(*args, 4, 3)
+    with pytest.raises(ValueError, match="grid ensembles need a square orbit count"):
+        build(*args, 5, 3, grid=True)
+    assert build(*args, 4, 3, grid=True).orbits.shape == (4, 4, 2)
+
+
 def test_ensemble_csv_round_trip():
     tm = cat_map()
     F = orbit_ensemble(tm, 7, 5, backward=2, rng=np.random.default_rng(3))

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdyn.config import parse_lagrangian
-from torusdyn.entropy import LabeledOrbitEnsemble, ensemble_from_csv
+from torusdyn.cli import run
+from torusdyn.config import (csv_cells, csv_rows, format_polyline_csv, parse_lagrangian,
+                             parse_polyline_csv)
+from torusdyn.entropy import LabeledOrbitEnsemble, ensemble_from_csv, ensemble_to_csv
+from torusdyn.hyperbolic import cat_map, orbit_ensemble
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.sft import TransitionMatrix, parse_matrix, parse_words
 
@@ -35,10 +38,14 @@ def grid_texts(draw):
     return "\n".join(rows)
 
 
+HEADERS = ["orbit,step,x1,x2", "x1,x2", "x1,w1", "index,x1,x2"]
+
+
 @st.composite
 def csv_texts(draw):
-    rows = draw(st.lists(st.lists(NUMS, max_size=5).map(",".join), max_size=8))
-    return "\n".join(draw(st.sampled_from(["", "orbit,step,x1,x2"])).split() + rows)
+    rows = draw(st.lists(st.lists(NUMS, max_size=5).map(",".join)
+                         | st.sampled_from(["", "  ", "# note", "#1,2"] + HEADERS), max_size=8))
+    return "\n".join(draw(st.sampled_from([""] + HEADERS)).split() + rows)
 
 
 @st.composite
@@ -104,6 +111,109 @@ class TestEnsembleFromCsv:
     def test_row_without_step_column(self):
         with pytest.raises(ValueError, match="columns"):
             ensemble_from_csv("0,0,0.1\n5\n")
+
+    @pytest.mark.parametrize("steps,missing", [((0, 5), 1), ((-3, -1, 0), -2), ((-1, 1), 0)])
+    def test_step_gap_names_the_first_missing_step(self, steps, missing):
+        text = "".join(f"{o},{s},0.5\n" for o in range(2) for s in steps)
+        with pytest.raises(ValueError, match=f"step {missing} is missing"):
+            ensemble_from_csv(text)
+
+
+class TestParsePolylineCsv:
+    @FUZZ
+    @given(text=st.text(max_size=40) | csv_texts())
+    def test_polyline_or_value_error(self, text):
+        parsed = parses_or_value_error(parse_polyline_csv, text)
+        if parsed is not None:
+            verts, winds = parsed
+            assert verts.ndim == 2 and len(verts) >= 1 and np.isfinite(verts).all()
+            assert winds is None or (winds.dtype.kind == "i" and len(winds) == len(verts))
+
+
+class TestCsvReader:
+    @FUZZ
+    @given(text=st.text(max_size=40) | csv_texts())
+    def test_rows_and_checked_cells(self, text):
+        header, rows = csv_rows(text)
+        lines = text.splitlines()
+        assert [n for n, _ in rows] == sorted({n for n, _ in rows})
+        for n, cells in rows:
+            line = lines[n - 1].strip()
+            assert line and not line.startswith("#") and cells == line.split(",")
+        kinds = ("coordinate", "wind", "orbit", "step")
+        try:
+            values = csv_cells(rows, lambda width: kinds[:width], "four")
+        except ValueError as exc:
+            assert str(exc).split(":")[0] in {f"line {n}" for n, _ in rows}
+        else:
+            assert [len(v) for v in values] == [min(len(c), 4) for _, c in rows]
+            assert all(np.isfinite(v[0]) and all(isinstance(c, int) for c in v[1:])
+                       for v in values)
+
+
+def _parse_message(reader, tmp_path, capsys, body):
+    """The error message of one of the three CSV readers on `body`, rendered
+    in its layout: `x1,x2` rows, or `orbit,step,x1,x2` rows for the ensemble."""
+    if reader == "ensemble":
+        rows = body.splitlines()
+        data = [i for i, r in enumerate(rows) if r.strip() and not r.startswith("#")]
+        for step, i in enumerate(data):
+            rows[i] = f"0,{step},{rows[i]}"
+        text, parse = "orbit,step,x1,x2\n" + "\n".join(rows), ensemble_from_csv
+    else:
+        text, parse = "x1,x2\n" + body, parse_polyline_csv
+    if reader != "orbit":
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        return str(info.value)
+    path = tmp_path / "orbit.csv"
+    path.write_text(text)
+    assert run(["shadow", "--orbit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err[len("error: "):-1]
+
+
+class TestOneRowRule:
+    """The polyline, orbit-file and ensemble readers give one message per defect."""
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.1,0.2\ninf,0.3\n", "line 3: coordinate must be finite, got 'inf'"),
+        ("0.1,0.2\n0.4,0.3\nnan,0.3\n", "line 4: coordinate must be finite, got 'nan'"),
+        ("0.1,0.2\nabc,0.3\n0.4,0.3\n", "line 3: coordinate must be a number, got 'abc'"),
+        ("0.1,0.2\nx1,x2\n0.4,0.3\n", "line 3: coordinate must be a number, got 'x1'"),
+        ("0.1,0.2\n\n# a comment\n  \n0.4,abc\n", "line 6: coordinate must be a number, got 'abc'"),
+    ])
+    @pytest.mark.parametrize("reader", ["polyline", "orbit", "ensemble"])
+    def test_same_message(self, tmp_path, capsys, reader, body, message):
+        assert _parse_message(reader, tmp_path, capsys, body) == message
+
+
+def _with_comments(text, rng):
+    lines = text.splitlines()
+    for _ in range(4):
+        lines.insert(int(rng.integers(1, len(lines) + 1)), rng.choice(["# note", "", "   "]))
+    return "\n".join(lines) + "\n"
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ensemble_round_trip_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        F = orbit_ensemble(cat_map(), 6, 4, backward=seed, rng=rng)
+        F.orbits[0, 0] = [np.nextafter(0.0, 1.0), 1.0 - 2.0 ** -53]
+        G = ensemble_from_csv(_with_comments(ensemble_to_csv(F), rng))
+        assert np.array_equal(G.orbits, F.orbits) and G.origin == F.origin
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polyline_round_trip_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        verts = rng.normal(size=(5, 2)) * 10.0 ** rng.integers(-300, 300, size=(5, 2))
+        winds = rng.integers(-3, 4, size=(5, 2))
+        v, w = parse_polyline_csv(_with_comments(format_polyline_csv(verts, winds), rng))
+        assert np.array_equal(v, verts) and np.array_equal(w, winds)
+        v, w = parse_polyline_csv(_with_comments(format_polyline_csv(verts), rng))
+        assert np.array_equal(v, verts) and w is None
 
 
 class TestParseLagrangian:
