@@ -24,11 +24,11 @@ from .perturbation import experiment_localization
 
 
 def _load_matrix(args):
-    if getattr(args, "golden_mean", False):
+    if args.golden_mean:
         return sft_mod.GOLDEN_MEAN
-    if getattr(args, "full_shift", None) is not None:
+    if args.full_shift is not None:
         return sft_mod.full_shift(args.full_shift)
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return sft_mod.load_matrix(args.matrix)
     raise ValueError("no transition matrix given (--matrix/--golden-mean/--full-shift)")
 
@@ -152,8 +152,7 @@ def cmd_entropy_estimate(args):
         _, F = _cat_ensemble(args)
     T = args.T if args.T is not None else (F.n_steps - 1 - F.origin) * F.dt
     # one ladder pass; the greedy net is both the cover and the separated set
-    r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, pairs=True,
-                                                 covers=args.series)
+    r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, covers=args.series)
     h = entropy_mod.decay_rate(pairs, F.dt)
     payload = {"T": T, "delta": args.delta, "r": r, "s": r, "h_estimate": h}
     if args.series:
@@ -164,6 +163,8 @@ def cmd_entropy_estimate(args):
 
 
 def cmd_hexpansivity(args):
+    if args.horizon < 0:
+        raise ValueError(f"--horizon must be at least 0, got {args.horizon}")
     _, F = _cat_ensemble(args, backward=args.horizon)
     classes = entropy_mod.gamma_sets(F, args.eps, args.horizon)
     probe = entropy_mod.class_probe(F, classes, args.delta)
@@ -172,7 +173,10 @@ def cmd_hexpansivity(args):
 
 
 def cmd_shadow(args):
-    entries = [int(v) for v in args.matrix_entries.split(",")]
+    entries = [config_mod._integer(v, f"--matrix-entries entry {i}")
+               for i, v in enumerate(args.matrix_entries.split(","), 1)]
+    if len(entries) != 4:
+        raise ValueError(f"--matrix-entries needs 4 entries a,b,c,d, got {len(entries)}")
     tm = hyp_mod.ToralAutomorphism(np.array(entries).reshape(2, 2))
     if args.orbit:
         with open(args.orbit) as fh:
@@ -223,9 +227,10 @@ def build_parser():
             p.add_argument("--seed", type=int, default=0)
 
     def matrix_flags(p):
-        p.add_argument("--matrix", default=None, help="0/1 grid or rle file")
-        p.add_argument("--golden-mean", action="store_true")
-        p.add_argument("--full-shift", type=int, default=None, metavar="M")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--matrix", default=None, help="0/1 grid or rle file")
+        source.add_argument("--golden-mean", action="store_true")
+        source.add_argument("--full-shift", type=int, default=None, metavar="M")
 
     p = sub.add_parser("sft-entropy", help="topological entropy of a subshift")
     matrix_flags(p); common(p, seed=False)

@@ -36,7 +36,7 @@ def euclidean_metric(a, b):
 
 @dataclass
 class LabeledOrbitEnsemble:
-    """Equal-length sampled orbits in a metric space, optionally labeled.
+    """Equal-length sampled orbits in a metric space.
 
     `origin` is the array index of time zero; columns before it hold
     backward iterates for two-sided probes.  `metric(p, q)` is called on
@@ -48,7 +48,6 @@ class LabeledOrbitEnsemble:
     orbits: np.ndarray          # (n_orbits, n_steps, dim)
     dt: float = 1.0
     metric: callable = field(default=torus_metric)
-    labels: np.ndarray = None   # (n_orbits, n_steps) ints
     origin: int = 0
 
     def __post_init__(self):
@@ -59,10 +58,6 @@ class LabeledOrbitEnsemble:
             raise ValueError("orbits must have finite coordinates")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape != self.orbits.shape[:2]:
-                raise ValueError("labels must match (n_orbits, n_steps)")
         if not 0 <= self.origin < self.orbits.shape[1]:
             raise ValueError("origin outside the sampled window")
 
@@ -83,10 +78,8 @@ class LabeledOrbitEnsemble:
         return steps
 
     def restrict(self, indices):
-        return LabeledOrbitEnsemble(
-            self.orbits[np.asarray(indices)], self.dt, self.metric,
-            None if self.labels is None else self.labels[np.asarray(indices)],
-            self.origin)
+        return LabeledOrbitEnsemble(self.orbits[np.asarray(indices)], self.dt, self.metric,
+                                    origin=self.origin)
 
 
 def _radius(value, name):
@@ -139,6 +132,7 @@ def _step_values(F, c, a, b, squared):
 
 
 _CHUNK = 1 << 16    # pairs per kernel call, so its temporaries stay in cache
+_FLOOR = 16         # fewest close pairs a step needs to enter the decay fit
 
 
 def _close_pair_ladder(F: LabeledOrbitEnsemble, columns, a, b, radius):
@@ -187,18 +181,17 @@ def _greedy_net_size(n, a, b):
     return n - int(np.count_nonzero(covered))
 
 
-def ladder_counts(F: LabeledOrbitEnsemble, T, delta, pairs=False, covers=False):
+def ladder_counts(F: LabeledOrbitEnsemble, T, delta, covers=False):
     """One pass over the d_T ladder up to horizon T at scale delta.
 
     Returns (greedy cover size at T, close-pair counts per step, greedy
-    cover sizes per step); each list stays empty unless requested.
+    cover sizes per step); the cover sizes stay empty unless requested.
     """
     radius = _radius(delta, "delta")
     columns = range(F.origin, F.origin + F.steps_for(T))
     pair_counts, cover_sizes = [], []
     for a, b in _close_pair_ladder(F, columns, *_all_pairs(F.n_orbits), radius):
-        if pairs:
-            pair_counts.append(len(a))
+        pair_counts.append(len(a))
         if covers:
             cover_sizes.append(_greedy_net_size(F.n_orbits, a, b))
     return _greedy_net_size(F.n_orbits, a, b), pair_counts, cover_sizes
@@ -232,13 +225,13 @@ def count_ladder(F: LabeledOrbitEnsemble, T, delta):
 
 def pair_survival_ladder(F: LabeledOrbitEnsemble, T, delta):
     """Number of orbit pairs that are still not (t, delta)-separated, t = 0..T."""
-    return ladder_counts(F, T, delta, pairs=True)[1]
+    return ladder_counts(F, T, delta)[1]
 
 
-def decay_rate(counts, dt, floor=16):
-    """Least-squares decay rate of log counts over the steps holding >= floor pairs."""
+def decay_rate(counts, dt):
+    """Least-squares decay rate of log counts over the steps holding >= `_FLOOR` pairs."""
     counts = np.array(counts, dtype=float)
-    usable = np.flatnonzero(counts >= floor)
+    usable = np.flatnonzero(counts >= _FLOOR)
     t_max = int(usable[-1]) if len(usable) else 0
     if t_max == 0:
         return 0.0
@@ -247,16 +240,16 @@ def decay_rate(counts, dt, floor=16):
     return float(max(-slope, 0.0))
 
 
-def entropy_estimate(F: LabeledOrbitEnsemble, T, delta, floor=16):
+def entropy_estimate(F: LabeledOrbitEnsemble, T, delta):
     """Entropy estimate: decay rate of delta-close orbit pairs under d_t.
 
     Cover counts of a finite ensemble saturate at the orbit count within a
     couple of steps, which caps any (1/T) log r^ at log(n)/T; the number
     of not-yet-separated pairs instead decays like e^(-h t) with no such
     floor.  The estimate is the least-squares slope of its logarithm over
-    the horizons still holding at least `floor` pairs.
+    the horizons still holding at least `_FLOOR` pairs.
     """
-    return decay_rate(pair_survival_ladder(F, T, delta), F.dt, floor)
+    return decay_rate(pair_survival_ladder(F, T, delta), F.dt)
 
 
 def _orbit_rows(F: LabeledOrbitEnsemble, rows):
@@ -527,6 +520,8 @@ def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
     at = ([id_pos[v[0]] for v in values], [v[1] - steps[0] for v in values])
     orbits[at] = [v[2:] for v in values]
     if len(values) != orbits.shape[0] * orbits.shape[1]:
-        raise ValueError("ragged ensemble: missing (orbit, step) rows")
+        o, t = np.argwhere(np.isnan(orbits[:, :, 0]))[0].tolist()
+        raise ValueError(f"ragged ensemble: orbit {orbit_ids[o]} has no row for step "
+                         f"{steps[0] + t}")
     return LabeledOrbitEnsemble(orbits, dt=dt, metric=metric,
                                 origin=-steps[0] if steps[0] <= 0 <= steps[-1] else 0)

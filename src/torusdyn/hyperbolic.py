@@ -71,13 +71,14 @@ class ToralAutomorphism:
             raise ValueError(f"determinant must be +-1, got {det}")
         tr = int(m[0, 0] + m[1, 1])
         disc = tr * tr - 4 * det
-        if disc <= 0:
-            raise ValueError("eigenvalues are not real")
+        if disc < 0:
+            raise ValueError("not hyperbolic: the eigenvalues are not real")
         lam1 = (tr + np.sqrt(disc)) / 2.0
         lam2 = (tr - np.sqrt(disc)) / 2.0
         lam_u, lam_s = (lam1, lam2) if abs(lam1) > abs(lam2) else (lam2, lam1)
         if abs(lam_u) <= 1.0 + 1e-9:
-            raise ValueError("spectral radius must exceed 1")
+            raise ValueError(f"not hyperbolic: the eigenvalues {lam_u:g} and {lam_s:g} "
+                             "have modulus 1")
         self.matrix = m
         self.det = det
         self.lam_u = float(lam_u)
@@ -268,17 +269,17 @@ def _lockstep(tm: ToralAutomorphism, starts, jumps):
     return pts
 
 
-def _draw(n, delta, rng, x0=None):
+def _draw(n, delta, rng):
     """A start and n-1 jumps of norm <= delta, drawn in that order."""
-    start = rng.random(2) if x0 is None else wrap(x0)
+    start = rng.random(2)
     angles = rng.uniform(0, 2 * np.pi, n - 1)
     radii = delta * np.sqrt(rng.random(n - 1))
     return start, np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
 
 
-def random_pseudo_orbit(tm, n, delta, rng, x0=None):
+def random_pseudo_orbit(tm, n, delta, rng):
     """Pseudo-orbit with i.i.d. jumps of norm <= delta."""
-    start, jumps = _draw(n, delta, rng, x0)
+    start, jumps = _draw(n, delta, rng)
     return PseudoOrbit(tm, _lockstep(tm, start[None], jumps[None])[0], delta)
 
 

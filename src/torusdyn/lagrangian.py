@@ -54,7 +54,6 @@ class Trajectory:
     dt: float
     xs: np.ndarray          # (n, d)
     vs: np.ndarray          # (n, d)
-    t0: float = 0.0
 
     def __post_init__(self):
         if len(self.xs) < 2:
@@ -63,16 +62,9 @@ class Trajectory:
     def __len__(self):
         return len(self.xs)
 
-    def state(self, i):
-        return PhaseState(self.xs[i], self.vs[i])
-
-    @property
-    def states(self):
-        return [self.state(i) for i in range(len(self))]
-
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(len(self))
+        return self.dt * np.arange(len(self))
 
 
 @dataclass(frozen=True)

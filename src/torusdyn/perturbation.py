@@ -139,9 +139,12 @@ def perturb(L: MechanicalLagrangian, cp: CanalPotential):
                                 L.oneform)
 
 
-def core_force_residual(L: MechanicalLagrangian, cp: CanalPotential, per_segment=256):
+_RESIDUAL_SAMPLES = 256     # core samples per segment that `core_force_residual` checks
+
+
+def core_force_residual(L: MechanicalLagrangian, cp: CanalPotential):
     """Extra force the perturbation exerts along the core (must vanish, k >= 2)."""
-    pts = cp.core_samples(per_segment)
+    pts = cp.core_samples(_RESIDUAL_SAMPLES)
     return float(np.max(np.linalg.norm(cp.grad(pts), axis=-1)))
 
 

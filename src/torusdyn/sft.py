@@ -141,13 +141,6 @@ class TransitionMatrix:
             words = [w + (t,) for w in words for t in succ[w[-1]]]
         return words
 
-    # word-source protocol used by block_recode
-    def words(self, n):
-        return self.legal_words(n)
-
-    def is_legal(self, word):
-        return self.is_legal_word(word)
-
 
 class FiniteWordSource:
     """Subshift language given by an explicit finite list of legal words.
@@ -165,12 +158,12 @@ class FiniteWordSource:
                 for i in range(len(w) - n + 1):
                     bucket.add(w[i:i + n])
 
-    def words(self, n):
+    def legal_words(self, n):
         if n not in self._by_length:
             raise ValueError(f"no words of length {n} available")
         return sorted(self._by_length[n])
 
-    def is_legal(self, word):
+    def is_legal_word(self, word):
         word = tuple(word)
         if len(word) not in self._by_length:
             raise ValueError(f"no words of length {len(word)} available")
@@ -182,7 +175,6 @@ class PeriodicOrbit:
     """A periodic symbol sequence, stored as one period."""
 
     cycle: tuple
-    minimal: bool = False
 
     def __post_init__(self):
         self.cycle = tuple(self.cycle)
@@ -415,21 +407,20 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
     return PerronPair(0.5 * (lo + hi), lo, hi, x, steps)
 
 
-def top_entropy(A: TransitionMatrix, rtol=1e-12, max_iter=100):
+def top_entropy(A: TransitionMatrix):
     """log of the Perron root of A.
 
     The Perron root of a reducible matrix is the largest root over its
     strongly connected components, each of them irreducible, so
     `perron_pair` runs once per component with a cycle (Noda's shifted
-    inverse iteration, certified to rtol; `max_iter` bounds its shifted
-    solves per component); ZeroShift when there is none.
+    inverse iteration, certified to its rtol); ZeroShift when there is none.
     """
     roots = []
     for idx in strong_components(A.bits):
         block = A.bits if len(idx) == A.m else A.bits[np.ix_(idx, idx)]
         if len(idx) == 1 and not block[0, 0]:
             continue  # transient symbol, no cycle through it
-        roots.append(perron_pair(block, rtol, max_iter).root)
+        roots.append(perron_pair(block).root)
     if not roots:
         raise ZeroShift("essential part of the shift is empty")
     return float(np.log(max(roots)))
@@ -485,20 +476,18 @@ def shortest_cycle(A: TransitionMatrix):
         best = _cycle_through(rows, s, len(best) if best else A.m + 1) or best
     if best is None:
         raise NoCycle("transition graph is acyclic")
-    return PeriodicOrbit(best, minimal=True)
+    return PeriodicOrbit(best)
 
 
-def brute_force_min_period(A: TransitionMatrix, max_period=None):
-    """Independent oracle: min{k : trace(A^k) > 0} via exact integer powers."""
-    if max_period is None:
-        max_period = A.m
+def brute_force_min_period(A: TransitionMatrix):
+    """Independent oracle: min{k <= m : trace(A^k) > 0} via exact integer powers."""
     ints = A.bits.astype(object).astype(int)
     power = np.eye(A.m, dtype=object)
-    for k in range(1, max_period + 1):
+    for k in range(1, A.m + 1):
         power = power @ ints
         if sum(power[i, i] for i in range(A.m)) > 0:
             return k
-    raise NoCycle(f"no cycle of period <= {max_period}")
+    raise NoCycle(f"no cycle of period <= {A.m}")
 
 
 def bq_bound(A: TransitionMatrix):
@@ -530,7 +519,7 @@ def block_recode(source, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    words = [tuple(w) for w in source.words(n)]
+    words = [tuple(w) for w in source.legal_words(n)]
     if not words:
         raise EmptyRecode(f"no legal {n}-words")
     if isinstance(source, TransitionMatrix):
@@ -538,7 +527,7 @@ def block_recode(source, n):
     else:
         k = len(words)
         bits = np.zeros((k, k), dtype=bool)
-        legal_2n = set(map(tuple, source.words(2 * n)))
+        legal_2n = set(map(tuple, source.legal_words(2 * n)))
         for i, u in enumerate(words):
             for j, v in enumerate(words):
                 bits[i, j] = (u + v) in legal_2n
@@ -563,7 +552,7 @@ def project_cycle(recoding: BlockRecoding, z: PeriodicOrbit, source=None):
         n = recoding.n
         doubled = word + word
         for i in range(len(word)):
-            if not source.is_legal(doubled[i:i + n]):
+            if not source.is_legal_word(doubled[i:i + n]):
                 raise IllegalConcatenation(f"window at {i} not a legal {n}-word")
     return PeriodicOrbit(word)
 

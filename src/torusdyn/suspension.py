@@ -23,6 +23,10 @@ class NonInvariant(ValueError):
     """The base measure fails the shift-invariance check."""
 
 
+# Rounding slack of every MarkovMeasure check, and the least mass of an edge of P.
+_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SymbolWindow:
     """Finite two-sided representative of a symbol sequence.
@@ -42,14 +46,6 @@ class SymbolWindow:
         if not 0 <= j < len(self.symbols):
             raise WindowExhausted(f"coordinate {i} beyond the stored window")
         return self.symbols[j]
-
-    @property
-    def left_radius(self):
-        return self.center
-
-    @property
-    def right_radius(self):
-        return len(self.symbols) - 1 - self.center
 
     def shift(self, k=1):
         """sigma^k as a re-centering of the same stored symbols."""
@@ -164,20 +160,20 @@ class MarkovMeasure:
     Its support must respect the transition matrix when one is supplied.
     """
 
-    def __init__(self, P, p, A: TransitionMatrix = None, tol=1e-12):
+    def __init__(self, P, p, A: TransitionMatrix = None):
         P = np.asarray(P, dtype=float)
         p = np.asarray(p, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or len(p) != P.shape[0]:
             raise ValueError("shape mismatch")
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise NonInvariant("P and p must be finite")
-        if np.any(P < -tol) or np.any(p < -tol):
+        if np.any(P < -_TOL) or np.any(p < -_TOL):
             raise NonInvariant("negative probabilities")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(P.sum(axis=1) - 1.0)) > _TOL:
             raise NonInvariant("rows of P must sum to 1")
-        if abs(p.sum() - 1.0) > tol or np.max(np.abs(p @ P - p)) > tol:
+        if abs(p.sum() - 1.0) > _TOL or np.max(np.abs(p @ P - p)) > _TOL:
             raise NonInvariant("p is not stationary for P to the required tolerance")
-        if A is not None and np.any((P > tol) & ~A.bits):
+        if A is not None and np.any((P > _TOL) & ~A.bits):
             raise NonInvariant("P moves mass along forbidden transitions")
         self.P = P
         self.p = p

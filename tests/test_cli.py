@@ -301,6 +301,9 @@ class TestExitCodes:
         ("ensemble", "orbit,step,x1\n0,0,0.1\n0,5,0.2\n1,0,0.4\n1,5,0.6\n",
          "line 3: step 5 leaves a gap; step labels must be consecutive integers "
          "and step 1 is missing"),
+        # said "ragged ensemble: missing (orbit, step) rows", naming neither
+        ("ensemble", "orbit,step,x1\n0,0,0.1\n0,1,0.2\n1,0,0.4\n",
+         "ragged ensemble: orbit 1 has no row for step 1"),
     ])
     def test_bad_file_cell_is_1(self, capsys, tmp_path, command, text, needle):
         cells = tmp_path / "cells.csv"
@@ -328,6 +331,39 @@ class TestExitCodes:
     ])
     def test_bad_ceiling_is_1(self, capsys, flags, needle):
         assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean"] + flags, needle)
+
+    @pytest.mark.parametrize("command", ["sft-entropy", "sft-shortest-cycle", "sft-recode",
+                                         "suspend-integrate"])
+    def test_conflicting_matrix_flags_are_2(self, capsys, golden_file, command):
+        # --golden-mean --full-shift 3 printed the golden mean's entropy and exited 0
+        extra = ["--n", "2"] if command == "sft-recode" else []
+        for flags in (["--golden-mean", "--full-shift", "3"],
+                      ["--matrix", golden_file, "--golden-mean"],
+                      ["--full-shift", "2", "--matrix", golden_file]):
+            assert run([command] + flags + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "not allowed with argument" in captured.err
+        assert_one_error_line(capsys, [command] + extra, "no transition matrix given "
+                                                         "(--matrix/--golden-mean/--full-shift)")
+
+    @pytest.mark.parametrize("argv,needle", [
+        # numpy's reshape and int() messages named no flag
+        (["shadow", "--matrix-entries", "1,2,3"], "--matrix-entries needs 4 entries a,b,c,d, got 3"),
+        (["shadow", "--matrix-entries", "2,1,1,1,0"],
+         "--matrix-entries needs 4 entries a,b,c,d, got 5"),
+        (["shadow", "--matrix-entries", "a,1,1,1"],
+         "--matrix-entries entry 1 must be an integer, got 'a'"),
+        (["shadow", "--matrix-entries", "2,1,1,1.5"],
+         "--matrix-entries entry 4 must be an integer, got '1.5'"),
+        # the identity's eigenvalues are real: it is not hyperbolic
+        (["shadow", "--matrix-entries", "1,0,0,1"],
+         "not hyperbolic: the eigenvalues 1 and 1 have modulus 1"),
+        # said "steps must be nonnegative, got n_steps=40, backward=-1"
+        (["hexpansivity", "--horizon", "-1", "--orbits", "20"],
+         "--horizon must be at least 0, got -1"),
+    ])
+    def test_bad_flag_is_named_1(self, capsys, argv, needle):
+        assert_one_error_line(capsys, argv, needle)
 
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")

@@ -481,8 +481,8 @@ class TestOnePassLadder:
         G = LabeledOrbitEnsemble(F.orbits, metric=lambda a, b: torus_metric(a, b))
         assert not ent._squared(G)
         for delta in (0.02, 0.05, 0.1):
-            assert ent.ladder_counts(F, 10, delta, pairs=True, covers=True) == \
-                ent.ladder_counts(G, 10, delta, pairs=True, covers=True)
+            assert ent.ladder_counts(F, 10, delta, covers=True) == \
+                ent.ladder_counts(G, 10, delta, covers=True)
         assert entropy_estimate(F, 10, 0.05) == entropy_estimate(G, 10, 0.05)
 
     @settings(max_examples=300, deadline=None)
@@ -506,8 +506,8 @@ class TestOnePassLadder:
         G = LabeledOrbitEnsemble(F.orbits + lift, origin=F.origin)
         assert ent._squared(F) and not ent._squared(G)
         for delta in (0.05, 0.1, 0.3):
-            assert ent.ladder_counts(G, 6, delta, pairs=True, covers=True) == \
-                ent.ladder_counts(F, 6, delta, pairs=True, covers=True)
+            assert ent.ladder_counts(G, 6, delta, covers=True) == \
+                ent.ladder_counts(F, 6, delta, covers=True)
         for eps in (0.1, 0.4):
             assert all(np.array_equal(s, t) for s, t in
                        zip(ent.gamma_sets(G, eps, 2), ent.gamma_sets(F, eps, 2)))
@@ -566,7 +566,7 @@ class TestPairLadder:
         delta = {"zero": 0.0, "small": 1.0 / levels, "diameter": float(np.sqrt(dim))}[scale]
         steps = F.n_steps - F.origin
         _, pairs, covers = reference_counts(F, steps, delta)
-        assert ent.ladder_counts(F, (steps - 1) * F.dt, delta, pairs=True, covers=True) == \
+        assert ent.ladder_counts(F, (steps - 1) * F.dt, delta, covers=True) == \
             (covers[-1], pairs, covers)
         rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=4) if n
                          else st.sampled_from([None, []]))
@@ -589,7 +589,7 @@ class TestPairLadder:
         # 1.0 is past the torus diameter sqrt(2)/2: no pair ever separates
         for delta in (0.05, 0.3, 1.0):
             _, pairs, covers = reference_counts(F, 7, delta)
-            assert ent.ladder_counts(F, 6, delta, pairs=True, covers=True) == \
+            assert ent.ladder_counts(F, 6, delta, covers=True) == \
                 (covers[-1], pairs, covers)
             sets = ent.gamma_sets(F, delta, 3)
             assert all(np.array_equal(s, reference_gamma_set(x, F, delta, 3))

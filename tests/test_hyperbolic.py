@@ -34,16 +34,19 @@ class TestAutomorphism:
         assert abs(tm.e_s @ tm.e_u) < 1e-12
 
     def test_rejects_non_hyperbolic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not hyperbolic: the eigenvalues are not real"):
             ToralAutomorphism([[0, 1], [-1, 0]])  # rotation, complex eigenvalues
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinant must be"):
             ToralAutomorphism([[2, 1], [1, 2]])  # determinant 3
 
     @pytest.mark.parametrize("matrix", [[[1, 0], [3, 1]], [[1, 0], [3, -1]],
                                         [[-1, 0], [2, 1]], [[-1, 0], [5, -1]]])
     def test_zero_upper_right_entry_is_not_hyperbolic(self, matrix):
-        # b = 0 leaves the eigenvalues a, d = +-1, so no eigenvector needs b != 0
-        with pytest.raises(ValueError):
+        # b = 0 leaves the real eigenvalues a, d = +-1, so no eigenvector needs b != 0;
+        # a repeated one was reported as "eigenvalues are not real"
+        (a, _), (_, d) = matrix
+        with pytest.raises(ValueError, match=f"not hyperbolic: the eigenvalues "
+                                             f"({a} and {d}|{d} and {a}) have modulus 1"):
             ToralAutomorphism(matrix)
 
     def test_det_minus_one(self):

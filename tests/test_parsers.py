@@ -118,6 +118,17 @@ class TestEnsembleFromCsv:
         with pytest.raises(ValueError, match=f"step {missing} is missing"):
             ensemble_from_csv(text)
 
+    @pytest.mark.parametrize("rows,orbit,step", [
+        ("0,0\n0,1\n1,0\n", 1, 1),
+        ("0,-1\n0,0\n1,-1\n1,0\n2,0\n3,-1\n", 2, -1),
+        ("5,0\n5,1\n5,2\n7,0\n7,2\n9,1\n", 7, 1),
+    ])
+    def test_ragged_ensemble_names_the_first_orbit_and_its_missing_step(self, rows, orbit, step):
+        text = "orbit,step,x1\n" + "".join(f"{r},0.5\n" for r in rows.splitlines())
+        with pytest.raises(ValueError, match=f"ragged ensemble: orbit {orbit} has no row "
+                                             f"for step {step}$"):
+            ensemble_from_csv(text)
+
 
 class TestParsePolylineCsv:
     @FUZZ
