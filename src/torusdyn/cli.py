@@ -145,12 +145,19 @@ def _cat_ensemble(args, backward=0):
 
 
 def cmd_entropy_estimate(args):
+    # a rate over no time is undefined, not 0
+    if args.T is not None and not args.T > 0:      # NaN fails this test too
+        raise ValueError(f"--T must be positive, got {args.T}")
     if args.ensemble:
         with open(args.ensemble) as fh:
             F = entropy_mod.ensemble_from_csv(fh.read())
     else:
+        if args.steps < 1:
+            raise ValueError(f"--steps must be at least 1, got {args.steps}")
         _, F = _cat_ensemble(args)
     T = args.T if args.T is not None else (F.n_steps - 1 - F.origin) * F.dt
+    if F.steps_for(T) < 2:
+        raise ValueError(f"T={T} spans no step of dt={F.dt}: a rate needs at least one")
     # one ladder pass; the greedy net is both the cover and the separated set
     r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, covers=args.series)
     h = entropy_mod.decay_rate(pairs, F.dt)

@@ -392,10 +392,13 @@ def refine_entropy(mu: WeightedMeasure, P: FinitePartition, f, N):
 
     `f` maps atom indices to atom indices (-1 marks missing images).  The
     histogram key of an atom is its label itinerary of length N, read as a
-    base-k int64 number one digit per step.  Before a digit would overflow
-    2^63, the keys are replaced by their dense ranks; ranks keep the
-    lexicographic order, so the masses are summed in itinerary order for
-    every k and N.
+    base-k int64 number one digit per step and updated in place.  Before a
+    digit would overflow 2^63, the keys are replaced by their dense ranks;
+    ranks keep the lexicographic order.  The masses are one weighted
+    bincount over the keys, with the empty bins dropped, and the keys are
+    ranked first only when their range outgrows the atoms.  A bincount sums
+    each bin in atom order, so the masses, summed in itinerary order, are
+    the same bits for every k and N either way.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -411,12 +414,14 @@ def refine_entropy(mu: WeightedMeasure, P: FinitePartition, f, N):
         if bound * k > 2 ** 63:
             _, keys = np.unique(keys, return_inverse=True)
             bound = int(keys.max()) + 1
-        keys = keys * k + P.labels[idx]
+        keys *= k
+        keys += P.labels[idx]
         bound *= k
         if step + 1 < N:
-            idx = np.where(idx >= 0, f[idx], -1)
-    _, inverse = np.unique(keys, return_inverse=True)
-    masses = np.bincount(inverse.ravel(), weights=mu.weights)
+            idx = f[idx]
+    if bound > n:
+        _, keys = np.unique(keys, return_inverse=True)
+    masses = np.bincount(keys, weights=mu.weights)[np.bincount(keys) > 0]
     return float(_plogp(masses).sum()) / N
 
 

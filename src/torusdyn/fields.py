@@ -21,6 +21,16 @@ class FourierSeries:
 
     Coefficients are dicts mapping integer index tuples to floats; the
     zero index contributes a constant (its sin term vanishes).
+
+    Values and gradients take one point (x of shape (d,)) or a batch
+    (..., d).  A stack of three or more axes whose blocks have more than
+    one row is evaluated as one (N, d) block and reshaped back: numpy
+    would otherwise call BLAS once per block, and each entry is the same
+    dot product either way.  A block of one row stays stacked, because
+    numpy then takes a vector product whose bits differ.  With no sine
+    coefficient the sine half is skipped; `grad` adds +0.0 in place of
+    the zero cosine term, so a zero comes out with the same sign as with
+    it.
     """
 
     def __init__(self, dim, cos=None, sin=None):
@@ -34,6 +44,7 @@ class FourierSeries:
         self._modes = np.array(keys, dtype=float).reshape(len(keys), dim)
         self._a = np.array([self.cos.get(k, 0.0) for k in keys])
         self._b = np.array([self.sin.get(k, 0.0) for k in keys])
+        self._has_sin = bool(self.sin)
 
     def _key(self, k):
         k = (k,) if np.isscalar(k) else tuple(int(i) for i in k)
@@ -41,20 +52,31 @@ class FourierSeries:
             raise ValueError(f"index {k} has wrong dimension")
         return k
 
+    def _phase(self, x):
+        """2pi k.x per mode, on a stack of multi-row blocks flattened to (N, d)."""
+        if x.ndim > 2 and x.shape[-2] > 1:
+            x = x.reshape(-1, x.shape[-1])
+        return TWO_PI * (x @ self._modes.T)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if not len(self._a):
             return np.zeros(x.shape[:-1])
-        phase = TWO_PI * (x @ self._modes.T)
-        return np.cos(phase) @ self._a + np.sin(phase) @ self._b
+        phase = self._phase(x)
+        value = np.cos(phase) @ self._a
+        if self._has_sin:
+            value += np.sin(phase) @ self._b
+        return value.reshape(x.shape[:-1])
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         if not len(self._a):
             return np.zeros(x.shape)
-        phase = TWO_PI * (x @ self._modes.T)
-        coeff = (-np.sin(phase) * self._a + np.cos(phase) * self._b) * TWO_PI
-        return coeff @ self._modes
+        phase = self._phase(x)
+        coeff = -np.sin(phase) * self._a
+        coeff += np.cos(phase) * self._b if self._has_sin else 0.0
+        coeff *= TWO_PI
+        return (coeff @ self._modes).reshape(x.shape)
 
     def point_grad(self):
         """The gradient at one point as a closure on Python floats.
@@ -62,19 +84,24 @@ class FourierSeries:
         g(x0) -> (g0,) on T^1, g(x0, x1) -> (g0, g1) on T^2: `grad`'s
         arithmetic mode by mode with math.sin/math.cos, for callers that
         step one point at a time, where numpy's per-call cost dominates.
-        Equal to `grad` bit for bit up to the order numpy's `@` sums in
-        (exact for one or two modes with indices in {-1, 0, 1}).  A phase
-        that overflows gives nan, as in `grad`.
+        The constant mode and a zero sine coefficient's term are left out:
+        each adds a zero to a sum that starts at +0.0, which changes no
+        bit.  Equal to `grad` bit for bit up to the order numpy's `@` sums
+        in (exact for one or two modes with indices in {-1, 0, 1}).  A
+        phase that overflows gives nan, as in `grad`.
         """
         terms = [(*k, a, b) for k, a, b in
-                 zip(self._modes.tolist(), self._a.tolist(), self._b.tolist())]
+                 zip(self._modes.tolist(), self._a.tolist(), self._b.tolist()) if any(k)]
         if self.dim == 1:
             def grad1(x0):
                 g0 = 0.0
                 try:
                     for k0, a, b in terms:
                         phase = TWO_PI * (x0 * k0)
-                        coeff = (-math.sin(phase) * a + math.cos(phase) * b) * TWO_PI
+                        coeff = -math.sin(phase) * a
+                        if b:
+                            coeff += math.cos(phase) * b
+                        coeff *= TWO_PI
                         g0 += coeff * k0
                 except ValueError:      # math.sin of an infinite phase
                     return (math.nan,)
@@ -86,7 +113,10 @@ class FourierSeries:
                 try:
                     for k0, k1, a, b in terms:
                         phase = TWO_PI * (x0 * k0 + x1 * k1)
-                        coeff = (-math.sin(phase) * a + math.cos(phase) * b) * TWO_PI
+                        coeff = -math.sin(phase) * a
+                        if b:
+                            coeff += math.cos(phase) * b
+                        coeff *= TWO_PI
                         g0 += coeff * k0
                         g1 += coeff * k1
                 except ValueError:

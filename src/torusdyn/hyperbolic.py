@@ -63,7 +63,13 @@ class ToralAutomorphism:
     """Hyperbolic automorphism of T^2 with exact eigen-splitting."""
 
     def __init__(self, matrix=((2, 1), (1, 1))):
-        m = np.asarray(matrix, dtype=np.int64)
+        try:
+            m = np.asarray(matrix, dtype=np.int64)
+        except OverflowError:
+            big = next(v for v in np.ravel(np.asarray(matrix, dtype=object))
+                       if not -2**63 <= v < 2**63)
+            raise ValueError(f"matrix entry {big} is outside the int64 range "
+                             f"[-2^63, 2^63 - 1]") from None
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 integer matrix")
         det = int(round(np.linalg.det(m)))
@@ -226,7 +232,15 @@ def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
 
 
 class PseudoOrbit:
-    """Finite sequence on T^2 with jump errors d(T x_i, x_{i+1}) <= delta."""
+    """Finite sequence on T^2 with jump errors d(T x_i, x_{i+1}) <= delta.
+
+    `jumps` is an (n - 1, 2) array, the transposed view of a C-contiguous
+    (2, n - 1) array: the points are mapped as A @ points[:-1].T, the
+    orientation in which BLAS is fastest for a long thin operand, and each
+    entry is the same two-term dot product as in points[:-1] @ A.T.  The
+    norm check and `shadow_batch` read `jumps.T`, one contiguous row per
+    coordinate.
+    """
 
     def __init__(self, tm: ToralAutomorphism, points, delta=None):
         points = np.asarray(points, dtype=float)
@@ -237,11 +251,12 @@ class PseudoOrbit:
         self.tm = tm
         with np.errstate(invalid="ignore"):   # a non-finite point makes its jumps NaN
             self.points = points = wrap(points)
-            mapped = points[:-1] @ tm.matrix.T.astype(float)
+            mapped = tm.matrix.astype(float) @ points[:-1].T
             _wrap_into(mapped, mapped)
-            self.jumps = jumps = _lift_inplace(np.subtract(points[1:], mapped, out=mapped))
-        sq = jumps[:, 0] * jumps[:, 0]
-        sq += jumps[:, 1] * jumps[:, 1]
+            rows = _lift_inplace(np.subtract(points[1:].T, mapped, out=mapped))
+            self.jumps = rows.T
+        sq = rows[0] * rows[0]
+        sq += rows[1] * rows[1]
         actual = float(np.sqrt(sq.max()))     # max of the norms: sqrt is monotone
         if not math.isfinite(actual):
             raise ValueError("pseudo-orbit points must be finite")
@@ -325,9 +340,9 @@ def _load(x, es, eu, lam_u, t0):
     """x[i] <- (es_t, eu_{n-1-t}/-lam_u) for the steps t = t0 + i, and 0 from step n on.
 
     The rows are transposed into time-major blocks of B = _BLOCK // rows
-    steps.  Block k reads es from step t0 + kB and eu from the mirrored step,
-    so a whole load (t0 = 0) reads each cache line of components that
-    interleave in memory once.  eu/-lam_u = -(eu/lam_u) exactly.
+    steps.  Block k reads es from step t0 + kB and eu from the mirrored step;
+    on rows that are contiguous in time each block reads whole cache lines.
+    eu/-lam_u = -(eu/lam_u) exactly.
     """
     rows, n = es.shape
     m, block = max(0, min(t0 + len(x), n) - t0), max(1, _BLOCK // rows)
@@ -415,15 +430,18 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
 def shadow_batch(tm: ToralAutomorphism, orbits):
     """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
 
-    The jumps are split into eigencomponents one orbit at a time: the BLAS
-    product of `tm.components` on the stacked jumps, without the stacked
-    copy.  One segmented correction scan (`_corrections`) runs over the time
-    axis for all orbits and both eigencomponents.  The corrections are then
-    recomposed coordinate by coordinate on its time-major output in blocks
-    of _BLOCK // rows steps, in three block-sized buffers that stay in
-    cache, and eps is the square root of the running max of the squared
-    norms (sqrt is correctly rounded and monotone, so that is the largest
-    norm).  Each row equals `shadow` of that orbit bit for bit.
+    The jumps are split into eigencomponents one orbit at a time, as
+    `basis_inv @ p.jumps.T` into a (2, rows, n - 1) buffer: the entries of
+    `tm.components` on the stacked jumps, without the stacked copy, and
+    es and eu come out as contiguous rows for `_load`.  One segmented
+    correction scan (`_corrections`) runs over the time axis for all orbits
+    and both eigencomponents.  The corrections are then recomposed
+    coordinate by coordinate on its time-major output in blocks of
+    _BLOCK // rows steps, in block-sized buffers that stay in cache; a
+    block-sized running max of the squared norms is reduced over time once
+    at the end, and eps is its square root (max is exact, and sqrt is
+    correctly rounded and monotone, so that is the largest norm).  Each row
+    equals `shadow` of that orbit bit for bit.
     """
     if not orbits:
         raise ValueError("shadow_batch needs at least one pseudo-orbit")
@@ -434,25 +452,25 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
     if not np.all(deltas < 0.25):        # written so that a NaN bound fails too
         bad = float(deltas[~(deltas < 0.25)][0])
         raise ThresholdExceeded(f"delta={bad} is not below 0.25: ambiguous lifts")
-    comp = np.empty((len(orbits), lengths[0] - 1, 2))
-    for p, c in zip(orbits, comp):
-        np.matmul(p.jumps, tm._basis_inv.T, out=c)
-    a, b = _corrections(tm, comp[..., 0], comp[..., 1])
+    comp = np.empty((2, len(orbits), lengths[0] - 1))
+    for i, p in enumerate(orbits):
+        np.matmul(tm._basis_inv, p.jumps.T, out=comp[:, i])
+    a, b = _corrections(tm, comp[0], comp[1])
     a, b = a.T, b.T                      # (n + 1, rows) views of the scan output
     (es0, es1), (eu0, eu1) = tm.e_s, tm.e_u
     heads = np.stack([p.points[0] for p in orbits])
     starts = wrap(heads + np.stack([a[0] * es0 + b[0] * eu0, a[0] * es1 + b[0] * eu1], axis=1))
     block = max(1, _BLOCK // len(orbits))
     cx, cy, tmp = np.empty((3, min(block, len(a)), len(orbits)))
-    peak = np.zeros(len(orbits))
+    run = np.zeros(cx.shape)             # squared norms are >= 0, so 0 is neutral
     for t0 in range(0, len(a), block):
         ab, bb = a[t0:t0 + block], b[t0:t0 + block]
-        x, y, w = cx[:len(ab)], cy[:len(ab)], tmp[:len(ab)]
+        x, y, w, r = cx[:len(ab)], cy[:len(ab)], tmp[:len(ab)], run[:len(ab)]
         np.add(np.multiply(ab, es0, out=x), np.multiply(bb, eu0, out=w), out=x)
         np.add(np.multiply(ab, es1, out=w), np.multiply(bb, eu1, out=y), out=y)
         np.add(np.multiply(x, x, out=x), np.multiply(y, y, out=y), out=x)
-        np.maximum(peak, np.max(x, axis=0), out=peak)
-    return starts, np.sqrt(peak)
+        np.maximum(r, x, out=r)
+    return starts, np.sqrt(run.max(axis=0))
 
 
 @dataclass

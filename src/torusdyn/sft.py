@@ -396,9 +396,10 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
             y = solve(hi, x)
         except np.linalg.LinAlgError:
             break
-        if not (np.isfinite(y).all() and (y > 0).all()):
+        top = y.max()
+        if not (y.min() > 0 and top < np.inf):     # NaN fails both tests
             break
-        x = y / y.max()
+        x = y / top
         width_prev = width
         steps += 1
     if width > rtol * hi:

@@ -361,9 +361,28 @@ class TestExitCodes:
         # said "steps must be nonnegative, got n_steps=40, backward=-1"
         (["hexpansivity", "--horizon", "-1", "--orbits", "20"],
          "--horizon must be at least 0, got -1"),
+        # an OverflowError traceback from numpy's int64 conversion
+        (["shadow", "--matrix-entries", "99999999999999999999,1,1,1"],
+         "matrix entry 99999999999999999999 is outside the int64 range"),
+        # a zero horizon printed "h_estimate": 0.0 and exited 0
+        (["entropy-estimate", "--orbits", "20", "--steps", "0"],
+         "--steps must be at least 1, got 0"),
+        (["entropy-estimate", "--orbits", "20", "--T", "0"], "--T must be positive, got 0.0"),
+        # said "steps must be nonnegative, got n_steps=-1, backward=0"
+        (["entropy-estimate", "--orbits", "20", "--steps", "-1"],
+         "--steps must be at least 1, got -1"),
     ])
     def test_bad_flag_is_named_1(self, capsys, argv, needle):
         assert_one_error_line(capsys, argv, needle)
+
+    def test_horizon_without_a_step_is_1(self, capsys, tmp_path):
+        # T rounded to no step of dt printed "h_estimate": 0.0 and exited 0
+        assert_one_error_line(capsys, ["entropy-estimate", "--orbits", "20", "--T", "0.3"],
+                              "T=0.3 spans no step of dt=1.0")
+        path = tmp_path / "ensemble.csv"
+        path.write_text("orbit,step,x1\n0,0,0.1\n1,0,0.4\n")     # one step per orbit
+        assert_one_error_line(capsys, ["entropy-estimate", "--ensemble", str(path)],
+                              "T=0.0 spans no step of dt=1.0")
 
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")

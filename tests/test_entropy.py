@@ -680,3 +680,66 @@ class TestItineraryKeys:
         f = np.concatenate([np.arange(1, len(path)), [-1]])
         P = FinitePartition(path, 2)
         assert refine_entropy(mu, P, f, 14) == reference_refine(mu, P, f, 14)
+
+
+def reference_refine_keys(mu, P, f, N):
+    """refine_entropy with itinerary keys as it was before the bincount, verbatim."""
+    f = np.asarray(f, dtype=int)
+    n = len(mu.weights)
+    k = P.k
+    keys = np.zeros(n, dtype=np.int64)
+    bound = 1
+    idx = np.arange(n)
+    for step in range(N):
+        if np.any(idx < 0):
+            raise ent.HorizonExceeded(f"orbit data ends before horizon {N}")
+        if bound * k > 2 ** 63:
+            _, keys = np.unique(keys, return_inverse=True)
+            bound = int(keys.max()) + 1
+        keys = keys * k + P.labels[idx]
+        bound *= k
+        if step + 1 < N:
+            idx = np.where(idx >= 0, f[idx], -1)
+    _, inverse = np.unique(keys, return_inverse=True)
+    masses = np.bincount(inverse.ravel(), weights=mu.weights)
+    return float(ent._plogp(masses).sum()) / N
+
+
+class TestItineraryBincount:
+    """One weighted bincount gives the masses of the np.unique ranking, bit for bit."""
+
+    @staticmethod
+    def _system(k, n, zero_weights=False, seed=0):
+        rng = np.random.default_rng(seed)
+        w = rng.random(n) ** 3
+        if zero_weights:
+            w[rng.random(n) < 0.3] = 0.0
+        mu = WeightedMeasure(np.zeros((n, 1)), w / w.sum())
+        return mu, FinitePartition(rng.integers(0, k, n), k), rng.integers(0, 50, n)
+
+    @pytest.mark.parametrize("k, N, zero_weights", [
+        (2, 10, False), (2, 11, True), (3, 7, False), (5, 4, True),      # k^N <= n
+        (2, 12, False), (3, 8, True), (7, 5, False),                      # k^N > n
+        (2, 64, False), (2, 70, True), (7, 24, False), (3, 45, True),     # re-ranked at 2^63
+    ])
+    def test_matches_the_unique_ranking(self, k, N, zero_weights):
+        mu, P, f = self._system(k, 3000, zero_weights, seed=k * 100 + N)
+        assert refine_entropy(mu, P, f, N) == reference_refine_keys(mu, P, f, N)
+
+    def test_no_sort_while_the_keys_fit_the_atoms(self, monkeypatch):
+        mu, P, f = self._system(2, 3000, seed=4)
+        want = reference_refine_keys(mu, P, f, 11)           # 2^11 <= 3000 atoms
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert refine_entropy(mu, P, f, 11) == want
+
+    def test_missing_image_raises_alike(self):
+        mu, P, f = self._system(3, 200, seed=9)
+        f[17] = -1
+        with pytest.raises(ent.HorizonExceeded, match="before horizon 6") as got:
+            refine_entropy(mu, P, f, 6)
+        with pytest.raises(ent.HorizonExceeded) as want:
+            reference_refine_keys(mu, P, f, 6)
+        assert str(got.value) == str(want.value)

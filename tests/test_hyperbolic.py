@@ -21,6 +21,7 @@ from torusdyn.hyperbolic import (
     shadow_specification,
     torus_distance,
 )
+from torusdyn.torus import _lift_inplace, _wrap_into
 
 LAM_U = (3 + np.sqrt(5)) / 2
 
@@ -54,6 +55,16 @@ class TestAutomorphism:
         assert tm.det == -1
         assert tm.lam_s < 0 < tm.lam_u
         assert abs(tm.lam_u * tm.lam_s + 1) < 1e-12
+
+    @pytest.mark.parametrize("matrix,entry", [
+        ([[99999999999999999999, 1], [1, 1]], "99999999999999999999"),
+        ([[2, 1], [1, -2**63 - 1]], str(-2**63 - 1)),
+    ])
+    def test_entry_outside_int64_is_named(self, matrix, entry):
+        # numpy's OverflowError ("Python int too large to convert to C long")
+        # named no entry, and the CLI did not catch it
+        with pytest.raises(ValueError, match=f"matrix entry {entry} is outside the int64 range"):
+            ToralAutomorphism(matrix)
 
 
 class TestApply:
@@ -479,6 +490,36 @@ class TestBlockedLayout:
         # the one scan buffer: 2.05x; separate input and output buffers and
         # full-size recomposition temporaries took 3.03x
         assert peak <= 2.25 * jump_bytes
+
+
+def _reference_jumps(tm, points):
+    """PseudoOrbit's jumps before the transposed product, verbatim."""
+    with np.errstate(invalid="ignore"):
+        points = hyp.wrap(points)
+        mapped = points[:-1] @ tm.matrix.T.astype(float)
+        _wrap_into(mapped, mapped)
+        return _lift_inplace(np.subtract(points[1:], mapped, out=mapped))
+
+
+class TestJumpLayout:
+    """A @ points[:-1].T gives the bits of points[:-1] @ A.T, coordinate-major."""
+
+    @pytest.mark.parametrize("entries", MATRICES + [(1, 1, 1, 0), (0, 1, 1, -1), (5, -2, -7, 3),
+                                                    (-2, 1, 1, -1), (-1, -1, -1, 0)])
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 20_001])
+    def test_jumps_equal_the_row_major_product(self, entries, n):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        rng = np.random.default_rng(n)
+        clouds = [rng.random((n, 2)),                          # no jump below 0.25
+                  rng.integers(-2**20, 2**21, (n, 2)) / 2**20,  # exact lattice points, unwrapped
+                  rng.normal(0.0, 30.0, (n, 2)),
+                  hyp._lockstep(tm, rng.random((1, 2)), rng.normal(0.0, 1e-3, (1, n - 1, 2)))[0]]
+        for pts in clouds:
+            p = PseudoOrbit(tm, pts)
+            ref = _reference_jumps(tm, pts)
+            assert p.jumps.shape == (n - 1, 2) and p.jumps.T.flags.c_contiguous
+            assert _same_bits(p.jumps, ref)
+            assert p.delta == float(np.sqrt(np.max(ref[:, 0] * ref[:, 0] + ref[:, 1] * ref[:, 1])))
 
 
 class TestShadowInputChecks:

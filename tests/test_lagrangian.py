@@ -49,6 +49,59 @@ def one_batch_grid_extremum(field, dim, n=512):
     return float(vals[lo_i]), mesh[lo_i], float(vals[hi_i]), mesh[hi_i]
 
 
+def reference_fourier(f, x):
+    """FourierSeries values and gradients before the flat product, verbatim."""
+    x = np.asarray(x, dtype=float)
+    phase = 2.0 * np.pi * (x @ f._modes.T)
+    value = np.cos(phase) @ f._a + np.sin(phase) @ f._b
+    coeff = (-np.sin(phase) * f._a + np.cos(phase) * f._b) * (2.0 * np.pi)
+    return value, coeff @ f._modes
+
+
+def same_bits(u, v):
+    u, v = np.asarray(u), np.asarray(v)
+    return u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+class TestFlatFourierProduct:
+    """Stacks evaluated as one (N, d) block keep the bits of the stacked products."""
+
+    SERIES = [
+        FourierSeries(2, cos={(1, 0): 0.3, (0, 1): -0.2, (1, 1): 0.1, (2, -1): 0.05}),
+        FourierSeries(2, cos={(0, 0): 0.4, (1, 0): 0.7}, sin={(1, 1): -0.3, (0, 3): 0.2}),
+        FourierSeries(2, sin={(0, 1): 1.0}),
+        FourierSeries(1, cos={0: 1.5, 1: 1.0, 2: -0.5}),
+        FourierSeries(1, cos={1: 1.0}, sin={2: 0.5}),
+    ]
+
+    @pytest.mark.parametrize("f", SERIES)
+    @pytest.mark.parametrize("shape", [(7, 32, 8), (3, 1, 8), (50, 8), (4, 5, 1), (2, 3, 4, 8),
+                                       (8,), ()])
+    def test_stack_matches_the_stacked_evaluation(self, f, shape):
+        x = np.random.default_rng(len(shape)).uniform(-2.0, 2.0, shape + (f.dim,))
+        value, grad = reference_fourier(f, x)
+        assert same_bits(f(x), value) and same_bits(f.grad(x), grad)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_cosine_only_gradient_keeps_its_signed_zeros(self, zero):
+        f = FourierSeries(2, cos={(1, 0): 0.3, (0, 1): -0.2, (1, -1): 0.1})
+        x = np.full((3, 4, 8, 2), zero)
+        x[1, :, :, 1] = 0.25
+        value, grad = reference_fourier(f, x)
+        assert same_bits(f(x), value) and same_bits(f.grad(x), grad)
+        assert same_bits(f.grad(x[0, 0, 0]), reference_fourier(f, x[0, 0, 0])[1])
+
+    def test_point_grad_without_constant_mode_or_zero_half(self):
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (200, 2))
+        pts[:10] = 0.0
+        U2 = FourierSeries(2, cos={(0, 0): 2.0, (1, 0): 0.7, (0, 1): -0.3})
+        g = U2.point_grad()
+        assert np.array_equal([g(*p) for p in pts.tolist()], U2.grad(pts))
+        U1 = FourierSeries(1, cos={0: -1.0, 1: 0.4}, sin={})
+        g = U1.point_grad()
+        assert np.array_equal([g(*p) for p in pts[:, :1].tolist()], U1.grad(pts[:, :1]))
+
+
 class TestFields:
     def test_fourier_values_and_grad(self):
         f = FourierSeries(1, cos={1: 1.0}, sin={2: 0.5})
