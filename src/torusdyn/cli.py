@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands run one module operation each and emit JSON (or CSV with
---format csv / --series).  All randomness flows through explicit --seed
-values and every computation is deterministic, so identical invocations
-produce byte-identical output at any --threads setting.
+--format csv); entropy-estimate --series adds its per-step table to either.
+All randomness flows through explicit --seed values and every computation
+is deterministic, so identical invocations produce byte-identical output at
+any --threads setting.
 """
 
 import argparse
@@ -160,13 +161,21 @@ def cmd_entropy_estimate(args):
         raise ValueError(f"T={T} spans no step of dt={F.dt}: a rate needs at least one")
     # one ladder pass; the greedy net is both the cover and the separated set
     r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, covers=args.series)
-    h = entropy_mod.decay_rate(pairs, F.dt)
-    payload = {"T": T, "delta": args.delta, "r": r, "s": r, "h_estimate": h}
+    header = ("t", "cover", "close_pairs")
+    rows = [(t, covers[t], pairs[t]) for t in range(len(pairs))] if args.series else None
+    if args.series and args.format == "csv":       # the series alone: no rate printed
+        _emit(args, {}, rows=rows, header=header)
+        return
+    # a slope from fewer than two usable steps is as undefined as one over no time
+    kept = sum(c >= entropy_mod._FLOOR for c in pairs)
+    if kept < 2:
+        raise ValueError(f"the decay rate needs two steps with at least {entropy_mod._FLOOR} "
+                         f"close pairs; {kept} step(s) kept them")
+    payload = {"T": T, "delta": args.delta, "r": r, "s": r,
+               "h_estimate": entropy_mod.decay_rate(pairs, F.dt)}
     if args.series:
-        rows = [(t, covers[t], pairs[t]) for t in range(len(pairs))]
-        _emit(args, payload, rows=rows, header=("t", "cover", "close_pairs"))
-    else:
-        _emit(args, payload)
+        payload["series"] = [dict(zip(header, row)) for row in rows]
+    _emit(args, payload)
 
 
 def cmd_hexpansivity(args):

@@ -38,25 +38,21 @@ class HypothesisViolated(ValueError):
         self.step = step
 
 
-def _int_matmul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
-
-
 def _int_matpow(m, n):
-    """Exact integer power of a 2x2 unimodular matrix, n of any sign."""
+    """M^n in Python ints (an object array) for a 2x2 unimodular int64 m; M^-1 = det adj M."""
+    (a, b), (c, d) = m.tolist()
     if n < 0:
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        inv = [[m[1][1] * det, -m[0][1] * det], [-m[1][0] * det, m[0][0] * det]]
-        return _int_matpow(inv, -n)
-    out = [[1, 0], [0, 1]]
-    base = [list(map(int, row)) for row in m]
-    while n:
-        if n & 1:
-            out = _int_matmul(out, base)
-        base = _int_matmul(base, base)
-        n >>= 1
-    return out
+        det = a * d - b * c
+        (a, b), (c, d), n = (d * det, -b * det), (-c * det, a * det), -n
+    return np.linalg.matrix_power(np.array([[a, b], [c, d]], dtype=object), n)
+
+
+def _numerators(x):
+    """Integer numerators k (object array, x's shape, 0 if not finite) and the least q with
+    k/q = x: every double is n/d with d a power of two, so q is the largest d."""
+    ratios = list(map(float.as_integer_ratio, np.where(np.isfinite(x), x, 0.0).ravel().tolist()))
+    q = max((d for _, d in ratios), default=1)
+    return np.array([n * (q // d) for n, d in ratios], dtype=object).reshape(np.shape(x)), q
 
 
 class ToralAutomorphism:
@@ -72,15 +68,17 @@ class ToralAutomorphism:
                              f"[-2^63, 2^63 - 1]") from None
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 integer matrix")
-        det = int(round(np.linalg.det(m)))
+        (a, b), (c, d) = m.tolist()             # Python ints: det and trace are exact
+        det = a * d - b * c
         if det not in (-1, 1):
             raise ValueError(f"determinant must be +-1, got {det}")
-        tr = int(m[0, 0] + m[1, 1])
+        tr = a + d
         disc = tr * tr - 4 * det
         if disc < 0:
             raise ValueError("not hyperbolic: the eigenvalues are not real")
-        lam1 = (tr + np.sqrt(disc)) / 2.0
-        lam2 = (tr - np.sqrt(disc)) / 2.0
+        root = math.sqrt(disc)
+        lam1 = (tr + root) / 2.0
+        lam2 = (tr - root) / 2.0
         lam_u, lam_s = (lam1, lam2) if abs(lam1) > abs(lam2) else (lam2, lam1)
         if abs(lam_u) <= 1.0 + 1e-9:
             raise ValueError(f"not hyperbolic: the eigenvalues {lam_u:g} and {lam_s:g} "
@@ -123,57 +121,70 @@ def cat_map():
     return ToralAutomorphism()
 
 
-def _exact_images(m, x, steps):
-    """Rows M^j x mod 1 for j = 0..steps, M a 2x2 integer matrix, x one point.
-
-    A double is an exact binary fraction, so over a common power-of-two
-    denominator M acts on the numerators in Python ints; each row is the
-    exact value rounded once.  A non-finite x gives rows of NaN.
-    """
-    u, v = (float(c) for c in x)
-    if not (math.isfinite(u) and math.isfinite(v)):
-        return np.full((steps + 1, 2), np.nan)
-    (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
-    den = max(du, dv)
-    nu, nv = nu * (den // du), nv * (den // dv)
-    (a, b), (c, d) = m
+def _exact_images(m, k, q, steps):
+    """Rows M^j k/q mod 1, j = 0..steps, for one point's numerators k, each the exact value
+    rounded once; a scalar Python-int loop, the fastest stepper for one long orbit."""
+    (a, b), (c, d) = m.tolist()
+    nu, nv = k
     rows = []
     for _ in range(steps + 1):
-        nu, nv = nu % den, nv % den
-        rows.append((nu / den, nv / den))     # int / int rounds correctly
+        nu, nv = nu % q, nv % q
+        rows += nu / q, nv / q                # int / int rounds correctly
         nu, nv = a * nu + b * nv, c * nu + d * nv
-    return wrap(rows)                         # x/den can round up to 1.0
+    return wrap(np.reshape(rows, (-1, 2)))    # k/q can round up to 1.0
 
 
 def apply(tm: ToralAutomorphism, x, n=1):
-    """T^n x mod 1, exactly for the double points x and rounded once."""
-    power = _int_matpow(tm.matrix.tolist(), n)
-    pts = np.asarray(x, dtype=float)
-    images = [_exact_images(power, p, 1)[1] for p in pts.reshape(-1, 2)]
-    return np.array(images).reshape(pts.shape)
+    """T^n x mod 1 for points x (..., 2) by one product of M^n with their numerators:
+    each exact image rounded once, NaN for a non-finite point."""
+    k, q = _numerators(x)
+    out = wrap((k @ _int_matpow(tm.matrix, n).T % q / q).astype(float))   # k/q can round to 1.0
+    out[~np.isfinite(x).all(axis=-1)] = np.nan
+    return out
+
+
+def _lattice_modulus(modulus):
+    """`modulus` as an int q in [1, 2^63), so lattice points k/q have int64 numerators."""
+    if not (isinstance(modulus, (int, np.integer)) and 1 <= modulus < 2**63):
+        raise ValueError(f"modulus must be an integer in [1, 2^63), got {modulus!r}")
+    return int(modulus)
+
+
+def _lattice_dtype(mat, q):
+    """int64 when (q - 1) times M's largest absolute row sum fits it, else object (Python ints)."""
+    return np.int64 if (q - 1) * max(abs(a) + abs(b) for a, b in mat.tolist()) < 2**63 else object
 
 
 def _lattice_orbit(mat, k, n_steps, q):
-    """[k, M k, ..., M^n_steps k] mod q for int64 lattice points k (..., 2)."""
+    """Rows k/q, M k/q, ..., M^n_steps k/q mod 1 along axis -2, for lattice points
+    0 <= k < q (..., 2): exact, and each rounded once."""
+    dtype = _lattice_dtype(mat, q)
+    mat, k = mat.astype(dtype), k.astype(dtype)
     out = [k]
     for _ in range(n_steps):
         k = (k @ mat.T) % q
         out.append(k)
-    return out
+    if q > 2**53:                 # a numerator need not be a double: divide in Python ints
+        return wrap((np.stack(out, axis=-2).astype(object) / q).astype(float))  # may round to 1.0
+    return np.stack(out, axis=-2).astype(float) / q   # k < q <= 2^53 are doubles: one rounding
 
 
 def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     """Forward orbit x, Tx, ..., T^(n_steps) x as an (n_steps+1, 2) array.
 
     Each point is the exact iterate of the double x0, rounded once, so long
-    orbits carry no accumulated rounding error.  With `modulus` q the orbit
-    is instead computed on the rational lattice (k/q) in int64 arithmetic.
+    orbits carry no accumulated rounding error.  With `modulus` q, an integer
+    in [1, 2^63), it is instead the exact orbit of the lattice point
+    rint(x0 q)/q, in int64 where no product can leave it and Python ints past.
     """
     if modulus is None:
-        return _exact_images(tm.matrix.tolist(), x0, n_steps)
-    q = int(modulus)
-    k = np.asarray(np.round(np.asarray(x0, dtype=float) * q), dtype=np.int64) % q
-    return np.array(_lattice_orbit(tm.matrix, k, n_steps, q)) / q
+        if not np.isfinite(x0).all():
+            return np.full((n_steps + 1, 2), np.nan)
+        k, q = _numerators(x0)
+        return _exact_images(tm.matrix, k.tolist(), q, n_steps)
+    q = _lattice_modulus(modulus)
+    k = np.array([int(v) % q for v in np.round(np.asarray(x0, dtype=float) * q).tolist()])
+    return _lattice_orbit(tm.matrix, k, n_steps, q)
 
 
 def _grid_side(n_orbits, grid, rng):
@@ -194,23 +205,25 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
 
     Returns a LabeledOrbitEnsemble whose origin column holds the initial
     points; `backward` extra columns of inverse iterates precede it.  The
-    modular integer arithmetic keeps long and backward orbits exact.
+    modular integer arithmetic of `orbit`, one pass from T^-backward of the
+    initial points, keeps long and backward orbits exact.
     """
     if n_steps < 0 or backward < 0:
         raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}, "
                          f"backward={backward}")
-    q, side = int(modulus), _grid_side(n_orbits, grid, rng)
+    q, side = _lattice_modulus(modulus), _grid_side(n_orbits, grid, rng)
     if grid:
         ticks = (np.arange(side) * (q // side)) % q
         k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
         k0 = rng.integers(0, q, size=(n_orbits, 2))
     k0 = k0.astype(np.int64)
-    m = tm.matrix
-    minv = np.array(_int_matpow(m.tolist(), -1), dtype=np.int64) % q
-    back = _lattice_orbit(minv, k0, backward, q)[:0:-1]   # T^-backward k0, ..., T^-1 k0
-    stack = np.stack(back + _lattice_orbit(m, k0, n_steps, q), axis=1).astype(float) / q
-    return LabeledOrbitEnsemble(stack, dt=1.0, origin=backward)
+    if backward:
+        power = _int_matpow(tm.matrix, -backward) % q
+        dtype = _lattice_dtype(power, q)
+        k0 = (k0.astype(dtype) @ power.astype(dtype).T % q).astype(np.int64)
+    return LabeledOrbitEnsemble(_lattice_orbit(tm.matrix, k0, backward + n_steps, q), dt=1.0,
+                                origin=backward)
 
 
 def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
@@ -293,9 +306,8 @@ def _draw(n, delta, rng):
 
 
 def random_pseudo_orbit(tm, n, delta, rng):
-    """Pseudo-orbit with i.i.d. jumps of norm <= delta."""
-    start, jumps = _draw(n, delta, rng)
-    return PseudoOrbit(tm, _lockstep(tm, start[None], jumps[None])[0], delta)
+    """Pseudo-orbit with i.i.d. jumps of norm <= delta: a batch of one."""
+    return random_pseudo_orbit_batch(tm, 1, n, delta, rng)[0]
 
 
 def random_pseudo_orbit_batch(tm, count, n, delta, rng):
@@ -485,8 +497,9 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     """Exact periodic point shadowing a periodic pseudo-orbit.
 
     The pseudo-orbit is read cyclically (the closing jump from T p_{N-1}
-    back to p_0 included).  Its points are exact rationals, and jumps below
-    1/4 fix the integer offsets n_i = rint(A p_i - p_{i+1}) unambiguously.
+    back to p_0 included).  Its points are exact binary fractions k_i/q, and
+    jumps below 1/4 fix the integer offsets n_i = rint(A p_i - p_{i+1})
+    unambiguously: floor((2 (A k_i - k_{i+1}) + q) / 2q) meets no tie.
     The shadowing orbit x_{i+1} = A x_i - n_i closes when
     (A^N - I) x_0 = sum_i A^(N-1-i) n_i, solved over the integers by the
     adjugate; the periodic points of a hyperbolic toral automorphism are
@@ -502,25 +515,24 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
         raise ThresholdExceeded(f"delta={delta} is not below 0.25: ambiguous lifts")
 
     (a, b), (c, d) = tm.matrix.tolist()
-    exact_pts = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
-    offsets = [(round(a * x + b * y - u), round(c * x + d * y - v))
-               for (x, y), (u, v) in zip(exact_pts, exact_pts[1:] + exact_pts[:1])]
+    k, q = _numerators(pts)
+    offsets = ((k @ tm.matrix.T.astype(object) - np.roll(k, -1, axis=0)) * 2 + q) // (2 * q)
     m0 = m1 = 0                       # Horner: m = sum_i A^(N-1-i) n_i
-    for k0, k1 in offsets:
+    for k0, k1 in offsets.tolist():
         m0, m1 = a * m0 + b * m1 + k0, c * m0 + d * m1 + k1
-    (p00, p01), (p10, p11) = power = _int_matpow(tm.matrix.tolist(), n)
+    (p00, p01), (p10, p11) = power = _int_matpow(tm.matrix, n).tolist()
     den = (p00 - 1) * (p11 - 1) - p01 * p10          # det(A^N - I), never 0
     sign = 1 if den > 0 else -1
     den *= sign
     z0 = sign * ((p11 - 1) * m0 - p01 * m1), sign * ((p00 - 1) * m1 - p10 * m0)
 
-    # the orbit x_i = z_i / den, exactly; int / int rounds correctly
-    z, eps = z0, 0.0
-    for pt, (k0, k1) in zip(exact_pts, offsets):
-        gaps = [(zi * v.denominator - v.numerator * den) / (den * v.denominator)
-                for zi, v in zip(z, pt)]
-        eps = max(eps, float(np.hypot(*gaps)))
+    # the orbit x_i = z_i / den, exactly; its gaps to p_i are int / int, rounded once
+    z, zs = z0, []
+    for k0, k1 in offsets.tolist():
+        zs.append(z)
         z = a * z[0] + b * z[1] - k0 * den, c * z[0] + d * z[1] - k1 * den
+    gaps = ((np.array(zs, dtype=object) * q - k * den) / (den * q)).astype(float)
+    eps = float(np.hypot(gaps[:, 0], gaps[:, 1]).max())
 
     res = [(pi[0] * z0[0] + pi[1] * z0[1] - zi) % den for pi, zi in zip(power, z0)]
     cover_residual = float(np.hypot(*(min(r, den - r) / den for r in res)))
@@ -551,12 +563,16 @@ def expansivity_gap(tm: ToralAutomorphism, x, y, L, beta):
     Raises HypothesisViolated (reporting the first bad step) if the orbits
     leave the beta-tube.
     """
-    x, y = wrap(x), wrap(y)
-    for n in range(-L, L + 1):
-        d = torus_distance(apply(tm, x, n), apply(tm, y, n))
-        if d > beta:
-            raise HypothesisViolated(f"d(T^{n} x, T^{n} y) = {d:.3g} > beta={beta}", step=n)
-    return float(torus_distance(x, y))
+    pts = wrap([x, y])
+    k, q = _numerators(pts)
+    rows = np.array([_exact_images(tm.matrix, kp, q, 2 * L)       # T^-L, then 2L steps by T
+                     for kp in (k @ _int_matpow(tm.matrix, -L).T).tolist()])
+    rows[~np.isfinite(pts).all(axis=1)] = np.nan
+    d = torus_distance(rows[0], rows[1])
+    if (d > beta).any():
+        n = int(np.argmax(d > beta)) - L
+        raise HypothesisViolated(f"d(T^{n} x, T^{n} y) = {d[n + L]:.3g} > beta={beta}", step=n)
+    return float(torus_distance(pts[0], pts[1]))
 
 
 class Specification:

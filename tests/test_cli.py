@@ -150,6 +150,18 @@ class TestSubcommands:
         assert lines[0] == "t,cover,close_pairs"
         assert len(lines) == 7
 
+    def test_entropy_series_json_carries_the_series(self, capsys):
+        # --series printed the same JSON as without the flag
+        argv = ["entropy-estimate", "--orbits", "200", "--steps", "3", "--seed", "0"]
+        plain = json.loads(run_capture(capsys, argv)[1])
+        code, out = run_capture(capsys, argv + ["--series"])
+        payload = json.loads(out)
+        assert code == 0 and payload.pop("series") and payload == plain
+        code, csv = run_capture(capsys, argv + ["--series", "--format", "csv"])
+        rows = [[int(v) for v in line.split(",")] for line in csv.strip().splitlines()[1:]]
+        assert json.loads(out)["series"] == [dict(zip(("t", "cover", "close_pairs"), r))
+                                             for r in rows]
+
     def test_hexpansivity(self, capsys):
         code, out = run_capture(capsys, [
             "hexpansivity", "--orbits", "100", "--steps", "40", "--horizon", "30"])
@@ -375,6 +387,30 @@ class TestExitCodes:
     def test_bad_flag_is_named_1(self, capsys, argv, needle):
         assert_one_error_line(capsys, argv, needle)
 
+    @pytest.mark.parametrize("flags", [[], ["--series"], ["--format", "csv"]])
+    def test_undefined_entropy_rate_is_1(self, capsys, flags):
+        # 7 close pairs at step 0, below the 16 a step needs, printed "h_estimate": 0.0
+        assert_one_error_line(capsys, ["entropy-estimate", "--orbits", "50"] + flags,
+                              "needs two steps with at least 16 close pairs; 0 step(s) kept them")
+
+    def test_fibonacci_matrix_shadows(self, capsys):
+        # [[F41, F40], [F40, F39]] has determinant +1; the float determinant read 0
+        code, out = run_capture(capsys, ["shadow", "--matrix-entries",
+                                         "165580141,102334155,102334155,63245986",
+                                         "--length", "100"])
+        assert code == 0 and json.loads(out)["all_within_Q_delta"]
+
+    def test_largest_fibonacci_matrix_has_no_traceback(self):
+        # [[F92, F91], [F91, F90]], the int64 limit: numpy's det and sqrt failed on it
+        f92, f91, f90 = 7540113804746346429, 4660046610375530309, 2880067194370816120
+        proc = subprocess.run([sys.executable, "-m", "torusdyn", "shadow", "--matrix-entries",
+                               f"{f92},{f91},{f91},{f90}", "--length", "100"],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        lines = proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 or (proc.returncode == 1 and len(lines) == 1
+                                        and lines[0].startswith("error:"))
+
     def test_horizon_without_a_step_is_1(self, capsys, tmp_path):
         # T rounded to no step of dt printed "h_estimate": 0.0 and exited 0
         assert_one_error_line(capsys, ["entropy-estimate", "--orbits", "20", "--T", "0.3"],
@@ -521,6 +557,31 @@ class TestModuleEntryPoints:
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 []"
+
+
+    def test_modules_import_only_the_standard_library_and_numpy(self):
+        # numpy is the one dependency in pyproject.toml; scipy is for tests only
+        import ast
+
+        import torusdyn
+
+        pkg = os.path.dirname(os.path.abspath(torusdyn.__file__))
+        found = {}
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        roots = [a.name.split(".")[0] for a in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        roots = [node.module.split(".")[0]]
+                    else:
+                        continue
+                    for root in roots:
+                        if root != "numpy" and root not in sys.stdlib_module_names:
+                            found.setdefault(name, []).append(root)
+        assert len(os.listdir(pkg)) > 10 and found == {}
 
 
 class TestDeterminism:

@@ -67,6 +67,18 @@ class TestAutomorphism:
             ToralAutomorphism(matrix)
 
 
+    def test_fibonacci_determinants_are_exact(self):
+        # [[F_n, F_n-1], [F_n-1, F_n-2]] has determinant (-1)^(n-1); the float
+        # determinant read 0 at n = 41 and -305753269 at n = 60
+        fib = [0, 1]
+        while len(fib) < 93:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(3, 93):
+            tm = ToralAutomorphism([[fib[n], fib[n - 1]], [fib[n - 1], fib[n - 2]]])
+            assert tm.det == (-1) ** (n - 1), n
+            assert tm.lam_u == pytest.approx(((1 + 5 ** 0.5) / 2) ** (n - 1), rel=1e-12)
+
+
 class TestApply:
     def test_identity_power(self):
         x = np.array([0.3, 0.7])
@@ -917,3 +929,176 @@ class TestLatticeOrbitFold:
             ref = reference_ensemble_orbits(tm, 16, n_steps, backward, grid=True,
                                             modulus=modulus)
             assert np.array_equal(got.orbits, ref)
+
+
+def reference_expansivity_gap(tm, x, y, L, beta):
+    """`expansivity_gap` before it formed one power, verbatim: one `apply` pair per n."""
+    x, y = hyp.wrap(x), hyp.wrap(y)
+    for n in range(-L, L + 1):
+        d = torus_distance(apply(tm, x, n), apply(tm, y, n))
+        if d > beta:
+            raise hyp.HypothesisViolated(f"d(T^{n} x, T^{n} y) = {d:.3g} > beta={beta}", step=n)
+    return float(torus_distance(x, y))
+
+
+def _reference_matpow(m, n):
+    """M^n in Python ints by n products, for n >= 0."""
+    (a, b), (c, d) = m
+    out = [[1, 0], [0, 1]]
+    for _ in range(n):
+        out = [[out[0][0] * a + out[0][1] * c, out[0][0] * b + out[0][1] * d],
+               [out[1][0] * a + out[1][1] * c, out[1][0] * b + out[1][1] * d]]
+    return out
+
+
+def reference_periodic_shadow(tm, p):
+    """`periodic_shadow` in `Fraction` arithmetic before the numerator layer, verbatim
+    but for the power, which `_reference_matpow` takes by repeated products."""
+    from torusdyn.torus import minimal_lift
+
+    pts = p.points
+    n = len(pts)
+    closing = minimal_lift(pts[0] - hyp.wrap(pts[-1] @ tm.matrix.T.astype(float)))
+    delta = max(p.delta, float(np.linalg.norm(closing)))
+    if not delta < 0.25:                 # written so that a NaN bound fails too
+        raise hyp.ThresholdExceeded(f"delta={delta} is not below 0.25: ambiguous lifts")
+
+    (a, b), (c, d) = tm.matrix.tolist()
+    exact_pts = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
+    offsets = [(round(a * x + b * y - u), round(c * x + d * y - v))
+               for (x, y), (u, v) in zip(exact_pts, exact_pts[1:] + exact_pts[:1])]
+    m0 = m1 = 0                       # Horner: m = sum_i A^(N-1-i) n_i
+    for k0, k1 in offsets:
+        m0, m1 = a * m0 + b * m1 + k0, c * m0 + d * m1 + k1
+    (p00, p01), (p10, p11) = power = _reference_matpow(tm.matrix.tolist(), n)
+    den = (p00 - 1) * (p11 - 1) - p01 * p10          # det(A^N - I), never 0
+    sign = 1 if den > 0 else -1
+    den *= sign
+    z0 = sign * ((p11 - 1) * m0 - p01 * m1), sign * ((p00 - 1) * m1 - p10 * m0)
+
+    # the orbit x_i = z_i / den, exactly; int / int rounds correctly
+    z, eps = z0, 0.0
+    for pt, (k0, k1) in zip(exact_pts, offsets):
+        gaps = [(zi * v.denominator - v.numerator * den) / (den * v.denominator)
+                for zi, v in zip(z, pt)]
+        eps = max(eps, float(np.hypot(*gaps)))
+        z = a * z[0] + b * z[1] - k0 * den, c * z[0] + d * z[1] - k1 * den
+
+    res = [(pi[0] * z0[0] + pi[1] * z0[1] - zi) % den for pi, zi in zip(power, z0)]
+    cover_residual = float(np.hypot(*(min(r, den - r) / den for r in res)))
+    exact = tuple(Fraction(zi % den, den) for zi in z0)
+    return hyp.PeriodicShadowResult(hyp.wrap([float(v) for v in exact]), eps, cover_residual,
+                                     exact)
+
+
+class TestExactLayer:
+    """One numerator form and one matrix power serve every exact path."""
+
+    # det -1 and negative entries among them
+    MATRICES = [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (1, -3)), ((-2, 1), (1, -1)),
+                ((2, -1), (-1, 1)), ((5, 7), (2, 3))]
+    POINTS = np.array([[0.3, 0.7], [0.0, 0.0], [1e-300, 0.5], [0.0, 1e-300],
+                       [0.123, 0.456], [np.nan, 0.25], [0.75, np.inf], [1 - 2**-53, 5e-324]])
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    @pytest.mark.parametrize("n", [0, 1, -1, 5, -37, 60])
+    def test_stacked_apply_is_per_point_and_exact(self, matrix, n):
+        tm = ToralAutomorphism(matrix)
+        got = apply(tm, self.POINTS, n)
+        assert got.shape == self.POINTS.shape
+        assert np.array_equal(apply(tm, self.POINTS.reshape(2, 4, 2), n).reshape(-1, 2), got,
+                              equal_nan=True)
+        for x, y in zip(self.POINTS, got):
+            assert np.array_equal(apply(tm, x, n), y, equal_nan=True)
+            if np.isfinite(x).all():
+                exact = _fraction_power(tm, [Fraction(v) for v in x], n)
+                assert np.array_equal(y, [0.0 if float(v) == 1.0 else float(v) for v in exact])
+            else:
+                assert np.isnan(y).all()
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    def test_expansivity_gap_raises_at_the_reference_step(self, matrix):
+        tm = ToralAutomorphism(matrix)
+        rng = np.random.default_rng(sum(map(abs, np.ravel(matrix))))
+        cases = 0
+        for _ in range(4):
+            x = rng.random(2)
+            for L, beta, d in [(8, 0.01, 1e-7), (12, 0.01, 1e-3), (20, 0.3, 1e-9), (3, 0.5, 0.2)]:
+                for v in (tm.e_s, tm.e_u):
+                    y = hyp.wrap(x + d * v)
+                    try:
+                        want = reference_expansivity_gap(tm, x, y, L, beta)
+                    except hyp.HypothesisViolated as exc:
+                        with pytest.raises(hyp.HypothesisViolated) as got:
+                            expansivity_gap(tm, x, y, L, beta)
+                        assert got.value.step == exc.step and str(got.value) == str(exc)
+                        cases += 1
+                    else:
+                        assert expansivity_gap(tm, x, y, L, beta) == want
+        assert cases > 0
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    def test_periodic_shadow_matches_fraction_reference(self, matrix):
+        tm = ToralAutomorphism(matrix)
+        cycles = 0
+        for modulus in (11, 29, 64, 81):
+            seen = set()
+            for start in [(1, 0), (3, 7), (5, 2), (10, 9)]:
+                cyc, k = _noisy_lattice_cycle(tm, modulus, start, seed=modulus + start[0])
+                if k[0] in seen:
+                    continue
+                seen.update(k)
+                if len(cyc) < 2:
+                    cyc = np.vstack([cyc, cyc])
+                p = PseudoOrbit(tm, cyc)
+                got, want = periodic_shadow(tm, p), reference_periodic_shadow(tm, p)
+                assert np.array_equal(got.point, want.point)
+                assert got.eps_achieved == want.eps_achieved
+                assert got.cover_residual == want.cover_residual
+                assert got.exact == want.exact
+                cycles += 1
+        assert cycles >= 8
+
+    def test_lattice_orbit_past_int64_is_exact(self):
+        # 3 * 2^60 wrapped the int64 products: step 1 read (0.6167, 0.96)
+        q = 3 * 2**60
+        got = hyp.orbit(cat_map(), [0.99, 0.97], 2, modulus=q)
+        k = [int(v) for v in np.round(np.array([0.99, 0.97]) * q)]
+        for row in got:
+            assert row.tolist() == [v / q for v in k]
+            k = [(2 * k[0] + k[1]) % q, (k[0] + k[1]) % q]
+        assert np.allclose(got[1], [0.95, 0.96], atol=1e-15)
+
+    def test_lattice_rows_stay_below_one(self):
+        # k/q for q = 2^62 rounded up to 1.0: row 1 from (0.3, 0.7) was [0.3, 1.0]
+        q = 2**62
+        got = hyp.orbit(cat_map(), [0.3, 0.7], 5, modulus=q)
+        assert got.min() >= 0.0 and got.max() < 1.0
+        k0, k1 = (int(v) for v in np.round(np.array([0.3, 0.7]) * q))
+        assert (k0 + k1) % q / q == 1.0                # rounded up: wrapped to 0.0
+        assert got[1].tolist() == [(2 * k0 + k1) % q / q, 0.0]
+
+    @pytest.mark.parametrize("modulus", [2**62 + 1, 2**63 - 1, 3**39])
+    def test_lattice_ensemble_past_int64_is_exact(self, modulus):
+        tm = cat_map()
+        got = hyp.orbit_ensemble(tm, 4, 5, backward=3, modulus=modulus,
+                                 rng=np.random.default_rng(8))
+        k0 = np.random.default_rng(8).integers(0, modulus, size=(4, 2)).tolist()
+        for k, row in zip(k0, got.orbits):
+            assert row[3].tolist() == [v / modulus for v in k]
+            orbit = [k]
+            for _ in range(5):
+                u, v = orbit[-1]
+                orbit.append([(2 * u + v) % modulus, (u + v) % modulus])
+            assert row[3:].tolist() == [[v / modulus for v in kk] for kk in orbit]
+            u, v = k                                  # T^-1 (u, v) = (u - v, 2v - u)
+            assert row[2].tolist() == [((u - v) % modulus) / modulus,
+                                       ((2 * v - u) % modulus) / modulus]
+
+    @pytest.mark.parametrize("modulus", [0, -5, 2.5, 1.0, 2**63, "7"])
+    def test_modulus_must_be_an_integer_in_range(self, modulus):
+        # 0 gave NaN rows, -5 the orbit of another point and 2.5 was read as 2
+        with pytest.raises(ValueError, match="modulus must be an integer in"):
+            hyp.orbit(cat_map(), [0.3, 0.7], 3, modulus=modulus)
+        with pytest.raises(ValueError, match="modulus must be an integer in"):
+            hyp.orbit_ensemble(cat_map(), 4, 3, modulus=modulus, rng=np.random.default_rng(0))
