@@ -323,7 +323,9 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
 
 
 _SEGMENT = 256          # steps each segment of the correction scan owns
-_BLOCK = 1 << 14        # elements (steps x rows) in a cache-sized block of the load and the recomposition
+_BLOCK = 1 << 14        # elements (steps x rows) in a cache-sized block of the recomposition
+_GROUP = 128            # most rows the load takes together; its scratch holds 4 * _BLOCK per half
+                        # (8 rows at a time took 40 ms a 100 x 10^4 batch, all 100 took 31 ms)
 
 
 def _warmup(tm: ToralAutomorphism):
@@ -348,27 +350,46 @@ def _scan(x, lam, scaled, out):
         np.multiply(lam, yt, out=scaled)
 
 
-def _load(x, es, eu, lam_u, t0):
+def _load(x, part, n, lam_u, t0):
     """x[i] <- (es_t, eu_{n-1-t}/-lam_u) for the steps t = t0 + i, and 0 from step n on.
 
-    The rows are transposed into time-major blocks of B = _BLOCK // rows
-    steps.  Block k reads es from step t0 + kB and eu from the mirrored step;
-    on rows that are contiguous in time each block reads whole cache lines.
-    eu/-lam_u = -(eu/lam_u) exactly.
+    part(r, s0, s1, out) writes row r's es and eu over the steps s0..s1-1
+    into out (2, s1 - s0).  Rows go up to _GROUP at a time through one
+    (2, group, width) scratch of 4 * _BLOCK elements per half (1 MB in all):
+    each row writes its window, the unstable half is divided by -lam_u where
+    it is contiguous, and each half goes into the buffer by one copy, the
+    stable half to the window's steps and the unstable half, reversed, to
+    the mirrored ones.  A copy runs along the rows of its group, so the
+    group is as wide as the window (at least 512 steps) allows.  When the
+    halves of x need different windows (a re-run of one segment), each is
+    read in a pass of its own.  eu/-lam_u = -(eu/lam_u) exactly.
     """
-    rows, n = es.shape
-    m, block = max(0, min(t0 + len(x), n) - t0), max(1, _BLOCK // rows)
+    rows = x.shape[2]
+    m, group = max(0, min(t0 + len(x), n) - t0), min(rows, _GROUP)
+    width = 4 * _BLOCK // group
     u = n - t0 - m                   # the eu step of x[m - 1]
-    for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        np.copyto(x[i0:i1, 0], es[:, t0 + i0:t0 + i1].T)
-        np.divide(eu[:, u + i0:u + i1].T, -lam_u, out=x[m - i1:m - i0, 1][::-1])
+    scratch = np.empty((2, group, min(width, m)))
+    for s, halves in [(t0, (0, 1))] if u == t0 else [(t0, (0,)), (u, (1,))]:
+        for g0 in range(0, rows, group):
+            g1 = min(g0 + group, rows)
+            for i0 in range(0, m, width):
+                i1 = min(i0 + width, m)
+                w = scratch[:, :g1 - g0, :i1 - i0]
+                for r in range(g0, g1):
+                    part(r, s + i0, s + i1, w[:, r - g0])
+                if 0 in halves:
+                    np.copyto(x[i0:i1, 0, g0:g1], w[0].T)
+                if 1 in halves:
+                    np.divide(w[1], -lam_u, out=w[1])
+                    np.copyto(x[m - i1:m - i0, 1, g0:g1][::-1], w[1].T)
     x[m:] = 0.0
 
 
-def _corrections(tm: ToralAutomorphism, es, eu):
-    """Bounded corrections (a, b) for rows of stable/unstable jump components.
+def _scan_corrections(tm: ToralAutomorphism, rows, n, part):
+    """Bounded corrections (a, b), time-major (n + 1, rows) views of one buffer.
 
+    The rows' stable and unstable jump components (es, eu) over n steps are
+    read through part(r, s0, s1, out), as `_load` describes.
     a_{i+1} = lam_s a_i - es_i from a_0 = 0 is summed forward, and
     b_i = (b_{i+1} + eu_i)/lam_u from b_n = 0 backward.  Both are the
     first-order recursion y_i = x_i + lam y_{i-1}, in the order of operations
@@ -390,13 +411,10 @@ def _corrections(tm: ToralAutomorphism, es, eu):
     seam has the bits of the previous segment's value there; the recursion is
     deterministic, so from then on the two agree.  A segment whose seam
     differs, because a start's influence outlives W (on long runs of zero
-    jumps the exact value decays while the warm-up stays 0), is loaded again
-    and run again from the exact seam value, in seam order.  The result
-    equals the sequential recursion bit for bit; a and b are (rows, n + 1)
-    views of the buffer.
+    jumps the exact value decays while the warm-up stays 0), is loaded again,
+    its window only, and run again from the exact seam value, in seam order.
+    The result equals the sequential recursion bit for bit.
     """
-    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
-    rows, n = es.shape
     seg, warm = _SEGMENT, _warmup(tm)
     count = 1 if n <= warm + seg else -(-n // seg)
     if count == 1:
@@ -404,7 +422,7 @@ def _corrections(tm: ToralAutomorphism, es, eu):
     z = np.empty((warm + 1 + count * seg, 2, rows))
     z[:warm + 1] = 0.0                          # warm-up padding, then a_0 = b_n = 0
     steps = z[warm + 1:]                        # steps[t] holds x_t, then y_t
-    _load(steps, es, eu, tm.lam_u, 0)
+    _load(steps, part, n, tm.lam_u, 0)
     lam = np.empty((count, 2, rows))
     lam[:, 0], lam[:, 1] = tm.lam_s, 1.0 / tm.lam_u
 
@@ -420,10 +438,39 @@ def _corrections(tm: ToralAutomorphism, es, eu):
         t = k * seg
         if not np.array_equal(seam_warm[k].view(np.int64), steps[t - 1].view(np.int64)):
             again = steps[t:t + seg]
-            _load(again, es, eu, tm.lam_u, t)
+            _load(again, part, n, tm.lam_u, t)
             _scan(again, lam[0], lam[0] * steps[t - 1], again)
     y = z[warm:warm + n + 1]
-    return y[:, 0].T, y[::-1, 1].T
+    return y[:, 0], y[::-1, 1]
+
+
+def _corrections(tm: ToralAutomorphism, es, eu):
+    """Corrections (a, b), each (rows, n + 1), for rows of stable/unstable jump
+    components (rows, n): `_scan_corrections` on arrays."""
+    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
+
+    def part(r, s0, s1, out):
+        out[0], out[1] = es[r, s0:s1], eu[r, s0:s1]
+
+    a, b = _scan_corrections(tm, *es.shape, part)
+    return a.T, b.T
+
+
+def _jump_components(tm: ToralAutomorphism, orbits):
+    """part(r, s0, s1, out) for `_scan_corrections`: `tm.components` of orbit r's
+    jumps s0..s1-1, as basis_inv @ p.jumps.T[:, s0:s1].  A one-step window is
+    cut from a two-step product: numpy takes a one-column product through
+    gemv, which may round otherwise than gemm."""
+    jumps, n = [p.jumps.T for p in orbits], len(orbits[0]) - 1
+
+    def part(r, s0, s1, out):
+        if s1 - s0 == 1 < n:
+            lo = min(s0, n - 2)
+            out[:] = (tm._basis_inv @ jumps[r][:, lo:lo + 2])[:, s0 - lo:s1 - lo]
+        else:
+            np.matmul(tm._basis_inv, jumps[r][:, s0:s1], out=out)
+
+    return part
 
 
 def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
@@ -442,15 +489,17 @@ def shadow(tm: ToralAutomorphism, p: PseudoOrbit):
 def shadow_batch(tm: ToralAutomorphism, orbits):
     """Shadow many equal-length pseudo-orbits at once; returns (starts, eps array).
 
-    The jumps are split into eigencomponents one orbit at a time, as
-    `basis_inv @ p.jumps.T` into a (2, rows, n - 1) buffer: the entries of
-    `tm.components` on the stacked jumps, without the stacked copy, and
-    es and eu come out as contiguous rows for `_load`.  One segmented
-    correction scan (`_corrections`) runs over the time axis for all orbits
-    and both eigencomponents.  The corrections are then recomposed
-    coordinate by coordinate on its time-major output in blocks of
-    _BLOCK // rows steps, in block-sized buffers that stay in cache; a
-    block-sized running max of the squared norms is reduced over time once
+    The jumps are split into eigencomponents straight into the time-major
+    buffer of the segmented correction scan (`_scan_corrections`): `_load`
+    takes up to _GROUP orbits at a time, one window of steps after another,
+    each as `basis_inv @ p.jumps.T[:, window]` (`_jump_components`, the
+    entries of `tm.components` on the stacked jumps without the stacked copy)
+    into one cache-sized scratch, and copies each half into the buffer.  The
+    scan runs over the time axis for all orbits and both eigencomponents,
+    and a re-run of one segment reads only that segment's windows again.
+    The corrections are recomposed coordinate by coordinate on the scan's
+    time-major output in blocks of _BLOCK // rows steps, in block-sized
+    buffers that stay in cache; a block-sized running max of the squared norms is reduced over time once
     at the end, and eps is its square root (max is exact, and sqrt is
     correctly rounded and monotone, so that is the largest norm).  Each row
     equals `shadow` of that orbit bit for bit.
@@ -464,11 +513,7 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
     if not np.all(deltas < 0.25):        # written so that a NaN bound fails too
         bad = float(deltas[~(deltas < 0.25)][0])
         raise ThresholdExceeded(f"delta={bad} is not below 0.25: ambiguous lifts")
-    comp = np.empty((2, len(orbits), lengths[0] - 1))
-    for i, p in enumerate(orbits):
-        np.matmul(tm._basis_inv, p.jumps.T, out=comp[:, i])
-    a, b = _corrections(tm, comp[0], comp[1])
-    a, b = a.T, b.T                      # (n + 1, rows) views of the scan output
+    a, b = _scan_corrections(tm, len(orbits), lengths[0] - 1, _jump_components(tm, orbits))
     (es0, es1), (eu0, eu1) = tm.e_s, tm.e_u
     heads = np.stack([p.points[0] for p in orbits])
     starts = wrap(heads + np.stack([a[0] * es0 + b[0] * eu0, a[0] * es1 + b[0] * eu1], axis=1))

@@ -498,10 +498,61 @@ class TestBlockedLayout:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the stacked jumps and their components, then the components and
-        # the one scan buffer: 2.05x; separate input and output buffers and
-        # full-size recomposition temporaries took 3.03x
-        assert peak <= 2.25 * jump_bytes
+        # the one scan buffer (its last segment padded) and the 1 MB load
+        # scratch: 1.10x; a stacked component array loaded into the buffer
+        # took 2.07x, and separate input and output buffers with full-size
+        # recomposition temporaries 3.03x
+        assert peak <= 1.5 * jump_bytes
+
+
+class TestOrbitLoader:
+    """The orbits loaded straight into the scan buffer, group by group and window by window,
+    against `_reference_shadow`."""
+
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (1, 1, 1, 0)])
+    @pytest.mark.parametrize("rows", [1, hyp._GROUP - 1, hyp._GROUP, hyp._GROUP + 1, 100])
+    def test_rows_and_lengths_around_the_edges(self, entries, rows):
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        seg, warm = hyp._SEGMENT, hyp._warmup(tm)
+        width = 4 * hyp._BLOCK // min(rows, hyp._GROUP)      # steps per load window
+        block = hyp._BLOCK // rows                           # steps per recomposition block
+        rng = np.random.default_rng(rows)
+        for n in sorted({1, 2, seg - 1, seg, seg + 1, warm + seg, warm + seg + 1,
+                         width - 1, width, width + 1, block - 1, block, block + 1}):
+            orbits = hyp.random_pseudo_orbit_batch(tm, rows, n + 1, 1e-4, rng)
+            self._check(tm, orbits)
+
+    @staticmethod
+    def _check(tm, orbits):
+        # the corrections at every step, then what shadow_batch makes of them
+        a, b = hyp._scan_corrections(tm, len(orbits), len(orbits[0]) - 1,
+                                     hyp._jump_components(tm, orbits))
+        ref_a, ref_b = _reference_corrections(tm, *tm.components(np.stack([p.jumps for p in orbits])))
+        assert _same_bits(a.T, ref_a) and _same_bits(b.T, ref_b)
+        starts, eps = shadow_batch(tm, orbits)
+        ref_starts, ref_eps = _reference_shadow(tm, orbits)
+        assert _same_bits(starts, ref_starts) and _same_bits(eps, ref_eps)
+
+    @pytest.mark.parametrize("entries", MATRICES)
+    def test_reruns_driven_by_the_last_group(self, entries, monkeypatch):
+        # one sparse lattice orbit after a full group of random ones: its zero
+        # stretches alone make seams differ, and each segment re-run reloads
+        # both groups; the last segment holds one step, so its re-run cuts a
+        # one-step window from both ends of the orbits
+        tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
+        n = 7 * hyp._SEGMENT + 1                              # jumps
+        rng = np.random.default_rng(6)
+        orbits = (hyp.random_pseudo_orbit_batch(tm, hyp._GROUP, n + 1, 1e-4, rng)
+                  + _lattice_pseudo_orbits(tm, 1, n + 1, 200, rng))
+        loads = []
+        load = hyp._load
+
+        def recorded(x, part, n_steps, lam_u, t0):
+            loads.append(t0)
+            load(x, part, n_steps, lam_u, t0)
+        monkeypatch.setattr(hyp, "_load", recorded)
+        self._check(tm, orbits)
+        assert loads[0] == 0 and n - 1 in loads[1:]          # the last segment ran again
 
 
 def _reference_jumps(tm, points):
