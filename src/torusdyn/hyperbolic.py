@@ -77,9 +77,8 @@ class ToralAutomorphism:
         if disc < 0:
             raise ValueError("not hyperbolic: the eigenvalues are not real")
         root = math.sqrt(disc)
-        lam1 = (tr + root) / 2.0
-        lam2 = (tr - root) / 2.0
-        lam_u, lam_s = (lam1, lam2) if abs(lam1) > abs(lam2) else (lam2, lam1)
+        lam_u = (tr + root) / 2.0 if tr >= 0 else (tr - root) / 2.0   # a sum: no cancellation
+        lam_s = det / lam_u                     # (tr - root)/2 cancels to 0.0 for large traces
         if abs(lam_u) <= 1.0 + 1e-9:
             raise ValueError(f"not hyperbolic: the eigenvalues {lam_u:g} and {lam_s:g} "
                              "have modulus 1")

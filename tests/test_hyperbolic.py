@@ -79,6 +79,20 @@ class TestAutomorphism:
             assert tm.lam_u == pytest.approx(((1 + 5 ** 0.5) / 2) ** (n - 1), rel=1e-12)
 
 
+    def test_stable_eigenvalue_is_det_over_the_unstable_one(self):
+        # lam_s = (tr - sqrt(disc))/2 cancelled: 0.0 at n = 41, where |lam_s| = 1/lam_u
+        # is 4.37e-9; det/lam_u carries lam_u's relative accuracy over
+        fib = [0, 1]
+        while len(fib) < 93:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(3, 93):
+            tm = ToralAutomorphism([[fib[n], fib[n - 1]], [fib[n - 1], fib[n - 2]]])
+            assert abs(tm.lam_s * tm.lam_u - tm.det) <= 2 * 2.0 ** -52, n
+        assert ToralAutomorphism([[fib[41], fib[40]], [fib[40], fib[39]]]).lam_s \
+            == 4.370130339181067e-9
+        assert cat_map().lam_s == 0.38196601125010515      # (3 - sqrt 5)/2, correctly rounded
+
+
 class TestApply:
     def test_identity_power(self):
         x = np.array([0.3, 0.7])
