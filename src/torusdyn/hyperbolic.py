@@ -243,15 +243,25 @@ def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
     return LabeledOrbitEnsemble(np.stack(cols, axis=1), dt=1.0)
 
 
+def _float_images(mat):
+    """Whether float products M x, x in [0, 1)^2, are exact enough for jumps: their
+    rounding, about M's largest absolute row sum times 2^-53, is at most 2^-43, a
+    tenth of the 1e-12 slack of PseudoOrbit's bound check.  The cat map's is 2^-51."""
+    return max(abs(a) + abs(b) for a, b in mat.tolist()) <= 2**10
+
+
 class PseudoOrbit:
     """Finite sequence on T^2 with jump errors d(T x_i, x_{i+1}) <= delta.
 
     `jumps` is an (n - 1, 2) array, the transposed view of a C-contiguous
     (2, n - 1) array: the points are mapped as A @ points[:-1].T, the
     orientation in which BLAS is fastest for a long thin operand, and each
-    entry is the same two-term dot product as in points[:-1] @ A.T.  The
-    norm check and `shadow_batch` read `jumps.T`, one contiguous row per
-    coordinate.
+    entry is the same two-term dot product as in points[:-1] @ A.T.  Where
+    that product's rounding is not far below the jumps (`_float_images`),
+    the images are the exact ones of `apply` instead.  The norm check and
+    `shadow_batch` read `jumps.T`, one contiguous row per coordinate; the
+    jumps are kept, so `shadow_batch` reads them rather than mapping the
+    points again.
     """
 
     def __init__(self, tm: ToralAutomorphism, points, delta=None):
@@ -263,8 +273,11 @@ class PseudoOrbit:
         self.tm = tm
         with np.errstate(invalid="ignore"):   # a non-finite point makes its jumps NaN
             self.points = points = wrap(points)
-            mapped = tm.matrix.astype(float) @ points[:-1].T
-            _wrap_into(mapped, mapped)
+            if _float_images(tm.matrix):
+                mapped = tm.matrix.astype(float) @ points[:-1].T
+                _wrap_into(mapped, mapped)
+            else:
+                mapped = np.ascontiguousarray(apply(tm, points[:-1]).T)
             rows = _lift_inplace(np.subtract(points[1:].T, mapped, out=mapped))
             self.jumps = rows.T
         sq = rows[0] * rows[0]
@@ -286,13 +299,16 @@ def _lockstep(tm: ToralAutomorphism, starts, jumps):
     """Rows x_{i+1} = wrap(A x_i + jump_i) from starts (m, 2) and jumps (m, n-1, 2).
 
     All rows step at once, by one matrix-vector product per row, so each
-    row equals its orbit stepped alone bit for bit.
+    row equals its orbit stepped alone bit for bit.  Where the float
+    product's rounding is not far below the jumps (`_float_images`), A x_i is
+    the exact image of `apply` instead.
     """
-    mf = tm.matrix.astype(float)
+    mf = tm.matrix.astype(float) if _float_images(tm.matrix) else None
     pts = np.empty((len(starts), jumps.shape[1] + 1, 2))
     pts[:, 0] = starts
     for i in range(jumps.shape[1]):
-        pts[:, i + 1] = wrap(np.matmul(mf, pts[:, i, :, None])[..., 0] + jumps[:, i])
+        image = apply(tm, pts[:, i]) if mf is None else np.matmul(mf, pts[:, i, :, None])[..., 0]
+        pts[:, i + 1] = wrap(image + jumps[:, i])
     return pts
 
 

@@ -406,10 +406,10 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "torusdyn", "shadow", "--matrix-entries",
                                f"{f92},{f91},{f91},{f90}", "--length", "100"],
                               env=src_env(), capture_output=True, text=True, timeout=120)
-        lines = proc.stderr.splitlines()
-        assert "Traceback" not in proc.stderr
-        assert proc.returncode == 0 or (proc.returncode == 1 and len(lines) == 1
-                                        and lines[0].startswith("error:"))
+        # it exited 1 rejecting its own pseudo-orbit: float images near 1e19 are
+        # multiples of 2048, and past _float_images they are now exact
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["all_within_Q_delta"] is True
 
     def test_horizon_without_a_step_is_1(self, capsys, tmp_path):
         # T rounded to no step of dt printed "h_estimate": 0.0 and exited 0

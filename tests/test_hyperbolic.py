@@ -93,6 +93,22 @@ class TestAutomorphism:
         assert cat_map().lam_s == 0.38196601125010515      # (3 - sqrt 5)/2, correctly rounded
 
 
+    def test_fibonacci_pseudo_orbits_keep_their_jumps(self):
+        # float products of [[F92, F91], [F91, F90]] near 1e19 are multiples of 2048: the
+        # generated pseudo-orbit failed its own bound check ("observed 0.1398"); past
+        # _float_images the images are exact, and each jump comes back to 2^-42
+        fib = [0, 1]
+        while len(fib) < 93:
+            fib.append(fib[-1] + fib[-2])
+        rng = np.random.default_rng(92)
+        for n in range(3, 93):
+            tm = ToralAutomorphism([[fib[n], fib[n - 1]], [fib[n - 1], fib[n - 2]]])
+            start, jumps = hyp._draw(200, 1e-4, rng)
+            p = PseudoOrbit(tm, hyp._lockstep(tm, start[None], jumps[None])[0], 1e-4)
+            assert np.abs(p.jumps - jumps).max() <= 2.0 ** -42, n
+            assert shadow(tm, p)[1] <= tm.shadowing_q * 1e-4, n
+
+
 class TestApply:
     def test_identity_power(self):
         x = np.array([0.3, 0.7])
