@@ -340,7 +340,6 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
 _SEGMENT = 256          # steps each segment of the correction scan owns
 _BLOCK = 1 << 14        # elements (steps x rows) in a cache-sized block of the recomposition
 _GROUP = 128            # most rows the load takes together; its scratch holds 4 * _BLOCK per half
-                        # (8 rows at a time took 40 ms a 100 x 10^4 batch, all 100 took 31 ms)
 
 
 def _warmup(tm: ToralAutomorphism):
@@ -514,10 +513,10 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
     and a re-run of one segment reads only that segment's windows again.
     The corrections are recomposed coordinate by coordinate on the scan's
     time-major output in blocks of _BLOCK // rows steps, in block-sized
-    buffers that stay in cache; a block-sized running max of the squared norms is reduced over time once
-    at the end, and eps is its square root (max is exact, and sqrt is
-    correctly rounded and monotone, so that is the largest norm).  Each row
-    equals `shadow` of that orbit bit for bit.
+    buffers that stay in cache; a block-sized running max of the squared
+    norms is reduced over time once at the end, and eps is its square root
+    (max is exact, and sqrt is correctly rounded and monotone, so that is
+    the largest norm).  Each row equals `shadow` of that orbit bit for bit.
     """
     if not orbits:
         raise ValueError("shadow_batch needs at least one pseudo-orbit")

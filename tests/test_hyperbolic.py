@@ -24,6 +24,9 @@ from torusdyn.hyperbolic import (
 from torusdyn.torus import _lift_inplace, _wrap_into
 
 LAM_U = (3 + np.sqrt(5)) / 2
+FIB = [0, 1]
+while len(FIB) < 93:                    # F_0 .. F_92, the int64 limit
+    FIB.append(FIB[-1] + FIB[-2])
 
 
 class TestAutomorphism:
@@ -78,31 +81,23 @@ class TestAutomorphism:
             assert tm.det == (-1) ** (n - 1), n
             assert tm.lam_u == pytest.approx(((1 + 5 ** 0.5) / 2) ** (n - 1), rel=1e-12)
 
-
     def test_stable_eigenvalue_is_det_over_the_unstable_one(self):
         # lam_s = (tr - sqrt(disc))/2 cancelled: 0.0 at n = 41, where |lam_s| = 1/lam_u
         # is 4.37e-9; det/lam_u carries lam_u's relative accuracy over
-        fib = [0, 1]
-        while len(fib) < 93:
-            fib.append(fib[-1] + fib[-2])
         for n in range(3, 93):
-            tm = ToralAutomorphism([[fib[n], fib[n - 1]], [fib[n - 1], fib[n - 2]]])
+            tm = ToralAutomorphism([[FIB[n], FIB[n - 1]], [FIB[n - 1], FIB[n - 2]]])
             assert abs(tm.lam_s * tm.lam_u - tm.det) <= 2 * 2.0 ** -52, n
-        assert ToralAutomorphism([[fib[41], fib[40]], [fib[40], fib[39]]]).lam_s \
+        assert ToralAutomorphism([[FIB[41], FIB[40]], [FIB[40], FIB[39]]]).lam_s \
             == 4.370130339181067e-9
         assert cat_map().lam_s == 0.38196601125010515      # (3 - sqrt 5)/2, correctly rounded
-
 
     def test_fibonacci_pseudo_orbits_keep_their_jumps(self):
         # float products of [[F92, F91], [F91, F90]] near 1e19 are multiples of 2048: the
         # generated pseudo-orbit failed its own bound check ("observed 0.1398"); past
         # _float_images the images are exact, and each jump comes back to 2^-42
-        fib = [0, 1]
-        while len(fib) < 93:
-            fib.append(fib[-1] + fib[-2])
         rng = np.random.default_rng(92)
         for n in range(3, 93):
-            tm = ToralAutomorphism([[fib[n], fib[n - 1]], [fib[n - 1], fib[n - 2]]])
+            tm = ToralAutomorphism([[FIB[n], FIB[n - 1]], [FIB[n - 1], FIB[n - 2]]])
             start, jumps = hyp._draw(200, 1e-4, rng)
             p = PseudoOrbit(tm, hyp._lockstep(tm, start[None], jumps[None])[0], 1e-4)
             assert np.abs(p.jumps - jumps).max() <= 2.0 ** -42, n
@@ -557,7 +552,8 @@ class TestOrbitLoader:
         # the corrections at every step, then what shadow_batch makes of them
         a, b = hyp._scan_corrections(tm, len(orbits), len(orbits[0]) - 1,
                                      hyp._jump_components(tm, orbits))
-        ref_a, ref_b = _reference_corrections(tm, *tm.components(np.stack([p.jumps for p in orbits])))
+        es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+        ref_a, ref_b = _reference_corrections(tm, es, eu)
         assert _same_bits(a.T, ref_a) and _same_bits(b.T, ref_b)
         starts, eps = shadow_batch(tm, orbits)
         ref_starts, ref_eps = _reference_shadow(tm, orbits)
