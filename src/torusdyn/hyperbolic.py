@@ -568,14 +568,15 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     """
     pts = p.points
     n = len(pts)
-    closing = minimal_lift(pts[0] - wrap(pts[-1] @ tm.matrix.T.astype(float)))
-    delta = max(p.delta, float(np.linalg.norm(closing)))
+    k, q = _numerators(pts)
+    lifted = k @ tm.matrix.T.astype(object) - np.roll(k, -1, axis=0)
+    offsets = (lifted * 2 + q) // (2 * q)
+    r0, r1 = (lifted[-1] - offsets[-1] * q).tolist()   # q times the closing jump's minimal lift
+    delta = max(p.delta, math.hypot(r0 / q, r1 / q))
     if not delta < 0.25:                 # written so that a NaN bound fails too
         raise ThresholdExceeded(f"delta={delta} is not below 0.25: ambiguous lifts")
 
     (a, b), (c, d) = tm.matrix.tolist()
-    k, q = _numerators(pts)
-    offsets = ((k @ tm.matrix.T.astype(object) - np.roll(k, -1, axis=0)) * 2 + q) // (2 * q)
     m0 = m1 = 0                       # Horner: m = sum_i A^(N-1-i) n_i
     for k0, k1 in offsets.tolist():
         m0, m1 = a * m0 + b * m1 + k0, c * m0 + d * m1 + k1

@@ -788,6 +788,36 @@ class TestPeriodicShadow:
         noise = torus_distance(np.array(k, dtype=float) / modulus, cyc).max()
         assert abs(res.eps_achieved - noise) <= 1e-15
 
+    @pytest.mark.parametrize("n,q,k,steps,closes", [
+        (57, 348, (67, 225), 6, True),     # exact closing jump 0.2499992, float 0.2500089
+        (61, 384, (356, 94), 5, False),    # exact 0.2500109, float below 1/4
+    ])
+    def test_closing_jump_is_measured_exactly(self, n, q, k, steps, closes):
+        tm = ToralAutomorphism([[FIB[n], FIB[n - 1]], [FIB[n - 1], FIB[n - 2]]])
+        p = PseudoOrbit(tm, hyp.orbit(tm, np.array(k) / q, steps, modulus=q))
+        assert p.delta < 0.25
+        if closes:
+            assert periodic_shadow(tm, p).eps_achieved < 0.25
+        else:
+            with pytest.raises(hyp.ThresholdExceeded, match="delta=0.2500109"):
+                periodic_shadow(tm, p)
+
+    @pytest.mark.parametrize("n,delta", [(92, 0.649), (80, 0.556), (70, None)])
+    def test_fibonacci_cycle_of_rounded_lattice_points(self, n, delta):
+        # (3/11, 5/11) has period 10, but its doubles are not k/11, and A moves their
+        # rounding by up to F_n 2^-54: the doubles' own exact jumps reach 0.649 at F92
+        # and 0.556 at F80, so those rejections are right; F70 still closes
+        tm = ToralAutomorphism([[FIB[n], FIB[n - 1]], [FIB[n - 1], FIB[n - 2]]])
+        pts = hyp.orbit(tm, [3 / 11, 5 / 11], 10, modulus=11)
+        assert np.array_equal(pts[10], pts[0])
+        p = PseudoOrbit(tm, pts[:10])
+        if delta is None:
+            assert periodic_shadow(tm, p).eps_achieved < 1e-15
+        else:
+            assert p.delta == pytest.approx(delta, abs=1e-3)
+            with pytest.raises(hyp.ThresholdExceeded, match="is not below 0.25"):
+                periodic_shadow(tm, p)
+
     def test_rejects_non_finite_points(self):
         tm = cat_map()
         for bad in (np.nan, np.inf, -np.inf):
