@@ -90,9 +90,6 @@ class BrokenPath:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(np.vstack([x, x]), np.zeros((1, len(x)), dtype=int), T)
 
-    def total_winding(self):
-        return self.winds.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class ActionValue:
@@ -235,17 +232,6 @@ def action(L: MechanicalLagrangian, p: BrokenPath, k):
     """Composite quadrature of k + L along the path; exact on free segments."""
     value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, need_grad=False)
     return float(value[0])
-
-
-def el_residual(L: MechanicalLagrangian, p: BrokenPath):
-    """Sup norm of the discrete Euler-Lagrange equations at interior knots
-    (k drops out: k T is constant in the knots)."""
-    X = p.cover_knots()
-    if len(X) < 3:
-        return 0.0
-    dt = p.T / (len(X) - 1)
-    _, grad = _action_value_grad(L, X[None], p.T, 0.0)
-    return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 
 _FD_STEP = 2.0 ** -23     # X + h is exact for cover coordinates below 2^29

@@ -79,7 +79,7 @@ def cmd_sft_recode(args):
     payload = {"n": args.n, "symbols": rec.matrix.m, "h_base": h_base,
                "h_recoded": h_rec, "inequality_ok": bool(h_rec >= args.n * h_base - 1e-9)}
     if args.matrix_out:
-        sft_mod.save_matrix(rec.matrix, args.matrix_out, fmt="grid")
+        sft_mod.save_matrix(rec.matrix, args.matrix_out)
         payload["matrix_out"] = args.matrix_out
     _emit(args, payload)
 

@@ -5,11 +5,10 @@ plus Fourier coefficient tables in [potential.cos], [potential.sin] and
 [oneform.<i>.cos]/[oneform.<i>.sin] sections, keys being comma-separated
 integer mode indices.  Canal experiments add a [canal] section whose core
 polyline lives inline or in a CSV file (one vertex per row, optional
-trailing integer wind columns).  Parsing and serialization round-trip.
+trailing integer wind columns).
 """
 
 import configparser
-import io
 import math
 
 import numpy as np
@@ -99,33 +98,6 @@ def parse_lagrangian(text):
     return MechanicalLagrangian(dim, potential, oneform), meta
 
 
-def _fmt_mode(mode):
-    return ",".join(str(i) for i in mode)
-
-
-def serialize_lagrangian(L: MechanicalLagrangian, meta=None):
-    meta = meta or {}
-    out = io.StringIO()
-    out.write("[lagrangian]\n")
-    out.write(f"dim = {L.dim}\n")
-    if meta.get("integrator"):
-        out.write(f"integrator = {meta['integrator']}\n")
-    out.write(f"dt = {meta.get('dt', 1e-3)!r}\n")
-
-    def write_series(name, series):
-        for label, table in (("cos", series.cos), ("sin", series.sin)):
-            if table:
-                out.write(f"\n[{name}.{label}]\n")
-                for mode in sorted(table):
-                    out.write(f"{_fmt_mode(mode)} = {table[mode]!r}\n")
-
-    write_series("potential", L.potential)
-    if not L.oneform.is_zero():
-        for i, comp in enumerate(L.oneform.components, start=1):
-            write_series(f"oneform.{i}", comp)
-    return out.getvalue()
-
-
 _CELL_RULES = {"coordinate": _finite, "wind": _integer, "orbit": _integer, "step": _integer}
 
 
@@ -180,15 +152,6 @@ def parse_polyline_csv(text):
     return np.array([v[:dim] for v in values]), winds
 
 
-def format_polyline_csv(verts, winds=None):
-    verts = np.atleast_2d(verts).astype(float)
-    header, rows = [f"x{i+1}" for i in range(verts.shape[1])], verts.tolist()
-    if winds is not None:
-        header += [f"w{i+1}" for i in range(verts.shape[1])]
-        rows = [v + w for v, w in zip(rows, np.asarray(winds).astype(int).tolist())]
-    return format_csv(header, rows)
-
-
 _CANAL_KEYS = {"core", "core_file", "eps", "k", "plateau", "tolerance"}
 
 
@@ -227,12 +190,3 @@ def parse_canal_experiment(text, base_dir="."):
     if econf.tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {econf.tolerance!r}")
     return L, canal, econf
-
-
-def round_trips(text):
-    """parse -> serialize -> parse reaches a fixpoint for Lagrangian configs."""
-    L1, meta1 = parse_lagrangian(text)
-    s1 = serialize_lagrangian(L1, meta1)
-    L2, meta2 = parse_lagrangian(s1)
-    s2 = serialize_lagrangian(L2, meta2)
-    return s1 == s2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import csv_cells, csv_rows, format_csv
+from .config import csv_cells, csv_rows
 from .torus import torus_metric
 
 
@@ -484,14 +484,7 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps,
 
 
 # ---------------------------------------------------------------------------
-# CSV ensemble I/O: rows of (orbit id, step, coordinates...)
-
-def ensemble_to_csv(F: LabeledOrbitEnsemble):
-    header = ["orbit", "step"] + [f"x{i+1}" for i in range(F.orbits.shape[2])]
-    pts = F.orbits.tolist()
-    return format_csv(header, ([o, s - F.origin] + pts[o][s]
-                               for o in range(F.n_orbits) for s in range(F.n_steps)))
-
+# CSV ensemble input: rows of (orbit id, step, coordinates...)
 
 def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
     """Ensemble from CSV rows `orbit,step,x1,...`: every orbit has one row

@@ -142,34 +142,6 @@ class TransitionMatrix:
         return words
 
 
-class FiniteWordSource:
-    """Subshift language given by an explicit finite list of legal words.
-
-    Legal n-words are the length-n subwords of the listed words; lengths
-    beyond the longest listed word are not defined.
-    """
-
-    def __init__(self, words):
-        self._by_length = {}
-        for w in words:
-            w = tuple(w)
-            for n in range(1, len(w) + 1):
-                bucket = self._by_length.setdefault(n, set())
-                for i in range(len(w) - n + 1):
-                    bucket.add(w[i:i + n])
-
-    def legal_words(self, n):
-        if n not in self._by_length:
-            raise ValueError(f"no words of length {n} available")
-        return sorted(self._by_length[n])
-
-    def is_legal_word(self, word):
-        word = tuple(word)
-        if len(word) not in self._by_length:
-            raise ValueError(f"no words of length {len(word)} available")
-        return word in self._by_length[len(word)]
-
-
 @dataclass
 class PeriodicOrbit:
     """A periodic symbol sequence, stored as one period."""
@@ -184,10 +156,6 @@ class PeriodicOrbit:
     @property
     def period(self):
         return len(self.cycle)
-
-    def is_legal(self, A: TransitionMatrix):
-        """Legality of the cycle including the wraparound transition."""
-        return A.is_legal_word(self.cycle + (self.cycle[0],))
 
 
 def strong_components(bits):
@@ -510,28 +478,19 @@ class BlockRecoding:
         self.index = {w: i for i, w in enumerate(self.words)}
 
 
-def block_recode(source, n):
+def block_recode(A: TransitionMatrix, n):
     """Recode a subshift into the 1-step shift on its legal n-words.
 
     A transition u -> v is allowed iff the concatenation uv of length 2n
-    is legal in the source.  For a 1-step SFT source this reduces to the
-    single bridge transition between the last symbol of u and the first
-    of v.
+    is legal in A.  For a 1-step SFT that is the single bridge transition
+    between the last symbol of u and the first of v.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    words = [tuple(w) for w in source.legal_words(n)]
+    words = A.legal_words(n)
     if not words:
         raise EmptyRecode(f"no legal {n}-words")
-    if isinstance(source, TransitionMatrix):
-        bits = source.bits[np.ix_([u[-1] for u in words], [v[0] for v in words])]
-    else:
-        k = len(words)
-        bits = np.zeros((k, k), dtype=bool)
-        legal_2n = set(map(tuple, source.legal_words(2 * n)))
-        for i, u in enumerate(words):
-            for j, v in enumerate(words):
-                bits[i, j] = (u + v) in legal_2n
+    bits = A.bits[np.ix_([u[-1] for u in words], [v[0] for v in words])]
     if not bits.any():
         raise EmptyRecode(f"no legal {2 * n}-words")
     return BlockRecoding(TransitionMatrix(bits), words, n)
@@ -540,8 +499,9 @@ def block_recode(source, n):
 def project_cycle(recoding: BlockRecoding, z: PeriodicOrbit, source=None):
     """Concatenate the n-word symbols of a Z^(n) cycle into a base cycle.
 
-    Every cyclic length-n window of the result must be a legal n-word of
-    the source; violations mean the 2n rule was broken upstream.
+    Given the `TransitionMatrix` it was recoded from, every cyclic length-n
+    window of the result must be a legal n-word of `source`; violations
+    mean the 2n rule was broken upstream.
     """
     A = recoding.matrix
     cyc = z.cycle
@@ -599,19 +559,11 @@ def cylinder_growth(A: TransitionMatrix, n):
 
 
 # ---------------------------------------------------------------------------
-# matrix and word-list I/O
+# matrix I/O
 
-def format_matrix(A: TransitionMatrix, fmt="grid"):
-    """Serialize as a 0/1 grid or as run-length tokens `count*bit`."""
-    if fmt == "grid":
-        return "\n".join("".join("1" if b else "0" for b in row) for row in A.bits) + "\n"
-    if fmt == "rle":
-        flat = A.bits.ravel()
-        starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
-        lengths = np.diff(starts, append=flat.size)
-        runs = (f"{n}*{b:d}" for n, b in zip(lengths.tolist(), flat[starts].tolist()))
-        return f"rle {A.m}\n" + " ".join(runs) + "\n"
-    raise ValueError(f"unknown matrix format {fmt!r}")
+def format_matrix(A: TransitionMatrix):
+    """Serialize as a 0/1 grid, one row per line."""
+    return "\n".join("".join("1" if b else "0" for b in row) for row in A.bits) + "\n"
 
 
 def parse_matrix(text):
@@ -659,37 +611,9 @@ def load_matrix(path):
         return parse_matrix(fh.read())
 
 
-def save_matrix(A: TransitionMatrix, path, fmt="grid"):
+def save_matrix(A: TransitionMatrix, path):
     with open(path, "w") as fh:
-        fh.write(format_matrix(A, fmt))
-
-
-def format_words(words):
-    """Newline-delimited symbol strings; commas when symbols exceed one digit."""
-    out = []
-    for w in words:
-        w = tuple(w)
-        if all(0 <= s <= 9 for s in w):
-            out.append("".join(str(s) for s in w))
-        else:
-            out.append(",".join(str(s) for s in w))
-    return "\n".join(out) + "\n"
-
-
-def parse_words(text):
-    words = []
-    for ln in text.strip().splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if "," in ln:
-            word = tuple(int(t) for t in ln.split(","))
-        else:
-            word = tuple(int(c) for c in ln)
-        if any(s < 0 for s in word):
-            raise ValueError(f"negative symbol in word {ln!r}")
-        words.append(word)
-    return words
+        fh.write(format_matrix(A))
 
 
 def random_transition_matrix(rng, m, density):

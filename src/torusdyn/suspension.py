@@ -123,37 +123,6 @@ def suspend_flow(pt: SuspensionPoint, t, tau: CeilingFunction):
     return SuspensionPoint(base, height)
 
 
-def roof_crossings(w: SymbolWindow, t, tau: CeilingFunction):
-    """Heights s in (0, tau(w)) where the time-t flow of (w, s) crosses a roof.
-
-    These are the kinks of s -> suspend_flow((w, s), t); integrands composed
-    with the flow are smooth between consecutive crossings.
-    """
-    top = tau(w)
-    pts = []
-    if t > 0:
-        cum, base = 0.0, w
-        while True:
-            cum += tau(base)
-            s = cum - t
-            if s >= top:
-                break
-            if s > 0.0:
-                pts.append(s)
-            base = base.shift(1)
-    elif t < 0:
-        cum, base = 0.0, w
-        while True:
-            s = cum - t  # crossing below height 0 after j backward shifts
-            if s <= 0.0:
-                break
-            if s < top:
-                pts.append(s)
-            base = base.shift(-1)
-            cum -= tau(base)
-    return sorted(pts)
-
-
 class MarkovMeasure:
     """Stationary Markov measure (stochastic matrix P, stationary vector p).
 

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdyn.cli import run
-from torusdyn.config import (csv_cells, csv_rows, format_polyline_csv, parse_lagrangian,
-                             parse_polyline_csv)
-from torusdyn.entropy import LabeledOrbitEnsemble, ensemble_from_csv, ensemble_to_csv
+from torusdyn.config import csv_cells, csv_rows, parse_lagrangian, parse_polyline_csv
+from torusdyn.entropy import LabeledOrbitEnsemble, ensemble_from_csv
 from torusdyn.hyperbolic import cat_map, orbit_ensemble
 from torusdyn.lagrangian import MechanicalLagrangian
-from torusdyn.sft import TransitionMatrix, parse_matrix, parse_words
+from torusdyn.sft import TransitionMatrix, parse_matrix
+
+from helpers import ensemble_to_csv, format_polyline_csv
 
 FUZZ = settings(max_examples=300, deadline=None)
 INTS = st.integers(-3, 5).map(str) | st.sampled_from(["", "x", "1.5", "9" * 12, "-0"])
@@ -82,20 +83,6 @@ class TestParseMatrix:
     def test_huge_run_length_is_refused_before_expanding(self):
         with pytest.raises(ValueError, match="bits"):
             parse_matrix("rle 2\n" + "9" * 15 + "*1")
-
-
-class TestParseWords:
-    @FUZZ
-    @given(text=st.text(max_size=40) | st.lists(st.text("0123,-", max_size=6)).map("\n".join))
-    def test_words_or_value_error(self, text):
-        words = parses_or_value_error(parse_words, text)
-        if words is not None:
-            assert all(isinstance(w, tuple) and all(isinstance(s, int) and s >= 0 for s in w)
-                       for w in words)
-
-    def test_negative_symbol(self):
-        with pytest.raises(ValueError, match="symbol"):
-            parse_words("0,1\n-1,0\n")
 
 
 class TestEnsembleFromCsv:

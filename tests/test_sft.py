@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from torusdyn import sft
 from torusdyn.sft import (
     GOLDEN_MEAN,
-    FiniteWordSource,
     PeriodicOrbit,
     TransitionMatrix,
     block_recode,
@@ -454,7 +453,7 @@ class TestShortestCycle:
         perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         orbit = shortest_cycle(perm)
         assert orbit.period == 3
-        assert orbit.is_legal(perm)
+        assert perm.is_legal_word(orbit.cycle + orbit.cycle[:1])
 
     def test_acyclic_raises(self):
         A = TransitionMatrix([[0, 1], [0, 0]])
@@ -570,14 +569,16 @@ class TestBlockRecode:
                 assert top_entropy(rec.matrix) >= n * h - 1e-9
 
     def test_word_list_source_matches_matrix_source(self):
-        # the 1-step bridge gather against the generic 2n-word rule
+        # the 1-step bridge gather against the generic rule: u -> v iff uv is a legal 2n-word
         for bits, n in ((GOLDEN_MEAN.bits, 3), (np.ones((3, 3)), 4), (cycle_chord(6), 2),
                         ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3), ([[1]], 2)):
             A = TransitionMatrix(bits)
-            rec_a = block_recode(A, n)
-            rec_b = block_recode(FiniteWordSource(A.legal_words(2 * n)), n)
-            assert rec_a.words == rec_b.words
-            assert np.array_equal(rec_a.matrix.bits, rec_b.matrix.bits)
+            rec = block_recode(A, n)
+            legal_2n = set(A.legal_words(2 * n))
+            words = sorted({w[i:i + n] for w in legal_2n for i in range(n + 1)})
+            assert rec.words == words
+            assert np.array_equal(rec.matrix.bits,
+                                  [[u + v in legal_2n for v in words] for u in words])
 
     def test_index_is_not_a_constructor_argument(self):
         rec = block_recode(GOLDEN_MEAN, 2)
@@ -664,7 +665,8 @@ class TestDaDistance:
 
 
 def reference_rle(A):
-    """The per-cell run-length writer that `format_matrix` replaced, kept as its reference."""
+    """Run-length text `rle m` then `count*bit` tokens, written per cell: the
+    tests' writer for the run-length input that `parse_matrix` reads."""
     flat = A.bits.astype(int).ravel()
     runs = []
     start = 0
@@ -677,7 +679,7 @@ def reference_rle(A):
 
 class TestMatrixIO:
     def test_grid_round_trip(self):
-        text = sft.format_matrix(GOLDEN_MEAN, "grid")
+        text = sft.format_matrix(GOLDEN_MEAN)
         assert sft.parse_matrix(text) == GOLDEN_MEAN
 
     def test_rle_round_trip(self):
@@ -686,20 +688,10 @@ class TestMatrixIO:
                  full_shift(4), TransitionMatrix(np.eye(5)), TransitionMatrix(cycle_chord(40)),
                  TransitionMatrix(rng.random((30, 30)) < 0.5)]
         for A in cases:
-            text = sft.format_matrix(A, "rle")
-            assert text == reference_rle(A)
-            assert sft.parse_matrix(text) == A
+            assert sft.parse_matrix(reference_rle(A)) == A
 
     def test_spaced_grid(self):
         assert sft.parse_matrix("1 1\n1 0\n") == GOLDEN_MEAN
-
-    def test_word_list_round_trip(self):
-        words = GOLDEN_MEAN.legal_words(4)
-        assert sft.parse_words(sft.format_words(words)) == words
-
-    def test_word_list_commas(self):
-        words = [(10, 3), (2, 11, 0)]
-        assert sft.parse_words(sft.format_words(words)) == words
 
 
 def test_cylinder_growth_exposed():

@@ -13,9 +13,10 @@ from torusdyn.suspension import (
     lift_measure,
     orbit_weight,
     parry_measure,
-    roof_crossings,
     suspend_flow,
 )
+
+from helpers import roof_crossings
 
 PHI = (1 + np.sqrt(5)) / 2
 
