@@ -120,24 +120,11 @@ def cat_map():
     return ToralAutomorphism()
 
 
-def _exact_images(m, k, q, steps):
-    """Rows M^j k/q mod 1, j = 0..steps, for one point's numerators k, each the exact value
-    rounded once; a scalar Python-int loop, the fastest stepper for one long orbit."""
-    (a, b), (c, d) = m.tolist()
-    nu, nv = k
-    rows = []
-    for _ in range(steps + 1):
-        nu, nv = nu % q, nv % q
-        rows += nu / q, nv / q                # int / int rounds correctly
-        nu, nv = a * nu + b * nv, c * nu + d * nv
-    return wrap(np.reshape(rows, (-1, 2)))    # k/q can round up to 1.0
-
-
 def apply(tm: ToralAutomorphism, x, n=1):
     """T^n x mod 1 for points x (..., 2) by one product of M^n with their numerators:
     each exact image rounded once, NaN for a non-finite point."""
     k, q = _numerators(x)
-    out = wrap((k @ _int_matpow(tm.matrix, n).T % q / q).astype(float))   # k/q can round to 1.0
+    out = _lattice_orbit(tm.matrix, k, 0, q, start=n)[..., 0, :]
     out[~np.isfinite(x).all(axis=-1)] = np.nan
     return out
 
@@ -154,9 +141,16 @@ def _lattice_dtype(mat, q):
     return np.int64 if (q - 1) * max(abs(a) + abs(b) for a, b in mat.tolist()) < 2**63 else object
 
 
-def _lattice_orbit(mat, k, n_steps, q):
-    """Rows k/q, M k/q, ..., M^n_steps k/q mod 1 along axis -2, for lattice points
-    0 <= k < q (..., 2): exact, and each rounded once."""
+def _lattice_orbit(mat, k, n_steps, q, start=0):
+    """Rows M^start k/q, ..., M^(start+n_steps) k/q mod 1 along axis -2, for integer
+    numerators k (..., 2) over q: exact, and each rounded once.  The one stepper from
+    numerators to images: k is reduced mod q, M^start mod q applied once, and each
+    product runs in int64 where `_lattice_dtype` allows and in Python ints past that."""
+    k = np.asarray(k) % q
+    if start:
+        power = _int_matpow(mat, start) % q
+        dtype = _lattice_dtype(power, q)
+        k = k.astype(dtype) @ power.astype(dtype).T % q
     dtype = _lattice_dtype(mat, q)
     mat, k = mat.astype(dtype), k.astype(dtype)
     out = [k]
@@ -176,13 +170,20 @@ def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     in [1, 2^63), it is instead the exact orbit of the lattice point
     rint(x0 q)/q, in int64 where no product can leave it and Python ints past.
     """
+    if n_steps < 0:
+        raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}")
+    finite = np.isfinite(x0).all()
     if modulus is None:
-        if not np.isfinite(x0).all():
+        if not finite:
             return np.full((n_steps + 1, 2), np.nan)
         k, q = _numerators(x0)
-        return _exact_images(tm.matrix, k.tolist(), q, n_steps)
-    q = _lattice_modulus(modulus)
-    k = np.array([int(v) % q for v in np.round(np.asarray(x0, dtype=float) * q).tolist()])
+    else:
+        q = _lattice_modulus(modulus)
+        if not finite:
+            raise ValueError(f"lattice orbits need a finite point, got x0="
+                             f"{np.asarray(x0, dtype=float).tolist()}")
+        k = np.array([int(v) for v in np.round(np.asarray(x0, dtype=float) * q).tolist()],
+                     dtype=object)
     return _lattice_orbit(tm.matrix, k, n_steps, q)
 
 
@@ -216,13 +217,8 @@ def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
         k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
         k0 = rng.integers(0, q, size=(n_orbits, 2))
-    k0 = k0.astype(np.int64)
-    if backward:
-        power = _int_matpow(tm.matrix, -backward) % q
-        dtype = _lattice_dtype(power, q)
-        k0 = (k0.astype(dtype) @ power.astype(dtype).T % q).astype(np.int64)
-    return LabeledOrbitEnsemble(_lattice_orbit(tm.matrix, k0, backward + n_steps, q), dt=1.0,
-                                origin=backward)
+    return LabeledOrbitEnsemble(_lattice_orbit(tm.matrix, k0, backward + n_steps, q,
+                                               start=-backward), dt=1.0, origin=backward)
 
 
 def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
@@ -458,18 +454,6 @@ def _scan_corrections(tm: ToralAutomorphism, rows, n, part):
     return y[:, 0], y[::-1, 1]
 
 
-def _corrections(tm: ToralAutomorphism, es, eu):
-    """Corrections (a, b), each (rows, n + 1), for rows of stable/unstable jump
-    components (rows, n): `_scan_corrections` on arrays."""
-    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
-
-    def part(r, s0, s1, out):
-        out[0], out[1] = es[r, s0:s1], eu[r, s0:s1]
-
-    a, b = _scan_corrections(tm, *es.shape, part)
-    return a.T, b.T
-
-
 def _jump_components(tm: ToralAutomorphism, orbits):
     """part(r, s0, s1, out) for `_scan_corrections`: `tm.components` of orbit r's
     jumps s0..s1-1, as basis_inv @ p.jumps.T[:, s0:s1].  A one-step window is
@@ -621,12 +605,14 @@ def expansivity_gap(tm: ToralAutomorphism, x, y, L, beta):
     """d(x, y) for orbits beta-close over |n| <= L; contract d <= D beta e^(-lambda L).
 
     Raises HypothesisViolated (reporting the first bad step) if the orbits
-    leave the beta-tube.
+    leave the beta-tube, and ValueError unless L >= 0 and beta is finite and >= 0.
     """
+    if not (L >= 0 and 0 <= beta < math.inf):    # written so that a NaN beta fails too
+        raise ValueError(f"expansivity_gap needs L >= 0 and a finite beta >= 0, "
+                         f"got L={L}, beta={beta}")
     pts = wrap([x, y])
     k, q = _numerators(pts)
-    rows = np.array([_exact_images(tm.matrix, kp, q, 2 * L)       # T^-L, then 2L steps by T
-                     for kp in (k @ _int_matpow(tm.matrix, -L).T).tolist()])
+    rows = _lattice_orbit(tm.matrix, k, 2 * L, q, start=-L)    # T^-L, then 2L steps by T
     rows[~np.isfinite(pts).all(axis=1)] = np.nan
     d = torus_distance(rows[0], rows[1])
     if (d > beta).any():

@@ -1,12 +1,14 @@
 """Helpers that only the tests call: two CSV writers that feed the readers,
-the discrete Euler-Lagrange residual of a path, and the roof crossings of
-a suspension flow that `LiftedMeasure.integrate` takes as breakpoints."""
+the discrete Euler-Lagrange residual of a path, the roof crossings of a
+suspension flow that `LiftedMeasure.integrate` takes as breakpoints, and the
+shadowing corrections of jump components given as arrays."""
 
 import numpy as np
 
 from torusdyn.action import BrokenPath, _action_value_grad
 from torusdyn.config import format_csv
 from torusdyn.entropy import LabeledOrbitEnsemble
+from torusdyn.hyperbolic import ToralAutomorphism, _scan_corrections
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.suspension import CeilingFunction, SymbolWindow
 
@@ -67,3 +69,15 @@ def roof_crossings(w: SymbolWindow, t, tau: CeilingFunction):
             base = base.shift(-1)
             cum -= tau(base)
     return sorted(pts)
+
+
+def _corrections(tm: ToralAutomorphism, es, eu):
+    """Corrections (a, b), each (rows, n + 1), for rows of stable/unstable jump
+    components (rows, n): `_scan_corrections` on arrays."""
+    es, eu = np.atleast_2d(es), np.atleast_2d(eu)
+
+    def part(r, s0, s1, out):
+        out[0], out[1] = es[r, s0:s1], eu[r, s0:s1]
+
+    a, b = _scan_corrections(tm, *es.shape, part)
+    return a.T, b.T

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from torusdyn.hyperbolic import (
     torus_distance,
 )
 from torusdyn.torus import _lift_inplace, _wrap_into
+
+from helpers import _corrections
 
 LAM_U = (3 + np.sqrt(5)) / 2
 FIB = [0, 1]
@@ -150,11 +153,16 @@ class TestApply:
         step = apply(tm, pts[100], 1)
         assert torus_distance(step, pts[101]) < 1e-12
 
-    def test_orbit_matches_fraction_oracle(self):
+    @pytest.mark.parametrize("matrix,x0", [
+        (((2, 1), (1, 1)), (0.3, 0.7)),
+        (((FIB[92], FIB[91]), (FIB[91], FIB[90])), (0.3, 0.7)),   # steps in Python ints
+        (((2, 1), (1, 1)), (1e-300, 1 - 2**-53)),      # q = 2^1049: Python-int division
+    ], ids=["cat", "F92", "tiny"])
+    def test_orbit_matches_fraction_oracle(self, matrix, x0):
         # float steps drift like lam_u^i * 1e-16, 0.33 off by step 40 from here
-        tm = cat_map()
-        pts = hyp.orbit(tm, [0.3, 0.7], 200)
-        exact = _fraction_orbit(tm, [Fraction(0.3), Fraction(0.7)], 200)
+        tm = ToralAutomorphism(matrix)
+        pts = hyp.orbit(tm, x0, 200)
+        exact = _fraction_orbit(tm, [Fraction(v) for v in x0], 200)
         want = [[0.0 if float(v) == 1.0 else float(v) for v in x] for x in exact]
         assert np.array_equal(pts, want)
 
@@ -283,7 +291,7 @@ class TestNumpyKernels:
         for tm in (cat_map(), ToralAutomorphism([[1, 1], [1, 0]])):
             rng = np.random.default_rng(4)
             es, eu = tm.components(rng.uniform(-1e-4, 1e-4, (7, 500, 2)))
-            a, b = hyp._corrections(tm, es, eu)
+            a, b = _corrections(tm, es, eu)
             tail_a = lfilter([1.0], [1.0, -tm.lam_s], -es, axis=1)
             tail_b = lfilter([1.0], [1.0, -1.0 / tm.lam_u], eu[:, ::-1] / tm.lam_u,
                              axis=1)[:, ::-1]
@@ -323,7 +331,7 @@ def _shadow_one_orbit(tm, p):
     if p.delta >= 0.25:
         raise hyp.ThresholdExceeded(f"delta={p.delta} >= 0.25 risks ambiguous lifts")
     es, eu = tm.components(p.jumps)
-    a, b = hyp._corrections(tm, es, eu)
+    a, b = _corrections(tm, es, eu)
     s, u = a[0], b[0]       # ToralAutomorphism.recompose(s, u), inlined
     corrections = np.outer(np.asarray(s).ravel(), tm.e_s).reshape(np.shape(s) + (2,)) \
         + np.outer(np.asarray(u).ravel(), tm.e_u).reshape(np.shape(u) + (2,))
@@ -362,7 +370,7 @@ class TestSegmentedCorrections:
 
     @staticmethod
     def _check(tm, es, eu):
-        a, b = hyp._corrections(tm, es, eu)
+        a, b = _corrections(tm, es, eu)
         ref_a, ref_b = _reference_corrections(tm, es, eu)
         assert _same_bits(a, ref_a) and _same_bits(b, ref_b)
 
@@ -871,6 +879,13 @@ class TestExpansivityGap:
         tm = cat_map()
         assert expansivity_gap(tm, [0.2, 0.2], [0.2, 0.2], 10, 0.01) == 0.0
 
+    @pytest.mark.parametrize("L,beta", [(-1, 0.01), (8, np.nan), (8, -1.0), (8, np.inf)])
+    def test_rejects_negative_L_and_bad_beta(self, L, beta):
+        # L = -1, beta = nan and beta = inf returned d(x, y) = 0.587 without checking
+        # a step, and beta = -1 raised HypothesisViolated at d = 0
+        with pytest.raises(ValueError, match="needs L >= 0 and a finite beta >= 0"):
+            expansivity_gap(cat_map(), [0.1, 0.2], [0.5, 0.63], L, beta)
+
     def test_stable_pair_within_contract(self):
         tm = cat_map()
         L, beta = 8, 0.01
@@ -1201,6 +1216,18 @@ class TestExactLayer:
             u, v = k                                  # T^-1 (u, v) = (u - v, 2v - u)
             assert row[2].tolist() == [((u - v) % modulus) / modulus,
                                        ((2 * v - u) % modulus) / modulus]
+
+    @pytest.mark.parametrize("modulus", [None, 7])
+    def test_orbit_steps_must_be_nonnegative(self, modulus):
+        # n_steps = -1 gave 0 rows for a double point and 1 row for a lattice point
+        with pytest.raises(ValueError, match="steps must be nonnegative, got n_steps=-1"):
+            hyp.orbit(cat_map(), [0.3, 0.7], -1, modulus=modulus)
+
+    @pytest.mark.parametrize("x0", [(np.nan, 0.5), (0.25, np.inf)])
+    def test_lattice_orbit_needs_a_finite_point(self, x0):
+        # NaN raised "cannot convert float NaN to integer", inf an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"finite point, got x0={list(x0)}")):
+            hyp.orbit(cat_map(), x0, 3, modulus=7)
 
     @pytest.mark.parametrize("modulus", [0, -5, 2.5, 1.0, 2**63, "7"])
     def test_modulus_must_be_an_integer_in_range(self, modulus):
