@@ -35,7 +35,15 @@ def _load_matrix(args):
 
 
 def _emit(args, payload, rows=None, header=None):
-    """payload: dict for JSON; rows/header: columnar data for CSV output."""
+    """payload: dict for JSON; rows/header: columnar data for CSV output.
+
+    A non-finite float in either is a ValueError naming its key, before
+    anything is written: JSON has no NaN or Infinity, and an overflowed
+    result is no result in CSV either.
+    """
+    _check_finite(payload)
+    for row in rows or ():
+        _check_finite(dict(zip(header, row)))
     if args.format == "csv":
         if rows is None:
             rows, header = sorted(payload.items()), ("key", "value")
@@ -47,6 +55,17 @@ def _emit(args, payload, rows=None, header=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_finite(value, key=None):
+    if isinstance(value, dict):
+        for k, v in sorted(value.items()):      # the first key as JSON prints them
+            _check_finite(v, k)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for v in value:
+            _check_finite(v, key)
+    elif isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        raise ValueError(f"result {key!r} is not finite, got {value}")
 
 
 def _json_default(obj):
@@ -90,6 +109,8 @@ def _load_lagrangian(args):
 
 
 def cmd_critical_value(args):
+    if not 0 < args.tol < np.inf:                  # NaN fails this test too
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     L, _ = _load_lagrangian(args)
     c = _critical_value(L, tol=args.tol)
     _emit(args, {"c": c, "tol": args.tol})
@@ -126,13 +147,14 @@ def cmd_suspend_integrate(args):
     nu = sus_mod.parry_measure(A)
     tau = sus_mod.CeilingFunction.symbol_bonus(args.tau_base, args.tau_bonus, args.tau_symbol) \
         if args.tau_bonus else sus_mod.CeilingFunction.constant(args.tau_base)
-    integ = sus_mod.lift_measure(nu, tau)
     fns = {
         "one": lambda w, s: 1.0,
         "height": lambda w, s: s,
         "symbol0": lambda w, s: float(w[0] == 0),
     }
-    value = integ.integrate(fns[args.f], radius=1)
+    with np.errstate(over="ignore", invalid="ignore"):    # _emit refuses what overflows
+        integ = sus_mod.lift_measure(nu, tau)
+        value = integ.integrate(fns[args.f], radius=1)
     _emit(args, {"f": args.f, "value": value, "mean_ceiling": integ.total_time})
 
 

@@ -2,9 +2,11 @@
 
 Potentials are truncated Fourier series, so values, gradients and rigorous
 sup-norm bounds come straight from the coefficients with no
-finite-difference noise.  Arbitrary scalar fields (for example perturbing
-canal potentials) plug into the same protocol: callable on point batches,
-with a `grad` method and conservative `value_bounds`.
+finite-difference noise, and `FourierSeries.point_grad` gives the gradient
+at one point as one closure on T^1 and T^2 alike.  Arbitrary scalar fields
+(for example perturbing canal potentials) plug into the same protocol:
+callable on point batches, with a `grad` method and conservative
+`value_bounds`.
 """
 
 import math
@@ -19,8 +21,9 @@ TWO_PI = 2.0 * np.pi
 class FourierSeries:
     """Real trigonometric polynomial sum_k [a_k cos(2pi k.x) + b_k sin(2pi k.x)].
 
-    Coefficients are dicts mapping integer index tuples to floats; the
-    zero index contributes a constant (its sin term vanishes).
+    Coefficients are dicts mapping integer index tuples to finite floats
+    (a non-finite one is a ValueError naming its mode); the zero index
+    contributes a constant (its sin term vanishes).
 
     Values and gradients take one point (x of shape (d,)) or a batch
     (..., d).  A stack of three or more axes whose blocks have more than
@@ -39,6 +42,10 @@ class FourierSeries:
         self.dim = dim
         self.cos = {self._key(k): float(v) for k, v in (cos or {}).items() if v != 0.0}
         self.sin = {self._key(k): float(v) for k, v in (sin or {}).items() if v != 0.0}
+        for name, coeffs in (("cos", self.cos), ("sin", self.sin)):
+            for k, v in coeffs.items():
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} coefficient of mode {k} must be finite, got {v}")
         self.sin.pop((0,) * dim, None)
         keys = sorted(set(self.cos) | set(self.sin))
         self._modes = np.array(keys, dtype=float).reshape(len(keys), dim)
@@ -81,49 +88,38 @@ class FourierSeries:
     def point_grad(self):
         """The gradient at one point as a closure on Python floats.
 
-        g(x0) -> (g0,) on T^1, g(x0, x1) -> (g0, g1) on T^2: `grad`'s
-        arithmetic mode by mode with math.sin/math.cos, for callers that
-        step one point at a time, where numpy's per-call cost dominates.
-        The constant mode and a zero sine coefficient's term are left out:
-        each adds a zero to a sum that starts at +0.0, which changes no
-        bit.  Equal to `grad` bit for bit up to the order numpy's `@` sums
-        in (exact for one or two modes with indices in {-1, 0, 1}).  A
-        phase that overflows gives nan, as in `grad`.
+        g(x0, x1=0.0) -> (g0, g1) on T^1 and T^2: `grad`'s arithmetic mode
+        by mode with math.sin/math.cos, for callers that step one point at
+        a time, where numpy's per-call cost dominates.  On T^1 the modes get
+        a second index 0, so x1 is ignored and g1 is 0.0; the padded term
+        x1 * 0 = +0.0 can only turn a -0.0 phase into +0.0, which changes
+        the sign of a zero term of a sum that starts at +0.0, and no bit.
+        The constant mode and a zero sine coefficient's term are left out
+        for the same reason.  Equal to `grad` bit for bit up to the order
+        numpy's `@` sums in (exact for one or two modes with indices in
+        {-1, 0, 1}).  A phase that overflows gives nan, as in `grad`.
         """
-        terms = [(*k, a, b) for k, a, b in
+        if self.dim > 2:
+            raise ValueError("point_grad supports dim 1 and 2")
+        pad = [0.0] * (2 - self.dim)
+        terms = [(*k, *pad, a, b) for k, a, b in
                  zip(self._modes.tolist(), self._a.tolist(), self._b.tolist()) if any(k)]
-        if self.dim == 1:
-            def grad1(x0):
-                g0 = 0.0
-                try:
-                    for k0, a, b in terms:
-                        phase = TWO_PI * (x0 * k0)
-                        coeff = -math.sin(phase) * a
-                        if b:
-                            coeff += math.cos(phase) * b
-                        coeff *= TWO_PI
-                        g0 += coeff * k0
-                except ValueError:      # math.sin of an infinite phase
-                    return (math.nan,)
-                return (g0,)
-            return grad1
-        if self.dim == 2:
-            def grad2(x0, x1):
-                g0 = g1 = 0.0
-                try:
-                    for k0, k1, a, b in terms:
-                        phase = TWO_PI * (x0 * k0 + x1 * k1)
-                        coeff = -math.sin(phase) * a
-                        if b:
-                            coeff += math.cos(phase) * b
-                        coeff *= TWO_PI
-                        g0 += coeff * k0
-                        g1 += coeff * k1
-                except ValueError:
-                    return math.nan, math.nan
-                return g0, g1
-            return grad2
-        raise ValueError("point_grad supports dim 1 and 2")
+
+        def g(x0, x1=0.0):
+            g0 = g1 = 0.0
+            try:
+                for k0, k1, a, b in terms:
+                    phase = TWO_PI * (x0 * k0 + x1 * k1)
+                    coeff = -math.sin(phase) * a
+                    if b:
+                        coeff += math.cos(phase) * b
+                    coeff *= TWO_PI
+                    g0 += coeff * k0
+                    g1 += coeff * k1
+            except ValueError:      # math.sin of an infinite phase
+                return math.nan, math.nan
+            return g0, g1
+        return g
 
     def value_bounds(self):
         """Rigorous (lo, hi): constant term +- the l1 norm of the other modes."""

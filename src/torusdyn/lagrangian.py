@@ -8,14 +8,15 @@ for the purely mechanical case, a classical one-step RK4 otherwise.
 
 `el_flow` steps one point, so it runs on Python floats: it builds one
 acceleration closure per call and each integrator is one scalar loop.
-When U and the active components of eta have `point_grad` (Fourier
-series, or wrappers forwarding to them) the closure sums their modes with
-math.sin/math.cos; any other field (sums, canal potentials, user fields)
-is called through `MechanicalLagrangian.acceleration` on a numpy array.
+The closure takes one gradient closure g(x0, x1) -> (g0, g1) per field,
+on T^1 as on T^2: `point_grad` when U and the active components of eta
+all have it (Fourier series, or wrappers forwarding to them), which sums
+their modes with math.sin/math.cos; otherwise numpy `grad` on one point
+for every field (sums, canal potentials, user fields).
 """
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isnan
 
 import numpy as np
 
@@ -94,16 +95,11 @@ class MechanicalLagrangian:
     def force(self, x):
         return -self.potential.grad(x)
 
-    def magnetic_field(self, x):
-        """Scalar b with dv/dt += b * J v on T^2; identically zero on T^1."""
-        if self.dim == 1 or self.oneform.is_zero():
-            return np.zeros(np.asarray(x, dtype=float).shape[:-1])
-        return self.oneform.curl2(x)
-
     def acceleration(self, x, v):
+        """-grad U, plus b J v on T^2 with b = d eta the magnetic field."""
         acc = self.force(x)
-        if self.dim == 2 and not self.oneform.is_zero():
-            b = self.magnetic_field(x)[..., None]
+        if not self.is_mechanical():
+            b = self.oneform.curl2(x)[..., None]
             acc = acc + b * np.stack([v[..., 1], -v[..., 0]], axis=-1)
         return acc
 
@@ -120,34 +116,31 @@ def energy(L: MechanicalLagrangian, s: PhaseState):
 def _point_acceleration(L):
     """acc(x0, x1, v0, v1) -> (a0, a1) on Python floats; x1 = v1 = 0 on T^1.
 
-    Fields with a `point_grad` (Fourier series, and wrappers forwarding to
-    one) give a closure over their coefficients; any other field goes
-    through `L.acceleration` on a numpy array, one call per evaluation.
+    One gradient source per Lagrangian: each field's `point_grad` (Fourier
+    series, and wrappers forwarding to one), or numpy `grad` on one point
+    for every field when any field lacks it; mixing the two would sum
+    modes in two orders.  Then one closure per force law: -grad U, and on
+    T^2 with an active eta the magnetic law.
     """
     magnetic = not L.is_mechanical()
     fields = [L.potential] + (L.oneform.components if magnetic else [])
-    if not all(hasattr(f, "point_grad") for f in fields):
-        dim = L.dim
-
-        def acc(x0, x1, v0, v1):
-            a = L.acceleration(np.array([x0, x1][:dim]), np.array([v0, v1][:dim]))
-            return float(a[0]), (float(a[1]) if dim == 2 else 0.0)
-        return acc
-    grad_u = L.potential.point_grad()
-    if L.dim == 1:
-        def acc(x0, x1, v0, v1):
-            return -grad_u(x0)[0], 0.0
-    elif not magnetic:
+    if all(hasattr(f, "point_grad") for f in fields):
+        grad_u, *grad_eta = (f.point_grad() for f in fields)
+    else:
+        def numpy_grad(f):
+            return lambda x0, x1: (*f.grad(np.array([x0, x1][:L.dim])).tolist(), 0.0)[:2]
+        grad_u, *grad_eta = (numpy_grad(f) for f in fields)
+    if not magnetic:
         def acc(x0, x1, v0, v1):
             g0, g1 = grad_u(x0, x1)
             return -g0, -g1
-    else:
-        grad_e1, grad_e2 = (c.point_grad() for c in L.oneform.components)
+        return acc
+    grad_e1, grad_e2 = grad_eta
 
-        def acc(x0, x1, v0, v1):
-            g0, g1 = grad_u(x0, x1)
-            b = grad_e2(x0, x1)[0] - grad_e1(x0, x1)[1]
-            return -g0 + b * v1, -g1 + b * -v0
+    def acc(x0, x1, v0, v1):
+        g0, g1 = grad_u(x0, x1)
+        b = grad_e2(x0, x1)[0] - grad_e1(x0, x1)[1]
+        return -g0 + b * v1, -g1 + b * -v0
     return acc
 
 
@@ -242,6 +235,8 @@ def apriori_speed_bound(L: MechanicalLagrangian, C):
     conserved-energy lower bound E >= min U + |v|^2/2 caps the speed.
     All potential bounds are rigorous coefficient-sum bounds.
     """
+    if isnan(C):
+        raise ValueError("the mean action level C is NaN")
     u_lo, u_hi = L.potential.value_bounds()
     eta_sup = L.oneform.sup_norm_bound()
     inf_l = -(u_hi + 0.5 * eta_sup**2)   # fiberwise minimum of L, minimized over x

@@ -346,6 +346,24 @@ class TestExitCodes:
     def test_bad_ceiling_is_1(self, capsys, flags, needle):
         assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean"] + flags, needle)
 
+    @pytest.mark.parametrize("flags,needle", [
+        # printed "mean_ceiling": Infinity, "value": NaN and exited 0
+        (["--tau-base", "1e308", "--tau-bonus", "1e308"], "'mean_ceiling'"),
+        (["--tau-base", "1e308", "--tau-bonus", "1e308", "--format", "csv"], "'mean_ceiling'"),
+        (["--tau-base", "1e200"], "'value'"),        # tau^2/2 overflowed to Infinity
+        (["--tau-base", "1e200", "--format", "csv"], "'value'"),
+    ])
+    def test_overflowed_integral_is_1(self, capsys, flags, needle):
+        assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean"] + flags, needle)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_is_1(self, capsys, tmp_path, tol):
+        # nan printed "tol": NaN, which is not JSON; the others were accepted
+        path = tmp_path / "pendulum.cfg"
+        path.write_text(PENDULUM_CFG)
+        assert_one_error_line(capsys, ["critical-value", "--config", str(path), f"--tol={tol}"],
+                              "--tol must be finite and > 0")
+
     @pytest.mark.parametrize("command", ["sft-entropy", "sft-shortest-cycle", "sft-recode",
                                          "suspend-integrate"])
     def test_conflicting_matrix_flags_are_2(self, capsys, golden_file, command):

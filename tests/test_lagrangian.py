@@ -99,10 +99,18 @@ class TestFlatFourierProduct:
         assert np.array_equal([g(*p) for p in pts.tolist()], U2.grad(pts))
         U1 = FourierSeries(1, cos={0: -1.0, 1: 0.4}, sin={})
         g = U1.point_grad()
-        assert np.array_equal([g(*p) for p in pts[:, :1].tolist()], U1.grad(pts[:, :1]))
+        assert np.array_equal([g(*p) for p in pts[:, :1].tolist()],
+                              np.column_stack([U1.grad(pts[:, :1]), np.zeros(200)]))
 
 
 class TestFields:
+    @pytest.mark.parametrize("half", ["cos", "sin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_raises(self, half, value):
+        # was accepted, and the critical value of its Lagrangian read nan or inf
+        with pytest.raises(ValueError, match=rf"{half} coefficient of mode \(1,\) .* {value}"):
+            FourierSeries(1, **{half: {0: 0.5, 1: value}})
+
     def test_fourier_values_and_grad(self):
         f = FourierSeries(1, cos={1: 1.0}, sin={2: 0.5})
         x = np.array([[0.1], [0.3], [0.9]])
@@ -311,6 +319,11 @@ class TestAprioriSpeedBound:
         with pytest.raises(InvalidBound):
             apriori_speed_bound(pendulum(), -1.5)  # inf L = -max U = -1
 
+    def test_nan_level_raises(self):
+        # returned nan
+        with pytest.raises(ValueError, match="NaN"):
+            apriori_speed_bound(pendulum(), float("nan"))
+
 
 # ---------------------------------------------------------------------------
 # The float kernel against the numpy steppers it replaced
@@ -402,6 +415,11 @@ def perturbed_magnetic_2d():
     return perturb(magnetic_2d(), CanalPotential([[0.2, 0.3], [0.7, 0.4]], eps=0.2, k=3))
 
 
+def perturbed_mechanical_2d():
+    return perturb(MechanicalLagrangian(2, magnetic_2d().potential),
+                   CanalPotential([[0.2, 0.3], [0.7, 0.4]], eps=0.2, k=3))
+
+
 def run_both(L, s0, T, dt, integrator):
     new = el_flow(L, s0, T=T, dt=dt, integrator=integrator)
     old = REFERENCE[integrator](L, s0.x.copy(), s0.v.copy(), dt, int(round(T / dt)))
@@ -425,8 +443,10 @@ class TestStepKernel:
         (perturbed_pendulum, PhaseState([0.3], [1.2]), 2.0, "yoshida4"),
         (perturbed_pendulum, PhaseState([0.3], [1.2]), 2.0, "rk4"),
         (perturbed_magnetic_2d, PhaseState([0.2, 0.6], [0.7, -0.3]), 1.0, "rk4"),
+        (perturbed_mechanical_2d, PhaseState([0.1, 0.9], [0.5, 0.8]), 1.0, "yoshida4"),
     ], ids=["separatrix", "bench_magnetic_t2", "magnetic_2d", "verlet", "rk4_mechanical_t1",
-            "mechanical_t2", "canal_yoshida4", "canal_rk4", "canal_magnetic_t2"])
+            "mechanical_t2", "canal_yoshida4", "canal_rk4", "canal_magnetic_t2",
+            "canal_mechanical_t2"])
     def test_bit_equal_to_numpy_steppers(self, make, s0, T, integrator):
         new, (xs, vs) = run_both(make(), s0, T, 1e-3, integrator)
         assert new.xs.shape == xs.shape and new.vs.shape == vs.shape
@@ -471,7 +491,10 @@ class TestStepKernel:
         U1 = FourierSeries(1, cos={1: 1.0}, sin={1: -0.5})
         g = U1.point_grad()
         pts1 = rng.uniform(-3.0, 3.0, (200, 1))
-        assert np.array_equal([g(*p) for p in pts1.tolist()], U1.grad(pts1))
+        assert np.array_equal([g(*p) for p in pts1.tolist()],
+                              np.column_stack([U1.grad(pts1), np.zeros(200)]))
+        # on T^1 the second coordinate is ignored
+        assert all(g(p, x1) == g(p) for p, x1 in zip(pts1[:, 0].tolist(), pts2[:, 1].tolist()))
         assert FourierSeries.zero(2).point_grad()(0.3, 0.4) == (0.0, 0.0)
         assert np.isnan(U1.point_grad()(1e308)[0])
         with pytest.raises(ValueError):
