@@ -185,15 +185,16 @@ def _action_value_grad(L: MechanicalLagrangian, X, T, k, need_grad=True, n_value
 
 
 def _thresholds(L: MechanicalLagrangian, X):
-    """theta and (K, Ubar, u) of closed loops X (B, n, d), K > 0.
+    """theta and (K, Ubar, u) of closed loops X (B, n, d).
 
     Minimizing K/T + T (k - Ubar) + M over T (AM-GM): a loop has negative
     (L + k)-action at some duration exactly when k < theta = Ubar + K u^2,
-    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).
+    u = max(-M, 0) / (2K), with witness T* = sqrt(K / (k - Ubar)).  A
+    constant loop (K = 0, so M = 0) has u = 0 and theta = Ubar.
     """
     kin, useg, m, _ = _action_terms(L, X)
     K, ubar = (X.shape[1] - 1) * kin.sum(axis=1), useg.mean(axis=1)
-    u = np.maximum(-m.sum(axis=1), 0.0) / (2.0 * K)
+    u = np.divide(np.maximum(-m.sum(axis=1), 0.0), 2.0 * K, out=np.zeros_like(K), where=K > 0)
     return ubar + K * u * u, (K, ubar, u)
 
 
@@ -398,14 +399,13 @@ def _points(L: MechanicalLagrangian, x, y):
     return x, y
 
 
-def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
-                      residual_tol=_RESIDUAL_TARGET, maxiter=400):
+def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3, maxiter=400):
     """Fixed-endpoint, fixed-time local action minimizer across winding classes
     (`_least_over_classes`; the bound charges the mean of eta exactly, so a
     class that eta rewards stays in play).
 
     Raises NoConvergence (carrying the best iterate and its residual) when
-    the discrete Euler-Lagrange residual is not within `residual_tol`, and
+    the discrete Euler-Lagrange residual is above `_RESIDUAL_TARGET`, and
     ValueError for x or y without L.dim coordinates, non-finite x or y, or
     a T that is not positive and finite.
     """
@@ -420,8 +420,8 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3,
     path, _, res = _least_over_classes(
         L, minimal_lift(y - x), w_max, T, 0.0,
         lambda disp: _minimize_knots(L, x, disp, T, n_knots, maxiter=maxiter))
-    if not res <= residual_tol:
-        raise NoConvergence(f"residual {res:.2e} above {residual_tol:.0e}", path, res)
+    if not res <= _RESIDUAL_TARGET:
+        raise NoConvergence(f"residual {res:.2e} above {_RESIDUAL_TARGET:.0e}", path, res)
     return path
 
 
@@ -436,8 +436,12 @@ def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
     exceeds k, when it exceeds k by at most 4 ulp (a rise at rounding level,
     after which the next solve takes no step), after 40 solves, or when
     k <= Ubar on a seed; returns the last loop whose theta exceeded k, else
-    the cut seed, with its theta.
+    the cut seed, with its theta.  A constant loop X is returned as it is,
+    at theta = Ubar: its free-time action has sigma = 1 / (2 sqrt(K g)) with
+    K = 0, and cut, its knots may no longer be equal.
     """
+    if (X == X[0]).all():
+        return float(_thresholds(L, X[None])[0][0]), X
     W = _prolong(X, -(-(n_knots - 1) // (len(X) - 1)))
     best, h = (float(_thresholds(L, W[None])[0][0]), W), (len(W) - 1) // 2
     k = max(best[0], u_max)
@@ -610,25 +614,25 @@ def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch
     return search.best_loop()[0]
 
 
-def staticity_defect(L: MechanicalLagrangian, c, x, y, search=None, **kwargs):
+def staticity_defect(L: MechanicalLagrangian, c, x, y, search=None, w_max=3):
     """Phi_c(x, y) + Phi_c(y, x); zero picks out static pairs.  At x = y it
     is 0 by the shortcut Phi_k(x, x) = 0, so it tests nothing of the Aubry set.
     Both potentials share one `NegativeLoopSearch`."""
     search = search if search is not None else NegativeLoopSearch(L)
-    fwd = action_potential(L, c, x, y, search=search, **kwargs)
-    bwd = action_potential(L, c, y, x, search=search, **kwargs)
+    fwd = action_potential(L, c, x, y, w_max, search)
+    bwd = action_potential(L, c, y, x, w_max, search)
     if fwd.is_minus_infinity or bwd.is_minus_infinity:
         raise BelowCritical(f"k={c} admits negative loops; defect undefined")
     return fwd.value + bwd.value
 
 
-def potential_table(L: MechanicalLagrangian, ks, pairs, search=None, **kwargs):
+def potential_table(L: MechanicalLagrangian, ks, pairs, search=None, w_max=3):
     """Rows (k, x, y, phi, status) for CSV emission."""
     search = search if search is not None else NegativeLoopSearch(L)
     rows = []
     for k in ks:
         for x, y in pairs:
-            av = action_potential(L, k, x, y, search=search, **kwargs)
+            av = action_potential(L, k, x, y, w_max, search)
             phi, status = ("", "neg_inf") if av.is_minus_infinity else (repr(av.value), "finite")
             rows.append((repr(float(k)), _fmt_pt(x), _fmt_pt(y), phi, status))
     return rows

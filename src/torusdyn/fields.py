@@ -131,10 +131,6 @@ class FourierSeries:
     def is_zero(self):
         return not len(self._a)
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
 
 class SumField:
     """Signed sum of scalar fields sharing a dimension."""
@@ -198,7 +194,7 @@ class OneForm:
 
     @classmethod
     def zero(cls, dim):
-        return cls([FourierSeries.zero(dim) for _ in range(dim)])
+        return cls([FourierSeries(dim) for _ in range(dim)])
 
 
 def _newton_polish(field, x, sign):
@@ -228,7 +224,7 @@ def _newton_polish(field, x, sign):
 _GRID_BATCH = 1 << 14
 
 
-def grid_extremum(field, dim, n=512, refine=True):
+def grid_extremum(field, dim, n=512):
     """Numeric (min, argmin, max, argmax) of a periodic scalar field.
 
     Dense grid scan followed by a Newton polish of each extremum, kept when
@@ -243,10 +239,9 @@ def grid_extremum(field, dim, n=512, refine=True):
     vals = np.concatenate([field(mesh[i:i + step]) for i in range(0, len(mesh), step)])
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     best = {"min": (float(vals[lo_i]), mesh[lo_i]), "max": (float(vals[hi_i]), mesh[hi_i])}
-    if refine:
-        for kind, sign in (("min", 1.0), ("max", -1.0)):
-            x = _newton_polish(field, best[kind][1], sign)
-            val = float(field(x))
-            if sign * val < sign * best[kind][0]:
-                best[kind] = (val, wrap(x))
+    for kind, sign in (("min", 1.0), ("max", -1.0)):
+        x = _newton_polish(field, best[kind][1], sign)
+        val = float(field(x))
+        if sign * val < sign * best[kind][0]:
+            best[kind] = (val, wrap(x))
     return best["min"][0], best["min"][1], best["max"][0], best["max"][1]

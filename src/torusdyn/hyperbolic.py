@@ -266,7 +266,6 @@ class PseudoOrbit:
             raise ValueError("expected an (n, 2) array with n >= 2")
         if delta is not None and not delta >= 0:      # written so that NaN fails too
             raise ValueError(f"claimed jump bound must be >= 0, got {delta}")
-        self.tm = tm
         with np.errstate(invalid="ignore"):   # a non-finite point makes its jumps NaN
             self.points = points = wrap(points)
             if _float_images(tm.matrix):
@@ -584,11 +583,11 @@ def periodic_shadow(tm: ToralAutomorphism, p: PseudoOrbit):
     return PeriodicShadowResult(wrap([float(v) for v in exact]), eps, cover_residual, exact)
 
 
-def bracket(tm: ToralAutomorphism, x, y, gamma=0.05):
+def bracket(tm: ToralAutomorphism, x, y):
     """Local product point w = W^s_loc(x) cap W^u_loc(y) in canonical coordinates.
 
     Solves x + s e_s = y + u e_u for the minimal lift of y - x; the
-    intersection exists iff both |s| and |u| stay within gamma.
+    intersection exists iff both |s| and |u| stay within 0.05.
     """
     x, y = wrap(x), wrap(y)
     z = minimal_lift(y - x)
@@ -597,7 +596,7 @@ def bracket(tm: ToralAutomorphism, x, y, gamma=0.05):
     sol = np.linalg.solve(np.column_stack([tm.e_s, -tm.e_u]), z)
     s, u = float(sol[0]), float(sol[1])
     w = wrap(x + s * tm.e_s)
-    exists = abs(s) <= gamma and abs(u) <= gamma
+    exists = abs(s) <= 0.05 and abs(u) <= 0.05
     return w, exists
 
 
@@ -622,13 +621,13 @@ def expansivity_gap(tm: ToralAutomorphism, x, y, L, beta):
 
 
 class Specification:
-    """Strictly increasing integer times with gaps >= L and points on T^2.
+    """Strictly increasing integer times, their least gap `gap`, and points on T^2.
 
     delta-possibility means each point, flowed over its gap, lands within
     delta of the next point.
     """
 
-    def __init__(self, tm: ToralAutomorphism, times, points, gap_lower_bound=None):
+    def __init__(self, tm: ToralAutomorphism, times, points):
         times = [int(t) for t in times]
         points = wrap(points)
         if len(times) != len(points) or len(times) < 2:
@@ -637,8 +636,6 @@ class Specification:
         if min(gaps) <= 0:
             raise ValueError("times must be strictly increasing")
         self.gap = min(gaps)
-        if gap_lower_bound is not None and self.gap < gap_lower_bound:
-            raise ValueError(f"gap {self.gap} below required {gap_lower_bound}")
         self.tm = tm
         self.times = times
         self.points = points

@@ -80,7 +80,7 @@ class MechanicalLagrangian:
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if self.potential is None:
-            object.__setattr__(self, "potential", FourierSeries.zero(self.dim))
+            object.__setattr__(self, "potential", FourierSeries(self.dim))
         if self.oneform is None:
             object.__setattr__(self, "oneform", OneForm.zero(self.dim))
         if getattr(self.potential, "dim", self.dim) != self.dim or self.oneform.dim != self.dim:

@@ -472,10 +472,6 @@ class BlockRecoding:
     matrix: TransitionMatrix
     words: list
     n: int
-    index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.index = {w: i for i, w in enumerate(self.words)}
 
 
 def block_recode(A: TransitionMatrix, n):

@@ -9,6 +9,7 @@ probabilities, represented in weak form through an integrator.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,19 +70,22 @@ class SymbolWindow:
 class CeilingFunction:
     """Positive ceiling tau on symbol windows.
 
-    `radius` bounds the coordinates tau reads; `lipschitz` is its constant
-    in the cylinder metric when known.
+    `radius` bounds the coordinates tau reads; its values lie in
+    [tau_min, tau_max], and 0 < tau_min <= tau_max < inf.
     """
 
     fn: callable
     radius: int
     tau_min: float
     tau_max: float
-    lipschitz: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError("need 0 < tau_min <= tau_max")
+        # written so that NaN fails too
+        if not 0 < self.tau_min:
+            raise ValueError(f"ceiling bound 'tau_min' must be > 0, got {self.tau_min}")
+        if not self.tau_min <= self.tau_max < np.inf:
+            raise ValueError(f"ceiling bound 'tau_max' must be finite and >= tau_min = "
+                             f"{self.tau_min}, got {self.tau_max}")
 
     def __call__(self, w: SymbolWindow):
         val = float(self.fn(w))
@@ -96,9 +100,10 @@ class CeilingFunction:
     @classmethod
     def symbol_bonus(cls, base=1.0, bonus=0.5, symbol=1):
         """tau(w) = base + bonus*[w_0 = symbol]; depends on one coordinate."""
+        # np.minimum keeps a NaN that the builtin min would drop
         return cls(lambda w: base + bonus * (w[0] == symbol), radius=0,
-                   tau_min=min(base, base + bonus), tau_max=max(base, base + bonus),
-                   lipschitz=abs(bonus))
+                   tau_min=float(np.minimum(base, base + bonus)),
+                   tau_max=float(np.maximum(base, base + bonus)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,8 @@ def suspend_flow(pt: SuspensionPoint, t, tau: CeilingFunction):
     the necessary shifts.
     """
     base, height = pt.base, pt.height + t
-    while height >= tau(base):
-        height -= tau(base)
+    while height >= (top := tau(base)):
+        height -= top
         base = base.shift(1)
     while height < 0:
         base = base.shift(-1)
@@ -123,7 +128,15 @@ def suspend_flow(pt: SuspensionPoint, t, tau: CeilingFunction):
     return SuspensionPoint(base, height)
 
 
-class MarkovMeasure:
+class _WindowMeasure:
+    """A shift-invariant measure given by its weighted windows of each radius."""
+
+    def expect_window(self, f, radius):
+        """Exact E[f(window)] over the weighted windows of the given radius."""
+        return float(sum(wt * f(w) for w, wt in self.windows(radius)))
+
+
+class MarkovMeasure(_WindowMeasure):
     """Stationary Markov measure (stochastic matrix P, stationary vector p).
 
     Its support must respect the transition matrix when one is supplied.
@@ -158,14 +171,8 @@ class MarkovMeasure:
 
     def windows(self, radius):
         """All windows of the given radius with positive cylinder weight."""
-        words = [(s,) for s in range(self.m) if self.p[s] > 0]
-        for _ in range(2 * radius):
-            words = [w + (t,) for w in words for t in np.flatnonzero(self.P[w[-1]] > 0)]
-        return [(SymbolWindow(w, radius), self.cylinder(w)) for w in words]
-
-    def expect_window(self, f, radius):
-        """Exact E_nu[f(window)] by cylinder enumeration."""
-        return float(sum(wt * f(w) for w, wt in self.windows(radius)))
+        words = TransitionMatrix(self.P > 0).legal_words(2 * radius + 1)
+        return [(SymbolWindow(w, radius), self.cylinder(w)) for w in words if self.p[w[0]] > 0]
 
     def sample(self, rng, length):
         """One stationary sample path of the chain."""
@@ -183,7 +190,7 @@ class MarkovMeasure:
         return float(-(self.p[:, None] * np.where(mask, self.P * np.log(np.where(mask, self.P, 1.0)), 0.0)).sum())
 
 
-class OrbitMeasure:
+class OrbitMeasure(_WindowMeasure):
     """Convex combination of periodic-orbit measures on the shift."""
 
     def __init__(self, cycles, weights=None):
@@ -195,16 +202,13 @@ class OrbitMeasure:
             raise NonInvariant("orbit weights must be a probability vector")
 
     def windows(self, radius):
-        out = []
-        for cyc, wt in zip(self.cycles, self.weights):
-            p = len(cyc)
-            for phase in range(p):
-                rot = cyc[phase:] + cyc[:phase]
-                out.append((SymbolWindow.periodic(rot, radius), wt / p))
-        return out
+        return [(w, wt / len(cyc)) for cyc, wt in zip(self.cycles, self.weights)
+                for w in _phase_windows(cyc, radius)]
 
-    def expect_window(self, f, radius):
-        return float(sum(wt * f(w) for w, wt in self.windows(radius)))
+
+def _phase_windows(cycle, radius):
+    """The periodic windows of the given radius centred on each phase of `cycle`."""
+    return [SymbolWindow.periodic(cycle[i:] + cycle[:i], radius) for i in range(len(cycle))]
 
 
 def parry_measure(A: TransitionMatrix):
@@ -245,7 +249,7 @@ class LiftedMeasure:
         self.tau = tau
         self.total_time = nu.expect_window(tau, tau.radius)
 
-    def integrate(self, f, radius=None, n_quad=32, breakpoints=None):
+    def integrate(self, f, radius=None, breakpoints=None):
         """Integrate f(window, height) against the lifted probability.
 
         `radius` is the window radius f needs (defaults to the ceiling's);
@@ -255,22 +259,27 @@ class LiftedMeasure:
         if radius is None:
             radius = self.tau.radius
         radius = max(radius, self.tau.radius)
-        rule = np.polynomial.legendre.leggauss(n_quad)
 
         def fiber(w):
             top = self.tau(w)
             cuts = [0.0, top]
             if breakpoints is not None:
                 cuts = sorted(set(cuts) | {float(b) for b in breakpoints(w) if 0.0 < b < top})
-            return _panel_sum(f, w, cuts, rule)
+            return _panel_sum(f, w, cuts)
 
         return self.nu.expect_window(fiber, radius) / self.total_time
 
 
-def _panel_sum(f, w, cuts, rule):
-    """Gauss-Legendre `rule` (nodes, weights) sum of f(w, s) over each panel
-    [cuts[i], cuts[i + 1]] of the fiber above the window w."""
-    nodes, weights = rule
+@cache
+def _gauss_legendre():
+    """(nodes, weights) of the 32-node Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(32)
+
+
+def _panel_sum(f, w, cuts):
+    """32-node Gauss-Legendre sum of f(w, s) over each panel [cuts[i], cuts[i + 1]]
+    of the fiber above the window w."""
+    nodes, weights = _gauss_legendre()
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
@@ -282,13 +291,8 @@ def lift_measure(nu, tau: CeilingFunction):
     return LiftedMeasure(nu, tau)
 
 
-def orbit_weight(cycle, tau: CeilingFunction, cost, n_quad=32):
+def orbit_weight(cycle, tau: CeilingFunction, cost):
     """Integral of cost(window, height) over one period of a suspended cycle."""
     cycle = tuple(cycle)
     radius = max(tau.radius, 1) + len(cycle)
-    rule = np.polynomial.legendre.leggauss(n_quad)
-    total = 0.0
-    for phase in range(len(cycle)):
-        w = SymbolWindow.periodic(cycle[phase:] + cycle[:phase], radius)
-        total += _panel_sum(cost, w, (0.0, tau(w)), rule)
-    return float(total)
+    return float(sum(_panel_sum(cost, w, (0.0, tau(w))) for w in _phase_windows(cycle, radius)))

@@ -23,6 +23,7 @@ from torusdyn.action import (
 from torusdyn.fields import FourierSeries, OneForm, grid_extremum
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.perturbation import CanalPotential, perturb
+from torusdyn.torus import grid as torus_grid
 
 from helpers import el_residual
 
@@ -175,9 +176,9 @@ class TestTonelliMinimizer:
     def test_no_convergence_reports_iterate(self):
         L = double_well()
         with pytest.raises(NoConvergence) as exc:
-            tonelli_minimizer(L, [0.262], [0.738], T=4.0, maxiter=2, residual_tol=1e-12)
+            tonelli_minimizer(L, [0.262], [0.738], T=4.0, maxiter=2)
         assert exc.value.path is not None
-        assert exc.value.residual > 1e-12
+        assert exc.value.residual > action_mod._RESIDUAL_TARGET
 
     @pytest.mark.parametrize("x,y,T", [(np.nan, 0.3, 1.0), (0.1, np.inf, 1.0), (0.1, -np.inf, 1.0),
                                        (0.1, 0.3, np.nan), (0.1, 0.3, np.inf), (0.1, 0.3, 0.0)])
@@ -693,7 +694,8 @@ class TestGridExtremumPolish:
          -1.0254062680672127, 0.8139567152117809),
     ])
     def test_improves_on_grid_and_matches_bfgs(self, field, lo, hi):
-        grid_lo, _, grid_hi, _ = grid_extremum(field, field.dim, refine=False)
+        vals = field(torus_grid(512, field.dim))
+        grid_lo, grid_hi = vals.min(), vals.max()
         u_lo, x_lo, u_hi, x_hi = grid_extremum(field, field.dim)
         assert u_lo < grid_lo and u_hi > grid_hi
         assert abs(u_lo - lo) <= 1e-12 and abs(u_hi - hi) <= 1e-12
@@ -987,6 +989,22 @@ class TestLoopRefinement:
         # at eta0 = 1.28, and c would read max U = 1
         c = critical_value(pendulum_eta(eta0))
         assert 1.003 < c <= magnetic_t1_exact_c(eta0)
+
+    # a constant T^2 loop at a dyadic point, which the cut into pieces keeps
+    # constant; K = M = 0 gave 0/0 in u = max(-M, 0) / (2K)
+    CONSTANT_LOOP = np.tile([0.25, 0.5], (5, 1))
+
+    def test_constant_loop_threshold_is_mean_u(self):
+        L = general_magnetic_t2()
+        theta, (K, ubar, u) = action_mod._thresholds(L, self.CONSTANT_LOOP[None])
+        assert K[0] == 0.0 and u[0] == 0.0 and theta[0] == ubar[0]
+        assert abs(theta[0] - float(L.potential(self.CONSTANT_LOOP[0]))) <= 1e-15
+
+    def test_constant_loop_is_returned_at_its_price(self):
+        L = general_magnetic_t2()
+        ubar = action_mod._thresholds(L, self.CONSTANT_LOOP[None])[1][1][0]
+        theta, loop = action_mod._refine_loop(L, self.CONSTANT_LOOP, 33, 0.8)
+        assert theta == ubar and np.array_equal(loop, self.CONSTANT_LOOP)
 
 
 

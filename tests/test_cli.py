@@ -347,9 +347,10 @@ class TestExitCodes:
         assert_one_error_line(capsys, ["suspend-integrate", "--golden-mean"] + flags, needle)
 
     @pytest.mark.parametrize("flags,needle", [
-        # printed "mean_ceiling": Infinity, "value": NaN and exited 0
-        (["--tau-base", "1e308", "--tau-bonus", "1e308"], "'mean_ceiling'"),
-        (["--tau-base", "1e308", "--tau-bonus", "1e308", "--format", "csv"], "'mean_ceiling'"),
+        # printed "mean_ceiling": Infinity, "value": NaN and exited 0; the
+        # ceiling now refuses its infinite bound before any integral
+        (["--tau-base", "1e308", "--tau-bonus", "1e308"], "'tau_max'"),
+        (["--tau-base", "1e308", "--tau-bonus", "1e308", "--format", "csv"], "'tau_max'"),
         (["--tau-base", "1e200"], "'value'"),        # tau^2/2 overflowed to Infinity
         (["--tau-base", "1e200", "--format", "csv"], "'value'"),
     ])

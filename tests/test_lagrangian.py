@@ -34,19 +34,27 @@ def separatrix_state():
 
 
 def magnetic_2d():
-    eta = OneForm([FourierSeries(2, cos={(0, 1): 0.1}), FourierSeries.zero(2)])
+    eta = OneForm([FourierSeries(2, cos={(0, 1): 0.1}), FourierSeries(2)])
     U = FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2})
     return MechanicalLagrangian(2, U, eta)
 
 
 def one_batch_grid_extremum(field, dim, n=512):
-    """The grid scan of `grid_extremum` with the whole grid in one batch."""
-    from torusdyn.torus import grid
+    """`grid_extremum` with the whole grid scanned in one batch, then the
+    same Newton polish of each grid extremum, kept where it improves."""
+    from torusdyn.fields import _newton_polish
+    from torusdyn.torus import grid, wrap
 
     mesh = grid(n, dim)
     vals = field(mesh)
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
-    return float(vals[lo_i]), mesh[lo_i], float(vals[hi_i]), mesh[hi_i]
+    best = [(float(vals[lo_i]), mesh[lo_i]), (float(vals[hi_i]), mesh[hi_i])]
+    for i, sign in ((0, 1.0), (1, -1.0)):
+        x = _newton_polish(field, best[i][1], sign)
+        val = float(field(x))
+        if sign * val < sign * best[i][0]:
+            best[i] = (val, wrap(x))
+    return best[0][0], best[0][1], best[1][0], best[1][1]
 
 
 def reference_fourier(f, x):
@@ -133,13 +141,14 @@ class TestFields:
         assert min(argmax[0], 1 - argmax[0]) < 1e-6
 
     def test_grid_extremum_matches_one_batch(self):
-        # the batched scan keeps the values and first arguments of one batch
+        # the batched scan keeps the values and first arguments of one batch,
+        # so the polish starts where it would from one batch
         f = FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.1},
                           sin={(2, 1): 0.05, (0, 3): 0.07})
         canal = CanalPotential([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], eps=0.4, k=2,
                                winds=[[0, 0], [0, 0], [1, 0]])
         for field in (f, SumField([(1.0, f), (-1.0, canal)])):
-            got = grid_extremum(field, 2, refine=False)
+            got = grid_extremum(field, 2)
             want = one_batch_grid_extremum(field, 2)
             assert [float(got[0]), float(got[2])] == [want[0], want[2]]
             assert got[1].tobytes() == want[1].tobytes()
@@ -156,7 +165,7 @@ class TestFields:
         assert lo <= -1.25 + 1e-12 and hi >= 1.25 - 1e-12
 
     def test_curl(self):
-        eta = OneForm([FourierSeries(2, cos={(0, 1): 0.1}), FourierSeries.zero(2)])
+        eta = OneForm([FourierSeries(2, cos={(0, 1): 0.1}), FourierSeries(2)])
         x = np.array([[0.3, 0.2]])
         # d1 eta2 - d2 eta1 = 0 - (-0.1*2pi sin(2pi x2))
         expect = 0.1 * 2 * np.pi * np.sin(2 * np.pi * 0.2)
@@ -495,7 +504,7 @@ class TestStepKernel:
                               np.column_stack([U1.grad(pts1), np.zeros(200)]))
         # on T^1 the second coordinate is ignored
         assert all(g(p, x1) == g(p) for p, x1 in zip(pts1[:, 0].tolist(), pts2[:, 1].tolist()))
-        assert FourierSeries.zero(2).point_grad()(0.3, 0.4) == (0.0, 0.0)
+        assert FourierSeries(2).point_grad()(0.3, 0.4) == (0.0, 0.0)
         assert np.isnan(U1.point_grad()(1e308)[0])
         with pytest.raises(ValueError):
             FourierSeries(3, cos={(1, 0, 0): 1.0}).point_grad()

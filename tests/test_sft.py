@@ -580,12 +580,6 @@ class TestBlockRecode:
             assert np.array_equal(rec.matrix.bits,
                                   [[u + v in legal_2n for v in words] for u in words])
 
-    def test_index_is_not_a_constructor_argument(self):
-        rec = block_recode(GOLDEN_MEAN, 2)
-        assert rec.index == {w: i for i, w in enumerate(rec.words)}
-        with pytest.raises(TypeError):
-            sft.BlockRecoding(rec.matrix, rec.words, 2, index={})
-
 
 class TestProjectCycle:
     def test_self_loop_projection(self):
@@ -596,7 +590,7 @@ class TestProjectCycle:
 
     def test_two_cycle_projection(self):
         rec = block_recode(GOLDEN_MEAN, 2)
-        i, j = rec.index[(0, 1)], rec.index[(0, 0)]
+        i, j = rec.words.index((0, 1)), rec.words.index((0, 0))
         proj = project_cycle(rec, PeriodicOrbit((i, j)), source=GOLDEN_MEAN)
         assert proj.cycle == (0, 1, 0, 0)
         doubled = proj.cycle * 2
@@ -606,7 +600,7 @@ class TestProjectCycle:
         # (0,1) -> (1,0) would project to 0110, whose window 11 is illegal,
         # and the 2n rule indeed forbids that transition
         rec = block_recode(GOLDEN_MEAN, 2)
-        i, j = rec.index[(0, 1)], rec.index[(1, 0)]
+        i, j = rec.words.index((0, 1)), rec.words.index((1, 0))
         assert not rec.matrix.bits[i, j]
         with pytest.raises(sft.IllegalConcatenation):
             project_cycle(rec, PeriodicOrbit((i, j)), source=GOLDEN_MEAN)
@@ -621,7 +615,7 @@ class TestProjectCycle:
         # golden-mean Z^(2) allows every bridge, so test on the 3-cycle
         perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         rec3 = block_recode(perm, 2)
-        w01 = rec3.index[(0, 1)]
+        w01 = rec3.words.index((0, 1))
         assert not rec3.matrix.bits[w01, w01]
         with pytest.raises(sft.IllegalConcatenation):
             project_cycle(rec3, PeriodicOrbit((w01, w01)), source=perm)

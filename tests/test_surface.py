@@ -1,8 +1,9 @@
 """Every public top-level function and class of the package is reached from
 outside its own definition: by the package itself, a demo, the benchmark,
-the README or the acceptance tests.  A name that only the other tests call
-belongs in the tests, and so does a private top-level function that the
-package, the demos and the benchmark never name."""
+the README or the acceptance tests.  The package's re-export in
+`__init__.py` is no reach: it names every public name.  A name that only
+the other tests call belongs in the tests, and so does a private top-level
+function that the package, the demos and the benchmark never name."""
 
 import ast
 import re
@@ -32,7 +33,8 @@ def _unreached(definitions, files):
 def test_every_public_name_is_reached():
     public = [d for d in _definitions((ast.FunctionDef, ast.ClassDef))
               if not d[2].startswith("_")]
-    unreached = _unreached(public, [*PROGRAM, ROOT / "README.md",
+    reach = [path for path in PROGRAM if path != ROOT / "src" / "torusdyn" / "__init__.py"]
+    unreached = _unreached(public, [*reach, ROOT / "README.md",
                                     ROOT / "tests" / "test_acceptance.py"])
     assert not unreached, "reached only from tests/: " + ", ".join(unreached)
 
