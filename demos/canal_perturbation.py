@@ -8,7 +8,7 @@ the minimizing set.
 
 import numpy as np
 
-from torusdyn import CanalPotential, FourierSeries, MechanicalLagrangian, canal, perturb
+from torusdyn import CanalPotential, FourierSeries, MechanicalLagrangian, perturb
 from torusdyn.perturbation import (
     CanalExperimentConfig,
     core_force_residual,
@@ -20,7 +20,7 @@ config = CanalExperimentConfig()
 
 # --- canal at the unstable equilibrium (the Aubry set): nothing moves
 cp = CanalPotential([[0.0]], eps=0.1, k=2)
-print(f"canal values: phi(0) = {canal(cp, [0.0])}, phi(0.25) = {canal(cp, [0.25]):.4f}")
+print(f"canal values: phi(0) = {float(cp([0.0]))}, phi(0.25) = {float(cp([0.25])):.4f}")
 print(f"force the canal exerts on its core: {core_force_residual(pendulum, cp):.1e}")
 report = experiment_localization(pendulum, cp, config)
 print("canal on the equilibrium:")
@@ -41,8 +41,8 @@ print(f"  best loop sits {report['best_loop_core_distance']:.3f} from the core "
 U2 = FourierSeries(2, cos={(0, 1): 0.3})
 L2 = MechanicalLagrangian(2, U2)
 equator = CanalPotential([[0.0, 0.5]], eps=0.5, k=2, winds=[[1, 0]])
-print(f"equator canal on T^2: phi on core = {canal(equator, [0.37, 0.5]):.1e}, "
-      f"phi at the far parallel = {canal(equator, [0.2, 0.0]):.4f} (eps/4 = 0.125)")
+print(f"equator canal on T^2: phi on core = {float(equator([0.37, 0.5])):.1e}, "
+      f"phi at the far parallel = {float(equator([0.2, 0.0])):.4f} (eps/4 = 0.125)")
 L2p = perturb(L2, equator)
 pts = np.random.default_rng(0).random((4, 2))
 print("U - phi sampled:", np.round(L2p.potential(pts), 4))

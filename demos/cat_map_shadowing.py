@@ -16,9 +16,8 @@ from torusdyn.hyperbolic import (
     random_pseudo_orbit,
     shadow,
     shadow_specification,
-    torus_distance,
-    wrap,
 )
+from torusdyn.torus import torus_metric, wrap
 
 tm = cat_map()
 print(f"lambda_u = {tm.lam_u:.6f}, lambda_s = {tm.lam_s:.6f}, "
@@ -44,7 +43,7 @@ x = np.array([0.40, 0.40])
 y = wrap(x + 0.02 * rng.standard_normal(2))
 w, exists = bracket(tm, x, y)
 print(f"bracket exists: {exists}; forward distance to orbit of x after 10 steps: "
-      f"{torus_distance(apply(tm, w, 10), apply(tm, x, 10)):.2e}")
+      f"{torus_metric(apply(tm, w, 10), apply(tm, x, 10)):.2e}")
 
 # --- expansivity: orbits that stay close for |n| <= L started exponentially close
 L = 8

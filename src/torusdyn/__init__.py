@@ -34,7 +34,7 @@ from .entropy import (
     separated_count,
     spanning_count,
 )
-from .fields import FourierSeries, OneForm, SumField, grid_extremum
+from .fields import FourierSeries, OneForm, SumField, grid_maximum
 from .hyperbolic import (
     PseudoOrbit,
     Specification,
@@ -55,7 +55,7 @@ from .lagrangian import (
     el_flow,
     energy,
 )
-from .perturbation import CanalPotential, canal, experiment_localization, perturb
+from .perturbation import CanalPotential, experiment_localization, perturb
 from .sft import (
     GOLDEN_MEAN,
     BlockRecoding,

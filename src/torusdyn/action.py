@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import grid_extremum
+from .fields import grid_maximum
 from .lagrangian import MechanicalLagrangian
 from .torus import minimal_lift, wrap
 
@@ -491,7 +491,7 @@ class NegativeLoopSearch:
 
     def __init__(self, L: MechanicalLagrangian):
         self.L = L
-        _, _, self.u_max, self.x_max = grid_extremum(L.potential, L.dim)
+        self.u_max, self.x_max = grid_maximum(L.potential, L.dim)
         self._best = None        # see best_loop
 
     def _battery(self):

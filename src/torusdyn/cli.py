@@ -178,9 +178,9 @@ def cmd_entropy_estimate(args):
         if args.steps < 1:
             raise ValueError(f"--steps must be at least 1, got {args.steps}")
         _, F = _cat_ensemble(args)
-    T = args.T if args.T is not None else (F.n_steps - 1 - F.origin) * F.dt
+    T = args.T if args.T is not None else float(F.n_steps - 1 - F.origin)
     if F.steps_for(T) < 2:
-        raise ValueError(f"T={T} spans no step of dt={F.dt}: a rate needs at least one")
+        raise ValueError(f"T={T} spans no sample step: a rate needs at least one")
     # one ladder pass; the greedy net is both the cover and the separated set
     r, pairs, covers = entropy_mod.ladder_counts(F, T, args.delta, covers=args.series)
     header = ("t", "cover", "close_pairs")
@@ -194,7 +194,7 @@ def cmd_entropy_estimate(args):
         raise ValueError(f"the decay rate needs two steps with at least {entropy_mod._FLOOR} "
                          f"close pairs; {kept} step(s) kept them")
     payload = {"T": T, "delta": args.delta, "r": r, "s": r,
-               "h_estimate": entropy_mod.decay_rate(pairs, F.dt)}
+               "h_estimate": entropy_mod.decay_rate(pairs)}
     if args.series:
         payload["series"] = [dict(zip(header, row)) for row in rows]
     _emit(args, payload)

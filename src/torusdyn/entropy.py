@@ -29,24 +29,18 @@ class NoValidRadius(ValueError):
         self.achieved = achieved
 
 
-def euclidean_metric(a, b):
-    diff = np.asarray(a) - np.asarray(b)
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 @dataclass
 class LabeledOrbitEnsemble:
-    """Equal-length sampled orbits in a metric space.
+    """Equal-length sampled orbits in a metric space, one sample a time step.
 
-    `origin` is the array index of time zero; columns before it hold
-    backward iterates for two-sided probes.  `metric(p, q)` is called on
-    paired (P, dim) point arrays and returns the P distances between p[i]
-    and q[i]; it must act row by row, so a row's distance does not depend
-    on the other rows.
+    Times T and horizons count steps.  `origin` is the array index of time
+    zero; columns before it hold backward iterates for two-sided probes.
+    `metric(p, q)` is called on paired (P, dim) point arrays and returns
+    the P distances between p[i] and q[i]; it must act row by row, so a
+    row's distance does not depend on the other rows.
     """
 
     orbits: np.ndarray          # (n_orbits, n_steps, dim)
-    dt: float = 1.0
     metric: callable = field(default=torus_metric)
     origin: int = 0
 
@@ -56,8 +50,6 @@ class LabeledOrbitEnsemble:
             raise ValueError("orbits must be (n_orbits, n_steps, dim)")
         if not np.isfinite(self.orbits).all():
             raise ValueError("orbits must have finite coordinates")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if not 0 <= self.origin < self.orbits.shape[1]:
             raise ValueError("origin outside the sampled window")
 
@@ -72,13 +64,13 @@ class LabeledOrbitEnsemble:
     def steps_for(self, T):
         """Number of forward samples covering [0, T]."""
         T = _radius(T, "T")
-        steps = int(round(T / self.dt)) + 1
+        steps = int(round(T)) + 1
         if self.origin + steps > self.n_steps:
             raise ValueError(f"T={T} exceeds the sampled horizon")
         return steps
 
     def restrict(self, indices):
-        return LabeledOrbitEnsemble(self.orbits[np.asarray(indices)], self.dt, self.metric,
+        return LabeledOrbitEnsemble(self.orbits[np.asarray(indices)], self.metric,
                                     origin=self.origin)
 
 
@@ -93,39 +85,35 @@ def _radius(value, name):
 
 def _squared(F):
     """Whether the ladder of F sums squared coordinate gaps in its own kernel:
-    a built-in metric on 1-7 coordinates, and for `torus_metric` points in
-    [0, 1), where a gap |x - y| < 1 folds as min(d, 1 - d) without `% 1.0`.
+    `torus_metric` on 1-7 coordinates in [0, 1), where a gap |x - y| < 1
+    folds as min(d, 1 - d) without `% 1.0`.
 
     numpy sums fewer than 8 terms left to right, as the kernel does; longer
     sums are pairwise, so those ensembles go through the metric call.
     """
-    if not 0 < F.orbits.shape[2] < 8:
-        return False
-    if F.metric is torus_metric:      # NaN fails both tests
-        return F.orbits.min(initial=0.0) >= 0.0 and F.orbits.max(initial=0.0) < 1.0
-    return F.metric is euclidean_metric
+    # NaN fails both bounds
+    return (F.metric is torus_metric and 0 < F.orbits.shape[2] < 8
+            and F.orbits.min(initial=0.0) >= 0.0 and F.orbits.max(initial=0.0) < 1.0)
 
 
 def _step_values(F, c, a, b, squared):
     """Step distances at column c between orbits a and b, pair by pair.
 
-    When `squared` (see `_squared`), the squared gaps are accumulated one
-    coordinate at a time in the metric's own order of operations, and one
-    correctly rounded sqrt gives the metric's value bit for bit.  Otherwise
-    the metric is called on the paired (P, dim) points.
+    When `squared` (see `_squared`), the folded squared gaps are accumulated
+    one coordinate at a time in the metric's own order of operations, and
+    one correctly rounded sqrt gives the metric's value bit for bit.
+    Otherwise the metric is called on the paired (P, dim) points.
     """
     x = F.orbits[:, c, :]
     if not squared:
         return F.metric(x[a], x[b])
-    torus = F.metric is torus_metric
     a, b = a.astype(np.intp), b.astype(np.intp)   # numpy casts int32 indices on every gather
     for k in range(x.shape[1]):
         xk = np.ascontiguousarray(x[:, k])
         diff = xk[a]
         diff -= xk[b]
-        if torus:
-            np.abs(diff, out=diff)
-            np.minimum(diff, 1.0 - diff, out=diff)
+        np.abs(diff, out=diff)
+        np.minimum(diff, 1.0 - diff, out=diff)
         diff *= diff
         acc = diff if k == 0 else np.add(acc, diff, out=acc)
     return np.sqrt(acc, out=acc)
@@ -228,14 +216,14 @@ def pair_survival_ladder(F: LabeledOrbitEnsemble, T, delta):
     return ladder_counts(F, T, delta)[1]
 
 
-def decay_rate(counts, dt):
+def decay_rate(counts):
     """Least-squares decay rate of log counts over the steps holding >= `_FLOOR` pairs."""
     counts = np.array(counts, dtype=float)
     usable = np.flatnonzero(counts >= _FLOOR)
     t_max = int(usable[-1]) if len(usable) else 0
     if t_max == 0:
         return 0.0
-    steps = np.arange(t_max + 1, dtype=float) * dt
+    steps = np.arange(t_max + 1, dtype=float)
     slope = np.polyfit(steps, np.log(counts[:t_max + 1]), 1)[0]
     return float(max(-slope, 0.0))
 
@@ -249,7 +237,7 @@ def entropy_estimate(F: LabeledOrbitEnsemble, T, delta):
     floor.  The estimate is the least-squares slope of its logarithm over
     the horizons still holding at least `_FLOOR` pairs.
     """
-    return decay_rate(pair_survival_ladder(F, T, delta), F.dt)
+    return decay_rate(pair_survival_ladder(F, T, delta))
 
 
 def _orbit_rows(F: LabeledOrbitEnsemble, rows):
@@ -273,7 +261,7 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
     requested rows.
     """
     radius = _radius(eps, "eps")
-    steps = int(round(_radius(horizon, "horizon") / F.dt))
+    steps = int(round(_radius(horizon, "horizon")))
     if F.origin - steps < 0 or F.origin + steps >= F.n_steps:
         raise ValueError("two-sided data shorter than the requested horizon")
     uniq, where = np.unique(_orbit_rows(F, rows), return_inverse=True)
@@ -294,7 +282,7 @@ def gamma_set(x, F: LabeledOrbitEnsemble, eps, horizon):
 def class_probe(F: LabeledOrbitEnsemble, classes, delta):
     """Max forward entropy estimate over orbit classes with at least two members."""
     _radius(delta, "delta")
-    forward_T = (F.n_steps - 1 - F.origin) * F.dt
+    forward_T = float(F.n_steps - 1 - F.origin)
     worst = 0.0
     for members in classes:
         if len(members) >= 2:
@@ -325,10 +313,10 @@ class WeightedMeasure:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.points):
             raise ValueError("one weight per atom")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise ValueError("weights must be finite and nonnegative")
         total = self.weights.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
 
     @classmethod
@@ -439,11 +427,10 @@ def jensen_bound(a):
     return lhs, rhs
 
 
-def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps,
-                          metric=torus_metric):
+def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps):
     """Shrink each cell to a compact core, collecting shaved mass in cell 0.
 
-    Core i keeps the atoms of cell i at distance >= r_i from the cell's
+    Core i keeps the atoms of cell i at torus distance >= r_i from the cell's
     complement, with r_i the largest sampled radius whose shaved mass
     stays below eps; the remainder cell 0 then has mass < k*eps.
     Returns (partition with cells 0..k, array of chosen radii).
@@ -453,7 +440,7 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps,
     n = len(mu.weights)
     labels = np.zeros(n, dtype=int)
     radii = np.zeros(P.k)
-    pair_d = metric(mu.points[:, None, :], mu.points[None, :, :])
+    pair_d = torus_metric(mu.points[:, None, :], mu.points[None, :, :])
     for c in range(P.k):
         inside = P.labels == c
         if not inside.any():
@@ -486,7 +473,7 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps,
 # ---------------------------------------------------------------------------
 # CSV ensemble input: rows of (orbit id, step, coordinates...)
 
-def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
+def ensemble_from_csv(text):
     """Ensemble from CSV rows `orbit,step,x1,...`: every orbit has one row
     per step, and the step labels are consecutive integers (negative steps
     hold backward iterates; step 0, when present, is the origin)."""
@@ -521,5 +508,4 @@ def ensemble_from_csv(text, dt=1.0, metric=torus_metric):
         o, t = np.argwhere(np.isnan(orbits[:, :, 0]))[0].tolist()
         raise ValueError(f"ragged ensemble: orbit {orbit_ids[o]} has no row for step "
                          f"{steps[0] + t}")
-    return LabeledOrbitEnsemble(orbits, dt=dt, metric=metric,
-                                origin=-steps[0] if steps[0] <= 0 <= steps[-1] else 0)
+    return LabeledOrbitEnsemble(orbits, origin=-steps[0] if steps[0] <= 0 <= steps[-1] else 0)

@@ -174,13 +174,6 @@ class OneForm:
         """J[..., i, j] = d eta_i / d x_j."""
         return np.stack([c.grad(x) for c in self.components], axis=-2)
 
-    def curl2(self, x):
-        """d eta = (d1 eta_2 - d2 eta_1) dx1^dx2 on T^2."""
-        if self.dim != 2:
-            raise ValueError("curl2 needs dim 2")
-        j = self.jacobian(x)
-        return j[..., 1, 0] - j[..., 0, 1]
-
     def sup_norm_bound(self):
         """Rigorous bound on |eta(x)| (l2 of per-component l1 bounds)."""
         per = []
@@ -197,16 +190,15 @@ class OneForm:
         return cls([FourierSeries(dim) for _ in range(dim)])
 
 
-def _newton_polish(field, x, sign):
-    """Up to 20 Newton steps toward the extremum of `field` near x: sign +1
-    for a minimum, -1 for a maximum.  The Hessian is a central difference of
-    the gradient (step 1e-5), taken in the same batched call as the gradient;
-    the polish stops once the Hessian of sign * field is not positive
-    definite or a step is below 1e-15."""
+def _newton_polish(field, x):
+    """Up to 20 Newton steps toward the maximum of `field` near x.  The Hessian
+    is a central difference of the gradient (step 1e-5), taken in the same
+    batched call as the gradient; the polish stops once the Hessian of
+    -field is not positive definite or a step is below 1e-15."""
     dim = len(x)
     offsets = np.vstack([np.zeros(dim), 1e-5 * np.eye(dim), -1e-5 * np.eye(dim)])
     for _ in range(20):
-        grads = sign * field.grad(x + offsets)
+        grads = -field.grad(x + offsets)
         hess = (grads[1:dim + 1] - grads[dim + 1:]).T / 2e-5
         hess = (hess + hess.T) / 2
         if np.any(np.linalg.eigvalsh(hess) <= 0.0):
@@ -218,30 +210,30 @@ def _newton_polish(field, x, sign):
     return x
 
 
-# points per batch of `grid_extremum`: a field's temporaries grow with its batch,
-# and a three-segment `CanalPotential` on T^2 holds about 3 KB a point (a 48 MB
-# peak at this size, 670 MB for the whole 512^2 grid)
-_GRID_BATCH = 1 << 14
+# points per side of the `grid_maximum` scan, and points per batch: a field's
+# temporaries grow with its batch, and a three-segment `CanalPotential` on T^2
+# holds about 3 KB a point (a 48 MB peak at this size, 670 MB for the whole
+# 512^2 grid)
+_GRID_N = 512
+_GRID_BATCH = 1 << 14       # 32 whole rows of `_GRID_N` points
 
 
-def grid_extremum(field, dim, n=512):
-    """Numeric (min, argmin, max, argmax) of a periodic scalar field.
+def grid_maximum(field, dim):
+    """Numeric (max, argmax) of a periodic scalar field.
 
-    Dense grid scan followed by a Newton polish of each extremum, kept when
-    it improves on the grid value; an oracle helper, not a rigorous bound.
-    The grid is evaluated in batches of whole rows of n points, at most
-    `_GRID_BATCH` points where n allows, so the field's temporaries stay
-    bounded while the values, and the first grid point of least and of
-    largest value, are those of one batch over the whole grid.
+    Dense scan of the `_GRID_N`^dim grid followed by a Newton polish of the
+    maximum, kept when it improves on the grid value; an oracle helper, not
+    a rigorous bound.  The grid is evaluated in batches of whole rows, at
+    most `_GRID_BATCH` points, so the field's temporaries stay bounded
+    while the values, and the first grid point of largest value, are those
+    of one batch over the whole grid.
     """
-    mesh = grid(n, dim)
-    step = max(1, _GRID_BATCH // n) * n
-    vals = np.concatenate([field(mesh[i:i + step]) for i in range(0, len(mesh), step)])
-    lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
-    best = {"min": (float(vals[lo_i]), mesh[lo_i]), "max": (float(vals[hi_i]), mesh[hi_i])}
-    for kind, sign in (("min", 1.0), ("max", -1.0)):
-        x = _newton_polish(field, best[kind][1], sign)
-        val = float(field(x))
-        if sign * val < sign * best[kind][0]:
-            best[kind] = (val, wrap(x))
-    return best["min"][0], best["min"][1], best["max"][0], best["max"][1]
+    mesh = grid(_GRID_N, dim)
+    vals = np.concatenate([field(mesh[i:i + _GRID_BATCH])
+                           for i in range(0, len(mesh), _GRID_BATCH)])
+    i = int(np.argmax(vals))
+    x = _newton_polish(field, mesh[i])
+    val = float(field(x))
+    if val > vals[i]:
+        return val, wrap(x)
+    return float(vals[i]), mesh[i]

@@ -17,9 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .entropy import LabeledOrbitEnsemble
-from .torus import _lift_inplace, _wrap_into, minimal_lift, wrap
-from .torus import grid as torus_grid
-from .torus import torus_metric as torus_distance   # one metric, two public names
+from .torus import _lift_inplace, _wrap_into, minimal_lift, torus_metric, wrap
 
 
 class OutOfLocalChart(ValueError):
@@ -106,11 +104,6 @@ class ToralAutomorphism:
         """Q = 1/(1 - 1/lam_u) + 1/(1 - |lam_s|)."""
         return 1.0 / (1.0 - 1.0 / abs(self.lam_u)) + 1.0 / (1.0 - abs(self.lam_s))
 
-    def components(self, vec):
-        """Coordinates (stable, unstable) of displacement vectors."""
-        out = np.asarray(vec, dtype=float) @ self._basis_inv.T
-        return out[..., 0], out[..., 1]
-
     def __repr__(self):
         return f"ToralAutomorphism({self.matrix.tolist()})"
 
@@ -187,45 +180,28 @@ def orbit(tm: ToralAutomorphism, x0, n_steps, modulus=None):
     return _lattice_orbit(tm.matrix, k, n_steps, q)
 
 
-def _grid_side(n_orbits, grid, rng):
-    """The side of a square grid of n_orbits starts; a random ensemble needs an rng."""
-    if not grid:
-        if rng is None:
-            raise ValueError("random ensembles need an rng")
-        return None
-    side = int(round(np.sqrt(n_orbits)))
-    if side * side != n_orbits:
-        raise ValueError("grid ensembles need a square orbit count")
-    return side
-
-
-def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, backward=0,
-                   grid=False, rng=None, modulus=2**31):
-    """Ensemble of exact orbits on the rational lattice (k/modulus).
+def orbit_ensemble(tm: ToralAutomorphism, n_orbits, n_steps, *, rng, backward=0,
+                   modulus=2**31):
+    """Ensemble of exact orbits from n_orbits random points of the lattice (k/modulus).
 
     Returns a LabeledOrbitEnsemble whose origin column holds the initial
-    points; `backward` extra columns of inverse iterates precede it.  The
-    modular integer arithmetic of `orbit`, one pass from T^-backward of the
-    initial points, keeps long and backward orbits exact.
+    points, drawn from `rng`; `backward` extra columns of inverse iterates
+    precede it.  The modular integer arithmetic of `orbit`, one pass from
+    T^-backward of the initial points, keeps long and backward orbits exact.
     """
     if n_steps < 0 or backward < 0:
         raise ValueError(f"steps must be nonnegative, got n_steps={n_steps}, "
                          f"backward={backward}")
-    q, side = _lattice_modulus(modulus), _grid_side(n_orbits, grid, rng)
-    if grid:
-        ticks = (np.arange(side) * (q // side)) % q
-        k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
-    else:
-        k0 = rng.integers(0, q, size=(n_orbits, 2))
+    q = _lattice_modulus(modulus)
+    k0 = rng.integers(0, q, size=(n_orbits, 2))
     return LabeledOrbitEnsemble(_lattice_orbit(tm.matrix, k0, backward + n_steps, q,
-                                               start=-backward), dt=1.0, origin=backward)
+                                               start=-backward), origin=backward)
 
 
-def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
-                             grid=False, rng=None):
-    """Forward float orbits of x -> T x + eps*g(x) mod 1 for a fixed smooth g."""
-    side = _grid_side(n_orbits, grid, rng)
-    x = torus_grid(side, 2) if grid else rng.random((n_orbits, 2))
+def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *, rng):
+    """Forward float orbits of x -> T x + eps*g(x) mod 1 for a fixed smooth g, from
+    n_orbits random points drawn from `rng`."""
+    x = rng.random((n_orbits, 2))
     mf = tm.matrix.astype(float)
 
     def g(pts):
@@ -236,7 +212,7 @@ def perturbed_orbit_ensemble(tm: ToralAutomorphism, eps, n_orbits, n_steps, *,
     for _ in range(n_steps):
         x = wrap(x @ mf.T + eps * g(x))
         cols.append(x)
-    return LabeledOrbitEnsemble(np.stack(cols, axis=1), dt=1.0)
+    return LabeledOrbitEnsemble(np.stack(cols, axis=1))
 
 
 def _float_images(mat):
@@ -454,10 +430,10 @@ def _scan_corrections(tm: ToralAutomorphism, rows, n, part):
 
 
 def _jump_components(tm: ToralAutomorphism, orbits):
-    """part(r, s0, s1, out) for `_scan_corrections`: `tm.components` of orbit r's
-    jumps s0..s1-1, as basis_inv @ p.jumps.T[:, s0:s1].  A one-step window is
-    cut from a two-step product: numpy takes a one-column product through
-    gemv, which may round otherwise than gemm."""
+    """part(r, s0, s1, out) for `_scan_corrections`: the (stable, unstable)
+    components of orbit r's jumps s0..s1-1, as basis_inv @ p.jumps.T[:, s0:s1].
+    A one-step window is cut from a two-step product: numpy takes a
+    one-column product through gemv, which may round otherwise than gemm."""
     jumps, n = [p.jumps.T for p in orbits], len(orbits[0]) - 1
 
     def part(r, s0, s1, out):
@@ -490,7 +466,7 @@ def shadow_batch(tm: ToralAutomorphism, orbits):
     buffer of the segmented correction scan (`_scan_corrections`): `_load`
     takes up to _GROUP orbits at a time, one window of steps after another,
     each as `basis_inv @ p.jumps.T[:, window]` (`_jump_components`, the
-    entries of `tm.components` on the stacked jumps without the stacked copy)
+    eigencomponents of the stacked jumps without the stacked copy)
     into one cache-sized scratch, and copies each half into the buffer.  The
     scan runs over the time axis for all orbits and both eigencomponents,
     and a re-run of one segment reads only that segment's windows again.
@@ -613,11 +589,11 @@ def expansivity_gap(tm: ToralAutomorphism, x, y, L, beta):
     k, q = _numerators(pts)
     rows = _lattice_orbit(tm.matrix, k, 2 * L, q, start=-L)    # T^-L, then 2L steps by T
     rows[~np.isfinite(pts).all(axis=1)] = np.nan
-    d = torus_distance(rows[0], rows[1])
+    d = torus_metric(rows[0], rows[1])
     if (d > beta).any():
         n = int(np.argmax(d > beta)) - L
         raise HypothesisViolated(f"d(T^{n} x, T^{n} y) = {d[n + L]:.3g} > beta={beta}", step=n)
-    return float(torus_distance(pts[0], pts[1]))
+    return float(torus_metric(pts[0], pts[1]))
 
 
 class Specification:
@@ -639,7 +615,7 @@ class Specification:
         self.tm = tm
         self.times = times
         self.points = points
-        errs = [torus_distance(apply(tm, points[i], gaps[i]), points[i + 1])
+        errs = [torus_metric(apply(tm, points[i], gaps[i]), points[i + 1])
                 for i in range(len(gaps))]
         self.delta = float(max(errs))
 

@@ -92,17 +92,6 @@ class MechanicalLagrangian:
         mag = 0.0 if self.oneform.is_zero() else (self.oneform(x) * v).sum(axis=-1)
         return kin + mag - self.potential(x)
 
-    def force(self, x):
-        return -self.potential.grad(x)
-
-    def acceleration(self, x, v):
-        """-grad U, plus b J v on T^2 with b = d eta the magnetic field."""
-        acc = self.force(x)
-        if not self.is_mechanical():
-            b = self.oneform.curl2(x)[..., None]
-            acc = acc + b * np.stack([v[..., 1], -v[..., 0]], axis=-1)
-        return acc
-
     def is_mechanical(self):
         """True when the magnetic term cannot bend trajectories."""
         return self.dim == 1 or self.oneform.is_zero()

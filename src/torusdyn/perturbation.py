@@ -125,12 +125,6 @@ class CanalPotential:
         return wrap(pts.reshape(-1, self.dim))
 
 
-def canal(cp: CanalPotential, x):
-    """Evaluate the canal potential (module-level spelling of cp(x))."""
-    val = cp(x)
-    return float(val) if np.ndim(val) == 0 else val
-
-
 def perturb(L: MechanicalLagrangian, cp: CanalPotential):
     """L + phi as a Lagrangian: the potential energy drops to U - phi."""
     if L.dim != cp.dim:

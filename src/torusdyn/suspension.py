@@ -116,8 +116,10 @@ def suspend_flow(pt: SuspensionPoint, t, tau: CeilingFunction):
     """Flow a suspension point vertically for time t, applying the roof rule.
 
     Raises WindowExhausted when the finite representative cannot absorb
-    the necessary shifts.
+    the necessary shifts, and ValueError for a non-finite t.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"flow time t must be finite, got {t}")
     base, height = pt.base, pt.height + t
     while height >= (top := tau(base)):
         height -= top
@@ -195,11 +197,20 @@ class OrbitMeasure(_WindowMeasure):
 
     def __init__(self, cycles, weights=None):
         self.cycles = [tuple(c) for c in cycles]
+        if not self.cycles or not all(self.cycles):
+            raise ValueError("an orbit measure needs at least one cycle, and no empty cycle")
         if weights is None:
-            weights = np.full(len(cycles), 1.0 / len(cycles))
+            weights = np.full(len(self.cycles), 1.0 / len(self.cycles))
         self.weights = np.asarray(weights, dtype=float)
-        if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0):
-            raise NonInvariant("orbit weights must be a probability vector")
+        if self.weights.shape != (len(self.cycles),):
+            raise ValueError(f"one weight per cycle: {len(self.cycles)} cycles, "
+                             f"weights of shape {self.weights.shape}")
+        # written so that NaN fails too
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise NonInvariant(f"orbit weights must be finite and nonnegative, "
+                               f"got {self.weights.tolist()}")
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
+            raise NonInvariant(f"orbit weights sum to {self.weights.sum()}, not 1")
 
     def windows(self, radius):
         return [(w, wt / len(cyc)) for cyc, wt in zip(self.cycles, self.weights)

@@ -1,7 +1,9 @@
 """Helpers that only the tests call: two CSV writers that feed the readers,
-the discrete Euler-Lagrange residual of a path, the roof crossings of a
+the discrete Euler-Lagrange residual of a path, the numpy Euler-Lagrange
+vector field the flow tests step as their reference, the roof crossings of a
 suspension flow that `LiftedMeasure.integrate` takes as breakpoints, and the
-shadowing corrections of jump components given as arrays."""
+eigencomponents of jumps and the shadowing corrections of them given as
+arrays."""
 
 import numpy as np
 
@@ -9,6 +11,7 @@ from torusdyn.action import BrokenPath, _action_value_grad
 from torusdyn.config import format_csv
 from torusdyn.entropy import LabeledOrbitEnsemble
 from torusdyn.hyperbolic import ToralAutomorphism, _scan_corrections
+from torusdyn.fields import OneForm
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.suspension import CeilingFunction, SymbolWindow
 
@@ -40,6 +43,27 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath):
     return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 
+def force(L: MechanicalLagrangian, x):
+    return -L.potential.grad(x)
+
+
+def curl2(eta: OneForm, x):
+    """d eta = (d1 eta_2 - d2 eta_1) dx1^dx2 on T^2."""
+    if eta.dim != 2:
+        raise ValueError("curl2 needs dim 2")
+    j = eta.jacobian(x)
+    return j[..., 1, 0] - j[..., 0, 1]
+
+
+def acceleration(L: MechanicalLagrangian, x, v):
+    """-grad U, plus b J v on T^2 with b = d eta the magnetic field."""
+    acc = force(L, x)
+    if not L.is_mechanical():
+        b = curl2(L.oneform, x)[..., None]
+        acc = acc + b * np.stack([v[..., 1], -v[..., 0]], axis=-1)
+    return acc
+
+
 def roof_crossings(w: SymbolWindow, t, tau: CeilingFunction):
     """Heights s in (0, tau(w)) where the time-t flow of (w, s) crosses a roof.
 
@@ -69,6 +93,12 @@ def roof_crossings(w: SymbolWindow, t, tau: CeilingFunction):
             base = base.shift(-1)
             cum -= tau(base)
     return sorted(pts)
+
+
+def components(tm: ToralAutomorphism, vec):
+    """Coordinates (stable, unstable) of displacement vectors."""
+    out = np.asarray(vec, dtype=float) @ tm._basis_inv.T
+    return out[..., 0], out[..., 1]
 
 
 def _corrections(tm: ToralAutomorphism, es, eu):

@@ -14,10 +14,11 @@ from torusdyn import hyperbolic as hyp
 from torusdyn import sft
 from torusdyn.action import NegativeLoopSearch, action_potential, critical_value
 from torusdyn.cli import run as cli_run
-from torusdyn.fields import FourierSeries, grid_extremum
+from torusdyn.fields import FourierSeries, grid_maximum
 from torusdyn.lagrangian import MechanicalLagrangian, PhaseState, el_flow
 from torusdyn.perturbation import CanalPotential, core_force_residual, perturb
 from torusdyn.suspension import parry_measure
+from torusdyn.torus import wrap
 
 LOG_PHI = np.log((1 + np.sqrt(5)) / 2)
 LOG_CAT = np.log((3 + np.sqrt(5)) / 2)
@@ -92,7 +93,7 @@ def test_criterion_04_critical_values():
     err_pend = abs(critical_value(pendulum()) - 1.0)
     err_free = abs(critical_value(MechanicalLagrangian(1)))
     two_harm = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0, 2: 0.5}))
-    _, _, u_max, _ = grid_extremum(two_harm.potential, 1)
+    u_max, _ = grid_maximum(two_harm.potential, 1)
     err_two = abs(critical_value(two_harm) - u_max)
     elapsed = time.time() - t0
     ok = err_pend <= 1e-2 and err_free <= 1e-2 and err_two <= 1e-2 and elapsed < 300.0
@@ -231,7 +232,7 @@ def test_criterion_10_shadowing():
         pts = hyp.orbit(tm, rng.integers(0, modq, 2) / modq, 200, modulus=modq)
         period = next(i for i in range(1, 200) if np.array_equal(pts[i], pts[0]))
         cycle = pts[:max(period, 2)] if period >= 2 else np.vstack([pts[0], pts[0]])
-        noisy = hyp.wrap(cycle + rng.uniform(-1, 1, cycle.shape) * 1e-4)
+        noisy = wrap(cycle + rng.uniform(-1, 1, cycle.shape) * 1e-4)
         res = hyp.periodic_shadow(tm, hyp.PseudoOrbit(tm, noisy))
         periods.append(period)
         worst_residual = max(worst_residual, res.cover_residual)
@@ -262,7 +263,7 @@ def test_criterion_12_perturbation_monotonicity():
     worst_residual = 0.0
     runs = 0
     for L in (pendulum(), double_well()):
-        _, _, _, x_max = grid_extremum(L.potential, 1)
+        _, x_max = grid_maximum(L.potential, 1)
         c_base = critical_value(L)
         for eps in (0.05, 0.2):
             for k in (2, 3, 4):

@@ -20,7 +20,7 @@ from torusdyn.action import (
     staticity_defect,
     tonelli_minimizer,
 )
-from torusdyn.fields import FourierSeries, OneForm, grid_extremum
+from torusdyn.fields import FourierSeries, OneForm, SumField, grid_maximum
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.perturbation import CanalPotential, perturb
 from torusdyn.torus import grid as torus_grid
@@ -281,13 +281,13 @@ class TestCriticalValue:
 
     def test_two_harmonic(self):
         L = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0, 2: 0.5}))
-        _, _, u_max, _ = grid_extremum(L.potential, 1)
+        u_max, _ = grid_maximum(L.potential, 1)
         assert abs(critical_value(L) - u_max) <= 1e-2
 
     def test_two_torus_potential(self):
         U = FourierSeries(2, cos={(1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.1})
         L = MechanicalLagrangian(2, U)
-        _, _, u_max, _ = grid_extremum(U, 2, n=256)
+        u_max, _ = grid_maximum(U, 2)
         assert abs(critical_value(L) - u_max) <= 1e-2
 
     def test_magnetic_exceeds_max_potential(self):
@@ -684,24 +684,36 @@ class TestNewtonStep:
         assert action_mod._newton_step(H, g, mu) is None
 
 
+POLISH_FIELDS = [FourierSeries(1, cos={1: 1.0, 2: 0.4}, sin={1: 0.2}),
+                 FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3},
+                               sin={(0, 1): 0.2, (1, -1): 0.15})]
+
+
 class TestGridExtremumPolish:
-    """The Newton polish against the values of the BFGS polish it replaced."""
+    """The Newton polish against the values of the BFGS polish it replaced;
+    the minimum of a field is the maximum of its negation."""
 
     @pytest.mark.parametrize("field,lo,hi", [
-        (FourierSeries(1, cos={1: 1.0, 2: 0.4}, sin={1: 0.2}),
-         -0.8750682443249482, 1.4076879281132706),
-        (FourierSeries(2, cos={(1, 0): 0.5, (1, 1): 0.3}, sin={(0, 1): 0.2, (1, -1): 0.15}),
-         -1.0254062680672127, 0.8139567152117809),
+        (POLISH_FIELDS[0], -0.8750682443249482, 1.4076879281132706),
+        (POLISH_FIELDS[1], -1.0254062680672127, 0.8139567152117809),
     ])
     def test_improves_on_grid_and_matches_bfgs(self, field, lo, hi):
         vals = field(torus_grid(512, field.dim))
-        grid_lo, grid_hi = vals.min(), vals.max()
-        u_lo, x_lo, u_hi, x_hi = grid_extremum(field, field.dim)
-        assert u_lo < grid_lo and u_hi > grid_hi
-        assert abs(u_lo - lo) <= 1e-12 and abs(u_hi - hi) <= 1e-12
-        assert float(field(x_lo)) == u_lo and float(field(x_hi)) == u_hi
-        assert np.all((0.0 <= x_lo) & (x_lo < 1.0)) and np.all((0.0 <= x_hi) & (x_hi < 1.0))
-        assert np.abs(field.grad(x_lo)).max() <= 1e-12 and np.abs(field.grad(x_hi)).max() <= 1e-12
+        for g, grid_best, best in ((field, vals.max(), hi),
+                                   (SumField([(-1.0, field)]), -vals.min(), -lo)):
+            u, x = grid_maximum(g, field.dim)
+            assert u > grid_best and abs(u - best) <= 1e-12 and float(g(x)) == u
+            assert np.all((0.0 <= x) & (x < 1.0)) and np.abs(field.grad(x)).max() <= 1e-12
+
+    @pytest.mark.parametrize("field,value,point", [
+        (POLISH_FIELDS[0], "1.4076879281132706", "[0.012240807086332392]"),
+        (POLISH_FIELDS[1], "0.8139567152117807", "[0.030098560137430543, 0.9981649902220583]"),
+        (pendulum().potential, "1.0", "[0.0]"),
+    ])
+    def test_pinned_bits(self, field, value, point):
+        # `critical_value` of a purely mechanical Lagrangian is this value exactly
+        u, x = grid_maximum(field, field.dim)
+        assert (repr(u), repr(x.tolist())) == (value, point)
 
 
 def test_tiny_negative_endpoint_gives_same_value():

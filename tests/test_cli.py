@@ -433,13 +433,13 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["all_within_Q_delta"] is True
 
     def test_horizon_without_a_step_is_1(self, capsys, tmp_path):
-        # T rounded to no step of dt printed "h_estimate": 0.0 and exited 0
+        # T rounded to no sample step printed "h_estimate": 0.0 and exited 0
         assert_one_error_line(capsys, ["entropy-estimate", "--orbits", "20", "--T", "0.3"],
-                              "T=0.3 spans no step of dt=1.0")
+                              "T=0.3 spans no sample step")
         path = tmp_path / "ensemble.csv"
         path.write_text("orbit,step,x1\n0,0,0.1\n1,0,0.4\n")     # one step per orbit
         assert_one_error_line(capsys, ["entropy-estimate", "--ensemble", str(path)],
-                              "T=0.0 spans no step of dt=1.0")
+                              "T=0.0 spans no sample step")
 
     def test_empty_full_shift_is_1(self, capsys):
         assert_one_error_line(capsys, ["sft-entropy", "--full-shift", "0"], "symbol")

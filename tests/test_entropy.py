@@ -359,17 +359,6 @@ def test_semicontinuity_probe_small():
     assert max(ests[-3:]) <= base + 0.05
 
 
-@pytest.mark.parametrize("build", [orbit_ensemble, perturbed_orbit_ensemble])
-def test_ensemble_builders_check_their_starts_alike(build):
-    # perturbed_orbit_ensemble without an rng was an AttributeError on None
-    args = (cat_map(),) if build is orbit_ensemble else (cat_map(), 1e-3)
-    with pytest.raises(ValueError, match="random ensembles need an rng"):
-        build(*args, 4, 3)
-    with pytest.raises(ValueError, match="grid ensembles need a square orbit count"):
-        build(*args, 5, 3, grid=True)
-    assert build(*args, 4, 3, grid=True).orbits.shape == (4, 4, 2)
-
-
 def test_ensemble_csv_round_trip():
     tm = cat_map()
     F = orbit_ensemble(tm, 7, 5, backward=2, rng=np.random.default_rng(3))
@@ -416,14 +405,14 @@ def reference_counts(F, steps, delta):
 
 
 def reference_gamma_set(x, F, eps, horizon):
-    steps = int(round(horizon / F.dt))
+    steps = int(round(horizon))
     window = F.orbits[:, F.origin - steps:F.origin + steps + 1, :]
     d = F.metric(window[x][None, :, :], window).max(axis=1)
     return np.flatnonzero(d <= eps)
 
 
 def reference_probe(F, eps, horizon, delta, sample=None):
-    forward_T = (F.n_steps - 1 - F.origin) * F.dt
+    forward_T = float(F.n_steps - 1 - F.origin)
     worst = 0.0
     for x in range(F.n_orbits) if sample is None else sample:
         members = reference_gamma_set(x, F, eps, horizon)
@@ -435,10 +424,15 @@ def reference_probe(F, eps, horizon, delta, sample=None):
         t_max = int(usable[-1]) if len(usable) else 0
         if t_max == 0:
             continue
-        steps = np.arange(t_max + 1, dtype=float) * G.dt
+        steps = np.arange(t_max + 1, dtype=float)
         slope = np.polyfit(steps, np.log(counts[:t_max + 1]), 1)[0]
         worst = max(worst, float(max(-slope, 0.0)))
     return worst
+
+
+def euclidean_metric(a, b):
+    diff = np.asarray(a) - np.asarray(b)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def ladder_ensembles():
@@ -447,11 +441,11 @@ def ladder_ensembles():
     out = {f"cat_n{n}": orbit_ensemble(tm, n, 10, rng=np.random.default_rng(n))
            for n in (1, 2, 400)}
     out["t3_euclidean"] = LabeledOrbitEnsemble(rng.random((150, 9, 3)) * 3.0,
-                                               metric=ent.euclidean_metric)
+                                               metric=euclidean_metric)
     out["t3_torus"] = LabeledOrbitEnsemble(rng.random((150, 9, 3)))
     out["t1_torus"] = LabeledOrbitEnsemble(rng.random((150, 9, 1)))
     out["r8_euclidean"] = LabeledOrbitEnsemble(rng.random((60, 9, 8)),
-                                               metric=ent.euclidean_metric)
+                                               metric=euclidean_metric)
     return out
 
 
@@ -460,7 +454,7 @@ class TestOnePassLadder:
     def test_matches_per_step_metric_calls(self, name):
         F = ladder_ensembles()[name]
         steps = F.n_steps - F.origin
-        T = (steps - 1) * F.dt
+        T = steps - 1
         a, b = ent._all_pairs(F.n_orbits)
         for c in range(F.origin, F.origin + steps):
             pts = F.orbits[:, c, :]
@@ -475,8 +469,9 @@ class TestOnePassLadder:
 
     def test_builtin_paths_are_squared(self):
         F = ladder_ensembles()
-        assert all(ent._squared(F[k]) for k in ("cat_n400", "t3_euclidean", "t1_torus"))
-        assert not ent._squared(F["r8_euclidean"])
+        assert all(ent._squared(F[k]) for k in ("cat_n400", "t3_torus", "t1_torus"))
+        # numpy sums 8 or more coordinates pairwise: those go through the metric call
+        assert not ent._squared(LabeledOrbitEnsemble(F["r8_euclidean"].orbits))
 
     def test_user_metric_gives_builtin_counts(self):
         F = orbit_ensemble(cat_map(), 300, 10, rng=np.random.default_rng(21))
@@ -488,13 +483,9 @@ class TestOnePassLadder:
         assert entropy_estimate(F, 10, 0.05) == entropy_estimate(G, 10, 0.05)
 
     @settings(max_examples=300, deadline=None)
-    @given(dim=st.integers(1, 7), torus=st.booleans(), seed=st.integers(0, 2**32 - 1),
-           scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e150]))
-    def test_kernel_gives_the_metric_bit_for_bit(self, dim, torus, seed, scale):
-        rng = np.random.default_rng(seed)
-        pts = rng.random((12, 1, dim))
-        F = (LabeledOrbitEnsemble(pts) if torus else
-             LabeledOrbitEnsemble(pts * scale, metric=ent.euclidean_metric))
+    @given(dim=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_gives_the_metric_bit_for_bit(self, dim, seed):
+        F = LabeledOrbitEnsemble(np.random.default_rng(seed).random((12, 1, dim)))
         assert ent._squared(F)
         a, b = ent._all_pairs(F.n_orbits)
         assert np.array_equal(ent._step_values(F, 0, a, b, True),
@@ -533,7 +524,7 @@ class TestOnePassLadder:
             reference_probe(F, 2.0, 2, 0.05, sample=[0])
 
 
-PAIR_METRICS = {"torus": torus_metric, "euclidean": ent.euclidean_metric,
+PAIR_METRICS = {"torus": torus_metric, "euclidean": euclidean_metric,
                 "chebyshev": lambda p, q: np.abs(p - q).max(axis=-1)}
 
 
@@ -568,7 +559,7 @@ class TestPairLadder:
         delta = {"zero": 0.0, "small": 1.0 / levels, "diameter": float(np.sqrt(dim))}[scale]
         steps = F.n_steps - F.origin
         _, pairs, covers = reference_counts(F, steps, delta)
-        assert ent.ladder_counts(F, (steps - 1) * F.dt, delta, covers=True) == \
+        assert ent.ladder_counts(F, steps - 1, delta, covers=True) == \
             (covers[-1], pairs, covers)
         rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=4) if n
                          else st.sampled_from([None, []]))
@@ -607,6 +598,16 @@ class TestBadInput:
             LabeledOrbitEnsemble(orbits)
         with pytest.raises(ValueError, match="finite"):
             LabeledOrbitEnsemble(np.full((3, 4, 2), bad))
+
+    @pytest.mark.parametrize("weights,needle", [
+        ([np.nan, 1.0], "finite and nonnegative"),    # partition_entropy gave 0.0
+        ([np.inf, 0.0], "finite and nonnegative"),
+        ([-0.5, 1.5], "finite and nonnegative"),
+        ([0.5, 0.6], "sum to"),
+    ])
+    def test_measure_rejects_bad_weights(self, weights, needle):
+        with pytest.raises(ValueError, match=needle):
+            WeightedMeasure(np.zeros((2, 1)), weights)
 
     @pytest.mark.parametrize("row", [-1, -50, 4, 2.7, 3.0])
     def test_gamma_rejects_bad_rows(self, row):

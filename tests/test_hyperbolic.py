@@ -20,11 +20,10 @@ from torusdyn.hyperbolic import (
     shadow,
     shadow_batch,
     shadow_specification,
-    torus_distance,
 )
-from torusdyn.torus import _lift_inplace, _wrap_into
+from torusdyn.torus import _lift_inplace, _wrap_into, torus_metric, wrap
 
-from helpers import _corrections
+from helpers import _corrections, components
 
 LAM_U = (3 + np.sqrt(5)) / 2
 FIB = [0, 1]
@@ -122,7 +121,7 @@ class TestApply:
         tm = cat_map()
         x = np.array([0.123, 0.456])
         y = apply(tm, apply(tm, x, 7), -7)
-        assert torus_distance(x, y) < 1e-9
+        assert torus_metric(x, y) < 1e-9
 
     @pytest.mark.parametrize("n", [40, 100, 800, -800])
     @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 1, 1, 0)])
@@ -141,7 +140,7 @@ class TestApply:
     def test_long_power_is_not_the_float_matrix_power(self):
         # n = 40 used to return (0, 0): the float entries of A^40 lose all of x
         got = apply(cat_map(), [0.3, 0.7], 40)
-        assert torus_distance(got, [0.0, 0.0]) > 0.01
+        assert torus_metric(got, [0.0, 0.0]) > 0.01
 
     def test_non_finite_point_gives_nan(self):
         assert np.isnan(apply(cat_map(), [np.nan, 0.5], 3)).all()
@@ -151,7 +150,7 @@ class TestApply:
         pts = hyp.orbit(tm, [5 / 64, 3 / 64], 200, modulus=2**31)
         # exact rational orbit: re-apply one step and compare
         step = apply(tm, pts[100], 1)
-        assert torus_distance(step, pts[101]) < 1e-12
+        assert torus_metric(step, pts[101]) < 1e-12
 
     @pytest.mark.parametrize("matrix,x0", [
         (((2, 1), (1, 1)), (0.3, 0.7)),
@@ -172,34 +171,34 @@ class TestBracket:
         tm = cat_map()
         x = np.array([0.2, 0.9])
         w, exists = bracket(tm, x, x)
-        assert exists and torus_distance(w, x) < 1e-12
+        assert exists and torus_metric(w, x) < 1e-12
 
     def test_point_on_unstable_leaf(self):
         # y on the unstable leaf of x: the leaves W^s(x) and W^u(y) cross at x
         tm = cat_map()
         x = np.array([0.4, 0.4])
-        y = hyp.wrap(x + 0.01 * tm.e_u)
+        y = wrap(x + 0.01 * tm.e_u)
         w, exists = bracket(tm, x, y)
-        assert exists and torus_distance(w, x) < 1e-12
+        assert exists and torus_metric(w, x) < 1e-12
 
     def test_point_on_stable_leaf(self):
         tm = cat_map()
         x = np.array([0.4, 0.4])
-        y = hyp.wrap(x + 0.01 * tm.e_s)
+        y = wrap(x + 0.01 * tm.e_s)
         w, exists = bracket(tm, x, y)
-        assert exists and torus_distance(w, y) < 1e-12
+        assert exists and torus_metric(w, y) < 1e-12
 
     def test_random_pair_orbit_convergence(self):
         tm = cat_map()
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.random(2)
-            y = hyp.wrap(x + rng.uniform(-0.01, 0.01, 2))
+            y = wrap(x + rng.uniform(-0.01, 0.01, 2))
             w, exists = bracket(tm, x, y)
             assert exists
             # forward along the stable leaf of x, backward to y
-            assert torus_distance(apply(tm, w, 12), apply(tm, x, 12)) < 0.02 * abs(tm.lam_s) ** 10
-            assert torus_distance(apply(tm, w, -12), apply(tm, y, -12)) < 0.02 / tm.lam_u ** 10
+            assert torus_metric(apply(tm, w, 12), apply(tm, x, 12)) < 0.02 * abs(tm.lam_s) ** 10
+            assert torus_metric(apply(tm, w, -12), apply(tm, y, -12)) < 0.02 / tm.lam_u ** 10
 
     def test_out_of_chart(self):
         tm = cat_map()
@@ -212,11 +211,11 @@ class TestBracket:
         bound = 2 * tm.basis_condition
         for _ in range(50):
             x = rng.random(2)
-            y = hyp.wrap(x + rng.uniform(-0.02, 0.02, 2))
-            y2 = hyp.wrap(y + rng.uniform(-1e-4, 1e-4, 2))
+            y = wrap(x + rng.uniform(-0.02, 0.02, 2))
+            y2 = wrap(y + rng.uniform(-1e-4, 1e-4, 2))
             w1, _ = bracket(tm, x, y)
             w2, _ = bracket(tm, x, y2)
-            assert torus_distance(w1, w2) <= bound * torus_distance(y, y2) + 1e-12
+            assert torus_metric(w1, w2) <= bound * torus_metric(y, y2) + 1e-12
 
 
 class TestShadow:
@@ -225,13 +224,13 @@ class TestShadow:
         pts = hyp.orbit(tm, [0.11, 0.23], 40)
         x0, eps = shadow(tm, PseudoOrbit(tm, pts))
         assert eps < 1e-12
-        assert torus_distance(x0, pts[0]) < 1e-12
+        assert torus_metric(x0, pts[0]) < 1e-12
 
     def test_single_stable_jump(self):
         tm = cat_map()
         delta = 1e-4
         pts = hyp.orbit(tm, [0.3, 0.8], 30)
-        pts[1:] = hyp.wrap(pts[1:] + delta * tm.e_s)  # one stable-axis jump at i=0
+        pts[1:] = wrap(pts[1:] + delta * tm.e_s)  # one stable-axis jump at i=0
         x0, eps = shadow(tm, PseudoOrbit(tm, pts))
         assert eps <= delta / (1 - abs(tm.lam_s)) + 1e-12
 
@@ -250,7 +249,7 @@ class TestShadow:
         rng = np.random.default_rng(3)
         p = random_pseudo_orbit(tm, 12, 1e-3, rng)
         x0, eps = shadow(tm, p)
-        dists = [float(torus_distance(apply(tm, x0, i), p.points[i])) for i in range(12)]
+        dists = [float(torus_metric(apply(tm, x0, i), p.points[i])) for i in range(12)]
         assert max(dists) <= eps + 1e-8
 
     def test_linearity_in_errors(self):
@@ -259,8 +258,8 @@ class TestShadow:
         base = hyp.orbit(tm, rng.random(2), 50)
         noise = rng.uniform(-1, 1, base.shape) * 1e-4
         noise[0] = 0.0
-        p1 = PseudoOrbit(tm, hyp.wrap(base + noise))
-        p2 = PseudoOrbit(tm, hyp.wrap(base + 2 * noise))
+        p1 = PseudoOrbit(tm, wrap(base + noise))
+        p2 = PseudoOrbit(tm, wrap(base + 2 * noise))
         _, eps1 = shadow(tm, p1)
         _, eps2 = shadow(tm, p2)
         assert abs(eps2 - 2 * eps1) < 1e-9
@@ -278,7 +277,7 @@ class TestShadow:
         starts, eps = shadow_batch(tm, orbits)
         for i, p in enumerate(orbits):
             x0, e = shadow(tm, p)
-            assert torus_distance(starts[i], x0) < 1e-12
+            assert torus_metric(starts[i], x0) < 1e-12
             assert abs(eps[i] - e) < 1e-12
 
 
@@ -290,7 +289,7 @@ class TestNumpyKernels:
 
         for tm in (cat_map(), ToralAutomorphism([[1, 1], [1, 0]])):
             rng = np.random.default_rng(4)
-            es, eu = tm.components(rng.uniform(-1e-4, 1e-4, (7, 500, 2)))
+            es, eu = components(tm, rng.uniform(-1e-4, 1e-4, (7, 500, 2)))
             a, b = _corrections(tm, es, eu)
             tail_a = lfilter([1.0], [1.0, -tm.lam_s], -es, axis=1)
             tail_b = lfilter([1.0], [1.0, -1.0 / tm.lam_u], eu[:, ::-1] / tm.lam_u,
@@ -304,7 +303,7 @@ class TestNumpyKernels:
                             [-1e-17, 1e-17, -0.0, 0.0, -1.0, 1.0, 0.5, -0.5, 2.5, -2.5,
                              np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)]])
         y = x % 1.0
-        assert np.array_equal(hyp.wrap(x), np.where(y >= 1.0, 0.0, y))
+        assert np.array_equal(wrap(x), np.where(y >= 1.0, 0.0, y))
         assert np.array_equal(hyp.minimal_lift(x), (x + 0.5) % 1.0 - 0.5)
 
     def test_batch_rows_equal_single_bit_for_bit(self):
@@ -330,12 +329,12 @@ def _shadow_one_orbit(tm, p):
     """The one-orbit `shadow` before it became a row of `shadow_batch`, verbatim."""
     if p.delta >= 0.25:
         raise hyp.ThresholdExceeded(f"delta={p.delta} >= 0.25 risks ambiguous lifts")
-    es, eu = tm.components(p.jumps)
+    es, eu = components(tm, p.jumps)
     a, b = _corrections(tm, es, eu)
     s, u = a[0], b[0]       # ToralAutomorphism.recompose(s, u), inlined
     corrections = np.outer(np.asarray(s).ravel(), tm.e_s).reshape(np.shape(s) + (2,)) \
         + np.outer(np.asarray(u).ravel(), tm.e_u).reshape(np.shape(u) + (2,))
-    x0 = hyp.wrap(p.points[0] + corrections[0])
+    x0 = wrap(p.points[0] + corrections[0])
     eps = float(np.max(np.sqrt(corrections[..., 0] * corrections[..., 0]
                                + corrections[..., 1] * corrections[..., 1])))   # _norms
     return x0, eps
@@ -393,7 +392,7 @@ class TestSegmentedCorrections:
         rng = np.random.default_rng(rows)
         for n in (1, 2, seg - 1, seg, seg + 1, warm + seg, warm + seg + 1,
                   3 * seg + warm + 1):
-            es, eu = tm.components(rng.uniform(-1e-4, 1e-4, (rows, n, 2)))
+            es, eu = components(tm, rng.uniform(-1e-4, 1e-4, (rows, n, 2)))
             self._check(tm, es, eu)
 
     def test_warmup(self):
@@ -407,7 +406,7 @@ class TestSegmentedCorrections:
     @pytest.mark.parametrize("entries", MATRICES + [(1, 1, 1, 0)])
     def test_all_zero_jumps(self, entries):
         tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
-        es, eu = tm.components(np.zeros((3, 2000, 2)))
+        es, eu = components(tm, np.zeros((3, 2000, 2)))
         self._check(tm, es, eu)
         self._check(tm, -es, -eu)
 
@@ -425,7 +424,7 @@ class TestSegmentedCorrections:
         jumps = np.zeros((4, n, 2))
         jumps[:, ::every] = np.random.default_rng(3).uniform(
             -1e-4, 1e-4, (4, len(range(0, n, every)), 2))
-        es, eu = tm.components(jumps)
+        es, eu = components(tm, jumps)
         calls = self._count_scans(monkeypatch)
         self._check(tm, es, eu)
         assert len(calls) > 2                         # the main pass is two calls
@@ -433,7 +432,7 @@ class TestSegmentedCorrections:
 
     def test_random_jumps_need_no_rerun(self, monkeypatch):
         tm = cat_map()
-        es, eu = tm.components(np.random.default_rng(5).uniform(-1e-4, 1e-4, (3, 5000, 2)))
+        es, eu = components(tm, np.random.default_rng(5).uniform(-1e-4, 1e-4, (3, 5000, 2)))
         calls = self._count_scans(monkeypatch)
         self._check(tm, es, eu)
         assert len(calls) == 2
@@ -455,23 +454,23 @@ class TestSegmentedCorrections:
         tm = ToralAutomorphism(np.array(entries).reshape(2, 2))
         orbits = hyp.random_pseudo_orbit_batch(tm, 100, 2000, 1e-4, np.random.default_rng(7))
         starts, eps = shadow_batch(tm, orbits)
-        es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+        es, eu = components(tm, np.stack([p.jumps for p in orbits]))
         a, b = _reference_corrections(tm, es, eu)
         cx = a * tm.e_s[0] + b * tm.e_u[0]
         cy = a * tm.e_s[1] + b * tm.e_u[1]
         heads = np.stack([p.points[0] for p in orbits])
-        assert _same_bits(starts, hyp.wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)))
+        assert _same_bits(starts, wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)))
         assert _same_bits(eps, np.max(np.sqrt(cx * cx + cy * cy), axis=1))
 
 
 def _reference_shadow(tm, orbits):
     """Starts and eps from `_reference_corrections` and a full-array recomposition."""
-    es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+    es, eu = components(tm, np.stack([p.jumps for p in orbits]))
     a, b = _reference_corrections(tm, es, eu)
     cx = a * tm.e_s[0] + b * tm.e_u[0]
     cy = a * tm.e_s[1] + b * tm.e_u[1]
     heads = np.stack([p.points[0] for p in orbits])
-    return (hyp.wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)),
+    return (wrap(heads + np.stack([cx[:, 0], cy[:, 0]], axis=1)),
             np.max(np.sqrt(cx * cx + cy * cy), axis=1))
 
 
@@ -503,7 +502,7 @@ class TestBlockedLayout:
                 starts, eps = shadow_batch(tm, orbits)
                 ref_starts, ref_eps = _reference_shadow(tm, orbits)
                 assert _same_bits(starts, ref_starts) and _same_bits(eps, ref_eps)
-                es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+                es, eu = components(tm, np.stack([p.jumps for p in orbits]))
                 TestSegmentedCorrections._check(tm, es, eu)
 
     @pytest.mark.parametrize("entries", MATRICES)
@@ -560,7 +559,7 @@ class TestOrbitLoader:
         # the corrections at every step, then what shadow_batch makes of them
         a, b = hyp._scan_corrections(tm, len(orbits), len(orbits[0]) - 1,
                                      hyp._jump_components(tm, orbits))
-        es, eu = tm.components(np.stack([p.jumps for p in orbits]))
+        es, eu = components(tm, np.stack([p.jumps for p in orbits]))
         ref_a, ref_b = _reference_corrections(tm, es, eu)
         assert _same_bits(a.T, ref_a) and _same_bits(b.T, ref_b)
         starts, eps = shadow_batch(tm, orbits)
@@ -592,7 +591,7 @@ class TestOrbitLoader:
 def _reference_jumps(tm, points):
     """PseudoOrbit's jumps before the transposed product, verbatim."""
     with np.errstate(invalid="ignore"):
-        points = hyp.wrap(points)
+        points = wrap(points)
         mapped = points[:-1] @ tm.matrix.T.astype(float)
         _wrap_into(mapped, mapped)
         return _lift_inplace(np.subtract(points[1:], mapped, out=mapped))
@@ -660,7 +659,7 @@ def _per_orbit_loop(tm, n, delta, rng):
     radii = delta * np.sqrt(rng.random(n - 1))
     jumps = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     for i in range(n - 1):
-        pts[i + 1] = hyp.wrap(mf @ pts[i] + jumps[i])
+        pts[i + 1] = wrap(mf @ pts[i] + jumps[i])
     return PseudoOrbit(tm, pts, delta)
 
 
@@ -691,7 +690,7 @@ class TestPeriodicShadow:
         tm = cat_map()
         pts = np.zeros((5, 2))
         res = periodic_shadow(tm, PseudoOrbit(tm, pts))
-        assert torus_distance(res.point, [0, 0]) < 1e-12
+        assert torus_metric(res.point, [0, 0]) < 1e-12
         assert res.cover_residual <= 1e-12
 
     def test_true_periodic_orbit_unchanged(self):
@@ -702,7 +701,7 @@ class TestPeriodicShadow:
         p = PseudoOrbit(tm, pts[:period])
         res = periodic_shadow(tm, p)
         assert res.eps_achieved < 1e-12
-        assert torus_distance(res.point, pts[0]) < 1e-12
+        assert torus_metric(res.point, pts[0]) < 1e-12
         assert res.cover_residual <= 1e-12
 
     def test_noisy_periodic_orbit(self):
@@ -710,7 +709,7 @@ class TestPeriodicShadow:
         rng = np.random.default_rng(13)
         pts = hyp.orbit(tm, [3 / 11, 7 / 11], 40, modulus=11)
         period = next(i for i in range(1, 40) if np.allclose(pts[i], pts[0]))
-        cyc = hyp.wrap(pts[:period] + rng.uniform(-1, 1, (period, 2)) * 1e-4)
+        cyc = wrap(pts[:period] + rng.uniform(-1, 1, (period, 2)) * 1e-4)
         res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
         assert res.cover_residual <= 1e-12
         delta = max(PseudoOrbit(tm, np.vstack([cyc, cyc[0]])).delta, 0)
@@ -719,7 +718,7 @@ class TestPeriodicShadow:
         x = res.point.copy()
         for _ in range(period):
             x = apply(tm, x, 1)
-        assert torus_distance(x, res.point) < 1e-6
+        assert torus_metric(x, res.point) < 1e-6
 
     @pytest.mark.parametrize("modulus,period", [(64, 48), (128, 96)])
     def test_long_dyadic_cycle_closes_exactly(self, modulus, period):
@@ -730,7 +729,7 @@ class TestPeriodicShadow:
         assert res.exact == (Fraction(1, modulus), Fraction(0))
         assert res.cover_residual == 0.0
         assert res.eps_achieved <= tm.shadowing_q * _cyclic_delta(tm, cyc)
-        noise = torus_distance(np.array(k, dtype=float) / modulus, cyc).max()
+        noise = torus_metric(np.array(k, dtype=float) / modulus, cyc).max()
         assert abs(res.eps_achieved - noise) <= 1e-15
         # the double point is k/q itself, so its rational orbit closes
         x = [Fraction(v) for v in res.point]
@@ -763,7 +762,7 @@ class TestPeriodicShadow:
         pts = hyp.orbit(tm, np.array(start) / modulus, 60, modulus=modulus)
         period = next(i for i in range(1, 60) if np.array_equal(pts[i], pts[0]))
         assert period == {11: 5, 29: 7}[modulus]
-        cyc = hyp.wrap(pts[:period] + np.random.default_rng(seed).uniform(
+        cyc = wrap(pts[:period] + np.random.default_rng(seed).uniform(
             -1, 1, (period, 2)) * 1e-4)
         res = periodic_shadow(tm, PseudoOrbit(tm, cyc))
         assert abs(res.eps_achieved - eps_parent) <= 1e-15
@@ -793,7 +792,7 @@ class TestPeriodicShadow:
         assert res.cover_residual == 0.0
         assert _fraction_orbit(tm, x, len(cyc))[-1] == x
         # the shadowing orbit is the lattice cycle, so eps is the noise itself
-        noise = torus_distance(np.array(k, dtype=float) / modulus, cyc).max()
+        noise = torus_metric(np.array(k, dtype=float) / modulus, cyc).max()
         assert abs(res.eps_achieved - noise) <= 1e-15
 
     @pytest.mark.parametrize("n,q,k,steps,closes", [
@@ -845,7 +844,7 @@ def _noisy_lattice_cycle(tm, modulus, start, seed, cap=400):
     assert len(k) <= cap, "cycle longer than the cap"
     pts = np.array(k, dtype=float) / modulus
     noise = np.random.default_rng(seed).uniform(-1, 1, pts.shape) * 1e-4
-    return hyp.wrap(pts + noise), [tuple(int(v) for v in ki) for ki in k]
+    return wrap(pts + noise), [tuple(int(v) for v in ki) for ki in k]
 
 
 def _cyclic_delta(tm, cyc):
@@ -891,14 +890,14 @@ class TestExpansivityGap:
         L, beta = 8, 0.01
         d0 = beta * np.exp(-L * np.log(tm.lam_u)) / tm.expansivity_D
         x = np.array([0.37, 0.59])
-        y = hyp.wrap(x + d0 * tm.e_s)
+        y = wrap(x + d0 * tm.e_s)
         gap = expansivity_gap(tm, x, y, L, beta)
         assert gap <= tm.expansivity_D * beta * np.exp(-np.log(tm.lam_u) * L) + 1e-15
 
     def test_generic_pair_violates(self):
         tm = cat_map()
         x = np.array([0.1, 0.1])
-        y = hyp.wrap(x + 0.01 * tm.e_u)
+        y = wrap(x + 0.01 * tm.e_u)
         with pytest.raises(hyp.HypothesisViolated) as exc:
             expansivity_gap(tm, x, y, 12, 0.01)
         assert exc.value.step is not None
@@ -911,14 +910,14 @@ class TestSpecification:
         x = rng.random(2)
         times, points = [0], [x]
         for gap in (3, 4, 5):
-            x = hyp.wrap(apply(tm, x, gap) + rng.uniform(-1e-4, 1e-4, 2))
+            x = wrap(apply(tm, x, gap) + rng.uniform(-1e-4, 1e-4, 2))
             times.append(times[-1] + gap)
             points.append(x)
         spec = Specification(tm, times, np.array(points))
         assert spec.gap == 3
         # brute-force re-simulation of each gap
         for i in range(len(times) - 1):
-            d = torus_distance(apply(tm, points[i], times[i + 1] - times[i]), points[i + 1])
+            d = torus_metric(apply(tm, points[i], times[i + 1] - times[i]), points[i + 1])
             assert d <= spec.delta + 1e-15
 
     @pytest.mark.parametrize("gap", [60, 200])
@@ -929,7 +928,7 @@ class TestSpecification:
         x = rng.random(2)
         times, points = [0], [x]
         for _ in range(4):
-            x = hyp.wrap(apply(tm, x, gap) + rng.uniform(-5e-5, 5e-5, 2))
+            x = wrap(apply(tm, x, gap) + rng.uniform(-5e-5, 5e-5, 2))
             times.append(times[-1] + gap)
             points.append(x)
         spec = Specification(tm, times, np.array(points))
@@ -938,7 +937,7 @@ class TestSpecification:
         assert len(p) == 4 * gap + 1 and p.delta <= spec.delta + 1e-15
         x0, eps = shadow_specification(tm, spec)
         assert eps <= tm.shadowing_q * spec.delta
-        assert torus_distance(x0, points[0]) <= eps
+        assert torus_metric(x0, points[0]) <= eps
 
     def test_shadowing_a_specification(self):
         tm = cat_map()
@@ -946,31 +945,31 @@ class TestSpecification:
         x = rng.random(2)
         times, points = [0], [x]
         for gap in (4, 4, 6, 5):
-            x = hyp.wrap(apply(tm, x, gap) + rng.uniform(-5e-5, 5e-5, 2))
+            x = wrap(apply(tm, x, gap) + rng.uniform(-5e-5, 5e-5, 2))
             times.append(times[-1] + gap)
             points.append(x)
         spec = Specification(tm, times, np.array(points))
         x0, eps = shadow_specification(tm, spec)
         assert eps <= tm.shadowing_q * spec.delta + 1e-12
         for i, t in enumerate(times):
-            assert torus_distance(apply(tm, x0, t), points[i]) <= eps + 1e-8
+            assert torus_metric(apply(tm, x0, t), points[i]) <= eps + 1e-8
 
 
 def test_one_torus_metric_for_both_names():
-    from torusdyn.entropy import torus_metric
+    from torusdyn import entropy
     from torusdyn.torus import minimal_lift
 
-    assert torus_distance is torus_metric
+    assert entropy.torus_metric is torus_metric
     rng = np.random.default_rng(5)
     a, b = rng.random((2, 500, 2))
     # on points in [0, 1) the folded gaps, bit for bit (the entropy golden files pin them)
     d = np.abs(a - b)
     d = np.minimum(d, 1.0 - d)
-    assert np.array_equal(torus_distance(a, b), np.sqrt((d * d).sum(axis=-1)))
+    assert np.array_equal(torus_metric(a, b), np.sqrt((d * d).sum(axis=-1)))
     # on cover points the norm of the minimal lift
     shift = rng.integers(-3, 4, (500, 2))
     expected = np.linalg.norm(minimal_lift(a - b), axis=-1)
-    assert np.abs(torus_distance(a + shift, b) - expected).max() <= 1e-12
+    assert np.abs(torus_metric(a + shift, b) - expected).max() <= 1e-12
 
 
 def reference_lattice_orbit(tm, x0, n_steps, modulus):
@@ -985,18 +984,11 @@ def reference_lattice_orbit(tm, x0, n_steps, modulus):
     return pts
 
 
-def reference_ensemble_orbits(tm, n_orbits, n_steps, backward=0, grid=False, rng=None,
-                              modulus=2**31):
+def reference_ensemble_orbits(tm, n_orbits, n_steps, backward, rng, modulus=2**31):
     """The orbit array of `orbit_ensemble` before the lattice stepper was
     shared, verbatim."""
     q = int(modulus)
-    if grid:
-        side = int(round(np.sqrt(n_orbits)))
-        ticks = (np.arange(side) * (q // side)) % q
-        k0 = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
-    else:
-        k0 = rng.integers(0, q, size=(n_orbits, 2))
-    k0 = k0.astype(np.int64)
+    k0 = rng.integers(0, q, size=(n_orbits, 2)).astype(np.int64)
     m = tm.matrix
     det = tm.det
     adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
@@ -1042,21 +1034,16 @@ class TestLatticeOrbitFold:
             ref = reference_ensemble_orbits(tm, 25, n_steps, backward, modulus=modulus,
                                             rng=np.random.default_rng(4))
             assert got.origin == backward and np.array_equal(got.orbits, ref)
-            got = hyp.orbit_ensemble(tm, 16, n_steps, backward=backward, grid=True,
-                                     modulus=modulus)
-            ref = reference_ensemble_orbits(tm, 16, n_steps, backward, grid=True,
-                                            modulus=modulus)
-            assert np.array_equal(got.orbits, ref)
 
 
 def reference_expansivity_gap(tm, x, y, L, beta):
     """`expansivity_gap` before it formed one power, verbatim: one `apply` pair per n."""
-    x, y = hyp.wrap(x), hyp.wrap(y)
+    x, y = wrap(x), wrap(y)
     for n in range(-L, L + 1):
-        d = torus_distance(apply(tm, x, n), apply(tm, y, n))
+        d = torus_metric(apply(tm, x, n), apply(tm, y, n))
         if d > beta:
             raise hyp.HypothesisViolated(f"d(T^{n} x, T^{n} y) = {d:.3g} > beta={beta}", step=n)
-    return float(torus_distance(x, y))
+    return float(torus_metric(x, y))
 
 
 def _reference_matpow(m, n):
@@ -1076,7 +1063,7 @@ def reference_periodic_shadow(tm, p):
 
     pts = p.points
     n = len(pts)
-    closing = minimal_lift(pts[0] - hyp.wrap(pts[-1] @ tm.matrix.T.astype(float)))
+    closing = minimal_lift(pts[0] - wrap(pts[-1] @ tm.matrix.T.astype(float)))
     delta = max(p.delta, float(np.linalg.norm(closing)))
     if not delta < 0.25:                 # written so that a NaN bound fails too
         raise hyp.ThresholdExceeded(f"delta={delta} is not below 0.25: ambiguous lifts")
@@ -1105,7 +1092,7 @@ def reference_periodic_shadow(tm, p):
     res = [(pi[0] * z0[0] + pi[1] * z0[1] - zi) % den for pi, zi in zip(power, z0)]
     cover_residual = float(np.hypot(*(min(r, den - r) / den for r in res)))
     exact = tuple(Fraction(zi % den, den) for zi in z0)
-    return hyp.PeriodicShadowResult(hyp.wrap([float(v) for v in exact]), eps, cover_residual,
+    return hyp.PeriodicShadowResult(wrap([float(v) for v in exact]), eps, cover_residual,
                                      exact)
 
 
@@ -1143,7 +1130,7 @@ class TestExactLayer:
             x = rng.random(2)
             for L, beta, d in [(8, 0.01, 1e-7), (12, 0.01, 1e-3), (20, 0.3, 1e-9), (3, 0.5, 0.2)]:
                 for v in (tm.e_s, tm.e_u):
-                    y = hyp.wrap(x + d * v)
+                    y = wrap(x + d * v)
                     try:
                         want = reference_expansivity_gap(tm, x, y, L, beta)
                     except hyp.HypothesisViolated as exc:

@@ -8,7 +8,6 @@ from torusdyn.perturbation import (
     CanalExperimentConfig,
     CanalPotential,
     DimMismatch,
-    canal,
     core_force_residual,
     experiment_localization,
     perturb,
@@ -23,16 +22,16 @@ def pendulum():
 class TestCanalValues:
     def test_zero_on_core(self):
         cp = CanalPotential([[0.3, 0.6]], eps=1.0, k=2)
-        assert canal(cp, [0.3, 0.6]) == 0.0
+        assert cp([0.3, 0.6]) == 0.0
 
     def test_point_core_quadratic(self):
         cp = CanalPotential([[0.0]], eps=1.0, k=2)
-        assert abs(canal(cp, [0.1]) - 0.01) < 1e-14
-        assert abs(canal(cp, [0.9]) - 0.01) < 1e-14  # torus wrap
+        assert abs(cp([0.1]) - 0.01) < 1e-14
+        assert abs(cp([0.9]) - 0.01) < 1e-14  # torus wrap
 
     def test_plateau_saturates(self):
         cp = CanalPotential([[0.0]], eps=2.0, k=3, plateau=0.2)
-        assert abs(canal(cp, [0.5]) - 2.0 * 0.2**3) < 1e-14
+        assert abs(cp([0.5]) - 2.0 * 0.2**3) < 1e-14
 
     @pytest.mark.parametrize("eps,plateau,needle", [
         (np.nan, None, "eps"), (np.inf, None, "eps"), (0.0, None, "eps"),
@@ -47,8 +46,8 @@ class TestCanalValues:
         # core = the circle x2 = 0.25; farthest parallel is at distance 1/2
         cp = CanalPotential([[0.0, 0.25]], eps=1.0, k=2,
                             winds=[[1, 0]])
-        assert abs(canal(cp, [0.37, 0.25])) < 1e-14
-        assert abs(canal(cp, [0.8, 0.75]) - 0.25) < 1e-12
+        assert abs(cp([0.37, 0.25])) < 1e-14
+        assert abs(cp([0.8, 0.75]) - 0.25) < 1e-12
 
     def test_nonnegative_everywhere_zero_exactly_on_core(self):
         rng = np.random.default_rng(0)
@@ -77,7 +76,7 @@ class TestCanalValues:
         cp = CanalPotential([[0.0]], eps=1.0, k=2)
         h = 1e-4
         xs = np.array([[-h], [0.0], [h]])
-        second = (canal(cp, xs[2]) - 2 * canal(cp, xs[1]) + canal(cp, xs[0])) / h**2
+        second = (cp(xs[2]) - 2 * cp(xs[1]) + cp(xs[0])) / h**2
         assert abs(second - 2.0) < 1e-6  # d^2/dx^2 of x^2 stays 2 across the core
 
 

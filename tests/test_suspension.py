@@ -72,6 +72,12 @@ class TestSuspendFlow:
             assert one.base == two.base
             assert abs(one.height - two.height) <= 1e-12
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_refused(self, t):
+        # NaN gave a point at height NaN
+        with pytest.raises(ValueError, match="flow time t must be finite"):
+            suspend_flow(SuspensionPoint(golden_window(), 0.3), t, CeilingFunction.constant(1.0))
+
     def test_window_exhausted(self):
         tau = CeilingFunction.constant(1.0)
         w = SymbolWindow((0, 0, 0), 1)
@@ -219,6 +225,23 @@ class TestOrbitMeasure:
     def test_bad_weights(self):
         with pytest.raises(sus.NonInvariant):
             OrbitMeasure([(0,)], [0.5])
+
+    @pytest.mark.parametrize("cycles,weights,needle", [
+        # zip dropped the unweighted cycle
+        ([(0,), (0, 1)], [1.0], "one weight per cycle"),
+        ([(0,)], [0.5, 0.5], "one weight per cycle"),
+        # NaN passed both the sum and the sign test, and every expectation was NaN
+        ([(0,), (1,)], [np.nan, 1.0], "finite and nonnegative"),
+        ([(0,), (1,)], [np.inf, -np.inf], "finite and nonnegative"),
+        ([(0,), (1,)], [-0.5, 1.5], "finite and nonnegative"),
+        ([(0,), (1,)], [0.5, 0.6], "sum to 1.1"),
+        ([], None, "at least one cycle"),          # was a ZeroDivisionError
+        ([()], [1.0], "no empty cycle"),            # was a measure with no windows
+        ([(0,), ()], None, "no empty cycle"),
+    ])
+    def test_malformed_weights_are_refused(self, cycles, weights, needle):
+        with pytest.raises(ValueError, match=needle):
+            OrbitMeasure(cycles, weights)
 
 
 def test_abramov_consistency_unit_ceiling():
