@@ -110,6 +110,11 @@ class ActionValue:
 _N_QUAD = 8                # Gauss-Legendre nodes per segment
 _KNOTS = 33                # knots of a battery loop and of Phi's first solve
 _RESIDUAL_TARGET = 1e-6    # Euler-Lagrange residual a solve is converged at
+_MAX_STEPS = 400           # accepted Newton steps a solve takes at most
+_W_MAX = 3                 # largest |w_i| of the winding classes an endpoint solve tries
+_LOOP_W_MAX = 2            # largest |w_i| of the battery's straight loops
+_BATTERY_SIZE = 10000      # loops of a battery filled with random-waypoint loops
+_BATTERY_SEED = 0          # seed of those random-waypoint loops
 
 
 @cache
@@ -297,7 +302,7 @@ def _free_time_action(L: MechanicalLagrangian, X, k, origin=0.0):
     return 2.0 * root + float(m[0].sum()), np.sqrt(K / gap), 0.5 / root, grad
 
 
-def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x_init=None):
+def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, x_init=None):
     """Damped Newton descent over the interior knots of the straight-line
     seed (or `x_init`, relative to x_from); (path, value, residual).
 
@@ -314,7 +319,7 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x_init=None
     non-positive Sherman-Morrison denominator, or a trial with k <= Ubar,
     raises mu.  Where the values agree to rounding the gain is the
     trapezoid -(g + g_new).s / 2.  Stops once the Euler-Lagrange residual
-    max|g| / dt is <= 0.2 `_RESIDUAL_TARGET`, after `maxiter` accepted steps,
+    max|g| / dt is <= 0.2 `_RESIDUAL_TARGET`, after `_MAX_STEPS` accepted steps,
     or when the step no longer moves X.
     """
     d = len(x_from)
@@ -346,7 +351,7 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x_init=None
     r = np.arange(m)
     mu, nu = 1e-3 * float(np.abs(H.reshape(m, d, m, d)[r, :, r, :]).max()), 2.0
     steps = 0
-    while steps < maxiter and np.abs(g).max() > 0.2 * _RESIDUAL_TARGET * dur / (m + 1):
+    while steps < _MAX_STEPS and np.abs(g).max() > 0.2 * _RESIDUAL_TARGET * dur / (m + 1):
         while (step := _newton_step(H, g, mu, rank1)) is None and mu < np.inf:
             mu, nu = mu * nu, 2.0 * nu
         if step is None or np.abs(step).max() <= _STEP_FLOOR * (1.0 + np.abs(X).max()):
@@ -399,10 +404,10 @@ def _points(L: MechanicalLagrangian, x, y):
     return x, y
 
 
-def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3, maxiter=400):
+def tonelli_minimizer(L: MechanicalLagrangian, x, y, T):
     """Fixed-endpoint, fixed-time local action minimizer across winding classes
-    (`_least_over_classes`; the bound charges the mean of eta exactly, so a
-    class that eta rewards stays in play).
+    up to `_W_MAX` (`_least_over_classes`; the bound charges the mean of eta
+    exactly, so a class that eta rewards stays in play).
 
     Raises NoConvergence (carrying the best iterate and its residual) when
     the discrete Euler-Lagrange residual is above `_RESIDUAL_TARGET`, and
@@ -414,20 +419,18 @@ def tonelli_minimizer(L: MechanicalLagrangian, x, y, T, n_knots=None, w_max=3, m
         raise ValueError(f"T must be positive and finite and x, y finite, got {T}, {x}, {y}")
     x, y = wrap(x), wrap(y)
     # a knot budget growing with duration, capped to keep descent cheap
-    n_knots = int(np.clip(int(8 * T) + 7, 9, 97)) if n_knots is None else n_knots
-    if n_knots < 3:
-        raise ValueError("need at least 3 knots")
+    n_knots = int(np.clip(int(8 * T) + 7, 9, 97))
     path, _, res = _least_over_classes(
-        L, minimal_lift(y - x), w_max, T, 0.0,
-        lambda disp: _minimize_knots(L, x, disp, T, n_knots, maxiter=maxiter))
+        L, minimal_lift(y - x), _W_MAX, T, 0.0,
+        lambda disp: _minimize_knots(L, x, disp, T, n_knots))
     if not res <= _RESIDUAL_TARGET:
         raise NoConvergence(f"residual {res:.2e} above {_RESIDUAL_TARGET:.0e}", path, res)
     return path
 
 
-def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
+def _refine_loop(L: MechanicalLagrangian, X, u_max):
     """(theta, loop) of the closed loop X (m, d), its segments cut into equal
-    pieces to at least n_knots knots, raised by Newton in k: k <- theta(argmin F_k),
+    pieces to at least `_KNOTS` knots, raised by Newton in k: k <- theta(argmin F_k),
     F_k the free-time action of `_minimize_knots(T=None)` started from the
     loop before, and theta the root in k of F_k of the new loop.  F_k <= 0 at
     the loop before, so theta never falls.  Starts at k = max(theta, max U):
@@ -442,7 +445,7 @@ def _refine_loop(L: MechanicalLagrangian, X, n_knots, u_max):
     """
     if (X == X[0]).all():
         return float(_thresholds(L, X[None])[0][0]), X
-    W = _prolong(X, -(-(n_knots - 1) // (len(X) - 1)))
+    W = _prolong(X, -(-(_KNOTS - 1) // (len(X) - 1)))
     best, h = (float(_thresholds(L, W[None])[0][0]), W), (len(W) - 1) // 2
     k = max(best[0], u_max)
     for _ in range(40):
@@ -468,10 +471,10 @@ class NegativeLoopSearch:
     A loop certifies c(L) >= theta = Ubar + max(-M, 0)^2 / (4K): below
     theta it has negative (L + k)-action at T* = sqrt(K / (k - Ubar)).  The
     battery, priced once in one quadrature per knot count: the constant
-    loop at the maximum of U (theta = max U), a straight `n_knots` (33) loop
-    through it in each nonzero winding class up to `w_max` (2), and, on T^2
-    with non-constant eta only, random-waypoint loops from `seed` (0)
-    filling `budget` (10,000): class constants, as no caller varies them.
+    loop at the maximum of U (theta = max U), a straight `_KNOTS` (33) loop
+    through it in each nonzero winding class up to `_LOOP_W_MAX` (2), and,
+    on T^2 with non-constant eta only, random-waypoint loops from
+    `_BATTERY_SEED` (0) filling `_BATTERY_SIZE` (10,000).
     A candidate has M < 0 and winds or has theta > max U: loops with
     M >= 0 have theta = Ubar <= max U, and a null-homologous loop below
     max U only shrinks to a point under the free-time solve.  A random
@@ -480,14 +483,12 @@ class NegativeLoopSearch:
     constant eta: there none can be a candidate, and with eta = 0 no loop
     is, which leaves max U.  The four best candidates are raised by
     `_refine_loop`; every loop keeps the theta it was priced at.
-    `find(k)` checks best theta > k.  Classes beyond `w_max` are never
+    `find(k)` checks best theta > k.  Classes beyond `_LOOP_W_MAX` are never
     tried: U = 0 with eta = (0.6, -0.8), where c = 0.5 needs winding
     (-3, 4), gives the 0.49 of the class (-1, 1) loop.
 
     Potentials at several k can share one search and its battery.
     """
-
-    n_knots, w_max, budget, seed = _KNOTS, 2, 10000, 0
 
     def __init__(self, L: MechanicalLagrangian):
         self.L = L
@@ -496,13 +497,13 @@ class NegativeLoopSearch:
 
     def _battery(self):
         """The battery's loops (B, m, d), in groups of one knot count m."""
-        winds = np.array([w for w in _winding_classes(self.L.dim, self.w_max) if np.any(w)])
-        groups = [self.x_max + np.linspace(0, 1, self.n_knots)[None, :, None] * winds[:, None, :]]
+        winds = np.array([w for w in _winding_classes(self.L.dim, _LOOP_W_MAX) if np.any(w)])
+        groups = [self.x_max + np.linspace(0, 1, _KNOTS)[None, :, None] * winds[:, None, :]]
         # Stokes: a null-homologous loop has M = 0 unless d eta != 0, which needs T^2
         if self.L.dim == 2 and any(lo < hi for lo, hi in
                                    (c.value_bounds() for c in self.L.oneform.components)):
-            rng = np.random.default_rng(self.seed)
-            sizes = rng.integers(3, 6, size=self.budget - len(winds) - 1)
+            rng = np.random.default_rng(_BATTERY_SEED)
+            sizes = rng.integers(3, 6, size=_BATTERY_SIZE - len(winds) - 1)
             for m in np.unique(sizes):
                 X = rng.random((np.count_nonzero(sizes == m), m, self.L.dim))
                 groups.append(np.concatenate([X, X[:, :1]], axis=1))
@@ -525,7 +526,7 @@ class NegativeLoopSearch:
         if self._best is None:
             priced = [(self.u_max, None)]
             for theta, X in self._candidates():
-                priced += [(theta, X), _refine_loop(self.L, X, self.n_knots, self.u_max)]
+                priced += [(theta, X), _refine_loop(self.L, X, self.u_max)]
             self._best = max(priced, key=lambda b: b[0])
         return self._best
 
@@ -543,7 +544,7 @@ class NegativeLoopSearch:
         return BrokenPath.from_cover(X, float(T))
 
 
-def action_potential(L: MechanicalLagrangian, k, x, y, w_max=3,
+def action_potential(L: MechanicalLagrangian, k, x, y, w_max=_W_MAX,
                      search: NegativeLoopSearch = None):
     """Mane potential estimate: the least free-time (L+k)-action over knots
     and winding classes, extrapolated in the knot count.
@@ -606,7 +607,7 @@ def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch
     A certified lower bound: at T* = sqrt(K / (k - Ubar)) the best loop has
     negative action for every k below it.  Exact (max U) for purely
     mechanical L, where no loop is a candidate; at most
-    max U + sup|eta|^2 / 2; windings beyond `w_max` are missed (see
+    max U + sup|eta|^2 / 2; windings beyond `_LOOP_W_MAX` are missed (see
     `NegativeLoopSearch`).  `tol` no longer changes the result; it stays for
     the CLI `--tol` flag.
     """
@@ -614,21 +615,21 @@ def critical_value(L: MechanicalLagrangian, tol=1e-2, search: NegativeLoopSearch
     return search.best_loop()[0]
 
 
-def staticity_defect(L: MechanicalLagrangian, c, x, y, search=None, w_max=3):
+def staticity_defect(L: MechanicalLagrangian, c, x, y):
     """Phi_c(x, y) + Phi_c(y, x); zero picks out static pairs.  At x = y it
     is 0 by the shortcut Phi_k(x, x) = 0, so it tests nothing of the Aubry set.
     Both potentials share one `NegativeLoopSearch`."""
-    search = search if search is not None else NegativeLoopSearch(L)
-    fwd = action_potential(L, c, x, y, w_max, search)
-    bwd = action_potential(L, c, y, x, w_max, search)
+    search = NegativeLoopSearch(L)
+    fwd = action_potential(L, c, x, y, search=search)
+    bwd = action_potential(L, c, y, x, search=search)
     if fwd.is_minus_infinity or bwd.is_minus_infinity:
         raise BelowCritical(f"k={c} admits negative loops; defect undefined")
     return fwd.value + bwd.value
 
 
-def potential_table(L: MechanicalLagrangian, ks, pairs, search=None, w_max=3):
-    """Rows (k, x, y, phi, status) for CSV emission."""
-    search = search if search is not None else NegativeLoopSearch(L)
+def potential_table(L: MechanicalLagrangian, ks, pairs, w_max=_W_MAX):
+    """Rows (k, x, y, phi, status) for CSV emission, from one `NegativeLoopSearch`."""
+    search = NegativeLoopSearch(L)
     rows = []
     for k in ks:
         for x, y in pairs:

@@ -107,7 +107,6 @@ def _step_values(F, c, a, b, squared):
     x = F.orbits[:, c, :]
     if not squared:
         return F.metric(x[a], x[b])
-    a, b = a.astype(np.intp), b.astype(np.intp)   # numpy casts int32 indices on every gather
     for k in range(x.shape[1]):
         xk = np.ascontiguousarray(x[:, k])
         diff = xk[a]
@@ -141,17 +140,6 @@ def _close_pair_ladder(F: LabeledOrbitEnsemble, columns, a, b, radius):
         yield a, b
 
 
-def _all_pairs(n):
-    """Every orbit pair i < j as int32 arrays (a, b), sorted by a then b."""
-    a = np.repeat(np.arange(n, dtype=np.int32), np.arange(n - 1, -1, -1))
-    b = np.empty_like(a)
-    start = 0
-    for i in range(n - 1):
-        b[start:start + n - 1 - i] = np.arange(i + 1, n, dtype=np.int32)
-        start += n - 1 - i
-    return a, b
-
-
 def _greedy_net_size(n, a, b):
     """Size of the lowest-index greedy net over n orbits with close pairs a < b.
 
@@ -178,7 +166,7 @@ def ladder_counts(F: LabeledOrbitEnsemble, T, delta, covers=False):
     radius = _radius(delta, "delta")
     columns = range(F.origin, F.origin + F.steps_for(T))
     pair_counts, cover_sizes = [], []
-    for a, b in _close_pair_ladder(F, columns, *_all_pairs(F.n_orbits), radius):
+    for a, b in _close_pair_ladder(F, columns, *np.triu_indices(F.n_orbits, 1), radius):
         pair_counts.append(len(a))
         if covers:
             cover_sizes.append(_greedy_net_size(F.n_orbits, a, b))
@@ -266,11 +254,11 @@ def gamma_sets(F: LabeledOrbitEnsemble, eps, horizon, rows=None):
         raise ValueError("two-sided data shorter than the requested horizon")
     uniq, where = np.unique(_orbit_rows(F, rows), return_inverse=True)
     n = F.n_orbits
-    a = np.repeat(uniq.astype(np.int32), n)
-    b = np.tile(np.arange(n, dtype=np.int32), len(uniq))
+    a = np.repeat(uniq.astype(np.intp), n)
+    b = np.tile(np.arange(n, dtype=np.intp), len(uniq))
     for a, b in _close_pair_ladder(F, range(F.origin - steps, F.origin + steps + 1), a, b, radius):
         pass
-    sets = np.split(b.astype(np.intp), np.searchsorted(a, uniq[1:]))
+    sets = np.split(b, np.searchsorted(a, uniq[1:]))
     return [sets[k] for k in where]
 
 
@@ -322,6 +310,8 @@ class WeightedMeasure:
     @classmethod
     def uniform(cls, points):
         points = np.asarray(points, dtype=float)
+        if not len(points):
+            raise ValueError("a uniform measure needs at least one atom; the atom set is empty")
         return cls(points, np.full(len(points), 1.0 / len(points)))
 
 
@@ -419,8 +409,8 @@ def jensen_bound(a):
     Always lhs <= rhs; when sum a_i = 1 additionally lhs <= log n.
     """
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("entries must be nonnegative")
+    if not np.all(a >= 0):      # NaN fails too
+        raise ValueError(f"entries of a must be nonnegative, got {a.tolist()}")
     n = len(a)
     lhs = float(_plogp(a).sum())
     rhs = 1.0 + float(a.sum()) * np.log(n) if n else 1.0
@@ -435,8 +425,8 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps):
     stays below eps; the remainder cell 0 then has mass < k*eps.
     Returns (partition with cells 0..k, array of chosen radii).
     """
-    if eps <= 0:
-        raise NoValidRadius("deficit budget must be positive", achieved=0.0)
+    if not eps > 0:             # NaN fails too
+        raise NoValidRadius(f"deficit budget eps must be positive, got {eps}", achieved=0.0)
     n = len(mu.weights)
     labels = np.zeros(n, dtype=int)
     radii = np.zeros(P.k)

@@ -89,9 +89,7 @@ class ToralAutomorphism:
         # basis data for the bracket and for norm conversion
         self._basis = np.column_stack([self.e_s, self.e_u])
         self._basis_inv = np.linalg.inv(self._basis)
-        self.basis_condition = float(np.linalg.cond(self._basis))
-        self.delta0 = 0.1    # local product chart radius
-        self.expansivity_D = float(np.sqrt(2.0) * self.basis_condition**2)
+        self.expansivity_D = float(np.sqrt(2.0) * float(np.linalg.cond(self._basis))**2)
 
     def _eigenvector(self, lam):
         # b != 0: with b = 0 the eigenvalues are a, d = +-1, which __init__ rejects
@@ -311,6 +309,7 @@ def random_pseudo_orbit_batch(tm, count, n, delta, rng):
 _SEGMENT = 256          # steps each segment of the correction scan owns
 _BLOCK = 1 << 14        # elements (steps x rows) in a cache-sized block of the recomposition
 _GROUP = 128            # most rows the load takes together; its scratch holds 4 * _BLOCK per half
+_DELTA0 = 0.1           # local product chart radius of `bracket`
 
 
 def _warmup(tm: ToralAutomorphism):
@@ -567,8 +566,8 @@ def bracket(tm: ToralAutomorphism, x, y):
     """
     x, y = wrap(x), wrap(y)
     z = minimal_lift(y - x)
-    if np.linalg.norm(z) > tm.delta0:
-        raise OutOfLocalChart(f"d(x,y)={np.linalg.norm(z):.4f} exceeds {tm.delta0}")
+    if np.linalg.norm(z) > _DELTA0:
+        raise OutOfLocalChart(f"d(x,y)={np.linalg.norm(z):.4f} exceeds {_DELTA0}")
     sol = np.linalg.solve(np.column_stack([tm.e_s, -tm.e_u]), z)
     s, u = float(sol[0]), float(sol[1])
     w = wrap(x + s * tm.e_s)

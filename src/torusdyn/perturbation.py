@@ -25,12 +25,13 @@ class DimMismatch(ValueError):
 class CanalPotential:
     """eps * min(d(x, core), plateau)^k around a polyline core on T^dim.
 
-    The core is a vertex list with integer winding offsets per segment
+    The core is a closed polyline: a vertex list with integer winding
+    offsets per segment, the last segment running back to the first vertex
     (single vertex with a zero wind: a point core, stored as one segment of
     length 0; single vertex with a nonzero wind: a closed winding loop).
     """
 
-    def __init__(self, core, eps, k=2, plateau=None, winds=None, closed=True):
+    def __init__(self, core, eps, k=2, plateau=None, winds=None):
         core = wrap(np.atleast_2d(core))
         self.core = core
         self.dim = core.shape[1]
@@ -44,16 +45,15 @@ class CanalPotential:
         if self.k < 2:
             raise ValueError("exponent k must be >= 2 for a C^1 perturbation")
         m = len(core)
-        n_segs = m if closed or m == 1 else m - 1
         if winds is None:
-            winds = np.zeros((n_segs, self.dim), dtype=int)
+            winds = np.zeros((m, self.dim), dtype=int)
         winds = np.atleast_2d(np.asarray(winds, dtype=int))
-        if winds.shape != (n_segs, self.dim):
+        if winds.shape != (m, self.dim):
             raise ValueError("one winding vector per segment required")
         if np.any(np.abs(winds) > 1):
             raise ValueError("segment winds beyond +-1 exceed the 3^dim lift search")
         starts, ends = [], []
-        for i in range(n_segs):
+        for i in range(m):
             a = core[i]
             b = core[(i + 1) % m] + winds[i]
             # split into short pieces recentered into [0,1): the 3^dim lift

@@ -13,8 +13,8 @@ The Perron root comes from `perron_pair`, Noda's shifted inverse iteration
 every iterate carries the certified bracket min(Bx/x) <= rho <= max(Bx/x).
 The bracket shrinks quadratically on any irreducible nonnegative block
 (L. Elsner, Linear Algebra Appl. 15 (1976) 235-242), and the iteration
-runs until it is within rtol and stops shrinking, so the vector is good to
-rounding level.  Each solve first eliminates the chains of single-successor
+runs until it is within `_RTOL` and stops shrinking, so the vector is good
+to rounding level.  Each solve first eliminates the chains of single-successor
 symbols by back-substitution, so only the branching symbols enter a dense
 LU (`_shifted_solver`), and the bracket's B x is taken on the same chain
 plan: one product per chain row, a dense row only for a branching symbol.
@@ -55,6 +55,8 @@ class WindowMismatch(ValueError):
 # symbols (0.69 against 0.67 ms a `perron_pair` of `cycle_chord`), wins by
 # 6 % at 64 and by 2.7x at 128 (one BLAS thread, 2-core Xeon).
 _SMALL = 64
+_RTOL = 1e-12        # relative width of the Perron bracket `perron_pair` certifies
+_MAX_SOLVES = 100    # shifted solves `perron_pair` takes at most
 
 
 def _rows(flat, m):
@@ -322,7 +324,7 @@ def _shifted_solver(B):
     return solve, product
 
 
-def perron_pair(bits, rtol=1e-12, max_iter=100):
+def perron_pair(bits):
     """Perron root and positive vector of an irreducible nonnegative block.
 
     Noda's iteration: from x = 1, take the ratios r = Bx/x, whose extremes
@@ -336,13 +338,13 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
     row by its one entry, a branching row densely.  A contracted block
     builds no m x m array; a bool block needs no entry check.
 
-    The iteration stops once hi - lo <= rtol*hi and the width either
+    The iteration stops once hi - lo <= `_RTOL` hi and the width either
     stopped halving or is within 4 ulp of hi, so the vector is good to
     rounding level and not only to rtol; it also stops when the shifted
-    system is singular or its solution is not finite and positive.  It
-    raises RuntimeError if the bracket is then still wider than rtol*hi,
-    and ValueError on an empty or non-square block or on entries that are
-    negative or not finite.  `max_iter` bounds the number of solves.
+    system is singular or its solution is not finite and positive, or after
+    `_MAX_SOLVES` solves.  It raises RuntimeError if the bracket is then
+    still wider than `_RTOL` hi, and ValueError on an empty or non-square
+    block or on entries that are negative or not finite.
     """
     B = np.asarray(bits)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
@@ -357,7 +359,7 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
         r = product(x) / x
         lo, hi = float(r.min()), float(r.max())
         width = hi - lo
-        if steps == max_iter or (width <= rtol * hi and (
+        if steps == _MAX_SOLVES or (width <= _RTOL * hi and (
                 width > width_prev / 2 or width <= 4 * np.spacing(hi))):
             break
         try:
@@ -370,8 +372,8 @@ def perron_pair(bits, rtol=1e-12, max_iter=100):
         x = y / top
         width_prev = width
         steps += 1
-    if width > rtol * hi:
-        raise RuntimeError(f"Perron bracket [{lo!r}, {hi!r}] wider than rtol={rtol} "
+    if width > _RTOL * hi:
+        raise RuntimeError(f"Perron bracket [{lo!r}, {hi!r}] wider than rtol={_RTOL} "
                            f"after {steps} shifted solves")
     return PerronPair(0.5 * (lo + hi), lo, hi, x, steps)
 
@@ -382,7 +384,7 @@ def top_entropy(A: TransitionMatrix):
     The Perron root of a reducible matrix is the largest root over its
     strongly connected components, each of them irreducible, so
     `perron_pair` runs once per component with a cycle (Noda's shifted
-    inverse iteration, certified to its rtol); ZeroShift when there is none.
+    inverse iteration, certified to `_RTOL`); ZeroShift when there is none.
     """
     roots = []
     for idx in strong_components(A.bits):
@@ -521,8 +523,8 @@ def d_a_distance(u, w, a=2.0):
     the window returns 0 (true distance is <= a^(-radius)); disagreement
     at the center returns a (boundary convention).
     """
-    if a <= 1:
-        raise ValueError("metric base a must be > 1")
+    if not a > 1:               # NaN fails too
+        raise ValueError(f"metric base a must be > 1, got {a}")
     u, w = tuple(u), tuple(w)
     if len(u) != len(w) or len(u) % 2 == 0:
         raise WindowMismatch("windows must share the same odd length")

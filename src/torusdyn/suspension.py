@@ -59,6 +59,8 @@ class SymbolWindow:
     def periodic(cls, cycle, radius):
         """Window of the given radius cut from the periodic sequence."""
         cycle = tuple(cycle)
+        if not cycle:
+            raise ValueError("a periodic window needs a nonempty cycle, got the empty cycle ()")
         p = len(cycle)
         reps = (2 * radius) // p + 2
         symbols = cycle * reps
@@ -110,6 +112,10 @@ class CeilingFunction:
 class SuspensionPoint:
     base: SymbolWindow
     height: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.height):
+            raise ValueError(f"suspension point height must be finite, got {self.height}")
 
 
 def suspend_flow(pt: SuspensionPoint, t, tau: CeilingFunction):
@@ -177,7 +183,9 @@ class MarkovMeasure(_WindowMeasure):
         return [(SymbolWindow(w, radius), self.cylinder(w)) for w in words if self.p[w[0]] > 0]
 
     def sample(self, rng, length):
-        """One stationary sample path of the chain."""
+        """One stationary sample path of the chain, of `length` >= 1 symbols."""
+        if not length >= 1:
+            raise ValueError(f"sample length must be >= 1, got {length}")
         s = int(rng.choice(self.m, p=self.p))
         cums = np.cumsum(self.P, axis=1).tolist()
         path = [s]
@@ -260,25 +268,17 @@ class LiftedMeasure:
         self.tau = tau
         self.total_time = nu.expect_window(tau, tau.radius)
 
-    def integrate(self, f, radius=None, breakpoints=None):
-        """Integrate f(window, height) against the lifted probability.
+    def integrate(self, f, radius=None):
+        """Integrate f(window, height) against the lifted probability, one
+        Gauss-Legendre panel per fiber.
 
-        `radius` is the window radius f needs (defaults to the ceiling's);
-        `breakpoints(w)` may list interior heights where f kinks, so each
-        smooth panel is quadratured separately.
+        `radius` is the window radius f needs (defaults to the ceiling's).
         """
         if radius is None:
             radius = self.tau.radius
         radius = max(radius, self.tau.radius)
-
-        def fiber(w):
-            top = self.tau(w)
-            cuts = [0.0, top]
-            if breakpoints is not None:
-                cuts = sorted(set(cuts) | {float(b) for b in breakpoints(w) if 0.0 < b < top})
-            return _panel_sum(f, w, cuts)
-
-        return self.nu.expect_window(fiber, radius) / self.total_time
+        return self.nu.expect_window(lambda w: _panel_sum(f, w, (0.0, self.tau(w))),
+                                     radius) / self.total_time
 
 
 @cache
@@ -305,5 +305,7 @@ def lift_measure(nu, tau: CeilingFunction):
 def orbit_weight(cycle, tau: CeilingFunction, cost):
     """Integral of cost(window, height) over one period of a suspended cycle."""
     cycle = tuple(cycle)
+    if not cycle:
+        raise ValueError("an orbit weight needs a nonempty cycle, got the empty cycle ()")
     radius = max(tau.radius, 1) + len(cycle)
     return float(sum(_panel_sum(cost, w, (0.0, tau(w))) for w in _phase_windows(cycle, radius)))

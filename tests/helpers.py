@@ -1,7 +1,7 @@
 """Helpers that only the tests call: two CSV writers that feed the readers,
 the discrete Euler-Lagrange residual of a path, the numpy Euler-Lagrange
 vector field the flow tests step as their reference, the roof crossings of a
-suspension flow that `LiftedMeasure.integrate` takes as breakpoints, and the
+suspension flow where the flow-invariance tests split their panels, and the
 eigencomponents of jumps and the shadowing corrections of them given as
 arrays."""
 

@@ -173,10 +173,11 @@ class TestTonelliMinimizer:
         assert val < -9.0  # sits near max U = 1.3 for most of the time
         assert el_residual(L, p) <= 1e-6
 
-    def test_no_convergence_reports_iterate(self):
+    def test_no_convergence_reports_iterate(self, monkeypatch):
         L = double_well()
+        monkeypatch.setattr(action_mod, "_MAX_STEPS", 2)
         with pytest.raises(NoConvergence) as exc:
-            tonelli_minimizer(L, [0.262], [0.738], T=4.0, maxiter=2)
+            tonelli_minimizer(L, [0.262], [0.738], T=4.0)
         assert exc.value.path is not None
         assert exc.value.residual > action_mod._RESIDUAL_TARGET
 
@@ -213,7 +214,7 @@ class TestTonelliMinimizer:
         # O(dt^2) discretization of the second difference
         L = pendulum()
         T = 1.2
-        p = tonelli_minimizer(L, [0.3], [0.6], T, n_knots=97)
+        p = tonelli_minimizer(L, [0.3], [0.6], T)
         X = p.cover_knots()
         dt = T / (len(X) - 1)
         accel = (X[2:] - 2 * X[1:-1] + X[:-2]) / dt**2
@@ -563,12 +564,12 @@ class TestNewtonAgainstReference:
     """
 
     @staticmethod
-    def _both(L, x, y, T, monkeypatch, **kwargs):
+    def _both(L, x, y, T, monkeypatch):
         out = []
         for solver in (_reference_minimize_knots, action_mod._minimize_knots):
             monkeypatch.setattr(action_mod, "_minimize_knots", solver)
             try:
-                out.append((action(L, tonelli_minimizer(L, x, y, T, **kwargs), 0.0), True))
+                out.append((action(L, tonelli_minimizer(L, x, y, T), 0.0), True))
             except NoConvergence as nc:
                 out.append((action(L, nc.path, 0.0), False))
         return out
@@ -590,9 +591,9 @@ class TestNewtonAgainstReference:
 
     def test_general_magnetic_t2(self, monkeypatch):
         L = general_magnetic_t2()
+        monkeypatch.setattr(action_mod, "_W_MAX", 1)    # the reference solves 49 classes slowly
         for T in (0.2, 1.0, 3.0, 8.0):
-            (ref, ref_ok), (new, new_ok) = self._both(L, [0.1, 0.2], [0.45, 0.7], T,
-                                                      monkeypatch, w_max=1)
+            (ref, ref_ok), (new, new_ok) = self._both(L, [0.1, 0.2], [0.45, 0.7], T, monkeypatch)
             assert ref_ok and new_ok
             assert abs(new - ref) <= 1e-10, T
 
@@ -950,7 +951,7 @@ def reference_critical_value(L):
         thetas.extend(theta[u > 0])
     best = search.u_max
     for i in np.argsort(thetas)[::-1][:4]:
-        for Y in (loops[i], _reference_ascend(L, loops[i], search.n_knots)):
+        for Y in (loops[i], _reference_ascend(L, loops[i], action_mod._KNOTS)):
             best = max(best, float(_reference_thresholds(L, Y[None])[0][0]))
     return best
 
@@ -1015,7 +1016,7 @@ class TestLoopRefinement:
     def test_constant_loop_is_returned_at_its_price(self):
         L = general_magnetic_t2()
         ubar = action_mod._thresholds(L, self.CONSTANT_LOOP[None])[1][1][0]
-        theta, loop = action_mod._refine_loop(L, self.CONSTANT_LOOP, 33, 0.8)
+        theta, loop = action_mod._refine_loop(L, self.CONSTANT_LOOP, 0.8)
         assert theta == ubar and np.array_equal(loop, self.CONSTANT_LOOP)
 
 
@@ -1072,7 +1073,7 @@ class TestBatteryRule:
     def test_random_groups_on_t2_with_non_constant_eta(self, name):
         groups = NegativeLoopSearch(PINNED_CASES[name]())._battery()
         assert [X.shape[1:] for X in groups] == [(33, 2), (4, 2), (5, 2), (6, 2)]
-        assert sum(len(X) for X in groups) == NegativeLoopSearch.budget - 1 == 9999
+        assert sum(len(X) for X in groups) == action_mod._BATTERY_SIZE - 1 == 9999
 
     @pytest.mark.parametrize("name", ["t1.eta2.0", "t2.curl", "t2.strong"])
     def test_each_theta_is_the_loops_own(self, name):
@@ -1088,7 +1089,7 @@ class TestBatteryRule:
         assert len(candidates) == (2 if L.dim == 1 else 4)   # on T^1 the classes -1 and -2
         for theta, X in candidates:
             assert theta == fresh(X)
-            refined_theta, Y = action_mod._refine_loop(L, X, search.n_knots, search.u_max)
+            refined_theta, Y = action_mod._refine_loop(L, X, search.u_max)
             assert refined_theta == fresh(Y) >= theta
 
     @pytest.mark.parametrize("name", ["t1.eta2.0", "t2.curl", "t2.strong"])
@@ -1106,7 +1107,7 @@ class TestBatteryRule:
         monkeypatch.setattr(action_mod, "_minimize_knots", recording)
         for _, X in search._candidates():
             ks.clear()
-            action_mod._refine_loop(L, X, search.n_knots, search.u_max)
+            action_mod._refine_loop(L, X, search.u_max)
             assert all(b - a > 4 * np.spacing(a) for a, b in zip(ks, ks[1:])), ks
 
 

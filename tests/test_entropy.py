@@ -201,6 +201,12 @@ class TestJensenBound:
     def test_all_zeros(self):
         assert jensen_bound(np.zeros(5)) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("a", [[-0.5, 1.5], [np.nan, 0.5]])
+    def test_negative_or_nan_entry_refused(self, a):
+        # [nan, 0.5] passed `a < 0` and gave (0.3466, nan)
+        with pytest.raises(ValueError, match="entries of a must be nonnegative"):
+            jensen_bound(a)
+
     def test_arbitrary_vector(self):
         a = np.array([2.0, 3.0, 5.0])
         lhs, rhs = jensen_bound(a)
@@ -317,6 +323,18 @@ class TestInnerPartition:
         P = FinitePartition.trivial(20)
         B, _ = build_inner_partition(mu, P, eps=0.01)
         assert np.all(B.labels == 1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+    def test_budget_not_positive_or_nan_refused(self, eps):
+        # eps = nan passed `eps <= 0` and raised IndexError from the empty pick
+        mu, P = self.quadrant_setup(side=4)
+        with pytest.raises(ent.NoValidRadius, match="deficit budget eps must be positive"):
+            build_inner_partition(mu, P, eps)
+
+    def test_uniform_of_no_points_refused(self):
+        # 1.0 / len(points) raised ZeroDivisionError
+        with pytest.raises(ValueError, match="the atom set is empty"):
+            WeightedMeasure.uniform(np.zeros((0, 1)))
 
     def test_no_valid_radius(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]])
@@ -455,7 +473,7 @@ class TestOnePassLadder:
         F = ladder_ensembles()[name]
         steps = F.n_steps - F.origin
         T = steps - 1
-        a, b = ent._all_pairs(F.n_orbits)
+        a, b = np.triu_indices(F.n_orbits, 1)
         for c in range(F.origin, F.origin + steps):
             pts = F.orbits[:, c, :]
             values = ent._step_values(F, c, a, b, ent._squared(F))
@@ -487,7 +505,7 @@ class TestOnePassLadder:
     def test_kernel_gives_the_metric_bit_for_bit(self, dim, seed):
         F = LabeledOrbitEnsemble(np.random.default_rng(seed).random((12, 1, dim)))
         assert ent._squared(F)
-        a, b = ent._all_pairs(F.n_orbits)
+        a, b = np.triu_indices(F.n_orbits, 1)
         assert np.array_equal(ent._step_values(F, 0, a, b, True),
                               F.metric(F.orbits[a, 0], F.orbits[b, 0]))
 
@@ -578,7 +596,7 @@ class TestPairLadder:
     def test_pairs_across_chunk_seams(self, metric):
         F = orbit_ensemble(cat_map(), 400, 6, backward=3, rng=np.random.default_rng(400))
         F = LabeledOrbitEnsemble(F.orbits, metric=metric, origin=3)
-        assert len(ent._all_pairs(400)[0]) == 79_800 > ent._CHUNK
+        assert len(np.triu_indices(400, 1)[0]) == 79_800 > ent._CHUNK
         # 1.0 is past the torus diameter sqrt(2)/2: no pair ever separates
         for delta in (0.05, 0.3, 1.0):
             _, pairs, covers = reference_counts(F, 7, delta)

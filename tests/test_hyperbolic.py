@@ -208,7 +208,7 @@ class TestBracket:
     def test_bracket_lipschitz(self):
         tm = cat_map()
         rng = np.random.default_rng(1)
-        bound = 2 * tm.basis_condition
+        bound = 2 * np.linalg.cond(tm._basis)
         for _ in range(50):
             x = rng.random(2)
             y = wrap(x + rng.uniform(-0.02, 0.02, 2))

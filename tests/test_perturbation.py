@@ -59,7 +59,7 @@ class TestCanalValues:
         assert np.max(cp(on_core)) < 1e-24
 
     def test_gradient_matches_finite_differences(self):
-        cp = CanalPotential([[0.15, 0.4], [0.6, 0.7]], eps=0.5, k=3, closed=False)
+        cp = CanalPotential([[0.15, 0.4], [0.6, 0.7]], eps=0.5, k=3)
         rng = np.random.default_rng(1)
         pts = rng.random((40, 2))
         g = cp.grad(pts)
@@ -179,15 +179,17 @@ def reference_point_distance_and_direction(cp, x):
 
 
 class TestPointCoreFold:
-    """A point core as a segment of length 0 gives the point branch's bits."""
+    """A point core as a segment of length 0 gives the point branch's bits,
+    with its zero wind given or left to the default."""
 
     @pytest.mark.parametrize("vertex", [[0.0], [0.25], [0.9999], [0.0, 0.0], [0.3, 0.6],
                                         [0.999, 0.5]])
     @pytest.mark.parametrize("plateau", [None, 0.2])
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_values_gradients_distances(self, vertex, plateau, closed):
-        cp = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, closed=closed)
-        ref = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, closed=closed)
+    @pytest.mark.parametrize("explicit_wind", [True, False])
+    def test_values_gradients_distances(self, vertex, plateau, explicit_wind):
+        winds = np.zeros((1, len(vertex)), dtype=int) if explicit_wind else None
+        cp = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, winds=winds)
+        ref = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, winds=winds)
         ref._distance_and_direction = lambda x: reference_point_distance_and_direction(ref, x)
         dim = len(vertex)
         rng = np.random.default_rng(dim)

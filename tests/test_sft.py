@@ -225,9 +225,10 @@ class TestPerronPair:
             expected = sorted(np.flatnonzero(labels == c).tolist() for c in range(n))
             assert sorted(c.tolist() for c in sft.strong_components(bits)) == expected
 
-    def test_max_iter_bounds_the_solves(self):
+    def test_max_iter_bounds_the_solves(self, monkeypatch):
+        monkeypatch.setattr(sft, "_MAX_SOLVES", 2)
         with pytest.raises(RuntimeError, match="after 2 shifted solves"):
-            perron_pair(cycle_chord(200), max_iter=2)
+            perron_pair(cycle_chord(200))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
@@ -648,6 +649,12 @@ class TestDaDistance:
         with pytest.raises(sft.WindowMismatch):
             d_a_distance((0, 1, 0), (0, 1, 0, 1, 0))
 
+    @pytest.mark.parametrize("a", [1.0, 0.5, np.nan])
+    def test_base_at_most_one_or_nan_refused(self, a):
+        # a = nan passed `a <= 1` and gave 1.0 on these windows
+        with pytest.raises(ValueError, match="metric base a must be > 1"):
+            d_a_distance((0, 1, 0), (0, 0, 0), a=a)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.data())
     def test_ultrametric(self, r, data):
@@ -693,7 +700,7 @@ def test_cylinder_growth_exposed():
     assert k6 > 0
 
 
-def reference_top_entropy(A, rtol=1e-12, max_iter=100):
+def reference_top_entropy(A):
     """`top_entropy` through `essential_part`, before it walked the
     components of A directly, verbatim."""
     ess, _ = A.essential_part()
@@ -704,7 +711,7 @@ def reference_top_entropy(A, rtol=1e-12, max_iter=100):
         block = ess.bits if len(idx) == ess.m else ess.bits[np.ix_(idx, idx)]
         if len(idx) == 1 and not block[0, 0]:
             continue  # transient symbol, no cycle through it
-        root = max(root, perron_pair(block, rtol, max_iter).root)
+        root = max(root, perron_pair(block).root)
     return float(np.log(root))
 
 

@@ -12,7 +12,11 @@ by string ("tonelli_minimizer", "NegativeLoopSearch.find").  Other strings,
 such as dict keys or argparse dests, docstrings, comments and README text
 outside code spans do not count.  The check is by
 name, so a method also counts as reached by any attribute or name that
-spells it, whatever object it is read from."""
+spells it, whatever object it is read from.
+
+Likewise every optional parameter of the public functions, methods and
+classes is set by the same program code: a keyword, a default or a
+dataclass field that only the tests set belongs in the tests."""
 
 import ast
 import re
@@ -49,21 +53,29 @@ def _code_names(path):
     return names
 
 
+def _readme_code_spans():
+    """The README's code spans and fenced blocks."""
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+
+
 def _readme_code_names():
     """The identifiers inside the README's code spans and fenced blocks."""
-    text = (ROOT / "README.md").read_text()
-    spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
-    return {name for span in spans for name in IDENTIFIER.findall(span)}
+    return {name for span in _readme_code_spans() for name in IDENTIFIER.findall(span)}
 
 
 def _reached(paths):
     return set().union(*map(_code_names, paths))
 
 
+def _reach_paths():
+    """Program code but the package's re-export, and the acceptance tests."""
+    return [*(path for path in PROGRAM if path != PACKAGE / "__init__.py"),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
 def _public_reach():
-    paths = [path for path in PROGRAM if path != PACKAGE / "__init__.py"]
-    return (_reached([*paths, ROOT / "tests" / "test_acceptance.py"])
-            | _readme_code_names())
+    return _reached(_reach_paths()) | _readme_code_names()
 
 
 def test_every_public_name_is_reached():
@@ -86,3 +98,91 @@ def test_every_private_function_is_named_by_the_program():
     unreached = [label for label, node in _definitions(ast.FunctionDef)
                  if node.name.startswith("_") and node.name not in reach]
     assert not unreached, "private and named only in tests/: " + ", ".join(unreached)
+
+
+def _optional_parameters(fn, skip_first):
+    """(name, positional index or None) of each optional parameter of `fn`."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][skip_first:]
+    n_required = len(positional) - len(args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= n_required]
+            + [(a.arg, None) for a in args.kwonlyargs])
+
+
+def _settable():
+    """(label, called name, parameters) of each definition with optional
+    parameters: a public top-level function, a public method, a class's
+    `__init__` and a dataclass's defaulted fields, called by the class name."""
+    for label, node in _definitions((ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.FunctionDef):
+            if not node.name.startswith("_"):
+                yield label, node.name, _optional_parameters(node, 0)
+            continue
+        if node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+            if item.name == "__init__":
+                yield label, node.name, _optional_parameters(item, 1)
+            elif not item.name.startswith("_"):
+                yield f"{label}.{item.name}", item.name, _optional_parameters(item, 0 if static else 1)
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            yield label, node.name, [(f.target.id, i) for i, f in enumerate(fields)
+                                     if f.value is not None]
+
+
+def _calls(path):
+    """(called name, positional count, keywords, unpacks) of each call in a
+    Python file.  An `import ... as` alias is taken back to the imported name,
+    and `cls(...)` inside a class body is a call of that class."""
+    tree = ast.parse(path.read_text())
+    alias = {node.asname: node.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.asname}
+    classes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            classes.update((id(inner), node.name) for inner in ast.walk(node))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = alias.get(func.id, func.id)
+            if name == "cls" and id(node) in classes:
+                name = classes[id(node)]
+        else:
+            continue
+        unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+        yield (name, sum(not isinstance(a, ast.Starred) for a in node.args),
+               {k.arg for k in node.keywords if k.arg}, unpacks)
+
+
+def test_every_keyword_is_set_by_program_code():
+    """Each optional parameter of a public function, public method or class
+    `__init__`, and each defaulted dataclass field, is set by program code:
+    a call by its keyword, with enough positional arguments to reach it, or
+    with `*args`/`**kwargs`; or a README code span that holds both `name(`
+    and `param=`.  A setting that only the tests set belongs in the tests.
+    Calls match definitions by name, as in the checks above: a plain or
+    attribute name, an `import ... as` alias taken back to the imported
+    name, or `cls(...)` inside the class's own body."""
+    calls = {}
+    for path in _reach_paths():
+        for name, n_args, keywords, unpacks in _calls(path):
+            calls.setdefault(name, []).append((n_args, keywords, unpacks))
+    spans = _readme_code_spans()
+    unset = []
+    for label, name, params in _settable():
+        for param, index in params:
+            if not any(unpacks or param in keywords or (index is not None and index < n_args)
+                       for n_args, keywords, unpacks in calls.get(name, [])) \
+                    and not any(f"{name}(" in s and f"{param}=" in s for s in spans):
+                unset.append(f"{label}({param}=)")
+    assert not unset, "set only from tests/: " + ", ".join(unset)

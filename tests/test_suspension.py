@@ -28,6 +28,12 @@ def golden_window(radius=8):
 
 
 class TestSuspendFlow:
+    @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
+    def test_non_finite_height_refused(self, height):
+        # a NaN height flowed to height nan; an infinite one walked the whole window
+        with pytest.raises(ValueError, match="height must be finite"):
+            SuspensionPoint(golden_window(), height)
+
     def test_time_zero_identity(self):
         pt = SuspensionPoint(golden_window(), 0.3)
         out = suspend_flow(pt, 0.0, CeilingFunction.constant(1.0))
@@ -110,6 +116,11 @@ class TestMarkovMeasure:
         assert abs(np.mean(path == 1) - nu.p[1]) < 5e-3
         assert not any(path[i] == 1 and path[i + 1] == 1 for i in range(len(path) - 1))
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_sample_needs_one_symbol(self, length):
+        # length 0 raised numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="sample length must be >= 1"):
+            parry_measure(GOLDEN_MEAN).sample(np.random.default_rng(0), length)
 
     @pytest.mark.parametrize("P,p", [
         ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5]),
@@ -181,9 +192,8 @@ class TestLiftMeasure:
 
         base = integ.integrate(f, radius=4)
         for t in (0.35, 1.2, -0.8):
-            shifted = integ.integrate(
-                lambda w, s: f(*_flowed(w, s, t, tau)),
-                radius=6, breakpoints=lambda w: roof_crossings(w, t, tau))
+            shifted = split_integral(integ, lambda w, s: f(*_flowed(w, s, t, tau)), 6,
+                                     lambda w: roof_crossings(w, t, tau))
             assert abs(shifted - base) < 1e-6
 
     def test_non_invariant_base_rejected(self):
@@ -194,9 +204,32 @@ class TestLiftMeasure:
             lift_measure(Bogus(), CeilingFunction.constant(1.0))
 
 
+def split_integral(integ, f, radius, kinks):
+    """The lifted integral of f over windows of the given radius, each fiber
+    split at the heights `kinks(w)` where f kinks, so that each smooth panel
+    gets its own `_panel_sum`."""
+    def fiber(w):
+        top = integ.tau(w)
+        cuts = sorted({0.0, top} | {float(b) for b in kinks(w) if 0.0 < b < top})
+        return sus._panel_sum(f, w, cuts)
+
+    return integ.nu.expect_window(fiber, radius) / integ.total_time
+
+
 def _flowed(w, s, t, tau):
     out = suspend_flow(SuspensionPoint(w, s), t, tau)
     return out.base, out.height
+
+
+class TestEmptyCycle:
+    # the window raised ZeroDivisionError; the weight was a confident 0.0
+    def test_periodic_window(self):
+        with pytest.raises(ValueError, match="the empty cycle"):
+            SymbolWindow.periodic((), 3)
+
+    def test_orbit_weight(self):
+        with pytest.raises(ValueError, match="the empty cycle"):
+            orbit_weight((), CeilingFunction.constant(1.0), lambda w, s: 1.0)
 
 
 class TestOrbitWeight:
@@ -351,7 +384,7 @@ class TestPanelSumFold:
             if n_quad != 32:
                 rule = np.polynomial.legendre.leggauss(n_quad)
                 monkeypatch.setattr(sus, "_gauss_legendre", lambda: rule)
-            assert integ.integrate(f, 4, kinks) == \
+            assert split_integral(integ, f, 4, kinks) == \
                 reference_integrate(integ, f, 4, n_quad, kinks)
             assert integ.integrate(f, 4) == reference_integrate(integ, f, 4, n_quad)
 
