@@ -9,20 +9,15 @@ the minimizing set.
 import numpy as np
 
 from torusdyn import CanalPotential, FourierSeries, MechanicalLagrangian, perturb
-from torusdyn.perturbation import (
-    CanalExperimentConfig,
-    core_force_residual,
-    experiment_localization,
-)
+from torusdyn.perturbation import core_force_residual, experiment_localization
 
 pendulum = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}))
-config = CanalExperimentConfig()
 
 # --- canal at the unstable equilibrium (the Aubry set): nothing moves
 cp = CanalPotential([[0.0]], eps=0.1, k=2)
 print(f"canal values: phi(0) = {float(cp([0.0]))}, phi(0.25) = {float(cp([0.25])):.4f}")
 print(f"force the canal exerts on its core: {core_force_residual(pendulum, cp):.1e}")
-report = experiment_localization(pendulum, cp, config)
+report = experiment_localization(pendulum, cp)
 print("canal on the equilibrium:")
 print(f"  c(L) = {report['c_base']:.4f} -> c(L+phi) = {report['c_perturbed']:.4f} "
       f"(monotone: {report['monotone']})")
@@ -31,7 +26,7 @@ print(f"  best loop sits {report['best_loop_core_distance']:.3f} from the core "
 
 # --- canal at the potential minimum: the minimizing loop stays away
 cp_off = CanalPotential([[0.5]], eps=0.2, k=2)
-report = experiment_localization(pendulum, cp_off, config)
+report = experiment_localization(pendulum, cp_off)
 print("canal on the stable equilibrium (off the Aubry set):")
 print(f"  c(L) = {report['c_base']:.4f} -> c(L+phi) = {report['c_perturbed']:.4f}")
 print(f"  best loop sits {report['best_loop_core_distance']:.3f} from the core "

@@ -24,13 +24,23 @@ from .action import potential_table as _potential_table
 from .perturbation import experiment_localization
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _load_matrix(args):
     if args.golden_mean:
         return sft_mod.GOLDEN_MEAN
     if args.full_shift is not None:
         return sft_mod.full_shift(args.full_shift)
     if args.matrix:
-        return sft_mod.load_matrix(args.matrix)
+        return config_mod.parse_matrix(_read(args.matrix))
     raise ValueError("no transition matrix given (--matrix/--golden-mean/--full-shift)")
 
 
@@ -51,8 +61,7 @@ def _emit(args, payload, rows=None, header=None):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -98,28 +107,23 @@ def cmd_sft_recode(args):
     payload = {"n": args.n, "symbols": rec.matrix.m, "h_base": h_base,
                "h_recoded": h_rec, "inequality_ok": bool(h_rec >= args.n * h_base - 1e-9)}
     if args.matrix_out:
-        sft_mod.save_matrix(rec.matrix, args.matrix_out)
+        _write(args.matrix_out, config_mod.format_matrix(rec.matrix))
         payload["matrix_out"] = args.matrix_out
     _emit(args, payload)
-
-
-def _load_lagrangian(args):
-    with open(args.config) as fh:
-        return config_mod.parse_lagrangian(fh.read())
 
 
 def cmd_critical_value(args):
     if not 0 < args.tol < np.inf:                  # NaN fails this test too
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    L, _ = _load_lagrangian(args)
+    L, _ = config_mod.parse_lagrangian(_read(args.config))
     c = _critical_value(L, tol=args.tol)
     _emit(args, {"c": c, "tol": args.tol})
 
 
 def cmd_action_potential(args):
-    L, _ = _load_lagrangian(args)
-    ks = [config_mod._number(v, f"--k value {i}: k") for i, v in enumerate(args.k.split(","), 1)]
-    xs, ys = _flag_points("--x", args.x), _flag_points("--y", args.y)
+    L, _ = config_mod.parse_lagrangian(_read(args.config))
+    ks = config_mod.parse_k_list(args.k)
+    xs, ys = config_mod.parse_point_list("--x", args.x), config_mod.parse_point_list("--y", args.y)
     pairs = [(x, y) for x in xs for y in ys]
     rows = _potential_table(L, ks, pairs, w_max=args.w_max)
     if args.format == "csv":
@@ -127,12 +131,6 @@ def cmd_action_potential(args):
     else:
         payload = {"table": [dict(zip(("k", "x", "y", "phi", "status"), r)) for r in rows]}
         _emit(args, payload)
-
-
-def _flag_points(flag, text):
-    """Points of a flag: `,` between points and `;` between coordinates."""
-    return [[config_mod._finite(c, f"{flag} point {i}: coordinate") for c in p.split(";")]
-            for i, p in enumerate(text.split(","), 1)]
 
 
 def cmd_suspend_integrate(args):
@@ -172,8 +170,7 @@ def cmd_entropy_estimate(args):
     if args.T is not None and not args.T > 0:      # NaN fails this test too
         raise ValueError(f"--T must be positive, got {args.T}")
     if args.ensemble:
-        with open(args.ensemble) as fh:
-            F = entropy_mod.ensemble_from_csv(fh.read())
+        F = config_mod.ensemble_from_csv(_read(args.ensemble))
     else:
         if args.steps < 1:
             raise ValueError(f"--steps must be at least 1, got {args.steps}")
@@ -211,18 +208,9 @@ def cmd_hexpansivity(args):
 
 
 def cmd_shadow(args):
-    entries = [config_mod._integer(v, f"--matrix-entries entry {i}")
-               for i, v in enumerate(args.matrix_entries.split(","), 1)]
-    if len(entries) != 4:
-        raise ValueError(f"--matrix-entries needs 4 entries a,b,c,d, got {len(entries)}")
-    tm = hyp_mod.ToralAutomorphism(np.array(entries).reshape(2, 2))
+    tm = hyp_mod.ToralAutomorphism(config_mod.parse_matrix_entries(args.matrix_entries))
     if args.orbit:
-        with open(args.orbit) as fh:
-            _, rows = config_mod.csv_rows(fh.read())
-        pts = config_mod.csv_cells(   # the last two cells are the point; leading ones are labels
-            rows, lambda w: (None,) * (w - 2) + ("coordinate",) * 2 if w >= 2 else None,
-            "two coordinate")
-        orbits = [hyp_mod.PseudoOrbit(tm, np.array(pts))]
+        orbits = [hyp_mod.PseudoOrbit(tm, config_mod.parse_orbit_csv(_read(args.orbit)))]
     else:
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -244,11 +232,9 @@ def cmd_shadow(args):
 
 
 def cmd_canal_experiment(args):
-    with open(args.config) as fh:
-        text = fh.read()
-    L, canal, econf = config_mod.parse_canal_experiment(
-        text, base_dir=os.path.dirname(os.path.abspath(args.config)))
-    report = experiment_localization(L, canal, econf)
+    L, canal, tolerance = config_mod.parse_canal_experiment(
+        _read(args.config), base_dir=os.path.dirname(os.path.abspath(args.config)))
+    report = experiment_localization(L, canal, tolerance=tolerance)
     _emit(args, report)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import csv_cells, csv_rows
 from .torus import torus_metric
 
 
@@ -406,14 +405,15 @@ def refine_entropy(mu: WeightedMeasure, P: FinitePartition, f, N):
 def jensen_bound(a):
     """(lhs, rhs) with lhs = -sum a_i log a_i and rhs = 1 + (sum a_i) log n.
 
-    Always lhs <= rhs; when sum a_i = 1 additionally lhs <= log n.
+    Always lhs <= rhs; when sum a_i = 1 additionally lhs <= log n.  The
+    entries must be finite and nonnegative; both halves are Python floats.
     """
     a = np.asarray(a, dtype=float)
-    if not np.all(a >= 0):      # NaN fails too
-        raise ValueError(f"entries of a must be nonnegative, got {a.tolist()}")
+    if not np.all((a >= 0) & (a < np.inf)):      # NaN fails too
+        raise ValueError(f"entries of a must be nonnegative and finite, got {a.tolist()}")
     n = len(a)
     lhs = float(_plogp(a).sum())
-    rhs = 1.0 + float(a.sum()) * np.log(n) if n else 1.0
+    rhs = 1.0 + float(a.sum()) * float(np.log(n)) if n else 1.0
     return lhs, rhs
 
 
@@ -458,44 +458,3 @@ def build_inner_partition(mu: WeightedMeasure, P: FinitePartition, eps):
         labels[cell_idx[order[pick:]]] = c + 1
         radii[c] = radius
     return FinitePartition(labels, P.k + 1), radii
-
-
-# ---------------------------------------------------------------------------
-# CSV ensemble input: rows of (orbit id, step, coordinates...)
-
-def ensemble_from_csv(text):
-    """Ensemble from CSV rows `orbit,step,x1,...`: every orbit has one row
-    per step, and the step labels are consecutive integers (negative steps
-    hold backward iterates; step 0, when present, is the origin)."""
-    _, rows = csv_rows(text)
-    values = csv_cells(rows, lambda w: ("orbit", "step") + ("coordinate",) * (w - 2)
-                       if w >= 2 else None, "orbit,step,coordinate")
-    lines = [n for n, _ in rows]
-    if not values:
-        raise ValueError("no data rows")
-    dims = sorted({len(v) - 2 for v in values})
-    if len(dims) > 1:
-        raise ValueError(f"ensemble rows carry different coordinate counts {dims}")
-    if dims == [0]:
-        raise ValueError("ensemble rows carry no coordinate columns")
-    # the first line of each (orbit, step) pair
-    first = {(v[0], v[1]): n for n, v in zip(reversed(lines), reversed(values))}
-    if len(first) < len(values):
-        n, o, s = next((n, v[0], v[1]) for n, v in zip(lines, values) if first[v[0], v[1]] != n)
-        raise ValueError(f"line {n}: orbit {o} step {s} repeats line {first[o, s]}")
-    steps = sorted({v[1] for v in values})
-    gap = next((i for i in range(1, len(steps)) if steps[i] != steps[i - 1] + 1), None)
-    if gap is not None:
-        n = next(n for n, v in zip(lines, values) if v[1] == steps[gap])
-        raise ValueError(f"line {n}: step {steps[gap]} leaves a gap; step labels must be "
-                         f"consecutive integers and step {steps[gap - 1] + 1} is missing")
-    orbit_ids = sorted({v[0] for v in values})
-    id_pos = {o: i for i, o in enumerate(orbit_ids)}
-    orbits = np.full((len(orbit_ids), len(steps), dims[0]), np.nan)
-    at = ([id_pos[v[0]] for v in values], [v[1] - steps[0] for v in values])
-    orbits[at] = [v[2:] for v in values]
-    if len(values) != orbits.shape[0] * orbits.shape[1]:
-        o, t = np.argwhere(np.isnan(orbits[:, :, 0]))[0].tolist()
-        raise ValueError(f"ragged ensemble: orbit {orbit_ids[o]} has no row for step "
-                         f"{steps[0] + t}")
-    return LabeledOrbitEnsemble(orbits, origin=-steps[0] if steps[0] <= 0 <= steps[-1] else 0)

@@ -63,10 +63,6 @@ class Trajectory:
     def __len__(self):
         return len(self.xs)
 
-    @property
-    def times(self):
-        return self.dt * np.arange(len(self))
-
 
 @dataclass(frozen=True)
 class MechanicalLagrangian:
@@ -85,12 +81,6 @@ class MechanicalLagrangian:
             object.__setattr__(self, "oneform", OneForm.zero(self.dim))
         if getattr(self.potential, "dim", self.dim) != self.dim or self.oneform.dim != self.dim:
             raise ValueError("field dimension mismatch")
-
-    def lagrangian(self, x, v):
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        kin = 0.5 * (v * v).sum(axis=-1)
-        mag = 0.0 if self.oneform.is_zero() else (self.oneform(x) * v).sum(axis=-1)
-        return kin + mag - self.potential(x)
 
     def is_mechanical(self):
         """True when the magnetic term cannot bend trajectories."""

@@ -7,7 +7,6 @@ Euler-Lagrange flow survive the perturbation, while the critical value can
 only decrease: c(L + phi) <= c(L).
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -142,13 +141,7 @@ def core_force_residual(L: MechanicalLagrangian, cp: CanalPotential):
     return float(np.max(np.linalg.norm(cp.grad(pts), axis=-1)))
 
 
-@dataclass
-class CanalExperimentConfig:
-    tolerance: float = 2e-2
-
-
-def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential,
-                            config: CanalExperimentConfig = None):
+def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential, tolerance=2e-2):
     """Perturb, re-estimate the critical value, and report where the loop
     that certifies c(L + phi) lies relative to the canal core.
 
@@ -156,15 +149,14 @@ def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential,
     `critical_value` reads c(L + phi) off: the constant loop at the maximum
     of U - phi, or a refined winding or battery loop when c(L + phi) exceeds
     that maximum.  Its core distance is the largest over its knots.
-    Guarantees in the report: the monotonicity c(L+phi) <= c(L) + tol is
+    Guarantees in the report: the monotonicity c(L+phi) <= c(L) + tolerance is
     checked (and must hold: phi >= 0); the localization is reported, not
     asserted.
     """
-    config = config or CanalExperimentConfig()
     search = NegativeLoopSearch(perturb(L, cp))
     c_base = critical_value(L)
     c_pert = critical_value(search.L, search=search)
-    monotone = c_pert <= c_base + config.tolerance
+    monotone = c_pert <= c_base + tolerance
     if not monotone:
         raise RuntimeError(f"monotonicity violated: c(L+phi)={c_pert} > c(L)={c_base}")
     _, X = search.best_loop()

@@ -556,64 +556,6 @@ def cylinder_growth(A: TransitionMatrix, n):
     return count_words(A, n) * np.exp(-n * h)
 
 
-# ---------------------------------------------------------------------------
-# matrix I/O
-
-def format_matrix(A: TransitionMatrix):
-    """Serialize as a 0/1 grid, one row per line."""
-    return "\n".join("".join("1" if b else "0" for b in row) for row in A.bits) + "\n"
-
-
-def parse_matrix(text):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    if lines[0].startswith("rle"):
-        try:
-            _, size = lines[0].split()
-            m = int(size)
-        except ValueError:
-            raise ValueError(f"run-length header {lines[0]!r} must be `rle <size>`") from None
-        if m < 1:
-            raise ValueError(f"run-length size {m} must be at least 1")
-        counts, values = [], []
-        for tok in " ".join(lines[1:]).split():
-            try:
-                count, bit = (int(v) for v in tok.split("*"))
-            except ValueError:
-                raise ValueError(f"run token {tok!r} must be `count*bit`") from None
-            if count < 0:
-                raise ValueError(f"run length {count} in {tok!r} is negative")
-            if bit not in (0, 1):
-                raise ValueError(f"run token {tok!r}: entries must be 0 or 1")
-            counts.append(count)
-            values.append(bit)
-        if sum(counts) != m * m:
-            raise ValueError(f"run-length data has {sum(counts)} bits, expected {m * m}")
-        bits = np.repeat(np.array(values, dtype=np.int8), counts).reshape(m, m)
-    else:
-        rows = []
-        for ln in lines:
-            try:
-                rows.append([int(c) for c in (ln.split() if " " in ln else ln)])
-            except ValueError:
-                raise ValueError(f"matrix row {ln!r}: entries must be 0 or 1") from None
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix grid is not square")
-        bits = np.array(rows)
-    return TransitionMatrix(bits)
-
-
-def load_matrix(path):
-    with open(path) as fh:
-        return parse_matrix(fh.read())
-
-
-def save_matrix(A: TransitionMatrix, path):
-    with open(path, "w") as fh:
-        fh.write(format_matrix(A))
-
-
 def random_transition_matrix(rng, m, density):
     """Random essential transition matrix with the given edge density.
 

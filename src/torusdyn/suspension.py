@@ -187,7 +187,11 @@ class MarkovMeasure(_WindowMeasure):
         if not length >= 1:
             raise ValueError(f"sample length must be >= 1, got {length}")
         s = int(rng.choice(self.m, p=self.p))
-        cums = np.cumsum(self.P, axis=1).tolist()
+        cums = np.cumsum(self.P, axis=1)
+        # a draw past a rounded row total takes the row's last possible symbol
+        for cum, row in zip(cums, self.P):
+            cum[np.flatnonzero(row > 0)[-1]:] = np.inf
+        cums = cums.tolist()
         path = [s]
         for u in rng.random(length - 1).tolist():
             s = bisect_left(cums[s], u)

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: two CSV writers that feed the readers,
-the discrete Euler-Lagrange residual of a path, the numpy Euler-Lagrange
-vector field the flow tests step as their reference, the roof crossings of a
+the value of a Lagrangian and the sample times of a trajectory, the discrete
+Euler-Lagrange residual of a path, the numpy Euler-Lagrange vector field the
+flow tests step as their reference, the roof crossings of a
 suspension flow where the flow-invariance tests split their panels, and the
 eigencomponents of jumps and the shadowing corrections of them given as
 arrays."""
@@ -12,7 +13,7 @@ from torusdyn.config import format_csv
 from torusdyn.entropy import LabeledOrbitEnsemble
 from torusdyn.hyperbolic import ToralAutomorphism, _scan_corrections
 from torusdyn.fields import OneForm
-from torusdyn.lagrangian import MechanicalLagrangian
+from torusdyn.lagrangian import MechanicalLagrangian, Trajectory
 from torusdyn.suspension import CeilingFunction, SymbolWindow
 
 
@@ -30,6 +31,19 @@ def ensemble_to_csv(F: LabeledOrbitEnsemble):
     pts = F.orbits.tolist()
     return format_csv(header, ([o, s - F.origin] + pts[o][s]
                                for o in range(F.n_orbits) for s in range(F.n_steps)))
+
+
+def lagrangian(L: MechanicalLagrangian, x, v):
+    """L(x, v) = |v|^2/2 + eta(x).v - U(x) at points x and velocities v."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    kin = 0.5 * (v * v).sum(axis=-1)
+    mag = 0.0 if L.oneform.is_zero() else (L.oneform(x) * v).sum(axis=-1)
+    return kin + mag - L.potential(x)
+
+
+def times(traj: Trajectory):
+    """The sample times 0, dt, 2 dt, ... of a trajectory."""
+    return traj.dt * np.arange(len(traj))
 
 
 def el_residual(L: MechanicalLagrangian, p: BrokenPath):

@@ -104,8 +104,10 @@ class TestSubcommands:
                                          "--matrix-out", out_path])
         payload = json.loads(out)
         assert code == 0 and payload["symbols"] == 3 and payload["inequality_ok"]
-        from torusdyn.sft import load_matrix, top_entropy
-        assert abs(top_entropy(load_matrix(out_path)) - payload["h_recoded"]) < 1e-12
+        from torusdyn.sft import top_entropy
+        with open(out_path) as fh:
+            recoded = config_mod.parse_matrix(fh.read())
+        assert abs(top_entropy(recoded) - payload["h_recoded"]) < 1e-12
 
     def test_critical_value(self, capsys, tmp_path):
         cfg = tmp_path / "pendulum.cfg"
@@ -733,6 +735,6 @@ class TestConfigRoundTrip:
         core = tmp_path / "core.csv"
         core.write_text("x1\n0.0\n")
         text = PENDULUM_CFG + f"\n[canal]\neps = 0.2\nk = 3\ncore_file = {core.name}\n"
-        L, canal, econf = config_mod.parse_canal_experiment(text, base_dir=str(tmp_path))
-        assert canal.k == 3 and canal.eps == 0.2
+        L, canal, tolerance = config_mod.parse_canal_experiment(text, base_dir=str(tmp_path))
+        assert canal.k == 3 and canal.eps == 0.2 and tolerance == 2e-2
         assert canal.dim == 1

@@ -21,6 +21,7 @@ from torusdyn.entropy import (
     spanning_count,
     torus_metric,
 )
+from torusdyn.config import ensemble_from_csv
 from torusdyn.hyperbolic import cat_map, orbit_ensemble, perturbed_orbit_ensemble
 from torusdyn.sft import GOLDEN_MEAN, closed_walks
 from torusdyn.suspension import parry_measure
@@ -207,6 +208,17 @@ class TestJensenBound:
         with pytest.raises(ValueError, match="entries of a must be nonnegative"):
             jensen_bound(a)
 
+    @pytest.mark.parametrize("a", [[np.inf, 0.5], [0.5, -np.inf]])
+    def test_infinite_entry_refused(self, a):
+        # [inf, 0.5] passed `a >= 0` and gave (-inf, inf)
+        with pytest.raises(ValueError, match="entries of a must be nonnegative and finite"):
+            jensen_bound(a)
+
+    @pytest.mark.parametrize("a", [[], [0.25, 0.75]])
+    def test_python_floats(self, a):
+        # a nonempty `a` gave a numpy float rhs
+        assert [type(half) for half in jensen_bound(a)] == [float, float]
+
     def test_arbitrary_vector(self):
         a = np.array([2.0, 3.0, 5.0])
         lhs, rhs = jensen_bound(a)
@@ -381,7 +393,7 @@ def test_ensemble_csv_round_trip():
     tm = cat_map()
     F = orbit_ensemble(tm, 7, 5, backward=2, rng=np.random.default_rng(3))
     text = ensemble_to_csv(F)
-    G = ent.ensemble_from_csv(text)
+    G = ensemble_from_csv(text)
     assert np.allclose(F.orbits, G.orbits)
     assert G.origin == F.origin
 

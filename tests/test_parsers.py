@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdyn.cli import run
-from torusdyn.config import csv_cells, csv_rows, parse_lagrangian, parse_polyline_csv
-from torusdyn.entropy import LabeledOrbitEnsemble, ensemble_from_csv
+from torusdyn.config import (
+    csv_cells,
+    csv_rows,
+    ensemble_from_csv,
+    parse_lagrangian,
+    parse_matrix,
+    parse_polyline_csv,
+)
+from torusdyn.entropy import LabeledOrbitEnsemble
 from torusdyn.hyperbolic import cat_map, orbit_ensemble
 from torusdyn.lagrangian import MechanicalLagrangian
-from torusdyn.sft import TransitionMatrix, parse_matrix
+from torusdyn.sft import TransitionMatrix
 
 from helpers import ensemble_to_csv, format_polyline_csv
 

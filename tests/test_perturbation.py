@@ -5,7 +5,6 @@ from torusdyn.action import NegativeLoopSearch, critical_value
 from torusdyn.fields import FourierSeries, OneForm
 from torusdyn.lagrangian import MechanicalLagrangian, PhaseState, el_flow
 from torusdyn.perturbation import (
-    CanalExperimentConfig,
     CanalPotential,
     DimMismatch,
     core_force_residual,
@@ -13,6 +12,8 @@ from torusdyn.perturbation import (
     perturb,
 )
 from torusdyn.torus import wrap
+
+from helpers import lagrangian
 
 
 def pendulum():
@@ -94,7 +95,7 @@ class TestPerturb:
         Lp = perturb(L, cp)
         xs = np.linspace(0, 1, 64)[:, None]
         vs = np.zeros_like(xs)
-        assert np.allclose(Lp.lagrangian(xs, vs), L.lagrangian(xs, vs) + cp(xs), atol=1e-14)
+        assert np.allclose(lagrangian(Lp, xs, vs), lagrangian(L, xs, vs) + cp(xs), atol=1e-14)
 
     def test_core_fixed_point_persists(self):
         L = pendulum()
@@ -131,14 +132,14 @@ class TestExperiment:
     def test_trivial_amplitude_keeps_critical_value(self):
         L = pendulum()
         cp = CanalPotential([[0.0]], eps=1e-9, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig())
+        rep = experiment_localization(L, cp)
         assert abs(rep["c_base"] - rep["c_perturbed"]) <= 2e-2
         assert rep["monotone"]
 
     def test_canal_at_fixed_point_preserves_c(self):
         L = pendulum()
         cp = CanalPotential([[0.0]], eps=0.1, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig())
+        rep = experiment_localization(L, cp)
         assert abs(rep["c_perturbed"] - 1.0) <= 2e-2
         assert rep["core_force_residual"] <= 1e-8
         assert rep["localized"]
@@ -147,7 +148,7 @@ class TestExperiment:
         # canal around the potential minimum: minimizing loops stay off-core
         L = pendulum()
         cp = CanalPotential([[0.5]], eps=0.2, k=2)
-        rep = experiment_localization(L, cp, CanalExperimentConfig())
+        rep = experiment_localization(L, cp)
         assert rep["monotone"]
         assert rep["c_perturbed"] <= rep["c_base"] + 2e-2
         assert not rep["localized"]  # best loops hug the max at 0, far from 0.5

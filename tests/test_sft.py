@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdyn import sft
+from torusdyn.config import format_matrix, parse_matrix
 from torusdyn.sft import (
     GOLDEN_MEAN,
     PeriodicOrbit,
@@ -680,8 +681,8 @@ def reference_rle(A):
 
 class TestMatrixIO:
     def test_grid_round_trip(self):
-        text = sft.format_matrix(GOLDEN_MEAN)
-        assert sft.parse_matrix(text) == GOLDEN_MEAN
+        text = format_matrix(GOLDEN_MEAN)
+        assert parse_matrix(text) == GOLDEN_MEAN
 
     def test_rle_round_trip(self):
         rng = np.random.default_rng(7)
@@ -689,10 +690,10 @@ class TestMatrixIO:
                  full_shift(4), TransitionMatrix(np.eye(5)), TransitionMatrix(cycle_chord(40)),
                  TransitionMatrix(rng.random((30, 30)) < 0.5)]
         for A in cases:
-            assert sft.parse_matrix(reference_rle(A)) == A
+            assert parse_matrix(reference_rle(A)) == A
 
     def test_spaced_grid(self):
-        assert sft.parse_matrix("1 1\n1 0\n") == GOLDEN_MEAN
+        assert parse_matrix("1 1\n1 0\n") == GOLDEN_MEAN
 
 
 def test_cylinder_growth_exposed():

@@ -10,13 +10,16 @@ A reach is code, not prose: a name, an attribute, an imported name or a
 string of the benchmark's `TRACED` table, which names the calls it wraps
 by string ("tonelli_minimizer", "NegativeLoopSearch.find").  Other strings,
 such as dict keys or argparse dests, docstrings, comments and README text
-outside code spans do not count.  The check is by
-name, so a method also counts as reached by any attribute or name that
-spells it, whatever object it is read from.
+outside code spans do not count.  A method is reached only by an attribute
+that spells it, whatever object it is read from, or by `.name(` in a README
+code span; a plain name of the same spelling is no reach.
 
 Likewise every optional parameter of the public functions, methods and
 classes is set by the same program code: a keyword, a default or a
-dataclass field that only the tests set belongs in the tests."""
+dataclass field that only the tests set belongs in the tests.
+
+And `config` is the package's one text layer: only the CLI imports it, and
+only the two of them open files."""
 
 import ast
 import re
@@ -85,12 +88,62 @@ def test_every_public_name_is_reached():
     assert not unreached, "reached only from tests/: " + ", ".join(unreached)
 
 
+def _attributes(path):
+    """The attribute names a Python file reads or calls."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
 def test_every_public_method_is_reached():
-    reach = _public_reach()
+    """A method is reached by an attribute of program code (`obj.name`) or by
+    `.name(` in a README code span.  A plain name that spells it, such as
+    the module `torusdyn.lagrangian` for `MechanicalLagrangian.lagrangian`,
+    is no reach."""
+    reach = set().union(*map(_attributes, _reach_paths()))
+    spans = _readme_code_spans()
     unreached = [f"{label}.{item.name}" for label, node in _definitions(ast.ClassDef)
                  for item in node.body if isinstance(item, ast.FunctionDef)
-                 and not item.name.startswith("_") and item.name not in reach]
+                 and not item.name.startswith("_") and item.name not in reach
+                 and not any(f".{item.name}(" in span for span in spans)]
     assert not unreached, "reached only from tests/: " + ", ".join(unreached)
+
+
+def _config_imports(tree):
+    """The names a module binds to `torusdyn.config` and the names it imports
+    from it."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            aliases.update(a.asname or a.name for a in node.names if a.name == "config")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("config", "torusdyn.config"):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "torusdyn.config")
+    return aliases, names
+
+
+def test_one_text_layer():
+    """`config` is the one module that parses and formats text, and the CLI
+    is its one importer: among the package modules only `cli.py` and
+    `config.py` call `open(`, `config.py` only for the canal's `core_file`,
+    and `cli.py` reaches no private helper of `config`."""
+    opens, importers, private = {}, [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "open"]
+        if calls:
+            opens[path.name] = calls
+        aliases, names = _config_imports(tree)
+        if aliases or names:
+            importers.append(path.name)
+        private += [n for n in names if n.startswith("_")]
+        private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) in aliases and node.attr.startswith("_")]
+    assert set(opens) <= {"cli.py", "config.py"}, f"open( outside cli and config: {opens}"
+    assert all("core_file" in call for call in opens.get("config.py", [])), opens["config.py"]
+    assert importers == ["cli.py"], f"modules importing config: {importers}"
+    assert not private, f"private config helpers reached from outside: {private}"
 
 
 def test_every_private_function_is_named_by_the_program():

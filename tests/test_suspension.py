@@ -136,6 +136,25 @@ class TestMarkovMeasure:
         with pytest.raises(ValueError, match="3 strongly connected components"):
             parry_measure(A)
 
+    @pytest.mark.parametrize("draws,path", [
+        ([1 - 1e-13], [0, 1]),              # the bad symbol 2 was returned
+        ([1 - 1e-13, 0.25], [0, 1, 0]),     # IndexError on the next step
+        ([0.5, 0.7, 1 - 5e-13], [0, 0, 1, 1]),   # below the row total: bisection
+    ])
+    def test_draw_past_a_rounded_row_total(self, draws, path):
+        # row 0 sums to 1 - 4e-13, within the 1e-12 row check
+        nu = MarkovMeasure([[0.5, 0.5 - 4e-13], [0.5, 0.5]], [0.5, 0.5])
+
+        class StubRng:
+            def choice(self, m, p):
+                return 0
+
+            def random(self, n):
+                assert n == len(draws)
+                return np.array(draws)
+
+        assert nu.sample(StubRng(), len(path)).tolist() == path
+
     @pytest.mark.parametrize("seed", [3, 88])
     @pytest.mark.parametrize("A", [GOLDEN_MEAN, full_shift(5)], ids=["golden", "full5"])
     def test_sample_matches_searchsorted_loop(self, A, seed):
