@@ -140,6 +140,8 @@ def _action_terms(L: MechanicalLagrangian, X, n_values=None, origin=0.0):
     At T = (n-1) dt the action is K/T + T (k - Ubar) + M, K = (n-1) sum kin,
     Ubar = mean u, M = sum m.  grad(a, b, c) is the knot gradient of
     a K + b Ubar + c M for per-row weights.  Batch rows do not interact.
+    grad U and D eta^T dX are evaluated on the first call of grad only, so
+    a second weighting of the same paths costs no field evaluation.
     u covers the first `n_values` rows only (all when None).  The origin
     enters only where U and eta are sampled: relative knots keep their
     displacements free of cover rounding.
@@ -156,19 +158,24 @@ def _action_terms(L: MechanicalLagrangian, X, n_values=None, origin=0.0):
         m = (etaw * disp).sum(axis=2)
     else:
         m = np.zeros_like(kin)
+    fields = []       # grad U, then D eta^T dX when magnetic
 
     def grad(a, b, c):
         a, b, c = (np.asarray(v, dtype=float)[..., None, None] for v in (a, b, c))
+        if not fields:
+            fields.append(L.potential.grad(pts))
+            if magnetic:
+                # D eta^T dX as d elementwise products; einsum is 3.6x slower here
+                jac = L.oneform.jacobian(pts)
+                fields.append(sum(jac[..., i, :] * disp[:, :, None, i, None]
+                                  for i in range(X.shape[2])))
         # K part and the velocity part of M: +-(a (n-1) dX + c sum_q w_q eta)
         gvel = ((n - 1) * a) * disp
         # position part: sum_q w_q weight(s_q) (b grad U / (n-1) + c D eta^T dX)
-        gpos = (b[..., None] / (n - 1)) * L.potential.grad(pts)
+        gpos = (b[..., None] / (n - 1)) * fields[0]
         if magnetic:
             gvel = gvel + c * etaw
-            # D eta^T dX as d elementwise products; einsum is 3.6x slower here
-            jac = L.oneform.jacobian(pts)
-            gpos = gpos + c[..., None] * sum(jac[..., i, :] * disp[:, :, None, i, None]
-                                             for i in range(X.shape[2]))
+            gpos = gpos + c[..., None] * fields[1]
         g = np.zeros_like(X)
         g[:, :-1] += np.einsum("biqd,q->bid", gpos, w * (1 - s)) - gvel
         g[:, 1:] += np.einsum("biqd,q->bid", gpos, w * s) + gvel
@@ -177,16 +184,27 @@ def _action_terms(L: MechanicalLagrangian, X, n_values=None, origin=0.0):
     return kin, u, m, grad
 
 
-def _action_value_grad(L: MechanicalLagrangian, X, T, k, need_grad=True, n_values=None,
-                       origin=0.0):
-    """Actions of the first `n_values` (default all) cover paths origin + X
-    (B, n, d) at durations T, and the knot gradients of all B."""
-    kin, u, m, grad = _action_terms(L, X, n_values, origin)
-    dt = np.asarray(T, dtype=float)[..., None] / (X.shape[1] - 1)
-    # summed segment by segment: totals K/T and T Ubar cancel more digits,
-    # and the descent's stopping tests act at that rounding level
-    value = (kin[:n_values] / dt + dt * (k - u) + m[:n_values]).sum(axis=1)
-    return value, (grad(1.0 / T, -T, 1.0) if need_grad else None)
+def _path_action(L: MechanicalLagrangian, X, k, T=None, origin=0.0):
+    """(value, duration, grad, sigma) of the (L + k)-action of the path
+    origin + X[0], grad that of `_action_terms` on all of X (B, n, d): the
+    value's knot gradient is grad(1/duration, -duration, 1).  At a fixed T
+    the value is summed segment by segment (K/T and T Ubar cancel more
+    digits), and sigma is None.  With T None it is F = 2 sqrt(K g) + M,
+    g = k - Ubar, the least over T of K/T + T g + M, at T* = sqrt(K / g): the
+    discrete Maupertuis-Jacobi length (Contreras and Iturriaga, Global
+    minimizers of autonomous Lagrangians, 1999, sec. 2).  Its Hessian is the
+    fixed-T one at T* minus sigma w w^T, w = grad(1/T*, T*, 0), sigma =
+    1 / (2 sqrt(K g)), as 2 sqrt(K g) is homogeneous of degree 1 in (K, g);
+    None when g <= 0."""
+    kin, u, m, grad = _action_terms(L, X, 1, origin)
+    if T is not None:
+        dt = T / (X.shape[1] - 1)
+        return float((kin[0] / dt + dt * (k - u[0]) + m[0]).sum()), T, grad, None
+    K, gap = (X.shape[1] - 1) * float(kin[0].sum()), k - float(u[0].mean())
+    if not gap > 0.0:
+        return None
+    root = np.sqrt(K * gap)
+    return 2.0 * root + float(m[0].sum()), np.sqrt(K / gap), grad, 0.5 / root
 
 
 def _thresholds(L: MechanicalLagrangian, X):
@@ -236,8 +254,7 @@ def _action_lower_bound(L: MechanicalLagrangian, disp, T, k):
 
 def action(L: MechanicalLagrangian, p: BrokenPath, k):
     """Composite quadrature of k + L along the path; exact on free segments."""
-    value, _ = _action_value_grad(L, p.cover_knots()[None], p.T, k, need_grad=False)
-    return float(value[0])
+    return _path_action(L, p.cover_knots()[None], k, p.T)[0]
 
 
 _FD_STEP = 2.0 ** -23     # X + h is exact for cover coordinates below 2^29
@@ -283,35 +300,17 @@ def _newton_step(H, g, mu, rank1=None):
     return -(s + z * (sigma * float((w * s).sum()) / denom)) if denom > 0.0 else None
 
 
-def _free_time_action(L: MechanicalLagrangian, X, k, origin=0.0):
-    """(F, T*, sigma, grad of `_action_terms`) of the path origin + X[0];
-    None when g = k - Ubar <= 0.
-
-    F = 2 sqrt(K g) + M, the least of the action K/T + T g + M over T, at
-    T* = sqrt(K / g), is the discrete Maupertuis-Jacobi length (Contreras
-    and Iturriaga, Global minimizers of autonomous Lagrangians, 1999, sec. 2).
-    grad F = grad(1/T*, -T*, 1); the Hessian of F is the fixed-T Hessian at
-    T* minus sigma w w^T, w = grad(1/T*, T*, 0), sigma = 1 / (2 sqrt(K g)):
-    rank 1, as 2 sqrt(K g) is homogeneous of degree 1 in (K, g).
-    """
-    kin, u, m, grad = _action_terms(L, X, 1, origin)
-    K, gap = (X.shape[1] - 1) * float(kin[0].sum()), k - float(u[0].mean())
-    if not gap > 0.0:
-        return None
-    root = np.sqrt(K * gap)
-    return 2.0 * root + float(m[0].sum()), np.sqrt(K / gap), 0.5 / root, grad
-
-
 def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, x_init=None):
     """Damped Newton descent over the interior knots of the straight-line
     seed (or `x_init`, relative to x_from); (path, value, residual).
 
-    The value is the (L + k)-action at duration T or, T None, the free-time
-    action of `_free_time_action`, whose T* the path gets.  Knots are taken
+    The value is `_path_action`'s: the (L + k)-action at duration T or, T
+    None, the free-time action, whose T* the path gets.  Knots are taken
     relative to x_from, added only where U and eta are sampled.  One
-    batched `_action_terms` call per iteration gives the value, gradient,
-    the coloured differences of the Hessian (`_hessian`, assembled once per
-    accepted state) and, free in time, w; the step solves
+    evaluation per iteration of X and its 3d probes, one field evaluation,
+    gives the value, gradient, the coloured differences of the Hessian
+    (`_hessian`, assembled once per accepted state) and, free in time, w
+    from a second weighting of row 0; the step solves
     (H + mu I - sigma w w^T) s = -g by numpy's LAPACK (`_newton_step`), with
     one Sherman-Morrison correction free in time.  mu follows Nielsen's
     gain-ratio update (Madsen, Nielsen and Tingleff, Methods for Non-Linear
@@ -326,23 +325,20 @@ def _minimize_knots(L, x_from, disp, T, n_knots, k=0.0, x_init=None):
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
     X = np.array(x_init if x_init is not None else line * disp, dtype=float)
     m = n_knots - 2
-    probe = np.zeros((1 + 3 * d + (T is None), n_knots, d))   # X, the probes, (X for w)
+    probe = np.zeros((1 + 3 * d, n_knots, d))      # X, then the probes
     for c in range(3):
         for j in range(d):
             probe[1 + c * d + j, 1 + c:-1:3, j] = _FD_STEP
 
     def evaluate(X):
-        """(value, grad, the gradients `_hessian` takes, (w, sigma) or None, T);
-        None where k <= Ubar."""
-        if T is not None:
-            vals, grads = _action_value_grad(L, X + probe, T, k, n_values=1, origin=x_from)
-            return float(vals[0]), grads[0, 1:-1], grads, None, T
-        if (free := _free_time_action(L, X + probe, k, x_from)) is None:
+        """(value, grad, the gradients `_hessian` takes, (w, sigma) or None,
+        duration); None where T is None and k <= Ubar."""
+        if (out := _path_action(L, X + probe, k, T, x_from)) is None:
             return None
-        f, t_star, sigma, grad = free
-        sign = np.append(np.ones(len(probe) - 1), -1.0)
-        grads = grad(1.0 / t_star, -t_star * sign, sign > 0)
-        return f, grads[0, 1:-1], grads[:-1], (grads[-1, 1:-1], sigma), t_star
+        f, dur, grad, sigma = out
+        grads = grad(1.0 / dur, -dur, 1.0)
+        rank1 = None if sigma is None else (grad(1.0 / dur, dur, 0.0)[0, 1:-1], sigma)
+        return f, grads[0, 1:-1], grads, rank1, dur
 
     if (state := evaluate(X)) is None:
         raise NoConvergence(f"k = {k} does not exceed the mean of U on the seed path")
@@ -538,10 +534,11 @@ class NegativeLoopSearch:
         theta, X = self.best_loop()
         if X is None or k >= theta:
             return None
-        _, (K, ubar, u) = _thresholds(self.L, X[None])
+        if (free := _path_action(self.L, X[None], k)) is not None:
+            return BrokenPath.from_cover(X, float(free[1]))
         # at k <= Ubar no duration minimizes; 1/u gives (k - theta)/u < 0
-        T = np.sqrt(K[0] / (k - ubar[0])) if k > ubar[0] else 1.0 / u[0]
-        return BrokenPath.from_cover(X, float(T))
+        _, (_, _, u) = _thresholds(self.L, X[None])
+        return BrokenPath.from_cover(X, float(1.0 / u[0]))
 
 
 def action_potential(L: MechanicalLagrangian, k, x, y, w_max=_W_MAX,
@@ -555,7 +552,7 @@ def action_potential(L: MechanicalLagrangian, k, x, y, w_max=_W_MAX,
     with no negative loop Phi_k(x, x) >= 0, and constant curves of vanishing
     duration reach 0.
 
-    No duration is searched (see `_free_time_action`).  Each winding class
+    No duration is searched (see `_path_action`).  Each winding class
     (`_least_over_classes`, bounded over all T) is solved at 33 knots, then
     at 65 from the midpoint prolongation, and gives the Richardson value
     (4 F_65 - F_33) / 3: the error of F falls 4x per knot doubling.  Raises
@@ -628,16 +625,9 @@ def staticity_defect(L: MechanicalLagrangian, c, x, y):
 
 
 def potential_table(L: MechanicalLagrangian, ks, pairs, w_max=_W_MAX):
-    """Rows (k, x, y, phi, status) for CSV emission, from one `NegativeLoopSearch`."""
+    """Rows (k, x, y, phi) of floats, x and y as coordinate lists and phi
+    -inf where the potential is minus infinity, from one `NegativeLoopSearch`."""
     search = NegativeLoopSearch(L)
-    rows = []
-    for k in ks:
-        for x, y in pairs:
-            av = action_potential(L, k, x, y, w_max, search)
-            phi, status = ("", "neg_inf") if av.is_minus_infinity else (repr(av.value), "finite")
-            rows.append((repr(float(k)), _fmt_pt(x), _fmt_pt(y), phi, status))
-    return rows
-
-
-def _fmt_pt(p):
-    return ";".join(repr(float(v)) for v in np.atleast_1d(p))
+    avs = ((k, x, y, action_potential(L, k, x, y, w_max, search)) for k in ks for x, y in pairs)
+    return [(float(k), *(np.atleast_1d(p).astype(float).tolist() for p in (x, y)),
+             -np.inf if av.is_minus_infinity else av.value) for k, x, y, av in avs]

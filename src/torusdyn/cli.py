@@ -125,12 +125,12 @@ def cmd_action_potential(args):
     ks = config_mod.parse_k_list(args.k)
     xs, ys = config_mod.parse_point_list("--x", args.x), config_mod.parse_point_list("--y", args.y)
     pairs = [(x, y) for x in xs for y in ys]
-    rows = _potential_table(L, ks, pairs, w_max=args.w_max)
+    rows = config_mod.format_potential_table(_potential_table(L, ks, pairs, w_max=args.w_max))
+    header = ("k", "x", "y", "phi", "status")
     if args.format == "csv":
-        _emit(args, {}, rows=rows, header=("k", "x", "y", "phi", "status"))
+        _emit(args, {}, rows=rows, header=header)
     else:
-        payload = {"table": [dict(zip(("k", "x", "y", "phi", "status"), r)) for r in rows]}
-        _emit(args, payload)
+        _emit(args, {"table": [dict(zip(header, r)) for r in rows]})
 
 
 def cmd_suspend_integrate(args):

@@ -142,6 +142,14 @@ def format_csv(header, rows):
                             for c in row) + "\n" for row in [header, *rows])
 
 
+def format_potential_table(rows):
+    """Text cells (k, x, y, phi, status) of `action.potential_table` rows; phi
+    is "" with status neg_inf where it is minus infinity."""
+    return [(repr(k), ";".join(map(repr, x)), ";".join(map(repr, y)),
+             *(("", "neg_inf") if phi == -math.inf else (repr(phi), "finite")))
+            for k, x, y, phi in rows]
+
+
 def parse_polyline_csv(text):
     """Vertex rows of finite coordinates; a header `x1[,x2][,w1[,w2]]` may
     add per-segment integer wind columns.  Without a header all columns are

@@ -406,14 +406,17 @@ def jensen_bound(a):
     """(lhs, rhs) with lhs = -sum a_i log a_i and rhs = 1 + (sum a_i) log n.
 
     Always lhs <= rhs; when sum a_i = 1 additionally lhs <= log n.  The
-    entries must be finite and nonnegative; both halves are Python floats.
+    entries must be nonnegative, and finite with finite halves, both floats.
     """
     a = np.asarray(a, dtype=float)
     if not np.all((a >= 0) & (a < np.inf)):      # NaN fails too
         raise ValueError(f"entries of a must be nonnegative and finite, got {a.tolist()}")
     n = len(a)
-    lhs = float(_plogp(a).sum())
-    rhs = 1.0 + float(a.sum()) * float(np.log(n)) if n else 1.0
+    with np.errstate(over="ignore"):
+        lhs = float(_plogp(a).sum())
+        rhs = 1.0 + float(a.sum()) * float(np.log(n)) if n else 1.0
+    if not np.isfinite([lhs, rhs]).all():
+        raise ValueError(f"entries of a overflow lhs or rhs, got {a.tolist()}")
     return lhs, rhs
 
 

@@ -7,7 +7,7 @@ on the base (Markov or weighted periodic orbits) lift to flow-invariant
 probabilities, represented in weak form through an integrator.
 """
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -193,8 +193,9 @@ class MarkovMeasure(_WindowMeasure):
             cum[np.flatnonzero(row > 0)[-1]:] = np.inf
         cums = cums.tolist()
         path = [s]
+        # symbol j takes the draws in [cums[j - 1], cums[j]): none when P[s, j] = 0
         for u in rng.random(length - 1).tolist():
-            s = bisect_left(cums[s], u)
+            s = bisect_right(cums[s], u)
             path.append(s)
         return np.array(path)
 
@@ -281,7 +282,7 @@ class LiftedMeasure:
         if radius is None:
             radius = self.tau.radius
         radius = max(radius, self.tau.radius)
-        return self.nu.expect_window(lambda w: _panel_sum(f, w, (0.0, self.tau(w))),
+        return self.nu.expect_window(lambda w: _panel_sum(f, w, self.tau(w)),
                                      radius) / self.total_time
 
 
@@ -291,15 +292,12 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(32)
 
 
-def _panel_sum(f, w, cuts):
-    """32-node Gauss-Legendre sum of f(w, s) over each panel [cuts[i], cuts[i + 1]]
-    of the fiber above the window w."""
+def _panel_sum(f, w, top):
+    """32-node Gauss-Legendre sum of f(w, s) over the fiber [0, top] above the
+    window w; + 0.0 turns a product that underflows to -0.0 into 0.0."""
     nodes, weights = _gauss_legendre()
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        total += half * sum(wq * f(w, mid + half * xq) for xq, wq in zip(nodes, weights))
-    return total
+    half = top / 2.0
+    return half * sum(wq * f(w, half + half * xq) for xq, wq in zip(nodes, weights)) + 0.0
 
 
 def lift_measure(nu, tau: CeilingFunction):
@@ -312,4 +310,4 @@ def orbit_weight(cycle, tau: CeilingFunction, cost):
     if not cycle:
         raise ValueError("an orbit weight needs a nonempty cycle, got the empty cycle ()")
     radius = max(tau.radius, 1) + len(cycle)
-    return float(sum(_panel_sum(cost, w, (0.0, tau(w))) for w in _phase_windows(cycle, radius)))
+    return float(sum(_panel_sum(cost, w, tau(w)) for w in _phase_windows(cycle, radius)))

@@ -8,7 +8,7 @@ arrays."""
 
 import numpy as np
 
-from torusdyn.action import BrokenPath, _action_value_grad
+from torusdyn.action import BrokenPath, _path_action
 from torusdyn.config import format_csv
 from torusdyn.entropy import LabeledOrbitEnsemble
 from torusdyn.hyperbolic import ToralAutomorphism, _scan_corrections
@@ -53,7 +53,7 @@ def el_residual(L: MechanicalLagrangian, p: BrokenPath):
     if len(X) < 3:
         return 0.0
     dt = p.T / (len(X) - 1)
-    _, grad = _action_value_grad(L, X[None], p.T, 0.0)
+    grad = _path_action(L, X[None], 0.0, p.T)[2](1.0 / p.T, -p.T, 1.0)
     return float(np.abs(grad[0, 1:-1]).max() / dt)
 
 

@@ -20,6 +20,7 @@ from torusdyn.action import (
     staticity_defect,
     tonelli_minimizer,
 )
+from torusdyn.config import format_potential_table
 from torusdyn.fields import FourierSeries, OneForm, SumField, grid_maximum
 from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.perturbation import CanalPotential, perturb
@@ -373,12 +374,15 @@ class TestActionValueType:
 
 
 def test_potential_table_rows():
+    # numbers here; `config.format_potential_table` writes the CLI's cells
     L = pendulum()
     rows = potential_table(L, [0.5, 1.2], [([0.0], [0.5])])
     assert len(rows) == 2
-    k, x, y, phi, status = rows[0]
-    assert status == "neg_inf" and phi == ""
-    assert rows[1][4] == "finite"
+    assert rows[0] == (0.5, [0.0], [0.5], -np.inf)
+    k, x, y, phi = rows[1]
+    assert (k, x, y) == (1.2, [0.0], [0.5]) and type(phi) is float and np.isfinite(phi)
+    assert format_potential_table(rows) == [("0.5", "0.0", "0.5", "", "neg_inf"),
+                                            ("1.2", "0.0", "0.5", repr(phi), "finite")]
 
 
 class TestBatchedLoopLibrary:
@@ -512,7 +516,6 @@ def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x
     residual target fixed at the module's: 8 nodes and 1e-6."""
     from scipy.optimize import minimize
 
-    _action_value_grad = action_mod._action_value_grad
     residual_target = 1e-6
     d = len(x_from)
     line = np.linspace(0.0, 1.0, n_knots)[:, None]
@@ -522,8 +525,8 @@ def _reference_minimize_knots(L, x_from, disp, T, n_knots, k=0.0, maxiter=400, x
 
     def fun(z):
         X = np.vstack([X0[:1], z.reshape(shape) + 0.0, X0[-1:]])
-        val, grad = _action_value_grad(L, X[None], T, k)
-        return float(val[0]), grad[0, 1:-1].ravel()
+        val, _, grad, _ = action_mod._path_action(L, X[None], k, T)
+        return val, grad(1.0 / T, -T, 1.0)[0, 1:-1].ravel()
 
     z = X0[1:-1].ravel()
     val = res_grad = None
@@ -616,7 +619,7 @@ def coloured_hessian(L, X, T):
     for c in range(3):
         for j in range(d):
             probe[1 + c * d + j, 1 + c:-1:3, j] = action_mod._FD_STEP
-    grads = action_mod._action_value_grad(L, X + probe, T, 0.0)[1]
+    grads = action_mod._path_action(L, X + probe, 0.0, T)[2](1.0 / T, -T, 1.0)
     return action_mod._hessian(grads, n - 2, d), grads[0, 1:-1]
 
 
@@ -639,7 +642,8 @@ class TestNewtonStep:
         moves = np.zeros(((n - 2) * d, n, d))
         moves.reshape(-1, n * d)[np.arange((n - 2) * d), d + np.arange((n - 2) * d)] = \
             action_mod._FD_STEP
-        grads = action_mod._action_value_grad(L, X + np.concatenate([0 * X[None], moves]), T, 0.0)[1]
+        grads = action_mod._path_action(L, X + np.concatenate([0 * X[None], moves]), 0.0, T)[2](
+            1.0 / T, -T, 1.0)
         dense = ((grads[1:, 1:-1] - grads[0, 1:-1]) / action_mod._FD_STEP).reshape(len(moves), -1).T
         assert np.abs(H - (dense + dense.T) / 2).max() <= 1e-8 * np.abs(H).max()
         assert np.array_equal(H, H.T)
@@ -817,7 +821,7 @@ class TestFreeTimePotential:
 
 
 def free_time_value(L, X, k):
-    return action_mod._free_time_action(L, X[None], k)[0]
+    return action_mod._path_action(L, X[None], k)[0]
 
 
 class TestFreeTimeAction:
@@ -835,7 +839,7 @@ class TestFreeTimeAction:
         rng = np.random.default_rng(seed)
         p = BrokenPath(rng.random((n_knots, L.dim)), rng.integers(-3, 4, (n_knots - 1, L.dim)), 1.0)
         X = p.cover_knots()
-        F, t_star, _, _ = action_mod._free_time_action(L, X[None], k)
+        F, t_star, _, _ = action_mod._path_action(L, X[None], k)
         at_t_star = action(L, BrokenPath.from_cover(X, t_star), k)
         kinetic = (n_knots - 1) * float(((X[1:] - X[:-1]) ** 2).sum()) / (2 * t_star)
         assert abs(at_t_star - F) <= 1e-12 * (abs(F) + kinetic)     # kinetic = (F - M) / 2
@@ -854,7 +858,7 @@ class TestFreeTimeAction:
         k = L.potential.value_bounds()[1] + k_above
         rng = np.random.default_rng(seed)
         X = np.cumsum(rng.uniform(-0.3, 0.3, (n_knots, L.dim)), axis=0)
-        _, t_star, _, grad = action_mod._free_time_action(L, X[None], k)
+        _, t_star, grad, _ = action_mod._path_action(L, X[None], k)
         g = grad(1.0 / t_star, -t_star, 1.0)[0]
         h = 1e-6
         for i in range(n_knots):
@@ -863,6 +867,29 @@ class TestFreeTimeAction:
                 E[i, j] = h
                 fd = (free_time_value(L, X + E, k) - free_time_value(L, X - E, k)) / (2 * h)
                 assert abs(fd - g[i, j]) <= 1e-6 * (1.0 + abs(g[i, j]))
+
+    @pytest.mark.parametrize("make", [pendulum, magnetic_t1, general_magnetic_t2])
+    def test_one_field_evaluation_per_newton_evaluation(self, make, monkeypatch):
+        # each evaluation prices X and its 3d coloured probes in one batch, and
+        # w, the rank-1 term, re-weights row 0 with no second grad U
+        L = make()
+        k = L.potential.value_bounds()[1] + 0.3
+        batches, grad_calls, terms, field = [], [], action_mod._action_terms, L.potential.grad
+
+        def recording(L, X, *args):
+            batches.append(X.shape[0])
+            return terms(L, X, *args)
+
+        def counting(x):
+            grad_calls.append(x.shape[0])
+            return field(x)
+
+        monkeypatch.setattr(action_mod, "_action_terms", recording)
+        monkeypatch.setattr(L.potential, "grad", counting)
+        x = np.full(L.dim, 0.1)
+        action_mod._minimize_knots(L, x, np.full(L.dim, 0.45), None, 33, k)
+        assert len(batches) > 1 and batches == [1 + 3 * L.dim] * len(batches)
+        assert grad_calls == batches
 
 
 def _reference_thresholds(L, X, need_grad=False):
@@ -1109,6 +1136,25 @@ class TestBatteryRule:
             ks.clear()
             action_mod._refine_loop(L, X, search.u_max)
             assert all(b - a > 4 * np.spacing(a) for a, b in zip(ks, ks[1:])), ks
+
+    @pytest.mark.parametrize("name", PINNED_CASES)
+    def test_find_builds_its_loop_at_the_objectives_duration(self, name):
+        # the certificate's duration is `_path_action`'s T*, bit for bit equal
+        # to the closed form sqrt(K / (k - Ubar)) of the loop's own terms
+        L = PINNED_CASES[name]()
+        search = NegativeLoopSearch(L)
+        theta, X = search.best_loop()
+        if X is None:
+            assert search.find(search.u_max) is None
+            return
+        _, (K, ubar, _) = action_mod._thresholds(L, X[None])
+        low = max(search.u_max, float(ubar[0]))
+        for k in (theta - 1e-3, (low + theta) / 2.0):
+            loop = search.find(k)
+            t_star = action_mod._path_action(L, X[None], k)[1]
+            assert loop.T == t_star == float(np.sqrt(K[0] / (k - ubar[0])))
+            assert np.array_equal(loop.knots, BrokenPath.from_cover(X, loop.T).knots)
+            assert action(L, loop, k) < 0
 
 
 def _old_refine_cut(X, r):

@@ -214,6 +214,12 @@ class TestJensenBound:
         with pytest.raises(ValueError, match="entries of a must be nonnegative and finite"):
             jensen_bound(a)
 
+    @pytest.mark.parametrize("a", [[1e308, 1e308], [1e308], [1e306] * 20])
+    def test_overflowing_entries_refused(self, a):
+        # [1e308, 1e308] gave (-inf, inf) and two numpy overflow warnings
+        with pytest.raises(ValueError, match="entries of a overflow"):
+            jensen_bound(a)
+
     @pytest.mark.parametrize("a", [[], [0.25, 0.75]])
     def test_python_floats(self, a):
         # a nonempty `a` gave a numpy float rhs

@@ -126,14 +126,18 @@ def test_one_text_layer():
     """`config` is the one module that parses and formats text, and the CLI
     is its one importer: among the package modules only `cli.py` and
     `config.py` call `open(`, `config.py` only for the canal's `core_file`,
-    and `cli.py` reaches no private helper of `config`."""
-    opens, importers, private = {}, [], []
+    only `config.py` calls `repr(`, and `cli.py` reaches no private helper
+    of `config`."""
+    opens, reprs, importers, private = {}, [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and getattr(node.func, "id", None) == "open"]
+        called = [(node, getattr(node.func, "id", None)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
+        calls = [ast.unparse(node) for node, name in called if name == "open"]
         if calls:
             opens[path.name] = calls
+        if path.name != "config.py" and any(name == "repr" for _, name in called):
+            reprs.append(path.name)
         aliases, names = _config_imports(tree)
         if aliases or names:
             importers.append(path.name)
@@ -142,6 +146,7 @@ def test_one_text_layer():
                     and getattr(node.value, "id", None) in aliases and node.attr.startswith("_")]
     assert set(opens) <= {"cli.py", "config.py"}, f"open( outside cli and config: {opens}"
     assert all("core_file" in call for call in opens.get("config.py", [])), opens["config.py"]
+    assert not reprs, f"repr( outside config: {reprs}"
     assert importers == ["cli.py"], f"modules importing config: {importers}"
     assert not private, f"private config helpers reached from outside: {private}"
 

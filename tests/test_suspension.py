@@ -139,7 +139,8 @@ class TestMarkovMeasure:
     @pytest.mark.parametrize("draws,path", [
         ([1 - 1e-13], [0, 1]),              # the bad symbol 2 was returned
         ([1 - 1e-13, 0.25], [0, 1, 0]),     # IndexError on the next step
-        ([0.5, 0.7, 1 - 5e-13], [0, 0, 1, 1]),   # below the row total: bisection
+        ([0.25, 0.7, 1 - 5e-13], [0, 0, 1, 1]),   # below the row total: bisection
+        ([0.5], [0, 1]),                    # a draw on P[0, 0] is past symbol 0
     ])
     def test_draw_past_a_rounded_row_total(self, draws, path):
         # row 0 sums to 1 - 4e-13, within the 1e-12 row check
@@ -154,6 +155,19 @@ class TestMarkovMeasure:
                 return np.array(draws)
 
         assert nu.sample(StubRng(), len(path)).tolist() == path
+
+    def test_no_step_along_a_transition_of_probability_0(self):
+        # draws of 0.0 stepped 0 -> 0 and read [0, 0, 0]
+        nu = MarkovMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+
+        class StubRng:
+            def choice(self, m, p):
+                return 0
+
+            def random(self, n):
+                return np.zeros(n)
+
+        assert nu.sample(StubRng(), 3).tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize("seed", [3, 88])
     @pytest.mark.parametrize("A", [GOLDEN_MEAN, full_shift(5)], ids=["golden", "full5"])
@@ -226,11 +240,16 @@ class TestLiftMeasure:
 def split_integral(integ, f, radius, kinks):
     """The lifted integral of f over windows of the given radius, each fiber
     split at the heights `kinks(w)` where f kinks, so that each smooth panel
-    gets its own `_panel_sum`."""
+    gets its own sum of the package's Gauss-Legendre rule."""
     def fiber(w):
         top = integ.tau(w)
         cuts = sorted({0.0, top} | {float(b) for b in kinks(w) if 0.0 < b < top})
-        return sus._panel_sum(f, w, cuts)
+        nodes, weights = sus._gauss_legendre()
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            total += half * sum(wq * f(w, mid + half * xq) for xq, wq in zip(nodes, weights))
+        return total
 
     return integ.nu.expect_window(fiber, radius) / integ.total_time
 
@@ -406,6 +425,12 @@ class TestPanelSumFold:
             assert split_integral(integ, f, 4, kinks) == \
                 reference_integrate(integ, f, 4, n_quad, kinks)
             assert integ.integrate(f, 4) == reference_integrate(integ, f, 4, n_quad)
+
+
+    def test_an_underflowed_fiber_sum_is_plus_zero(self):
+        # half * sum is 5e-201 * -2e-200, which underflows to -0.0
+        out = sus._panel_sum(lambda w, s: -1e-200, None, 1e-200)
+        assert out == 0.0 and np.copysign(1.0, out) == 1.0
 
 
 class TestCeilingBounds:
