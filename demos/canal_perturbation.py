@@ -16,7 +16,7 @@ pendulum = MechanicalLagrangian(1, FourierSeries(1, cos={1: 1.0}))
 # --- canal at the unstable equilibrium (the Aubry set): nothing moves
 cp = CanalPotential([[0.0]], eps=0.1, k=2)
 print(f"canal values: phi(0) = {float(cp([0.0]))}, phi(0.25) = {float(cp([0.25])):.4f}")
-print(f"force the canal exerts on its core: {core_force_residual(pendulum, cp):.1e}")
+print(f"force the canal exerts on its core: {core_force_residual(cp):.1e}")
 report = experiment_localization(pendulum, cp)
 print("canal on the equilibrium:")
 print(f"  c(L) = {report['c_base']:.4f} -> c(L+phi) = {report['c_perturbed']:.4f} "

@@ -116,7 +116,7 @@ def cmd_critical_value(args):
     if not 0 < args.tol < np.inf:                  # NaN fails this test too
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     L, _ = config_mod.parse_lagrangian(_read(args.config))
-    c = _critical_value(L, tol=args.tol)
+    c = _critical_value(L)
     _emit(args, {"c": c, "tol": args.tol})
 
 

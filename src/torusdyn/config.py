@@ -74,7 +74,11 @@ def parse_lagrangian(text):
     Raises ValueError on a non-finite coefficient, a dt that is not a
     positive finite number, or an integrator `el_flow` does not know.
     """
-    cp = _parse(text)
+    return _lagrangian_of(_parse(text))
+
+
+def _lagrangian_of(cp):
+    """(L, meta) of parsed config, so a canal config is parsed once."""
     if not cp.has_section("lagrangian"):
         raise ValueError("missing [lagrangian] section")
     if not cp.has_option("lagrangian", "dim"):
@@ -294,7 +298,7 @@ def parse_canal_experiment(text, base_dir="."):
     import os
 
     cp = _parse(text)
-    L, meta = parse_lagrangian(text)
+    L, _ = _lagrangian_of(cp)
     if not cp.has_section("canal"):
         raise ValueError("missing [canal] section")
     sec = cp["canal"]

@@ -31,22 +31,27 @@ class CanalPotential:
     """
 
     def __init__(self, core, eps, k=2, plateau=None, winds=None):
-        core = wrap(np.atleast_2d(core))
-        self.core = core
+        core = np.atleast_2d(np.asarray(core, dtype=float))
+        if not np.isfinite(core).all():
+            raise ValueError(f"core vertices must be finite, got {core.tolist()}")
+        self.core = core = wrap(core)
         self.dim = core.shape[1]
         self.eps = float(eps)
-        self.k = int(k)
         self.plateau = None if plateau is None else float(plateau)
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if self.plateau is not None and not 0 < self.plateau < np.inf:
             raise ValueError(f"plateau must be positive and finite, got {self.plateau!r}")
+        if not float(k).is_integer():
+            raise ValueError(f"exponent k must be an integer, got {k!r}")
+        self.k = int(k)
         if self.k < 2:
             raise ValueError("exponent k must be >= 2 for a C^1 perturbation")
         m = len(core)
-        if winds is None:
-            winds = np.zeros((m, self.dim), dtype=int)
-        winds = np.atleast_2d(np.asarray(winds, dtype=int))
+        winds = np.atleast_2d(np.zeros((m, self.dim)) if winds is None
+                              else np.asarray(winds, dtype=float))
+        if not (np.isfinite(winds) & (winds == np.round(winds))).all():
+            raise ValueError(f"winds must be integers, got {winds.tolist()}")
         if winds.shape != (m, self.dim):
             raise ValueError("one winding vector per segment required")
         if np.any(np.abs(winds) > 1):
@@ -66,48 +71,49 @@ class CanalPotential:
                 ends.append(pb - shift)
         self._seg_a = np.array(starts)
         self._seg_v = np.array(ends) - self._seg_a
+        # a piece of length 0 has t = 0, so its projection is its vertex exactly
+        self._seg_vv = np.maximum((self._seg_v * self._seg_v).sum(axis=1), 1e-300)
         self._lifts = np.array(list(product((-1.0, 0.0, 1.0), repeat=self.dim)))
 
-    def _distance_and_direction(self, x):
-        """Torus distance to the core and the unit direction away from it."""
-        x = wrap(np.atleast_2d(x))
-        n = len(x)
-        y = x[:, None, :] + self._lifts[None, :, :]      # (n, 3^d, d)
-        rel = y[:, :, None, :] - self._seg_a[None, None, :, :]     # (n, L, S, d)
-        vv = (self._seg_v * self._seg_v).sum(axis=1)               # (S,)
-        # a segment of length 0 has t = 0, so its projection is its vertex exactly
-        t = np.einsum("nlsd,sd->nls", rel, self._seg_v) / np.maximum(vv, 1e-300)
-        t = np.clip(t, 0.0, 1.0)
-        proj = self._seg_a[None, None] + t[..., None] * self._seg_v[None, None]
-        diff = y[:, :, None, :] - proj
-        dist = np.linalg.norm(diff, axis=-1)
-        flat = dist.reshape(n, -1)
-        best = np.argmin(flat, axis=1)
-        d = flat[np.arange(n), best]
-        away = diff.reshape(n, -1, x.shape[1])[np.arange(n), best]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(d[:, None] > 0, away / np.maximum(d[:, None], 1e-300), 0.0)
-        return d, unit
+    def _nearest(self, x):
+        """Torus distance from points x (..., d) to the core, and the offset of
+        each point from its nearest core point: a running minimum over the
+        (lift, piece) pairs, lift-major, on (n, d) arrays, so memory is
+        linear in the points whatever the core.  A tie keeps the first pair,
+        as an argmin over all pairs would."""
+        x = wrap(np.asarray(x, dtype=float).reshape(-1, self.dim))
+        best = None
+        for lift in self._lifts:
+            y = x + lift
+            for a, v, vv in zip(self._seg_a, self._seg_v, self._seg_vv):
+                t = np.clip(np.einsum("nd,d->n", y - a, v) / vv, 0.0, 1.0)
+                diff = y - (a + t[:, None] * v)
+                dist = np.linalg.norm(diff, axis=-1)
+                if best is None:
+                    best, away = dist, diff
+                closer = dist < best            # none on the first pair
+                np.copyto(best, dist, where=closer)
+                np.copyto(away, diff, where=closer[:, None])
+        return best, away
 
     def distance(self, x):
-        squeeze = np.asarray(x).ndim == 1
-        d, _ = self._distance_and_direction(np.atleast_2d(x).reshape(-1, self.dim))
-        return float(d[0]) if squeeze else d.reshape(np.asarray(x).shape[:-1])
+        d, _ = self._nearest(x)
+        return float(d[0]) if np.ndim(x) == 1 else d.reshape(np.shape(x)[:-1])
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        d, _ = self._distance_and_direction(x_arr.reshape(-1, self.dim))
+        d, _ = self._nearest(x)
         if self.plateau is not None:
             d = np.minimum(d, self.plateau)
-        return (self.eps * d**self.k).reshape(x_arr.shape[:-1])
+        return (self.eps * d**self.k).reshape(np.shape(x)[:-1])
 
     def grad(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        d, unit = self._distance_and_direction(x_arr.reshape(-1, self.dim))
+        d, away = self._nearest(x)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(d[:, None] > 0, away / np.maximum(d[:, None], 1e-300), 0.0)
         slope = self.eps * self.k * d ** (self.k - 1)
         if self.plateau is not None:
             slope = np.where(d < self.plateau, slope, 0.0)
-        return (slope[:, None] * unit).reshape(x_arr.shape)
+        return (slope[:, None] * unit).reshape(np.shape(x))
 
     def value_bounds(self):
         reach = 0.5 * np.sqrt(self.dim)
@@ -135,7 +141,7 @@ def perturb(L: MechanicalLagrangian, cp: CanalPotential):
 _RESIDUAL_SAMPLES = 256     # core samples per segment that `core_force_residual` checks
 
 
-def core_force_residual(L: MechanicalLagrangian, cp: CanalPotential):
+def core_force_residual(cp: CanalPotential):
     """Extra force the perturbation exerts along the core (must vanish, k >= 2)."""
     pts = cp.core_samples(_RESIDUAL_SAMPLES)
     return float(np.max(np.linalg.norm(cp.grad(pts), axis=-1)))
@@ -167,7 +173,7 @@ def experiment_localization(L: MechanicalLagrangian, cp: CanalPotential, toleran
         "c_base": c_base,
         "c_perturbed": c_pert,
         "monotone": bool(monotone),
-        "core_force_residual": core_force_residual(L, cp),
+        "core_force_residual": core_force_residual(cp),
         "near_core_radius": near_r,
         "best_loop_core_distance": dist,
         "localized": bool(dist <= near_r),

@@ -272,7 +272,7 @@ def test_criterion_12_perturbation_monotonicity():
                 runs += 1
                 if c_pert > c_base + 2e-2:
                     violations += 1
-                worst_residual = max(worst_residual, core_force_residual(L, cp))
+                worst_residual = max(worst_residual, core_force_residual(cp))
     elapsed = time.time() - t0
     ok = violations == 0 and worst_residual <= 1e-8
     _report(12, ok, f"{runs} (eps,k) runs, {violations} monotonicity violations, "

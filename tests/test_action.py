@@ -26,7 +26,7 @@ from torusdyn.lagrangian import MechanicalLagrangian
 from torusdyn.perturbation import CanalPotential, perturb
 from torusdyn.torus import grid as torus_grid
 
-from helpers import el_residual
+from helpers import el_residual, jacobian
 
 # the package namespace binds `action` to the function, not the module
 action_mod = sys.modules[NegativeLoopSearch.__module__]
@@ -1188,3 +1188,34 @@ class TestProlongation:
             if r == 2:
                 Y = rng.random((33, d)) * rng.choice([1.0, 3.0, 100.0])
                 assert action_mod._prolong(Y, 2).tobytes() == _old_midpoint_seed(Y).tobytes()
+
+
+def _stacked_jacobian_grad(L, X, a, b, c):
+    """`_action_terms`' knot gradient with D eta^T dX sliced out of the stacked
+    Jacobian J[..., i, j] = d eta_i / d x_j, as it was formed before."""
+    n = X.shape[1]
+    s, w = action_mod._gl_nodes()
+    disp = np.diff(X, axis=1)
+    pts = (X[:, :-1, None, :] + 0.0) + s[None, None, :, None] * disp[:, :, None, :]
+    etaw = np.einsum("biqd,q->bid", L.oneform(pts), w)
+    jac = jacobian(L.oneform, pts)
+    deta = sum(jac[..., i, :] * disp[:, :, None, i, None] for i in range(X.shape[2]))
+    a, b, c = (np.asarray(v, dtype=float)[..., None, None] for v in (a, b, c))
+    gvel = ((n - 1) * a) * disp + c * etaw
+    gpos = (b[..., None] / (n - 1)) * L.potential.grad(pts) + c[..., None] * deta
+    g = np.zeros_like(X)
+    g[:, :-1] += np.einsum("biqd,q->bid", gpos, w * (1 - s)) - gvel
+    g[:, 1:] += np.einsum("biqd,q->bid", gpos, w * s) + gvel
+    return g
+
+
+@pytest.mark.parametrize("make", [magnetic_t1, general_magnetic_t2, PINNED_CASES["t2.closed_sin"]])
+def test_d_eta_from_the_component_gradients(make):
+    # D eta^T dX from each component's gradient gives the stacked Jacobian's bits
+    L = make()
+    rng = np.random.default_rng(L.dim)
+    X = np.cumsum(rng.uniform(-0.3, 0.3, (7, 33, L.dim)), axis=1)
+    a, b, c = rng.normal(size=(3, 7))
+    grad = action_mod._action_terms(L, X)[3]
+    assert grad(a, b, c).tobytes() == _stacked_jacobian_grad(L, X, a, b, c).tobytes()
+    assert grad(0.0, 0.0, 1.0).tobytes() == _stacked_jacobian_grad(L, X, 0.0, 0.0, 1.0).tobytes()

@@ -13,7 +13,7 @@ from torusdyn.perturbation import (
 )
 from torusdyn.torus import wrap
 
-from helpers import lagrangian
+from helpers import BroadcastCanal, lagrangian
 
 
 def pendulum():
@@ -42,6 +42,26 @@ class TestCanalValues:
     def test_rejects_bad_amplitude_and_plateau(self, eps, plateau, needle):
         with pytest.raises(ValueError, match=f"{needle} must be positive and finite"):
             CanalPotential([[0.0]], eps=eps, k=2, plateau=plateau)
+
+    @pytest.mark.parametrize("core,winds,k,needle", [
+        ([[0.1, np.nan]], None, 2, "core vertices must be finite"),
+        ([[np.inf, 0.2]], None, 2, "core vertices must be finite"),
+        ([[0.1, 0.2]], [[0.9, 0]], 2, "winds must be integers"),
+        ([[0.1, 0.2]], [[np.nan, 0]], 2, "winds must be integers"),
+        ([[0.1, 0.2]], [[np.inf, 0]], 2, "winds must be integers"),
+        ([[0.1, 0.2]], None, 2.7, "exponent k must be an integer"),
+        ([[0.1, 0.2]], None, np.nan, "exponent k must be an integer"),
+    ])
+    def test_rejects_bad_core_winds_and_exponent(self, core, winds, k, needle):
+        with pytest.raises(ValueError, match=needle):
+            CanalPotential(core, eps=0.5, k=k, winds=winds)
+
+    def test_integral_floats_are_integers(self):
+        cp = CanalPotential([[0.0, 0.25]], eps=1.0, k=3.0, winds=[[1.0, 0.0]])
+        ref = CanalPotential([[0.0, 0.25]], eps=1.0, k=3, winds=[[1, 0]])
+        assert type(cp.k) is int and cp.k == 3
+        pts = np.random.default_rng(2).random((50, 2))
+        assert np.array_equal(cp(pts), ref(pts))
 
     def test_equator_core_on_t2(self):
         # core = the circle x2 = 0.25; farthest parallel is at distance 1/2
@@ -111,7 +131,7 @@ class TestPerturb:
         L = pendulum()
         for k in (2, 3, 4):
             cp = CanalPotential([[0.0]], eps=0.2, k=k)
-            assert core_force_residual(L, cp) <= 1e-8
+            assert core_force_residual(cp) <= 1e-8
 
     def test_rotating_orbit_on_circle_core(self):
         # a full-circle core leaves every Lagrangian orbit untouched
@@ -190,7 +210,7 @@ class TestPointCoreFold:
     def test_values_gradients_distances(self, vertex, plateau, explicit_wind):
         winds = np.zeros((1, len(vertex)), dtype=int) if explicit_wind else None
         cp = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, winds=winds)
-        ref = CanalPotential([vertex], eps=0.7, k=3, plateau=plateau, winds=winds)
+        ref = BroadcastCanal([vertex], eps=0.7, k=3, plateau=plateau, winds=winds)
         ref._distance_and_direction = lambda x: reference_point_distance_and_direction(ref, x)
         dim = len(vertex)
         rng = np.random.default_rng(dim)
@@ -239,7 +259,8 @@ class TestCertifyingLoop:
         assert report["localized"] == (dist <= report["near_core_radius"])
 
     def test_search_on_polyline_canal_has_bounded_memory(self):
-        # one batch over the 512^2 grid of U - phi would need about 670 MB
+        # the grid scan runs in batches, and the canal's temporaries are linear
+        # in the points
         import tracemalloc
 
         L, cp = t2_polyline_case()
@@ -264,3 +285,71 @@ class TestCertifyingLoop:
     @pytest.mark.parametrize("L", [pendulum(), magnetic_pendulum(2.0)])
     def test_critical_value_is_best_loop_theta(self, L):
         assert critical_value(L) == NegativeLoopSearch(L).best_loop()[0]
+
+
+def twenty_piece_core():
+    """20 vertices on the circle of radius 0.3 about (0.5, 0.5), one piece each."""
+    angle = 2 * np.pi * np.arange(20) / 20
+    return 0.5 + 0.3 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRunningMinimum:
+    """The running minimum over lifted pieces gives the bits of the broadcast
+    over all of them, with temporaries that do not grow with the core."""
+
+    @pytest.mark.parametrize("core,kwargs", [
+        ([[0.25]], {}),
+        ([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], {"winds": [[0, 0], [0, 0], [1, 0]]}),
+        ([[0.3, 0.7]], {"winds": [[1, 1]]}),
+        ([[0.1, 0.2], [0.5, 0.6], [0.8, 0.3]], {"plateau": 0.15}),
+    ], ids=["t1_point", "t2_polyline", "t2_winding", "t2_plateau"])
+    def test_values_gradients_distances(self, core, kwargs):
+        cp = CanalPotential(core, eps=0.7, k=3, **kwargs)
+        ref = BroadcastCanal(core, eps=0.7, k=3, **kwargs)
+        dim = cp.dim
+        rng = np.random.default_rng(7)
+        # inside and outside [0, 1)^d, the vertices, and ties between lifts
+        pts = np.vstack([rng.uniform(-1.0, 2.0, (4000, dim)), cp.core,
+                         wrap(cp.core + 0.5), np.full((1, dim), 0.5)])
+        for x in (pts, pts[0], pts[:4000].reshape(-1, 8, dim)):
+            assert same_bits(cp(x), ref(x))
+            assert same_bits(cp.grad(x), ref.grad(x))
+            assert same_bits(cp.distance(x), ref.distance(x))
+
+    def test_memory_does_not_grow_with_the_core(self):
+        # one evaluation of the broadcast held 262 MB at this size
+        import tracemalloc
+
+        cp = CanalPotential(twenty_piece_core(), eps=0.4, k=2)
+        assert len(cp._seg_a) == 20
+        pts = np.random.default_rng(0).random((1 << 14, 2))
+        tracemalloc.start()
+        try:
+            cp(pts)
+            cp.grad(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_magnetic_polyline_experiment_memory(self):
+        # the broadcast peaked at about 343 MB here
+        import tracemalloc
+
+        L, cp = t2_polyline_case()
+        L = MechanicalLagrangian(2, L.potential,
+                                 OneForm([FourierSeries(2, cos={(0, 0): 0.4, (0, 1): 0.2}),
+                                          FourierSeries(2, cos={(0, 0): -0.3, (1, 0): 0.15})]))
+        assert len(cp._seg_a) == 3
+        tracemalloc.start()
+        try:
+            experiment_localization(L, cp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6

@@ -19,7 +19,9 @@ classes is set by the same program code: a keyword, a default or a
 dataclass field that only the tests set belongs in the tests.
 
 And `config` is the package's one text layer: only the CLI imports it, and
-only the two of them open files."""
+only the two of them open files.
+
+Every parameter of a package function or method is read in its body."""
 
 import ast
 import re
@@ -244,3 +246,32 @@ def test_every_keyword_is_set_by_program_code():
                     and not any(f"{name}(" in s and f"{param}=" in s for s in spans):
                 unset.append(f"{label}({param}=)")
     assert not unset, "set only from tests/: " + ", ".join(unset)
+
+
+def _unread_parameters(fn, skip_first):
+    """The parameters of `fn` its body never reads.  A nested closure's own
+    parameters are its own business: a closure may share a sibling's
+    signature, as the mechanical and magnetic accelerations do."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args][skip_first:] + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [a.arg for a in params if a.arg not in read]
+
+
+def test_every_parameter_is_read():
+    """Each parameter of a package function or method, its receiver aside,
+    is read in its body: a parameter nothing reads belongs nowhere."""
+    unread = []
+    for label, node in _definitions((ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.FunctionDef):
+            unread += [f"{label}({p})" for p in _unread_parameters(node, 0)]
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                unread += [f"{label}.{item.name}({p})"
+                           for p in _unread_parameters(item, 0 if static else 1)]
+    assert not unread, "parameters never read: " + ", ".join(unread)
